@@ -3,9 +3,12 @@
 A beta-island is a maximal set of nodes mutually reachable over links
 whose free capacity (min of both directions) is at least beta. Islands
 are computed per threshold; thresholds stacked in descending order form
-a hierarchy in which every island points to the island containing it at
-the next lower threshold. The hierarchy is maintained incrementally as
-allocations come and go, and always equals a from-scratch rebuild.
+a hierarchy in which every island lies inside one island, its father, at
+the next lower threshold. The hierarchy stores only each level's islands
+(members and internal cables), which is all placement reads; fathers and
+the abstract links between islands follow from the islands and the state
+and are derived on demand. The islands are maintained incrementally as
+allocations come and go, and always equal a from-scratch rebuild.
 """
 
 from __future__ import annotations
@@ -25,19 +28,15 @@ class BlockingIsland:
     beta_kbps: int
     nodes: FrozenSet[int]
     internal_links: FrozenSet[Cable]
-    father_id: Optional[int] = None
 
 
 @dataclass
 class BIGraph:
-    """One clustering level: the islands at a single threshold plus the
-    abstract links between them (annotated with the best residual of the
-    parallel cables they stand for)."""
+    """One clustering level: the islands at a single threshold."""
 
     beta_kbps: int
     islands: Dict[int, BlockingIsland] = field(default_factory=dict)
     node_island: Dict[int, int] = field(default_factory=dict)
-    abstract_links: Dict[Tuple[int, int], int] = field(default_factory=dict)
 
 
 def _flood(state, start: int, beta_kbps: int,
@@ -94,7 +93,6 @@ class BIHierarchy:
         self.levels: Dict[int, BIGraph] = {}
         for beta in self.betas_kbps:
             self.levels[beta] = self._build_level(state, beta)
-        self._refresh_fathers()
 
     # -- construction ----------------------------------------------------
 
@@ -112,10 +110,25 @@ class BIHierarchy:
             level.islands[iid] = BlockingIsland(iid, beta_kbps, nodes, links)
             for n in nodes:
                 level.node_island[n] = iid
-        self._rebuild_abstract(state, level)
         return level
 
-    def _rebuild_abstract(self, state: NetworkState, level: BIGraph) -> None:
+    # -- lookups ---------------------------------------------------------
+
+    def father(self, beta_kbps: int,
+               island: BlockingIsland) -> Optional[BlockingIsland]:
+        """The island holding this one at the next lower threshold; None
+        on the lowest level."""
+        i = self.betas_kbps.index(beta_kbps)
+        if i + 1 == len(self.betas_kbps):
+            return None
+        below = self.levels[self.betas_kbps[i + 1]]
+        return below.islands[below.node_island[min(island.nodes)]]
+
+    def abstract_links(self, state: NetworkState,
+                       beta_kbps: int) -> Dict[Tuple[int, int], int]:
+        """(island id, island id) -> best sym residual among the cables
+        joining the two islands of the level."""
+        level = self.levels[beta_kbps]
         abstract: Dict[Tuple[int, int], int] = {}
         for a, b in state.graph.cables():
             ia, ib = level.node_island[a], level.node_island[b]
@@ -125,26 +138,7 @@ class BIHierarchy:
             res = state.sym_residual(a, b)
             if res > abstract.get(key, -1):
                 abstract[key] = res
-        level.abstract_links = abstract
-
-    def _refresh_fathers(self) -> None:
-        order = self.betas_kbps
-        for i, beta in enumerate(order):
-            level = self.levels[beta]
-            if i + 1 < len(order):
-                below = self.levels[order[i + 1]]
-                for island in level.islands.values():
-                    member = next(iter(island.nodes))
-                    island.father_id = below.node_island[member]
-            else:
-                for island in level.islands.values():
-                    island.father_id = None
-
-    # -- lookups ---------------------------------------------------------
-
-    def island_of(self, beta_kbps: int, node: int) -> BlockingIsland:
-        level = self.levels[beta_kbps]
-        return level.islands[level.node_island[node]]
+        return abstract
 
     def select(self, src: int, dst: int, kbps: int, mode: str) -> Optional[BlockingIsland]:
         """Pick the island to place a demand in, or None if no level both
@@ -194,9 +188,6 @@ class BIHierarchy:
             level = self.levels[beta]
             drops = [c for c, (old, new) in changed.items()
                      if old >= beta > new]
-            touched = bool(drops) or any(
-                level.node_island[a] != level.node_island[b]
-                for (a, b) in changed)
             hit_islands = {level.node_island[c[0]] for c in drops}
             for iid in sorted(hit_islands):
                 island = level.islands[iid]
@@ -210,7 +201,7 @@ class BIHierarchy:
                 if len(parts) == 1:
                     # still connected, only the internal link set thinned
                     level.islands[iid] = BlockingIsland(
-                        iid, beta, parts[0][0], parts[0][1], island.father_id)
+                        iid, beta, parts[0][0], parts[0][1])
                 else:
                     del level.islands[iid]
                     for nodes, links in parts:
@@ -218,9 +209,6 @@ class BIHierarchy:
                         level.islands[nid] = BlockingIsland(nid, beta, nodes, links)
                         for n in nodes:
                             level.node_island[n] = nid
-            if touched or hit_islands:
-                self._rebuild_abstract(state, level)
-        self._refresh_fathers()
 
     def update_on_release(self, state: NetworkState, route: Route, kbps: int) -> None:
         """Maintain the hierarchy after bandwidth returned on a route.
@@ -230,9 +218,6 @@ class BIHierarchy:
             level = self.levels[beta]
             rises = sorted(c for c, (old, new) in changed.items()
                            if new >= beta > old)
-            touched = bool(rises) or any(
-                level.node_island[a] != level.node_island[b]
-                for (a, b) in changed)
             for a, b in rises:
                 ia, ib = level.node_island[a], level.node_island[b]
                 cable = (a, b)
@@ -240,7 +225,7 @@ class BIHierarchy:
                     island = level.islands[ia]
                     level.islands[ia] = BlockingIsland(
                         ia, beta, island.nodes,
-                        island.internal_links | {cable}, island.father_id)
+                        island.internal_links | {cable})
                 else:
                     one, two = level.islands[ia], level.islands[ib]
                     nid = self._new_id()
@@ -252,51 +237,35 @@ class BIHierarchy:
                     level.islands[nid] = merged
                     for n in merged.nodes:
                         level.node_island[n] = nid
-            if touched:
-                self._rebuild_abstract(state, level)
-        self._refresh_fathers()
 
     # -- comparison and debugging ---------------------------------------
 
     def canonical(self):
-        """Id-free structural form: used to compare against a rebuild."""
-        out = []
-        for beta in self.betas_kbps:
-            level = self.levels[beta]
-            islands = sorted(
+        """Id-free structural form: used to compare against a rebuild.
+        Islands are all the hierarchy stores; fathers and abstract links
+        follow from them and the state."""
+        return tuple(
+            (beta, tuple(sorted(
                 (tuple(sorted(i.nodes)), tuple(sorted(i.internal_links)))
-                for i in level.islands.values())
-            abstract = []
-            for (ia, ib), res in level.abstract_links.items():
-                ka = tuple(sorted(level.islands[ia].nodes))
-                kb = tuple(sorted(level.islands[ib].nodes))
-                lo, hi = (ka, kb) if ka <= kb else (kb, ka)
-                abstract.append((lo, hi, res))
-            abstract.sort()
-            out.append((beta, tuple(islands), tuple(abstract)))
-        fathers = []
-        for i, beta in enumerate(self.betas_kbps[:-1]):
-            below = self.levels[self.betas_kbps[i + 1]]
-            for island in self.levels[beta].islands.values():
-                fathers.append((beta, tuple(sorted(island.nodes)),
-                                tuple(sorted(below.islands[island.father_id].nodes))))
-        return (tuple(out), tuple(sorted(fathers)))
+                for i in self.levels[beta].islands.values())))
+            for beta in self.betas_kbps)
 
-    def dump(self) -> str:
+    def dump(self, state: NetworkState) -> str:
         out = []
         for beta_mbps, beta in zip(self.betas_mbps, self.betas_kbps):
             level = self.levels[beta]
             out.append("beta %r" % beta_mbps)
             for iid in sorted(level.islands, key=lambda i: min(level.islands[i].nodes)):
                 island = level.islands[iid]
-                father = "-" if island.father_id is None else str(island.father_id)
+                father = self.father(beta, island)
                 out.append("  island %d father %s nodes %s" % (
-                    iid, father, " ".join(str(n) for n in sorted(island.nodes))))
-            for (ia, ib) in sorted(level.abstract_links,
+                    iid, "-" if father is None else str(father.id),
+                    " ".join(str(n) for n in sorted(island.nodes))))
+            abstract = self.abstract_links(state, beta)
+            for (ia, ib) in sorted(abstract,
                                    key=lambda k: (min(level.islands[k[0]].nodes),
                                                   min(level.islands[k[1]].nodes))):
-                out.append("  abstract %d-%d max %d"
-                           % (ia, ib, level.abstract_links[(ia, ib)]))
+                out.append("  abstract %d-%d max %d" % (ia, ib, abstract[(ia, ib)]))
         return "\n".join(out) + "\n"
 
 

@@ -89,6 +89,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print("bad config file: %s" % exc, file=sys.stderr)
             return 2
+        if not isinstance(data, dict):
+            print("bad config file: top level must be a JSON object",
+                  file=sys.stderr)
+            return 2
         unknown = sorted(set(data) - set(_CONFIG_KEYS))
         if unknown:
             print("unknown config keys: %s" % ", ".join(unknown),

@@ -100,16 +100,13 @@ def _gate(solution: SolutionSet) -> None:
 
 def _run_once(graph: NetworkGraph, algorithm: str, demands,
               config: ExperimentConfig, count: int, seed: int) -> RunResult:
-    if algorithm in ("bi-lbi", "bi-hbi"):
-        cfg = PathSearchConfig(weight_step=config.weight_step)
-        sol = place_all(graph, demands, config.betas_mbps,
-                        mode=algorithm.split("-")[1], cfg=cfg)
-        _gate(sol)
-        return RunResult(algorithm, count, seed, sol.total_power_w,
-                         sol.network_power_w, sol.pm_power_w,
-                         sol.mean_delay_ms, sol.acceptance, sol.runtime_s)
-    if algorithm == "bc":
-        sol = bc_place_all(graph, demands)
+    if algorithm in ("bi-lbi", "bi-hbi", "bc"):
+        if algorithm == "bc":
+            sol = bc_place_all(graph, demands)
+        else:
+            cfg = PathSearchConfig(weight_step=config.weight_step)
+            sol = place_all(graph, demands, config.betas_mbps,
+                            mode=algorithm.split("-")[1], cfg=cfg)
         _gate(sol)
         return RunResult(algorithm, count, seed, sol.total_power_w,
                          sol.network_power_w, sol.pm_power_w,
@@ -152,8 +149,9 @@ def run_experiment(config: ExperimentConfig) -> MetricsReport:
                              % (algorithm, ", ".join(ALGORITHMS)))
     if config.seeds < 1:
         raise ValueError("need at least one seed")
-    if any(c < 0 for c in config.demand_counts):
-        raise ValueError("negative demand count")
+    if any(c < 1 for c in config.demand_counts):
+        raise ValueError("demand counts must be positive, got %r"
+                         % (config.demand_counts,))
     graph = load_topology(config.topology, config.power)
     _, services = default_catalogs()
     report = MetricsReport([], [])

@@ -6,14 +6,18 @@ inputs in Mb/s are quantized to a 1 kb/s grid.
 
 Switch, cable and PM activity are not stored; they are derived from use
 counts and hosted instances, which keeps the on/off bookkeeping
-consistent by construction.
+consistent by construction. NetworkState and the planning view
+StateOverlay share one read API: each supplies link residuals, link use
+and the instances hosted on a node, and every derived query is defined
+once on top of those.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
+from typing import (Dict, Iterable, Iterator, List, Optional, Tuple,
+                    TYPE_CHECKING)
 
 from .topology import CPU, FunctionType, Link, NetworkGraph
 
@@ -94,7 +98,38 @@ class Allocation:
     bandwidth_kbps: int
 
 
-class NetworkState:
+class _StateView:
+    """Derived queries, defined once over three primitives that each
+    state class supplies: residual(src, dst) in kb/s, link_used(src, dst),
+    and hosted(node), the instances on a node each with its free kb/s."""
+
+    graph: NetworkGraph
+
+    def sym_residual(self, a: int, b: int) -> int:
+        """min of both directions, kb/s; the cable-level free capacity."""
+        return min(self.residual(a, b), self.residual(b, a))
+
+    def cable_active(self, a: int, b: int) -> bool:
+        return self.link_used(a, b) or self.link_used(b, a)
+
+    def switch_active(self, node: int) -> bool:
+        return any(self.cable_active(node, nbr) for nbr in self.graph.neighbors(node))
+
+    def pm_active(self, node: int) -> bool:
+        return any(True for _ in self.hosted(node))
+
+    def used_resources(self, node: int) -> Dict[str, int]:
+        used: Dict[str, int] = {}
+        for inst, _ in self.hosted(node):
+            for res, amount in inst.function.requirements.items():
+                used[res] = used.get(res, 0) + amount
+        return used
+
+    def cpu_utilization(self, node: int) -> float:
+        return self.used_resources(node).get(CPU, 0) / self.graph.node(node).pm.cores
+
+
+class NetworkState(_StateView):
     """All mutable capacity state of a substrate network."""
 
     def __init__(self, graph: NetworkGraph):
@@ -104,76 +139,23 @@ class NetworkState:
         self.link_use: Dict[Tuple[int, int], int] = {
             (l.src, l.dst): 0 for l in graph.links}
         self.instances: Dict[int, VnfInstance] = {}
+        # node -> {instance id: instance}; the same objects as instances
+        self.node_instances: Dict[int, Dict[int, VnfInstance]] = {}
         self.allocations: Dict[int, Allocation] = {}
         self._next_instance = 0
 
-    # -- read API (mirrored by StateOverlay) -----------------------------
+    # -- primitives ------------------------------------------------------
 
     def residual(self, src: int, dst: int) -> int:
         """Free capacity of the directed link, kb/s."""
         return self.residual_kbps[(src, dst)]
 
-    def sym_residual(self, a: int, b: int) -> int:
-        """min of both directions, kb/s; the cable-level free capacity."""
-        return min(self.residual_kbps[(a, b)], self.residual_kbps[(b, a)])
-
     def link_used(self, src: int, dst: int) -> bool:
         return self.link_use[(src, dst)] > 0
 
-    def cable_active(self, a: int, b: int) -> bool:
-        return self.link_use[(a, b)] > 0 or self.link_use[(b, a)] > 0
-
-    def switch_active(self, node: int) -> bool:
-        return any(self.cable_active(node, nbr) for nbr in self.graph.neighbors(node))
-
-    def pm_active(self, node: int) -> bool:
-        return any(inst.node == node for inst in self.instances.values())
-
-    def active_cables(self) -> List[Tuple[int, int]]:
-        return [c for c in self.graph.cables() if self.cable_active(*c)]
-
-    def active_switches(self) -> List[int]:
-        return [n.id for n in self.graph.nodes if self.switch_active(n.id)]
-
-    def active_pms(self) -> List[int]:
-        return sorted({inst.node for inst in self.instances.values()})
-
-    def instances_on(self, node: int) -> List[VnfInstance]:
-        return sorted((i for i in self.instances.values() if i.node == node),
-                      key=lambda i: i.id)
-
-    def used_resources(self, node: int) -> Dict[str, int]:
-        used: Dict[str, int] = {}
-        for inst in self.instances.values():
-            if inst.node == node:
-                for res, amount in inst.function.requirements.items():
-                    used[res] = used.get(res, 0) + amount
-        return used
-
-    def has_room(self, node: int, function: FunctionType) -> bool:
-        used = self.used_resources(node)
-        cap = self.graph.node(node).pm.capacity
-        return all(used.get(res, 0) + amount <= cap.get(res, 0)
-                   for res, amount in function.requirements.items())
-
-    def cpu_utilization(self, node: int) -> float:
-        return self.used_resources(node).get(CPU, 0) / self.graph.node(node).pm.cores
-
-    def find_reusable(self, node: int, function: FunctionType,
-                      need_kbps: int) -> Optional[Tuple[int, int]]:
-        """Best-fit instance of the given function type on the node with at
-        least need_kbps spare, as (instance id, residual); None if none fits."""
-        best = None
-        for inst in self.instances.values():
-            if inst.node != node or inst.function.name != function.name:
-                continue
-            if inst.residual_kbps >= need_kbps:
-                key = (inst.residual_kbps, inst.id)
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            return None
-        return (best[1], best[0])
+    def hosted(self, node: int) -> Iterator[Tuple[VnfInstance, int]]:
+        for inst in self.node_instances.get(node, {}).values():
+            yield inst, inst.residual_kbps
 
     # -- mutation --------------------------------------------------------
 
@@ -270,9 +252,10 @@ class NetworkState:
                 function, node = placeholder_fn[a.instance_id]
                 new_id = self._next_instance
                 self._next_instance += 1
-                self.instances[new_id] = VnfInstance(
-                    new_id, node, function,
-                    to_kbps(function.processing_capacity), {})
+                inst = VnfInstance(new_id, node, function,
+                                   to_kbps(function.processing_capacity), {})
+                self.instances[new_id] = inst
+                self.node_instances.setdefault(node, {})[new_id] = inst
                 id_map[a.instance_id] = new_id
         resolved = []
         for a in allocation.assignments:
@@ -303,6 +286,7 @@ class NetworkState:
             inst.residual_kbps += inst.served.pop(demand_id)
             if inst.residual_kbps == inst.capacity_kbps:
                 del self.instances[inst_id]
+                del self.node_instances[inst.node][inst_id]
 
     def clone(self) -> "NetworkState":
         dup = NetworkState.__new__(NetworkState)
@@ -313,6 +297,9 @@ class NetworkState:
             i.id: VnfInstance(i.id, i.node, i.function, i.residual_kbps,
                               dict(i.served))
             for i in self.instances.values()}
+        dup.node_instances = {}
+        for inst in dup.instances.values():
+            dup.node_instances.setdefault(inst.node, {})[inst.id] = inst
         dup.allocations = dict(self.allocations)
         dup._next_instance = self._next_instance
         return dup
@@ -362,6 +349,14 @@ class NetworkState:
             if inst_id not in self.instances:
                 bad.append("allocation %d references missing instance %d"
                            % (dem, inst_id))
+        for inst in self.instances.values():
+            if self.node_instances.get(inst.node, {}).get(inst.id) is not inst:
+                bad.append("instance %d missing from the index of node %d"
+                           % (inst.id, inst.node))
+        indexed = sum(len(hosted) for hosted in self.node_instances.values())
+        if indexed != len(self.instances):
+            bad.append("node index holds %d instances, %d are live"
+                       % (indexed, len(self.instances)))
         for node in self.graph.nodes:
             used = self.used_resources(node.id)
             for res, amount in used.items():
@@ -405,7 +400,7 @@ class NetworkState:
         return "\n".join(out) + "\n"
 
 
-class StateOverlay:
+class StateOverlay(_StateView):
     """A NetworkState read view with uncommitted deltas layered on top.
 
     Placement plans a chain hop by hop; each planned segment and instance
@@ -458,40 +453,22 @@ class StateOverlay:
             self.inst_debit[instance_id] = self.inst_debit.get(instance_id, 0) + kbps
         return instance_id
 
-    # -- read API --------------------------------------------------------
+    # -- primitives ------------------------------------------------------
 
     def residual(self, src: int, dst: int) -> int:
         return self.state.residual(src, dst) - self.link_debit.get((src, dst), 0)
 
-    def sym_residual(self, a: int, b: int) -> int:
-        return min(self.residual(a, b), self.residual(b, a))
-
     def link_used(self, src: int, dst: int) -> bool:
         return self.state.link_used(src, dst) or self.link_debit.get((src, dst), 0) > 0
 
-    def cable_active(self, a: int, b: int) -> bool:
-        return self.link_used(a, b) or self.link_used(b, a)
+    def hosted(self, node: int) -> Iterator[Tuple[VnfInstance, int]]:
+        for inst, free in self.state.hosted(node):
+            yield inst, free - self.inst_debit.get(inst.id, 0)
+        for inst in self.pending.values():
+            if inst.node == node:
+                yield inst, inst.residual_kbps
 
-    def switch_active(self, node: int) -> bool:
-        return any(self.cable_active(node, nbr) for nbr in self.graph.neighbors(node))
-
-    def pm_active(self, node: int) -> bool:
-        if self.state.pm_active(node):
-            return True
-        return any(p.node == node for p in self.pending.values())
-
-    def instances_on(self, node: int) -> List[VnfInstance]:
-        merged = self.state.instances_on(node)
-        merged += [p for p in self.pending.values() if p.node == node]
-        return merged
-
-    def used_resources(self, node: int) -> Dict[str, int]:
-        used = self.state.used_resources(node)
-        for p in self.pending.values():
-            if p.node == node:
-                for res, amount in p.function.requirements.items():
-                    used[res] = used.get(res, 0) + amount
-        return used
+    # -- planning queries ------------------------------------------------
 
     def has_room(self, node: int, function: FunctionType) -> bool:
         used = self.used_resources(node)
@@ -499,25 +476,14 @@ class StateOverlay:
         return all(used.get(res, 0) + amount <= cap.get(res, 0)
                    for res, amount in function.requirements.items())
 
-    def cpu_utilization(self, node: int) -> float:
-        return self.used_resources(node).get(CPU, 0) / self.graph.node(node).pm.cores
-
     def find_reusable(self, node: int, function: FunctionType,
                       need_kbps: int) -> Optional[Tuple[int, int]]:
+        """Best-fit instance of the given function type on the node with at
+        least need_kbps spare, as (instance id, residual); None if none fits."""
         best = None
-        for inst in self.state.instances.values():
-            if inst.node != node or inst.function.name != function.name:
-                continue
-            left = inst.residual_kbps - self.inst_debit.get(inst.id, 0)
-            if left >= need_kbps:
-                key = (left, inst.id)
-                if best is None or key < best:
-                    best = key
-        for inst in self.pending.values():
-            if inst.node != node or inst.function.name != function.name:
-                continue
-            if inst.residual_kbps >= need_kbps:
-                key = (inst.residual_kbps, inst.id)
+        for inst, free in self.hosted(node):
+            if inst.function.name == function.name and free >= need_kbps:
+                key = (free, inst.id)
                 if best is None or key < best:
                     best = key
         if best is None:

@@ -431,9 +431,6 @@ def _assign_on_path(overlay: StateOverlay, path: List[int], chain,
         tail = _assign_on_path(trial, path, chain, kbps, pref, k + 1, pos)
         if tail is not None:
             positions, assigns = tail
-            overlay.link_debit = trial.link_debit
-            overlay.inst_debit = trial.inst_debit
-            overlay.pending = trial.pending
             return ([pos] + positions,
                     [FunctionAssignment(function, node, inst_id)] + assigns)
     return None

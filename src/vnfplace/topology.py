@@ -8,6 +8,7 @@ cable is represented as two directed links with equal capacity and delay.
 from __future__ import annotations
 
 import importlib.resources
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -255,6 +256,8 @@ def parse_topology(text: str, power: Optional[PowerParams] = None) -> NetworkGra
                     raise ValueError("expected 'link <src> <dst> <capacity> <length|delay>'")
                 src, dst = int(parts[1]), int(parts[2])
                 capacity = float(parts[3])
+                if not math.isfinite(capacity):
+                    raise ValueError("non-finite capacity %r" % parts[3])
                 spec = parts[4]
                 if spec.endswith("ms"):
                     delay = float(spec[:-2])
@@ -264,6 +267,8 @@ def parse_topology(text: str, power: Optional[PowerParams] = None) -> NetworkGra
                     delay = link_delay_from_length(float(spec[:-2]))
                 else:
                     delay = link_delay_from_length(float(spec))
+                if not math.isfinite(delay):
+                    raise ValueError("non-finite length or delay %r" % spec)
                 cables.append((src, dst, capacity, delay))
             else:
                 raise ValueError("unknown record %r" % parts[0])

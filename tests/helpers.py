@@ -6,7 +6,7 @@ from typing import Dict, List, Tuple
 
 from vnfplace.bih import beta_bi_search
 from vnfplace.netstate import (Allocation, FunctionAssignment, NetworkState,
-                               Route, to_kbps)
+                               Route, StateOverlay, to_kbps)
 from vnfplace.topology import (CPU, FunctionType, NetworkGraph, NodeSpec,
                                PmSpec, ServiceType, link_delay_from_length)
 from vnfplace.workload import Demand
@@ -133,7 +133,7 @@ def skim_random_links(state: NetworkState, rng: random.Random,
         if rng.random() < 0.5:
             a, b = b, a
         free = state.residual(a, b)
-        if free <= 0 or not state.has_room(b, XL):
+        if free <= 0 or not StateOverlay(state).has_room(b, XL):
             continue
         take = rng.randrange(1, free + 1)
         route_allocation(state, [a, b], take / 1000.0, demand_id)

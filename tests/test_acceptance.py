@@ -20,7 +20,7 @@ from helpers import (XL, betweenness_oracle, island_partition, make_demand,
 from vnfplace.bih import BlockingIsland, build_bih
 from vnfplace.exact import (build_model, export_lp, solve_exact_small,
                             validate_solution)
-from vnfplace.netstate import NetworkState, to_mbps
+from vnfplace.netstate import NetworkState, StateOverlay, to_mbps
 from vnfplace.placement import (PathSearchConfig, bc_place_all,
                                 calculate_best_path, betweenness, place_all)
 from vnfplace.power import pm_power, switch_power, total_power
@@ -108,7 +108,7 @@ def test_02_incremental_hierarchy_equals_rebuild():
             else:
                 a, b = GRAPH.cables()[rng.randrange(len(GRAPH.cables()))]
                 free = state.sym_residual(a, b)
-                if free > 0 and state.has_room(b, XL):
+                if free > 0 and StateOverlay(state).has_room(b, XL):
                     take = rng.randrange(1, free + 1)
                     alloc, _ = route_allocation(state, [a, b], to_mbps(take),
                                                 next_id)

@@ -9,7 +9,11 @@ from helpers import (XL, island_partition, layered_graph, partition_oracle,
                      random_connected_graph, route_allocation,
                      skim_random_links)
 from vnfplace.bih import BIHierarchy, beta_bi_search, build_bih
-from vnfplace.netstate import NetworkState, to_mbps
+from vnfplace.netstate import (Allocation, FunctionAssignment, NetworkState,
+                               StateOverlay, to_mbps)
+from vnfplace.placement import place_all
+from vnfplace.topology import default_catalogs, nobel_germany
+from vnfplace.workload import generate_demands
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
                       "layered_hierarchy.txt")
@@ -85,11 +89,11 @@ def test_hierarchy_levels_and_fathers():
     assert set(low) == {frozenset(range(9))}
     # each island's father holds all its nodes one level down
     for beta_hi, beta_lo in ((50000, 40000), (40000, 30000)):
-        lower = h.levels[beta_lo]
         for island in h.levels[beta_hi].islands.values():
-            father = lower.islands[island.father_id]
+            father = h.father(beta_hi, island)
+            assert father.beta_kbps == beta_lo
             assert island.nodes <= father.nodes
-    assert all(i.father_id is None for i in low.values())
+    assert all(h.father(30000, i) is None for i in low.values())
 
 
 def test_hierarchy_abstract_links():
@@ -97,7 +101,7 @@ def test_hierarchy_abstract_links():
     h = build_bih(state, BETAS)
     level = h.levels[50000]
     values = {}
-    for (ia, ib), res in level.abstract_links.items():
+    for (ia, ib), res in h.abstract_links(state, 50000).items():
         key = frozenset([frozenset(level.islands[ia].nodes),
                          frozenset(level.islands[ib].nodes)])
         values[key] = res
@@ -108,8 +112,8 @@ def test_hierarchy_abstract_links():
     assert values[frozenset([frozenset({2}), frozenset({4, 5, 6})])] == 30000
     assert values[frozenset([frozenset({4, 5, 6}), frozenset({7, 8})])] == 40000
     assert len(values) == 5
-    assert len(h.levels[40000].abstract_links) == 1
-    assert h.levels[30000].abstract_links == {}
+    assert len(h.abstract_links(state, 40000)) == 1
+    assert h.abstract_links(state, 30000) == {}
 
 
 def test_hierarchy_rejects_bad_ladders():
@@ -147,7 +151,7 @@ def test_dump_matches_golden_file():
     state = NetworkState(layered_graph())
     h = build_bih(state, BETAS)
     with open(GOLDEN, "r", encoding="utf-8") as fh:
-        assert h.dump() == fh.read()
+        assert h.dump(state) == fh.read()
 
 
 def test_canonical_ignores_island_ids():
@@ -163,7 +167,7 @@ def test_canonical_ignores_island_ids():
         state.release_allocation(demand_id)
         churn.update_on_release(state, alloc.route, alloc.bandwidth_kbps)
     assert churn.canonical() == h.canonical()
-    assert churn.dump() != h.dump()
+    assert churn.dump(state) != h.dump(state)
 
 
 def test_allocation_splits_and_release_merges():
@@ -210,7 +214,7 @@ def test_incremental_equals_rebuild_on_random_sequences():
             else:
                 a, b = graph.cables()[rng.randrange(len(graph.cables()))]
                 free = state.sym_residual(a, b)
-                if free <= 0 or not state.has_room(b, XL):
+                if free <= 0 or not StateOverlay(state).has_room(b, XL):
                     continue
                 take = rng.randrange(1, free + 1)
                 alloc, _ = route_allocation(state, [a, b], to_mbps(take),
@@ -220,3 +224,43 @@ def test_incremental_equals_rebuild_on_random_sequences():
                 live[next_id] = alloc
                 next_id += 1
             assert h.canonical() == build_bih(state, betas).canonical()
+
+
+@pytest.mark.parametrize("mode", ["lbi", "hbi"])
+def test_real_routes_keep_hierarchy_equal_to_rebuild(mode):
+    """Replay the commits of real placement runs, whose routes cross
+    several segments and can reuse a link, and check the incremental
+    islands against a rebuild after every one."""
+    graph = nobel_germany()
+    _, services = default_catalogs()
+    betas = [900.0, 700.0, 500.0, 300.0]
+    multi_link = 0
+    for seed in range(3):
+        demands = generate_demands(graph, 100, services, seed)
+        sol = place_all(graph, demands, betas, mode=mode)
+        state = NetworkState(graph)
+        h = build_bih(state, betas)
+        seen = set()
+        for outcome in sol.outcomes:
+            if not outcome.accepted:
+                continue
+            committed = outcome.allocation
+            # instances first used here go back to placeholders; the fresh
+            # state then hands out the same ids in the same order
+            assigns = tuple(
+                FunctionAssignment(a.function, a.node,
+                                   a.instance_id if a.instance_id in seen
+                                   else -1 - a.instance_id)
+                for a in committed.assignments)
+            seen.update(a.instance_id for a in committed.assignments)
+            planned = Allocation(committed.demand_id, assigns, committed.route,
+                                 committed.total_delay_ms,
+                                 committed.bandwidth_kbps)
+            again = state.apply_allocation(planned, outcome.demand)
+            assert again == committed
+            h.update_on_allocation(state, again.route, again.bandwidth_kbps)
+            assert state.validate() == []
+            assert h.canonical() == build_bih(state, betas).canonical()
+            multi_link += any(len(seg) > 1 for seg in again.route.segments)
+        assert state.snapshot() == sol.state.snapshot()
+    assert multi_link > 0

@@ -95,8 +95,10 @@ def test_config_validation():
         run_experiment(_small_config(algorithms=["magic"]))
     with pytest.raises(ValueError, match="at least one seed"):
         run_experiment(_small_config(seeds=0))
-    with pytest.raises(ValueError, match="negative demand count"):
+    with pytest.raises(ValueError, match="demand counts must be positive"):
         run_experiment(_small_config(demand_counts=[-3]))
+    with pytest.raises(ValueError, match="demand counts must be positive"):
+        run_experiment(_small_config(demand_counts=[5, 0]))
 
 
 def test_load_topology_sources(tmp_path):
@@ -158,6 +160,10 @@ def test_cli_bad_inputs_exit_two(tmp_path, capsys):
                      "--seeds", "1"]) == 2
     assert cli.main(["run", "--seeds", "0"]) == 2
     capsys.readouterr()
+    assert cli.main(["run", "--demands", "0", "--seeds", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "demand counts must be positive" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_config_file_supplies_defaults(tmp_path, capsys):
@@ -174,6 +180,10 @@ def test_cli_config_file_supplies_defaults(tmp_path, capsys):
     conf.write_text(json.dumps({"algo": "bc", "surprise": 1}))
     assert cli.main(["run", "--config", str(conf)]) == 2
     assert "unknown config keys: surprise" in capsys.readouterr().err
+
+    conf.write_text(json.dumps(["algo", "bc"]))
+    assert cli.main(["run", "--config", str(conf)]) == 2
+    assert "top level must be a JSON object" in capsys.readouterr().err
 
     conf.write_text("{not json")
     assert cli.main(["run", "--config", str(conf)]) == 2

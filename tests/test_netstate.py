@@ -57,8 +57,9 @@ def test_apply_updates_links_instances_and_activity():
     assert state.sym_residual(0, 1) == 90000
     assert state.link_used(0, 1) and not state.link_used(1, 0)
     assert state.cable_active(0, 1) and state.cable_active(2, 1)
-    assert state.active_switches() == [0, 1, 2]
-    assert state.active_pms() == [1]
+    assert all(state.switch_active(n) for n in (0, 1, 2))
+    assert state.pm_active(1)
+    assert not state.pm_active(0) and not state.pm_active(2)
     inst = state.instances[committed.assignments[0].instance_id]
     assert inst.node == 1 and inst.function.name == "A"
     assert inst.residual_kbps == 190000
@@ -201,13 +202,14 @@ def test_find_reusable_picks_best_fit():
     for i, mbps in enumerate((50.0, 20.0, 80.0)):
         d = make_demand(i, 0, 2, (FN_A,), mbps, 100.0)
         state.apply_allocation(_chain_allocation(state, d, [1]), d)
+    view = StateOverlay(state)
     # residuals: 150, 180, 120; best fit for 130 Mb/s is the 150 one
-    inst_id, residual = state.find_reusable(1, FN_A, 130000)
+    inst_id, residual = view.find_reusable(1, FN_A, 130000)
     assert residual == 150000
     assert state.instances[inst_id].served == {0: 50000}
     # nothing fits 190 Mb/s
-    assert state.find_reusable(1, FN_A, 190000) is None
-    assert state.find_reusable(0, FN_A, 1000) is None
+    assert view.find_reusable(1, FN_A, 190000) is None
+    assert view.find_reusable(0, FN_A, 1000) is None
 
 
 def test_validate_spots_corruption():
@@ -224,6 +226,17 @@ def test_validate_spots_corruption():
     inst = state.instances[committed.assignments[0].instance_id]
     inst.residual_kbps -= 1
     assert any("capacity" in msg for msg in state.validate())
+    inst.residual_kbps += 1
+    assert state.validate() == []
+    # the per-node index must list exactly the live instances
+    del state.node_instances[1][inst.id]
+    assert any("missing from the index of node 1" in msg
+               for msg in state.validate())
+    state.node_instances[1][inst.id] = inst
+    state.node_instances[2] = {inst.id: inst}
+    assert state.validate() == ["node index holds 2 instances, 1 are live"]
+    del state.node_instances[2]
+    assert state.validate() == []
 
 
 def test_clone_is_independent():
@@ -297,7 +310,7 @@ def test_random_sequences_keep_state_consistent():
             else:
                 a, b = graph.cables()[rng.randrange(len(graph.cables()))]
                 free = state.residual(a, b)
-                if free <= 0 or not state.has_room(b, XL):
+                if free <= 0 or not StateOverlay(state).has_room(b, XL):
                     continue
                 take = rng.randrange(1, free + 1)
                 route_allocation(state, [a, b], to_mbps(take), next_id)

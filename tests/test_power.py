@@ -113,9 +113,10 @@ def test_incremental_cost_matches_committed_difference():
             links.append(graph.link(at, nxt))
             at = nxt
         fn = FunctionType("T", {CPU: 4}, 10000.0, 0.0)
-        reuse = state.find_reusable(at, fn, 1000)
+        view = StateOverlay(state)
+        reuse = view.find_reusable(at, fn, 1000)
         inst_id = reuse[0] if reuse else None
-        if inst_id is None and not state.has_room(at, fn):
+        if inst_id is None and not view.has_room(at, fn):
             continue
         predicted = incremental_cost(state, at, inst_id, fn, links)
         demand = make_demand(next_id, src, at, (fn,), 1.0, 1e9)

@@ -99,6 +99,13 @@ def test_parse_errors_carry_line_numbers():
         assert needle in str(err.value)
 
 
+@pytest.mark.parametrize("link", ["link 0 1 inf 10km", "link 0 1 nan 10km",
+                                  "link 0 1 1000 nanms", "link 0 1 1000 inf"])
+def test_parse_rejects_non_finite_values(link):
+    with pytest.raises(TopologyError, match="line 3: non-finite"):
+        parse_topology("node 0 4\nnode 1 4\n%s\n" % link)
+
+
 def test_parse_rejects_structural_problems():
     with pytest.raises(TopologyError):
         parse_topology("")                               # no nodes
