@@ -288,22 +288,6 @@ class NetworkState(_StateView):
                 del self.instances[inst_id]
                 del self.node_instances[inst.node][inst_id]
 
-    def clone(self) -> "NetworkState":
-        dup = NetworkState.__new__(NetworkState)
-        dup.graph = self.graph
-        dup.residual_kbps = dict(self.residual_kbps)
-        dup.link_use = dict(self.link_use)
-        dup.instances = {
-            i.id: VnfInstance(i.id, i.node, i.function, i.residual_kbps,
-                              dict(i.served))
-            for i in self.instances.values()}
-        dup.node_instances = {}
-        for inst in dup.instances.values():
-            dup.node_instances.setdefault(inst.node, {})[inst.id] = inst
-        dup.allocations = dict(self.allocations)
-        dup._next_instance = self._next_instance
-        return dup
-
     # -- integrity -------------------------------------------------------
 
     def validate(self) -> List[str]:

@@ -25,7 +25,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from .bih import BlockingIsland, build_bih
 from .netstate import (Allocation, FunctionAssignment, NetworkState, Route,
                        StateOverlay)
-from .power import incremental_cost, network_power, pm_power_total
+from .power import (incremental_cost, incremental_pm_cost, network_power,
+                    pm_power_total)
 from .topology import FunctionType, Link, NetworkGraph
 
 _EPS = 1e-9
@@ -83,7 +84,13 @@ class SolutionSet:
         return sum(1 for o in self.outcomes if o.accepted)
 
 
-def _edge_power(params, src_lit: bool, dst_lit: bool, cable_lit: bool) -> float:
+def _edge_terms(graph: NetworkGraph, link: Link, src_lit: bool,
+                dst_lit: bool, cable_lit: bool) -> Tuple[float, float]:
+    """Normalized (power, delay) terms of one directed link, each in
+    [0, 1]: power is what routing over the link would light (half a
+    switch per dark endpoint, two ports for a dark cable) over the
+    largest such cost, delay is over the longest link in the graph."""
+    params = graph.power
     power = 0.0
     if not src_lit:
         power += params.switch_static_w / 2.0
@@ -91,37 +98,82 @@ def _edge_power(params, src_lit: bool, dst_lit: bool, cable_lit: bool) -> float:
         power += params.switch_static_w / 2.0
     if not cable_lit:
         power += 2.0 * params.port_w
-    return power
+    max_power = params.switch_static_w + 2.0 * params.port_w
+    max_delay = graph.max_link_delay
+    return (power / max_power if max_power > 0 else 0.0,
+            link.delay / max_delay if max_delay > 0 else 0.0)
 
 
 def edge_weight(state, link: Link, gamma: float, omega: float) -> float:
     """Mixed routing weight of one directed link under the given
-    power/delay emphasis. Both terms are normalized to [0, 1]: power by
-    the largest possible single-link activation cost, delay by the
-    longest link in the graph."""
-    params = state.graph.power
-    power = _edge_power(params,
-                        state.switch_active(link.src),
-                        state.switch_active(link.dst),
-                        state.cable_active(*link.cable))
-    max_power = params.switch_static_w + 2.0 * params.port_w
-    max_delay = state.graph.max_link_delay
-    delay_term = link.delay / max_delay if max_delay > 0 else 0.0
-    return gamma * (power / max_power) + omega * delay_term
+    power/delay emphasis; the path search weighs edges the same way."""
+    power, delay = _edge_terms(state.graph, link,
+                               state.switch_active(link.src),
+                               state.switch_active(link.dst),
+                               state.cable_active(*link.cable))
+    return gamma * power + omega * delay
 
 
-def _dijkstra(statelike, island: BlockingIsland, src: int, dst: int,
-              kbps: int, gamma: float, omega: float,
-              lit_switch: Dict[int, bool],
-              lit_cable: Dict[Tuple[int, int], bool]) -> Optional[List[Link]]:
-    """Min-weight path inside the island; ties broken by delay, then hop
-    count, then node ids, so results are reproducible."""
-    if src == dst:
-        return []
-    graph = statelike.graph
-    params = graph.power
-    max_power = params.switch_static_w + 2.0 * params.port_w
-    max_delay = graph.max_link_delay
+class _IslandSearch:
+    """Path-search state shared by the candidates of one chain position.
+
+    Holds the island's links that can carry kbps, each with its
+    normalized power and delay terms, the edge weights of each weight
+    setting used so far, and per (src, gamma, omega) the full forward
+    tree from src. Valid while the state it was built from does not
+    change.
+    """
+
+    def __init__(self, statelike, island: BlockingIsland, kbps: int):
+        graph = statelike.graph
+        lit_switch = {n: statelike.switch_active(n) for n in island.nodes}
+        self.adj: Dict[int, List[Tuple[int, Link, float, float]]] = {
+            n: [] for n in island.nodes}
+        # edge order within a list does not matter: each neighbor occurs
+        # once and heap ties are broken by node id
+        for a, b in island.internal_links:
+            lit_cable = statelike.cable_active(a, b)
+            for u, v in ((a, b), (b, a)):
+                if statelike.residual(u, v) < kbps:
+                    continue
+                link = graph.link(u, v)
+                power, delay = _edge_terms(graph, link, lit_switch[u],
+                                           lit_switch[v], lit_cable)
+                self.adj[u].append((v, link, power, delay))
+        self._weighted: Dict[Tuple[float, float], dict] = {}
+        self._trees: Dict[Tuple[int, float, float], Dict[int, Link]] = {}
+
+    def _weights(self, gamma: float, omega: float) -> dict:
+        """The adjacency with each edge's gamma * power + omega * delay."""
+        key = (gamma, omega)
+        if key not in self._weighted:
+            self._weighted[key] = {
+                u: [(v, link, gamma * power + omega * delay)
+                    for v, link, power, delay in edges]
+                for u, edges in self.adj.items()}
+        return self._weighted[key]
+
+    def entry(self, src: int, pm: int, gamma: float,
+              omega: float) -> Optional[List[Link]]:
+        """Min-weight path src -> pm, read from the forward tree of src,
+        which is built on first use."""
+        key = (src, gamma, omega)
+        if key not in self._trees:
+            self._trees[key] = _settle(self._weights(gamma, omega), src, None)
+        return _path(self._trees[key], src, pm)
+
+    def exit(self, pm: int, dst: int, gamma: float,
+             omega: float) -> Optional[List[Link]]:
+        """Min-weight path pm -> dst, searched until dst is settled."""
+        return _path(_settle(self._weights(gamma, omega), pm, dst), pm, dst)
+
+
+def _settle(adj: dict, src: int, dst: Optional[int]) -> Dict[int, Link]:
+    """Dijkstra from src over weighted adjacency. Labels are (weight,
+    delay, hops) and heap ties go to the lower node id, so results are
+    reproducible. A node's predecessor link is fixed when it is settled,
+    so stopping once dst is settled yields the same path to dst as the
+    full tree (dst None). Returns the predecessor links."""
     best: Dict[int, Tuple[float, float, int]] = {src: (0.0, 0.0, 0)}
     pred: Dict[int, Link] = {}
     heap = [(0.0, 0.0, 0, src)]
@@ -133,24 +185,20 @@ def _dijkstra(statelike, island: BlockingIsland, src: int, dst: int,
         done.add(u)
         if u == dst:
             break
-        for v in graph.neighbors(u):
-            if v in done or v not in island.nodes:
+        for v, link, w in adj[u]:
+            if v in done:
                 continue
-            cable = (u, v) if u < v else (v, u)
-            if cable not in island.internal_links:
-                continue
-            if statelike.residual(u, v) < kbps:
-                continue
-            link = graph.link(u, v)
-            power = _edge_power(params, lit_switch[u], lit_switch[v],
-                                lit_cable[cable])
-            delay_term = link.delay / max_delay if max_delay > 0 else 0.0
-            w = gamma * (power / max_power) + omega * delay_term
             cand = (weight + w, delay + link.delay, hops + 1)
             if v not in best or cand < best[v]:
                 best[v] = cand
                 pred[v] = link
                 heapq.heappush(heap, (*cand, v))
+    return pred
+
+
+def _path(pred: Dict[int, Link], src: int, dst: int) -> Optional[List[Link]]:
+    if src == dst:
+        return []
     if dst not in pred:
         return None
     path = []
@@ -166,7 +214,8 @@ def _dijkstra(statelike, island: BlockingIsland, src: int, dst: int,
 def calculate_best_path(statelike, island: BlockingIsland, src: int, pm: int,
                         dst: int, kbps: int, budget_ms: float,
                         cfg: PathSearchConfig,
-                        stats: Optional[dict] = None
+                        stats: Optional[dict] = None,
+                        search: Optional[_IslandSearch] = None
                         ) -> Optional[Tuple[Tuple[Link, ...], Tuple[Link, ...], float, float]]:
     """Route src -> pm -> dst inside the island within the delay budget.
 
@@ -174,11 +223,14 @@ def calculate_best_path(statelike, island: BlockingIsland, src: int, pm: int,
     to delay in weight_step increments while the result misses the
     budget. Gives up once the mix would leave no power emphasis at all.
     Returns (entry segment, exit segment, entry delay, exit delay).
+    search, if given, must have been built from the same statelike,
+    island and kbps; candidates sharing it share their entry trees.
     """
-    lit_switch = {n: statelike.switch_active(n) for n in island.nodes}
-    lit_cable = {c: statelike.cable_active(*c) for c in island.internal_links}
+    if search is None:
+        search = _IslandSearch(statelike, island, kbps)
     settings = 0
     step = 0
+    found = None
     while True:
         gamma = cfg.power_weight - step * cfg.weight_step
         omega = cfg.delay_weight + step * cfg.weight_step
@@ -186,12 +238,10 @@ def calculate_best_path(statelike, island: BlockingIsland, src: int, pm: int,
             break
         settings += 1
         step += 1
-        seg1 = _dijkstra(statelike, island, src, pm, kbps, gamma, omega,
-                         lit_switch, lit_cable)
+        seg1 = search.entry(src, pm, gamma, omega)
         if seg1 is None:
             continue
-        seg2 = _dijkstra(statelike, island, pm, dst, kbps, gamma, omega,
-                         lit_switch, lit_cable)
+        seg2 = search.exit(pm, dst, gamma, omega)
         if seg2 is None:
             continue
         # both segments carry the demand; shared links must fit twice
@@ -204,16 +254,13 @@ def calculate_best_path(statelike, island: BlockingIsland, src: int, pm: int,
         d1 = sum(l.delay for l in seg1)
         d2 = sum(l.delay for l in seg2)
         if d1 + d2 <= budget_ms + _EPS:
-            if stats is not None:
-                stats["path_searches"] = stats.get("path_searches", 0) + 1
-                stats["weight_settings_max"] = max(
-                    stats.get("weight_settings_max", 0), settings)
-            return tuple(seg1), tuple(seg2), d1, d2
+            found = tuple(seg1), tuple(seg2), d1, d2
+            break
     if stats is not None:
         stats["path_searches"] = stats.get("path_searches", 0) + 1
         stats["weight_settings_max"] = max(
             stats.get("weight_settings_max", 0), settings)
-    return None
+    return found
 
 
 def get_candidate_pms(statelike, function: FunctionType,
@@ -252,6 +299,40 @@ def _island_hops(graph: NetworkGraph, island: BlockingIsland,
     return hops
 
 
+def _best_candidate(overlay: StateOverlay, island: BlockingIsland,
+                    function: FunctionType, candidates: List[Candidate],
+                    origin: int, dst: int, kbps: int, budget_ms: float,
+                    cfg: PathSearchConfig, stats: Optional[dict] = None):
+    """The (candidate, seg1, seg2, d1, d2) of least incremental cost,
+    ties broken by hop distance from origin, category and node id; None
+    if no candidate can be routed. Power ratings are non-negative, so
+    links never cost less than nothing and a candidate whose PM cost
+    alone exceeds the best cost so far cannot win; it is not routed."""
+    hops = _island_hops(overlay.graph, island, origin)
+    inf = math.inf
+    candidates = sorted(candidates,
+                        key=lambda c: (c.category, hops.get(c.node, inf), c.node))
+    search = _IslandSearch(overlay, island, kbps)
+    best = None
+    best_key = None
+    for cand in candidates:
+        if best_key is not None and incremental_pm_cost(
+                overlay, cand.node, cand.instance_id, function) > best_key[0]:
+            continue
+        found = calculate_best_path(overlay, island, origin, cand.node, dst,
+                                    kbps, budget_ms, cfg, stats, search)
+        if found is None:
+            continue
+        seg1, seg2, d1, d2 = found
+        cost = incremental_cost(overlay, cand.node, cand.instance_id,
+                                function, seg1 + seg2)
+        key = (cost, hops.get(cand.node, inf), cand.category, cand.node)
+        if best_key is None or key < best_key:
+            best_key = key
+            best = (cand, seg1, seg2, d1, d2)
+    return best
+
+
 def _plan_in_island(state: NetworkState, island: BlockingIsland, demand,
                     cfg: PathSearchConfig,
                     stats: Optional[dict] = None
@@ -274,24 +355,8 @@ def _plan_in_island(state: NetworkState, island: BlockingIsland, demand,
         candidates = get_candidate_pms(overlay, function, island, kbps)
         if not candidates:
             return None, "no-pm"
-        hops = _island_hops(state.graph, island, origin)
-        inf = math.inf
-        candidates.sort(key=lambda c: (c.category, hops.get(c.node, inf), c.node))
-        best = None
-        best_key = None
-        for cand in candidates:
-            found = calculate_best_path(overlay, island, origin, cand.node,
-                                        demand.dst, kbps, budget - spent,
-                                        cfg, stats)
-            if found is None:
-                continue
-            seg1, seg2, d1, d2 = found
-            cost = incremental_cost(overlay, cand.node, cand.instance_id,
-                                    function, seg1 + seg2)
-            key = (cost, hops.get(cand.node, inf), cand.category, cand.node)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (cand, seg1, seg2, d1, d2)
+        best = _best_candidate(overlay, island, function, candidates, origin,
+                               demand.dst, kbps, budget - spent, cfg, stats)
         if best is None:
             return None, "no-path"
         cand, seg1, seg2, d1, d2 = best

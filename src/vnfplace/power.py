@@ -65,8 +65,17 @@ def incremental_cost(state, node: int, instance_id: Optional[int],
     new_switches = {s for c in new_cables for s in c if not state.switch_active(s)}
     delta = (params.switch_static_w * len(new_switches)
              + 2.0 * params.port_w * len(new_cables))
-    if instance_id is None:
-        share = function.requirements[CPU] / state.graph.node(node).pm.cores
-        slope = (params.pm_max_w - params.pm_idle_w) * share
-        delta += slope if state.pm_active(node) else params.pm_idle_w + slope
-    return delta
+    return delta + incremental_pm_cost(state, node, instance_id, function)
+
+
+def incremental_pm_cost(state, node: int, instance_id: Optional[int],
+                        function: FunctionType) -> float:
+    """The PM part of incremental_cost, i.e. its value with no links:
+    nothing on an existing instance, the load slope of one more instance
+    on a powered PM, idle plus slope on a PM that must be powered on."""
+    if instance_id is not None:
+        return 0.0
+    params = state.graph.power
+    share = function.requirements[CPU] / state.graph.node(node).pm.cores
+    slope = (params.pm_max_w - params.pm_idle_w) * share
+    return slope if state.pm_active(node) else params.pm_idle_w + slope

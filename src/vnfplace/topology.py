@@ -38,6 +38,13 @@ class PowerParams:
     pm_idle_w: float = 150.0
     pm_max_w: float = 250.0
 
+    def __post_init__(self):
+        for name in ("switch_static_w", "port_w", "pm_idle_w", "pm_max_w"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError("%s must be finite and non-negative, got %r"
+                                 % (name, value))
+
 
 @dataclass(frozen=True)
 class Link:
@@ -158,6 +165,9 @@ class NetworkGraph:
         key = (min(a, b), max(a, b))
         if key in self._by_pair:
             raise TopologyError("duplicate cable %d-%d" % key)
+        for name, value in (("capacity", capacity), ("delay", delay)):
+            if not math.isfinite(value):
+                raise TopologyError("cable %d-%d: non-finite %s" % (key + (name,)))
         if capacity <= 0:
             raise TopologyError("cable %d-%d: non-positive capacity" % key)
         if delay < 0:

@@ -1,14 +1,16 @@
 """Shared builders and oracles for the test suite."""
 
+import heapq
 import random
 from collections import deque
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from vnfplace.bih import beta_bi_search
 from vnfplace.netstate import (Allocation, FunctionAssignment, NetworkState,
                                Route, StateOverlay, to_kbps)
-from vnfplace.topology import (CPU, FunctionType, NetworkGraph, NodeSpec,
-                               PmSpec, ServiceType, link_delay_from_length)
+from vnfplace.topology import (CPU, FunctionType, Link, NetworkGraph,
+                               NodeSpec, PmSpec, ServiceType,
+                               link_delay_from_length)
 from vnfplace.workload import Demand
 
 # a one-function chain that never binds on processing capacity; used to
@@ -75,6 +77,95 @@ def partition_oracle(state: NetworkState, beta_mbps: float) -> List[Tuple[int, .
     for node in parent:
         groups.setdefault(find(node), []).append(node)
     return sorted(tuple(sorted(g)) for g in groups.values())
+
+
+# -- path-search oracle ---------------------------------------------------
+
+
+def oracle_dijkstra(statelike, island, src: int, dst: int, kbps: int,
+                    gamma: float, omega: float) -> Optional[List[Link]]:
+    """Per-call min-weight path inside the island, stopping at dst, with
+    lit maps and edge weights computed anew on each call; ties broken by
+    delay, then hop count, then node ids."""
+    if src == dst:
+        return []
+    graph = statelike.graph
+    params = graph.power
+    max_power = params.switch_static_w + 2.0 * params.port_w
+    max_delay = graph.max_link_delay
+    lit_switch = {n: statelike.switch_active(n) for n in island.nodes}
+    best: Dict[int, Tuple[float, float, int]] = {src: (0.0, 0.0, 0)}
+    pred: Dict[int, Link] = {}
+    heap = [(0.0, 0.0, 0, src)]
+    done = set()
+    while heap:
+        weight, delay, hops, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        done.add(u)
+        if u == dst:
+            break
+        for v in graph.neighbors(u):
+            if v in done or v not in island.nodes:
+                continue
+            cable = (u, v) if u < v else (v, u)
+            if cable not in island.internal_links:
+                continue
+            if statelike.residual(u, v) < kbps:
+                continue
+            link = graph.link(u, v)
+            power = 0.0
+            if not lit_switch[u]:
+                power += params.switch_static_w / 2.0
+            if not lit_switch[v]:
+                power += params.switch_static_w / 2.0
+            if not statelike.cable_active(*cable):
+                power += 2.0 * params.port_w
+            delay_term = link.delay / max_delay if max_delay > 0 else 0.0
+            w = gamma * (power / max_power) + omega * delay_term
+            cand = (weight + w, delay + link.delay, hops + 1)
+            if v not in best or cand < best[v]:
+                best[v] = cand
+                pred[v] = link
+                heapq.heappush(heap, (*cand, v))
+    if dst not in pred:
+        return None
+    path = []
+    at = dst
+    while at != src:
+        link = pred[at]
+        path.append(link)
+        at = link.src
+    path.reverse()
+    return path
+
+
+def oracle_best_path(statelike, island, src: int, pm: int, dst: int,
+                     kbps: int, budget_ms: float, cfg):
+    """calculate_best_path with two fresh searches per weight setting."""
+    step = 0
+    while True:
+        gamma = cfg.power_weight - step * cfg.weight_step
+        omega = cfg.delay_weight + step * cfg.weight_step
+        if gamma < 1e-9 or omega > 1.0 - 1e-9:
+            return None
+        step += 1
+        seg1 = oracle_dijkstra(statelike, island, src, pm, kbps, gamma, omega)
+        if seg1 is None:
+            continue
+        seg2 = oracle_dijkstra(statelike, island, pm, dst, kbps, gamma, omega)
+        if seg2 is None:
+            continue
+        need: Dict[Tuple[int, int], int] = {}
+        for link in seg1 + seg2:
+            pair = (link.src, link.dst)
+            need[pair] = need.get(pair, 0) + kbps
+        if any(statelike.residual(*pair) < total for pair, total in need.items()):
+            continue
+        d1 = sum(l.delay for l in seg1)
+        d2 = sum(l.delay for l in seg2)
+        if d1 + d2 <= budget_ms + 1e-9:
+            return tuple(seg1), tuple(seg2), d1, d2
 
 
 # -- fixture graphs -------------------------------------------------------

@@ -239,19 +239,6 @@ def test_validate_spots_corruption():
     assert state.validate() == []
 
 
-def test_clone_is_independent():
-    state = NetworkState(_line_graph())
-    demand = make_demand(0, 0, 2, (FN_A,), 10.0, 100.0)
-    state.apply_allocation(_chain_allocation(state, demand, [1]), demand)
-    before = state.snapshot()
-    dup = state.clone()
-    d1 = make_demand(1, 0, 1, (FN_A,), 5.0, 100.0)
-    dup.apply_allocation(_chain_allocation(dup, d1, [0]), d1)
-    dup.release_allocation(0)
-    assert state.snapshot() == before
-    assert dup.validate() == []
-
-
 def test_overlay_mirrors_and_debits():
     state = NetworkState(_line_graph())
     demand = make_demand(0, 0, 2, (FN_A,), 10.0, 100.0)

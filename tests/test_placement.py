@@ -1,5 +1,6 @@
 """Placement heuristics: island-confined greedy and the centrality baseline."""
 
+import hashlib
 import math
 import random
 from collections import deque
@@ -7,12 +8,18 @@ from collections import deque
 import pytest
 
 from helpers import (betweenness_oracle, layered_graph, make_demand,
-                     make_graph, random_connected_graph, route_allocation)
-from vnfplace.bih import BlockingIsland
-from vnfplace.netstate import NetworkState
-from vnfplace.placement import (PathSearchConfig, bc_place_all, betweenness,
-                                calculate_best_path, edge_weight, place_all)
-from vnfplace.topology import CPU, FunctionType
+                     make_graph, oracle_best_path, random_connected_graph,
+                     route_allocation)
+from vnfplace.bih import BlockingIsland, build_bih
+from vnfplace.netstate import NetworkState, StateOverlay
+from vnfplace.placement import (PathSearchConfig, _best_candidate,
+                                _island_hops, _IslandSearch, bc_place_all,
+                                betweenness, calculate_best_path, edge_weight,
+                                get_candidate_pms, place_all)
+from vnfplace.power import incremental_cost
+from vnfplace.topology import (CPU, FunctionType, NetworkGraph, PowerParams,
+                               default_catalogs, nobel_germany)
+from vnfplace.workload import generate_demands
 
 BETAS = [900.0, 700.0, 500.0, 300.0]
 
@@ -128,6 +135,131 @@ def test_path_search_checks_combined_segment_load():
     # 100 Mb/s per segment would need 200 of the remaining 150
     assert calculate_best_path(state, island, 0, 3, 4, 100000, 10.0,
                                PathSearchConfig()) is None
+
+
+def test_edge_weight_without_network_power_is_delay_only():
+    plain = make_graph(3, [(0, 1, 100.0, 1.0), (1, 2, 100.0, 2.0)])
+    graph = NetworkGraph(plain.nodes, [(0, 1, 100.0, 1.0), (1, 2, 100.0, 2.0)],
+                         PowerParams(switch_static_w=0.0, port_w=0.0))
+    state = NetworkState(graph)
+    assert edge_weight(state, graph.link(0, 1), 1.0, 0.0) == 0.0
+    assert edge_weight(state, graph.link(0, 1), 0.5, 0.5) == 0.25
+    demand = make_demand(0, 0, 2, (FN["NAT"],), 1.0, 100.0)
+    assert place_all(graph, [demand], [50.0]).acceptance == 1.0
+
+
+def _full_scan(overlay, island, function, candidates, origin, dst, kbps,
+               budget_ms, cfg):
+    """Every candidate routed by the oracle; least (cost, hops, category,
+    node) wins."""
+    hops = _island_hops(overlay.graph, island, origin)
+    best = None
+    for cand in candidates:
+        found = oracle_best_path(overlay, island, origin, cand.node, dst,
+                                 kbps, budget_ms, cfg)
+        if found is None:
+            continue
+        cost = incremental_cost(overlay, cand.node, cand.instance_id,
+                                function, found[0] + found[1])
+        key = (cost, hops.get(cand.node, math.inf), cand.category, cand.node)
+        if best is None or key < best[0]:
+            best = (key, (cand,) + found)
+    return None if best is None else best[1]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_shared_search_and_pruned_scan_match_per_candidate_oracle(seed):
+    graph = nobel_germany()
+    _, services = default_catalogs()
+    demands = generate_demands(graph, 130, services, seed)
+    # load the substrate with 100 placed demands, then walk the chains of
+    # the next ones, checking every position of every partial plan
+    state = place_all(graph, demands[:100], BETAS, mode="hbi").state
+    hierarchy = build_bih(state, BETAS)
+    ladder = [PathSearchConfig(1.0 - k * 0.25, k * 0.25) for k in range(4)]
+    cfg = PathSearchConfig()
+    positions = candidates_seen = 0
+    stats = {}
+    for demand in demands[100:]:
+        kbps = demand.bandwidth_kbps
+        island = hierarchy.select(demand.src, demand.dst, kbps, "lbi")
+        if island is None:
+            continue
+        overlay = StateOverlay(state)
+        origin = demand.src
+        budget = demand.delay_budget - sum(f.processing_delay
+                                           for f in demand.chain)
+        for function in demand.chain:
+            candidates = get_candidate_pms(overlay, function, island, kbps)
+            search = _IslandSearch(overlay, island, kbps)
+            for cand in candidates:
+                for step_cfg in ladder:
+                    assert calculate_best_path(
+                        overlay, island, origin, cand.node, demand.dst, kbps,
+                        math.inf, step_cfg, None, search) == oracle_best_path(
+                        overlay, island, origin, cand.node, demand.dst, kbps,
+                        math.inf, step_cfg)
+                assert calculate_best_path(
+                    overlay, island, origin, cand.node, demand.dst, kbps,
+                    budget, cfg, None, search) == oracle_best_path(
+                    overlay, island, origin, cand.node, demand.dst, kbps,
+                    budget, cfg)
+            want = _full_scan(overlay, island, function, candidates, origin,
+                              demand.dst, kbps, budget, cfg)
+            got = _best_candidate(overlay, island, function, candidates,
+                                  origin, demand.dst, kbps, budget, cfg,
+                                  stats)
+            assert got == want
+            positions += 1
+            candidates_seen += len(candidates)
+            if got is None:
+                break
+            cand, seg1, _, d1, _ = got
+            overlay.add_links(seg1, kbps)
+            overlay.add_assignment(function, cand.node, cand.instance_id, kbps)
+            origin = cand.node
+            budget -= d1
+    assert positions >= 50
+    # the PM-cost bound skipped some candidates without changing a winner
+    assert 0 < stats["path_searches"] < candidates_seen
+
+
+@pytest.mark.parametrize("pm_max_w, winner, searches",
+                         [(1726.0, 0, 2), (1730.0, 2, 1)])
+def test_pm_cost_bound_skips_only_candidates_that_cannot_tie(pm_max_w, winner,
+                                                             searches):
+    # reusing NAT on 2 lights the dark line 0-1-2 for 3 * 130 + 4 = 394 W;
+    # a new NAT on the powered PM 0 costs its load slope, (max - idle) / 4
+    cables = [(0, 1, 1000.0, 1.0), (1, 2, 1000.0, 1.0)]
+    graph = NetworkGraph(make_graph(3, cables, cores=16).nodes, cables,
+                         PowerParams(pm_max_w=pm_max_w))
+    overlay = StateOverlay(NetworkState(graph))
+    overlay.add_assignment(FN["NAT"], 2, None, 1000)
+    overlay.add_assignment(FN["FW"], 0, None, 1000)
+    island = _island_over(graph)
+    candidates = get_candidate_pms(overlay, FN["NAT"], island, 1000)
+    assert [(c.node, c.category) for c in candidates] == [(2, 1), (0, 2), (1, 3)]
+    stats = {}
+    best = _best_candidate(overlay, island, FN["NAT"], candidates, 0, 0, 1000,
+                           100.0, PathSearchConfig(), stats)
+    # at 394 W each, PM 0 ties with the reuse and wins on hop distance, so
+    # it must be routed; one watt more and only the reuse is routed
+    assert best[0].node == winner
+    assert stats["path_searches"] == searches
+
+
+def test_place_all_fingerprint_is_pinned():
+    # sha1 over the snapshots of lbi then hbi runs, seeds 0-2, 100 demands
+    # on nobel-germany; pins routes, placements and instance ids
+    graph = nobel_germany()
+    _, services = default_catalogs()
+    digest = hashlib.sha1()
+    for mode in ("lbi", "hbi"):
+        for seed in range(3):
+            demands = generate_demands(graph, 100, services, seed)
+            sol = place_all(graph, demands, BETAS, mode=mode)
+            digest.update(sol.state.snapshot().encode())
+    assert digest.hexdigest() == "6617ffd7044b620fbfa0848706733137a04b61c9"
 
 
 def test_single_demand_lights_minimal_gear():

@@ -1,5 +1,7 @@
 """Graph model, file format, bundled topology and catalogs."""
 
+import math
+
 import pytest
 
 from vnfplace.topology import (CPU, FunctionType, Link, NetworkGraph,
@@ -104,6 +106,24 @@ def test_parse_errors_carry_line_numbers():
 def test_parse_rejects_non_finite_values(link):
     with pytest.raises(TopologyError, match="line 3: non-finite"):
         parse_topology("node 0 4\nnode 1 4\n%s\n" % link)
+
+
+@pytest.mark.parametrize("field", ["capacity", "delay"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_graph_rejects_non_finite_cable_values(field, value):
+    cable = {"capacity": 100.0, "delay": 1.0}
+    cable[field] = value
+    nodes = [NodeSpec(i, PmSpec({CPU: 4})) for i in range(2)]
+    with pytest.raises(TopologyError, match="cable 0-1: non-finite %s" % field):
+        NetworkGraph(nodes, [(0, 1, cable["capacity"], cable["delay"])])
+
+
+@pytest.mark.parametrize("value", [-1.0, math.inf, math.nan])
+def test_power_params_reject_negative_or_non_finite_ratings(value):
+    for name in ("switch_static_w", "port_w", "pm_idle_w", "pm_max_w"):
+        with pytest.raises(ValueError, match=name):
+            PowerParams(**{name: value})
+    PowerParams(0.0, 0.0, 0.0, 0.0)
 
 
 def test_parse_rejects_structural_problems():
