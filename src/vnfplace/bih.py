@@ -40,8 +40,8 @@ class BIGraph:
 
 
 def _flood(state, start: int, beta_kbps: int,
-           within: Optional[FrozenSet[int]] = None,
-           stats: Optional[dict] = None) -> Tuple[FrozenSet[int], FrozenSet[Cable]]:
+           within: Optional[FrozenSet[int]] = None
+           ) -> Tuple[FrozenSet[int], FrozenSet[Cable]]:
     """Greedy expansion from start over links with sym residual >= beta.
 
     Each cable is examined at most twice (once per flooded endpoint), so
@@ -51,29 +51,25 @@ def _flood(state, start: int, beta_kbps: int,
     nodes = {start}
     stack = [start]
     links = set()
-    visits = 0
     while stack:
         u = stack.pop()
         for v in graph.neighbors(u):
             if within is not None and v not in within:
                 continue
-            visits += 1
             if state.sym_residual(u, v) >= beta_kbps:
                 links.add((u, v) if u < v else (v, u))
                 if v not in nodes:
                     nodes.add(v)
                     stack.append(v)
-    if stats is not None:
-        stats["link_visits"] = stats.get("link_visits", 0) + visits
     return frozenset(nodes), frozenset(links)
 
 
-def beta_bi_search(state: NetworkState, node: int, beta_mbps: float,
-                   stats: Optional[dict] = None) -> Tuple[FrozenSet[int], FrozenSet[Cable]]:
+def beta_bi_search(state: NetworkState, node: int,
+                   beta_mbps: float) -> Tuple[FrozenSet[int], FrozenSet[Cable]]:
     """The beta-island of a node, as (member nodes, internal cables)."""
     if beta_mbps <= 0:
         raise ValueError("beta must be positive, got %r" % beta_mbps)
-    return _flood(state, node, to_kbps(beta_mbps), stats=stats)
+    return _flood(state, node, to_kbps(beta_mbps))
 
 
 class BIHierarchy:

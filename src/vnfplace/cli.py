@@ -12,42 +12,52 @@ from .harness import (ALGORITHMS, ExperimentConfig, HarnessError,
 from .topology import PowerParams, TopologyError
 from .workload import WorkloadError
 
-_CONFIG_KEYS = ("topology", "algo", "demands", "seeds", "betas", "delta_w",
-                "out", "switch_power", "port_power", "pm_idle_power",
-                "pm_max_power")
+
+def _joined(values) -> str:
+    return ",".join("%g" % v for v in values)
 
 
 def _build_parsers():
+    defaults = ExperimentConfig()
+    power = defaults.power
     parser = argparse.ArgumentParser(
         prog="vnfplace",
         description="Power-aware placement of service function chains.")
     sub = parser.add_subparsers(dest="command", required=True)
-    run = sub.add_parser("run", help="run placement experiments")
+    run = sub.add_parser(
+        "run", help="run placement experiments",
+        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     run.add_argument("--config", metavar="FILE",
                      help="JSON file supplying defaults for the flags below")
-    run.add_argument("--topology", default="nobel-germany",
+    run.add_argument("--topology", default=defaults.topology,
                      help="topology file, or 'nobel-germany' for the bundled "
-                          "instance (default)")
-    run.add_argument("--algo", default="bi-lbi",
-                     help="comma list of algorithms: %s" % ", ".join(ALGORITHMS))
-    run.add_argument("--demands", default="100",
-                     help="comma list of demand counts (default 100)")
-    run.add_argument("--seeds", type=int, default=30,
-                     help="repetitions per cell, seeds 0..n-1 (default 30)")
-    run.add_argument("--betas", default="900,700,500,300",
+                          "instance")
+    run.add_argument("--algo", default=",".join(defaults.algorithms),
+                     help="comma list of algorithms: %s"
+                          % ", ".join(ALGORITHMS))
+    run.add_argument("--demands", default=_joined(defaults.demand_counts),
+                     help="comma list of demand counts")
+    run.add_argument("--seeds", type=int, default=defaults.seeds,
+                     help="repetitions per cell, seeds 0..n-1")
+    run.add_argument("--betas", default=_joined(defaults.betas_mbps),
                      help="descending bandwidth thresholds in Mb/s")
-    run.add_argument("--delta-w", dest="delta_w", type=float, default=0.25,
-                     help="path search reweighting step (default 0.25)")
-    run.add_argument("--out", default=None,
+    run.add_argument("--delta-w", dest="delta_w", type=float,
+                     default=defaults.weight_step,
+                     help="path search reweighting step")
+    run.add_argument("--out", default=defaults.out,
                      help="CSV output path; a directory for lp-export")
     run.add_argument("--switch-power", dest="switch_power", type=float,
-                     default=130.0, help="switch static wattage")
+                     default=power.switch_static_w,
+                     help="switch static wattage")
     run.add_argument("--port-power", dest="port_power", type=float,
-                     default=1.0, help="wattage per busy port")
+                     default=power.port_w,
+                     help="wattage per busy port")
     run.add_argument("--pm-idle-power", dest="pm_idle_power", type=float,
-                     default=150.0, help="PM idle wattage")
+                     default=power.pm_idle_w,
+                     help="PM idle wattage")
     run.add_argument("--pm-max-power", dest="pm_max_power", type=float,
-                     default=250.0, help="PM full-load wattage")
+                     default=power.pm_max_w,
+                     help="PM full-load wattage")
     return parser, run
 
 
@@ -93,7 +103,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             print("bad config file: top level must be a JSON object",
                   file=sys.stderr)
             return 2
-        unknown = sorted(set(data) - set(_CONFIG_KEYS))
+        # a config file may set any flag of the run command but --config
+        keys = set(vars(run_parser.parse_args([]))) - {"config"}
+        unknown = sorted(set(data) - keys)
         if unknown:
             print("unknown config keys: %s" % ", ".join(unknown),
                   file=sys.stderr)

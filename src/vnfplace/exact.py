@@ -22,7 +22,7 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from .netstate import (Allocation, FunctionAssignment, NetworkState, Route,
                        to_kbps)
-from .power import total_power
+from .power import pm_power, total_power
 from .topology import CPU, FunctionType, NetworkGraph
 
 _TOL = 1e-6
@@ -465,8 +465,7 @@ def _pm_power_of(graph: NetworkGraph, used: FrozenSet[Tuple[int, str]],
         cap = graph.node(node).pm.capacity
         if any(amount > cap.get(res, 0) for res, amount in need.items()):
             return None
-        util = need.get(CPU, 0) / graph.node(node).pm.cores
-        power += params.pm_idle_w + (params.pm_max_w - params.pm_idle_w) * util
+        power += pm_power(params, need.get(CPU, 0) / graph.node(node).pm.cores)
     return power
 
 
@@ -525,15 +524,12 @@ def solve_exact_small(model: MilpModel,
             return ExactSolution("infeasible", None, {}, [], None)
         per_demand.append(locals_)
 
-    order = sorted(range(1 << ncab), key=lambda m: (
-        params.switch_static_w * len({s for idx, c in enumerate(cables)
-                                      if m >> idx & 1 for s in c})
-        + 2.0 * params.port_w * bin(m).count("1"), m))
     net_power = {}
-    for m in order:
+    for m in range(1 << ncab):
         switches = {s for idx, c in enumerate(cables) if m >> idx & 1 for s in c}
         net_power[m] = (params.switch_static_w * len(switches)
                         + 2.0 * params.port_w * bin(m).count("1"))
+    order = sorted(net_power, key=lambda m: (net_power[m], m))
 
     union_types = sorted({fn.name for d in demands for fn in d.chain})
     slope = params.pm_max_w - params.pm_idle_w

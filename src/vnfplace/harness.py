@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import math
 import os
+import statistics
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from .exact import build_model, export_lp, solve_exact_small
-from .placement import (PathSearchConfig, SolutionSet, bc_place_all,
-                        place_all)
+from .netstate import NetworkState
+from .placement import bc_place_all, place_all
 from .power import network_power, pm_power_total, total_power
 from .topology import (NetworkGraph, PowerParams, default_catalogs,
                        nobel_germany, parse_topology)
@@ -88,14 +87,18 @@ def load_topology(spec: str, power: Optional[PowerParams] = None) -> NetworkGrap
         return parse_topology(fh.read(), power)
 
 
-def _gate(solution: SolutionSet) -> None:
-    bad = solution.state.validate()
+def _gate(state: NetworkState, reported_w: float, tol: float) -> float:
+    """The power recomputed from the state. Raises HarnessError unless
+    the state passes its integrity check and reported_w is within tol of
+    the recomputation."""
+    bad = state.validate()
     if bad:
         raise HarnessError("state violations: " + "; ".join(bad[:5]))
-    recomputed = total_power(solution.state)
-    if abs(recomputed - solution.total_power_w) > 1e-9:
+    recomputed = total_power(state)
+    if abs(recomputed - reported_w) > tol:
         raise HarnessError("reported power %r, recomputed %r"
-                           % (solution.total_power_w, recomputed))
+                           % (reported_w, recomputed))
+    return recomputed
 
 
 def _run_once(graph: NetworkGraph, algorithm: str, demands,
@@ -104,10 +107,10 @@ def _run_once(graph: NetworkGraph, algorithm: str, demands,
         if algorithm == "bc":
             sol = bc_place_all(graph, demands)
         else:
-            cfg = PathSearchConfig(weight_step=config.weight_step)
             sol = place_all(graph, demands, config.betas_mbps,
-                            mode=algorithm.split("-")[1], cfg=cfg)
-        _gate(sol)
+                            mode=algorithm.split("-")[1],
+                            weight_step=config.weight_step)
+        _gate(sol.state, sol.total_power_w, 1e-9)
         return RunResult(algorithm, count, seed, sol.total_power_w,
                          sol.network_power_w, sol.pm_power_w,
                          sol.mean_delay_ms, sol.acceptance, sol.runtime_s)
@@ -119,13 +122,7 @@ def _run_once(graph: NetworkGraph, algorithm: str, demands,
         if sol.status != "optimal":
             return RunResult(algorithm, count, seed, math.nan, math.nan,
                              math.nan, math.nan, 0.0, runtime)
-        bad = sol.state.validate()
-        if bad:
-            raise HarnessError("exact state violations: " + "; ".join(bad[:5]))
-        recomputed = total_power(sol.state)
-        if abs(recomputed - sol.objective) > 1e-6:
-            raise HarnessError("exact objective %r, recomputed %r"
-                               % (sol.objective, recomputed))
+        recomputed = _gate(sol.state, sol.objective, 1e-6)
         delays = [a.total_delay_ms for a in sol.allocations]
         mean_delay = sum(delays) / len(delays) if delays else math.nan
         return RunResult(algorithm, count, seed, recomputed,
@@ -138,8 +135,7 @@ def _stats(values: List[float]) -> tuple:
     clean = [v for v in values if not math.isnan(v)]
     if not clean:
         return math.nan, math.nan
-    arr = np.asarray(clean, dtype=float)
-    return float(arr.mean()), float(arr.std())
+    return statistics.fmean(clean), statistics.pstdev(clean)
 
 
 def run_experiment(config: ExperimentConfig) -> MetricsReport:

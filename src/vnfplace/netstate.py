@@ -189,6 +189,14 @@ class NetworkState(_StateView):
         chain_names = [f.name for f in demand.chain]
         if [a.function.name for a in allocation.assignments] != chain_names:
             raise AllocationError("assignments do not match the demand chain")
+        if allocation.bandwidth_kbps != demand.bandwidth_kbps:
+            raise AllocationError("allocation carries %d kbps, demand asks %d"
+                                  % (allocation.bandwidth_kbps,
+                                     demand.bandwidth_kbps))
+        if allocation.total_delay_ms > demand.delay_budget + 1e-9:
+            raise AllocationError("delay %r ms exceeds budget %r ms"
+                                  % (allocation.total_delay_ms,
+                                     demand.delay_budget))
         self._check_route(allocation, demand)
         kbps = allocation.bandwidth_kbps
 

@@ -32,21 +32,9 @@ from .topology import FunctionType, Link, NetworkGraph
 _EPS = 1e-9
 
 
-@dataclass(frozen=True)
-class PathSearchConfig:
-    """Initial edge-weight mix and the reweighting step size."""
-
-    power_weight: float = 1.0
-    delay_weight: float = 0.0
-    weight_step: float = 0.25
-
-    def __post_init__(self):
-        if self.power_weight < 0 or self.delay_weight < 0:
-            raise ValueError("weights must be non-negative")
-        if abs(self.power_weight + self.delay_weight - 1.0) > _EPS:
-            raise ValueError("weights must sum to 1")
-        if not 0.0 < self.weight_step <= 1.0:
-            raise ValueError("weight step must be in (0, 1]")
+def _check_step(weight_step: float) -> None:
+    if not 0.0 < weight_step <= 1.0:
+        raise ValueError("weight step must be in (0, 1], got %r" % weight_step)
 
 
 @dataclass(frozen=True)
@@ -104,24 +92,13 @@ def _edge_terms(graph: NetworkGraph, link: Link, src_lit: bool,
             link.delay / max_delay if max_delay > 0 else 0.0)
 
 
-def edge_weight(state, link: Link, gamma: float, omega: float) -> float:
-    """Mixed routing weight of one directed link under the given
-    power/delay emphasis; the path search weighs edges the same way."""
-    power, delay = _edge_terms(state.graph, link,
-                               state.switch_active(link.src),
-                               state.switch_active(link.dst),
-                               state.cable_active(*link.cable))
-    return gamma * power + omega * delay
-
-
 class _IslandSearch:
     """Path-search state shared by the candidates of one chain position.
 
     Holds the island's links that can carry kbps, each with its
-    normalized power and delay terms, the edge weights of each weight
-    setting used so far, and per (src, gamma, omega) the full forward
-    tree from src. Valid while the state it was built from does not
-    change.
+    normalized power and delay terms, and per (src, gamma, omega) the
+    full forward tree from src. Valid while the state it was built from
+    does not change.
     """
 
     def __init__(self, statelike, island: BlockingIsland, kbps: int):
@@ -140,18 +117,7 @@ class _IslandSearch:
                 power, delay = _edge_terms(graph, link, lit_switch[u],
                                            lit_switch[v], lit_cable)
                 self.adj[u].append((v, link, power, delay))
-        self._weighted: Dict[Tuple[float, float], dict] = {}
         self._trees: Dict[Tuple[int, float, float], Dict[int, Link]] = {}
-
-    def _weights(self, gamma: float, omega: float) -> dict:
-        """The adjacency with each edge's gamma * power + omega * delay."""
-        key = (gamma, omega)
-        if key not in self._weighted:
-            self._weighted[key] = {
-                u: [(v, link, gamma * power + omega * delay)
-                    for v, link, power, delay in edges]
-                for u, edges in self.adj.items()}
-        return self._weighted[key]
 
     def entry(self, src: int, pm: int, gamma: float,
               omega: float) -> Optional[List[Link]]:
@@ -159,21 +125,23 @@ class _IslandSearch:
         which is built on first use."""
         key = (src, gamma, omega)
         if key not in self._trees:
-            self._trees[key] = _settle(self._weights(gamma, omega), src, None)
+            self._trees[key] = _settle(self.adj, src, None, gamma, omega)
         return _path(self._trees[key], src, pm)
 
     def exit(self, pm: int, dst: int, gamma: float,
              omega: float) -> Optional[List[Link]]:
         """Min-weight path pm -> dst, searched until dst is settled."""
-        return _path(_settle(self._weights(gamma, omega), pm, dst), pm, dst)
+        return _path(_settle(self.adj, pm, dst, gamma, omega), pm, dst)
 
 
-def _settle(adj: dict, src: int, dst: Optional[int]) -> Dict[int, Link]:
-    """Dijkstra from src over weighted adjacency. Labels are (weight,
-    delay, hops) and heap ties go to the lower node id, so results are
-    reproducible. A node's predecessor link is fixed when it is settled,
-    so stopping once dst is settled yields the same path to dst as the
-    full tree (dst None). Returns the predecessor links."""
+def _settle(adj: dict, src: int, dst: Optional[int], gamma: float,
+            omega: float) -> Dict[int, Link]:
+    """Dijkstra from src over the adjacency, each edge weighing
+    gamma * power + omega * delay. Labels are (weight, delay, hops) and
+    heap ties go to the lower node id, so results are reproducible. A
+    node's predecessor link is fixed when it is settled, so stopping once
+    dst is settled yields the same path to dst as the full tree (dst
+    None). Returns the predecessor links."""
     best: Dict[int, Tuple[float, float, int]] = {src: (0.0, 0.0, 0)}
     pred: Dict[int, Link] = {}
     heap = [(0.0, 0.0, 0, src)]
@@ -185,10 +153,11 @@ def _settle(adj: dict, src: int, dst: Optional[int]) -> Dict[int, Link]:
         done.add(u)
         if u == dst:
             break
-        for v, link, w in adj[u]:
+        for v, link, power, delay_term in adj[u]:
             if v in done:
                 continue
-            cand = (weight + w, delay + link.delay, hops + 1)
+            cand = (weight + (gamma * power + omega * delay_term),
+                    delay + link.delay, hops + 1)
             if v not in best or cand < best[v]:
                 best[v] = cand
                 pred[v] = link
@@ -213,31 +182,31 @@ def _path(pred: Dict[int, Link], src: int, dst: int) -> Optional[List[Link]]:
 
 def calculate_best_path(statelike, island: BlockingIsland, src: int, pm: int,
                         dst: int, kbps: int, budget_ms: float,
-                        cfg: PathSearchConfig,
-                        stats: Optional[dict] = None,
+                        weight_step: float, stats: Optional[dict] = None,
                         search: Optional[_IslandSearch] = None
                         ) -> Optional[Tuple[Tuple[Link, ...], Tuple[Link, ...], float, float]]:
     """Route src -> pm -> dst inside the island within the delay budget.
 
-    Starts with the configured weight mix and shifts emphasis from power
-    to delay in weight_step increments while the result misses the
-    budget. Gives up once the mix would leave no power emphasis at all.
-    Returns (entry segment, exit segment, entry delay, exit delay).
+    Weight setting k weighs edges by gamma = 1 - k * weight_step on
+    power and omega = k * weight_step on delay: the search starts
+    power-only and shifts emphasis toward delay while the result misses
+    the budget. Gives up once the mix would leave no power emphasis at
+    all. Returns (entry segment, exit segment, entry delay, exit delay);
+    None if no setting meets the budget.
     search, if given, must have been built from the same statelike,
     island and kbps; candidates sharing it share their entry trees.
     """
+    _check_step(weight_step)
     if search is None:
         search = _IslandSearch(statelike, island, kbps)
     settings = 0
-    step = 0
     found = None
     while True:
-        gamma = cfg.power_weight - step * cfg.weight_step
-        omega = cfg.delay_weight + step * cfg.weight_step
+        gamma = 1.0 - settings * weight_step
+        omega = settings * weight_step
         if gamma < _EPS or omega > 1.0 - _EPS:
             break
         settings += 1
-        step += 1
         seg1 = search.entry(src, pm, gamma, omega)
         if seg1 is None:
             continue
@@ -302,7 +271,7 @@ def _island_hops(graph: NetworkGraph, island: BlockingIsland,
 def _best_candidate(overlay: StateOverlay, island: BlockingIsland,
                     function: FunctionType, candidates: List[Candidate],
                     origin: int, dst: int, kbps: int, budget_ms: float,
-                    cfg: PathSearchConfig, stats: Optional[dict] = None):
+                    weight_step: float, stats: Optional[dict] = None):
     """The (candidate, seg1, seg2, d1, d2) of least incremental cost,
     ties broken by hop distance from origin, category and node id; None
     if no candidate can be routed. Power ratings are non-negative, so
@@ -320,7 +289,8 @@ def _best_candidate(overlay: StateOverlay, island: BlockingIsland,
                 overlay, cand.node, cand.instance_id, function) > best_key[0]:
             continue
         found = calculate_best_path(overlay, island, origin, cand.node, dst,
-                                    kbps, budget_ms, cfg, stats, search)
+                                    kbps, budget_ms, weight_step, stats,
+                                    search)
         if found is None:
             continue
         seg1, seg2, d1, d2 = found
@@ -334,8 +304,7 @@ def _best_candidate(overlay: StateOverlay, island: BlockingIsland,
 
 
 def _plan_in_island(state: NetworkState, island: BlockingIsland, demand,
-                    cfg: PathSearchConfig,
-                    stats: Optional[dict] = None
+                    weight_step: float, stats: Optional[dict] = None
                     ) -> Tuple[Optional[Allocation], Optional[str]]:
     """Greedy chain walk inside one island. Returns a planned allocation
     with placeholder instance ids, or (None, reason)."""
@@ -356,7 +325,8 @@ def _plan_in_island(state: NetworkState, island: BlockingIsland, demand,
         if not candidates:
             return None, "no-pm"
         best = _best_candidate(overlay, island, function, candidates, origin,
-                               demand.dst, kbps, budget - spent, cfg, stats)
+                               demand.dst, kbps, budget - spent, weight_step,
+                               stats)
         if best is None:
             return None, "no-path"
         cand, seg1, seg2, d1, d2 = best
@@ -377,15 +347,16 @@ def _plan_in_island(state: NetworkState, island: BlockingIsland, demand,
 
 
 def place_all(graph: NetworkGraph, demands: Iterable, betas_mbps: List[float],
-              mode: str = "lbi", cfg: Optional[PathSearchConfig] = None,
+              mode: str = "lbi", weight_step: float = 0.25,
               stats: Optional[dict] = None) -> SolutionSet:
     """Serve demands one by one with island-confined greedy placement.
 
     Rejected demands leave no trace on the state; the island hierarchy
     is kept in sync incrementally after every accepted demand.
+    weight_step is the path search's reweighting step (see
+    calculate_best_path).
     """
-    if cfg is None:
-        cfg = PathSearchConfig()
+    _check_step(weight_step)
     state = NetworkState(graph)
     outcomes: List[DemandOutcome] = []
     start = time.perf_counter()
@@ -396,7 +367,8 @@ def place_all(graph: NetworkGraph, demands: Iterable, betas_mbps: List[float],
         if island is None:
             outcomes.append(DemandOutcome(demand, False, None, "no-island"))
             continue
-        planned, reason = _plan_in_island(state, island, demand, cfg, stats)
+        planned, reason = _plan_in_island(state, island, demand, weight_step,
+                                          stats)
         if planned is None:
             outcomes.append(DemandOutcome(demand, False, None, reason))
             continue

@@ -141,12 +141,12 @@ def oracle_dijkstra(statelike, island, src: int, dst: int, kbps: int,
 
 
 def oracle_best_path(statelike, island, src: int, pm: int, dst: int,
-                     kbps: int, budget_ms: float, cfg):
+                     kbps: int, budget_ms: float, weight_step: float):
     """calculate_best_path with two fresh searches per weight setting."""
     step = 0
     while True:
-        gamma = cfg.power_weight - step * cfg.weight_step
-        omega = cfg.delay_weight + step * cfg.weight_step
+        gamma = 1.0 - step * weight_step
+        omega = step * weight_step
         if gamma < 1e-9 or omega > 1.0 - 1e-9:
             return None
         step += 1

@@ -8,10 +8,9 @@ cached per (algorithm, demand count, seed) and shared across gates.
 import math
 import os
 import random
+import statistics
 import time
 from typing import Dict, Tuple
-
-import numpy as np
 
 from helpers import (XL, betweenness_oracle, island_partition, make_demand,
                      partition_oracle, random_connected_graph,
@@ -21,8 +20,8 @@ from vnfplace.bih import BlockingIsland, build_bih
 from vnfplace.exact import (build_model, export_lp, solve_exact_small,
                             validate_solution)
 from vnfplace.netstate import NetworkState, StateOverlay, to_mbps
-from vnfplace.placement import (PathSearchConfig, bc_place_all,
-                                calculate_best_path, betweenness, place_all)
+from vnfplace.placement import (bc_place_all, calculate_best_path,
+                                betweenness, place_all)
 from vnfplace.power import pm_power, switch_power, total_power
 from vnfplace.topology import (CPU, FunctionType, PowerParams,
                                default_catalogs, nobel_germany)
@@ -269,7 +268,8 @@ def test_09_runtime_scales_gently():
     counts = list(range(10, 101, 10))
     bi_means = [_mean("lbi", c, "runtime") for c in counts]
     bc_means = [_mean("bc", c, "runtime", seeds=3) for c in counts]
-    exponent = float(np.polyfit(np.log(counts), np.log(bi_means), 1)[0])
+    exponent = statistics.linear_regression(
+        [math.log(c) for c in counts], [math.log(t) for t in bi_means]).slope
     at_100 = _mean("lbi", 100, "runtime")
     faster = all(b < a for a, b in zip(bi_means, bc_means))
     ok = exponent < 1.3 and at_100 < 5.0 and faster
@@ -295,7 +295,7 @@ def test_11_path_search_setting_budget():
                             frozenset(GRAPH.cables()))
     stats = {}
     found = calculate_best_path(NetworkState(GRAPH), island, 0, 8, 16, 1000,
-                                0.0, PathSearchConfig(), stats)
+                                0.0, 0.25, stats)
     exhausted = found is None and stats["weight_settings_max"] == 4
     stats = {}
     demands = generate_demands(GRAPH, 100, SERVICES, 0)

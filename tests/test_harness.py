@@ -1,9 +1,13 @@
 """Experiment driver and command line front end."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import vnfplace
 from vnfplace import cli
 from vnfplace.exact import ExactLimitError
 from vnfplace.harness import (CSV_HEADER, ExperimentConfig, HarnessError,
@@ -126,6 +130,22 @@ def test_gate_rejects_tampered_results(monkeypatch):
     monkeypatch.setattr(mod, "place_all", crooked)
     with pytest.raises(HarnessError, match="reported power"):
         run_experiment(_small_config(seeds=1))
+    # one gate for every algorithm; exact objectives get a wider tolerance
+    state = real(load_topology("nobel-germany"), [], [900.0]).state
+    assert mod._gate(state, 1e-7, 1e-6) == 0.0
+    with pytest.raises(HarnessError, match="reported power"):
+        mod._gate(state, 1e-7, 1e-9)
+
+
+def test_import_loads_no_third_party_module():
+    src = os.path.dirname(os.path.dirname(vnfplace.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys; before = set(sys.modules); import vnfplace; "
+            "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+            " - set(sys.stdlib_module_names) - {'vnfplace'}))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[]"
 
 
 # -- command line ---------------------------------------------------------
@@ -159,6 +179,8 @@ def test_cli_bad_inputs_exit_two(tmp_path, capsys):
     assert cli.main(["run", "--algo", "exact-small", "--demands", "1",
                      "--seeds", "1"]) == 2
     assert cli.main(["run", "--seeds", "0"]) == 2
+    assert cli.main(["run", "--delta-w", "0", "--demands", "1",
+                     "--seeds", "1"]) == 2
     capsys.readouterr()
     assert cli.main(["run", "--demands", "0", "--seeds", "1"]) == 2
     captured = capsys.readouterr()
@@ -176,6 +198,14 @@ def test_cli_config_file_supplies_defaults(tmp_path, capsys):
                      "--algo", "bi-lbi"]) == 0
     out = capsys.readouterr().out
     assert "bi-lbi" in out
+    # every flag of the run command may come from the file
+    conf.write_text(json.dumps({"topology": "nobel-germany", "algo": "bi-hbi",
+                                "demands": [3], "seeds": 1, "betas": [800],
+                                "delta_w": 0.5, "out": None,
+                                "switch_power": 100, "port_power": 2,
+                                "pm_idle_power": 100, "pm_max_power": 200}))
+    assert cli.main(["run", "--config", str(conf)]) == 0
+    assert "bi-hbi" in capsys.readouterr().out
 
     conf.write_text(json.dumps({"algo": "bc", "surprise": 1}))
     assert cli.main(["run", "--config", str(conf)]) == 2

@@ -136,6 +136,17 @@ def test_apply_rejections_leave_state_untouched():
     with pytest.raises(AllocationError) as err:
         state.apply_allocation(_chain_allocation(state, ds, [1, 1], [-1, -1]), ds)
     assert "cannot carry" in str(err.value)
+    # 4: the allocation carries less than the demand asks for
+    d = make_demand(2, 0, 2, (FN_A,), 10.0, 100.0)
+    good = _chain_allocation(state, d, [1])
+    thin = Allocation(d.id, good.assignments, good.route,
+                      good.total_delay_ms, good.bandwidth_kbps - 1)
+    with pytest.raises(AllocationError, match="demand asks"):
+        state.apply_allocation(thin, d)
+    # 5: the route's delay (10 ms processing + 0.2 ms) overruns the budget
+    d = make_demand(3, 0, 2, (FN_A,), 10.0, 10.1)
+    with pytest.raises(AllocationError, match="exceeds budget"):
+        state.apply_allocation(_chain_allocation(state, d, [1]), d)
     assert state.snapshot() == pristine
     assert state.validate() == []
 

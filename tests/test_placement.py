@@ -8,14 +8,14 @@ from collections import deque
 import pytest
 
 from helpers import (betweenness_oracle, layered_graph, make_demand,
-                     make_graph, oracle_best_path, random_connected_graph,
-                     route_allocation)
+                     make_graph, oracle_best_path, oracle_dijkstra,
+                     random_connected_graph, route_allocation)
 from vnfplace.bih import BlockingIsland, build_bih
 from vnfplace.netstate import NetworkState, StateOverlay
-from vnfplace.placement import (PathSearchConfig, _best_candidate,
-                                _island_hops, _IslandSearch, bc_place_all,
-                                betweenness, calculate_best_path, edge_weight,
-                                get_candidate_pms, place_all)
+from vnfplace.placement import (_best_candidate, _edge_terms, _island_hops,
+                                _IslandSearch, bc_place_all, betweenness,
+                                calculate_best_path, get_candidate_pms,
+                                place_all)
 from vnfplace.power import incremental_cost
 from vnfplace.topology import (CPU, FunctionType, NetworkGraph, PowerParams,
                                default_catalogs, nobel_germany)
@@ -34,32 +34,37 @@ def _island_over(graph, beta_kbps=10 ** 9):
 
 
 def test_path_search_config_validation():
-    PathSearchConfig()
-    PathSearchConfig(0.5, 0.5, 1.0)
-    with pytest.raises(ValueError):
-        PathSearchConfig(0.8, 0.1)
-    with pytest.raises(ValueError):
-        PathSearchConfig(1.5, -0.5)
-    with pytest.raises(ValueError):
-        PathSearchConfig(weight_step=0.0)
-    with pytest.raises(ValueError):
-        PathSearchConfig(weight_step=1.5)
+    # the reweighting step is the path search's one setting: (0, 1]
+    graph = make_graph(2, [(0, 1, 1000.0, 1.0)])
+    state = NetworkState(graph)
+    island = _island_over(graph)
+    demand = make_demand(0, 0, 1, (FN["NAT"],), 1.0, 100.0)
+    for step in (0.5, 1.0):
+        assert place_all(graph, [demand], BETAS,
+                         weight_step=step).acceptance == 1.0
+        assert calculate_best_path(state, island, 0, 1, 1, 1000, 50.0,
+                                   step) is not None
+    for step in (0.0, -0.25, 1.5, math.nan):
+        with pytest.raises(ValueError, match="weight step"):
+            place_all(graph, [demand], BETAS, weight_step=step)
+        with pytest.raises(ValueError, match="weight step"):
+            calculate_best_path(state, island, 0, 1, 1, 1000, 50.0, step)
 
 
 def test_edge_weight_mixes_power_and_delay():
     graph = make_graph(3, [(0, 1, 100.0, 1.0), (1, 2, 100.0, 2.0)])
-    state = NetworkState(graph)
     link = graph.link(0, 1)
     # everything dark: full power term, delay normalized by the longest link
-    assert edge_weight(state, link, 1.0, 0.0) == 1.0
-    assert edge_weight(state, link, 0.0, 1.0) == 0.5
-    assert edge_weight(state, graph.link(1, 2), 0.0, 1.0) == 1.0
-    assert edge_weight(state, link, 0.5, 0.5) == 0.75
-    # light 0-1: its own weight drops to zero, 1-2 keeps a dark endpoint
-    route_allocation(state, [0, 1], 1.0, 0)
-    assert edge_weight(state, link, 1.0, 0.0) == 0.0
-    assert edge_weight(state, graph.link(1, 2), 1.0, 0.0) == \
-        pytest.approx(67.0 / 132.0)
+    assert _edge_terms(graph, link, False, False, False) == (1.0, 0.5)
+    assert _edge_terms(graph, graph.link(1, 2), False, False, False) == \
+        (1.0, 1.0)
+    # lit gear costs nothing: a dark endpoint is half a switch, a dark
+    # cable two ports, over a switch plus two ports
+    assert _edge_terms(graph, link, True, True, True) == (0.0, 0.5)
+    assert _edge_terms(graph, graph.link(1, 2), True, False, False) == \
+        pytest.approx((67.0 / 132.0, 1.0))
+    assert _edge_terms(graph, link, True, True, False)[0] == \
+        pytest.approx(2.0 / 132.0)
 
 
 def test_path_search_tries_at_most_four_settings():
@@ -69,23 +74,23 @@ def test_path_search_tries_at_most_four_settings():
     stats = {}
     # budget below the only path's delay: every setting fails
     found = calculate_best_path(state, island, 0, 1, 1, 1000, 5.0,
-                                PathSearchConfig(), stats)
+                                0.25, stats)
     assert found is None
     assert stats["weight_settings_max"] == 4
     assert stats["path_searches"] == 1
     # a coarser step leaves fewer settings before the mix degenerates
     stats = {}
     calculate_best_path(state, island, 0, 1, 1, 1000, 5.0,
-                        PathSearchConfig(weight_step=0.5), stats)
+                        0.5, stats)
     assert stats["weight_settings_max"] == 2
     stats = {}
     calculate_best_path(state, island, 0, 1, 1, 1000, 5.0,
-                        PathSearchConfig(weight_step=1.0), stats)
+                        1.0, stats)
     assert stats["weight_settings_max"] == 1
     # a feasible budget returns on the first setting
     stats = {}
     found = calculate_best_path(state, island, 0, 1, 1, 1000, 50.0,
-                                PathSearchConfig(), stats)
+                                0.25, stats)
     assert found is not None
     assert stats["weight_settings_max"] == 1
 
@@ -101,7 +106,7 @@ def test_path_search_shifts_weight_toward_delay():
     # plenty of budget: power-only weighting stays on the lit detour
     stats = {}
     seg1, seg2, d1, d2 = calculate_best_path(state, island, 0, 3, 3, 1000,
-                                             5.0, PathSearchConfig(), stats)
+                                             5.0, 0.25, stats)
     assert [l.dst for l in seg1] == [2, 3]
     assert seg2 == ()
     assert stats["weight_settings_max"] == 1
@@ -109,7 +114,7 @@ def test_path_search_shifts_weight_toward_delay():
     # tight budget: the mix keeps shifting until delay dominates enough
     stats = {}
     seg1, seg2, d1, d2 = calculate_best_path(state, island, 0, 3, 3, 1000,
-                                             1.0, PathSearchConfig(), stats)
+                                             1.0, 0.25, stats)
     assert [l.dst for l in seg1] == [1, 3]
     assert d1 == pytest.approx(0.2)
     assert stats["weight_settings_max"] == 3
@@ -126,37 +131,35 @@ def test_path_search_checks_combined_segment_load():
     route_allocation(state, [1, 2], 850.0, 2)     # leaves 150 on 1->2
     island = _island_over(graph)
 
-    found = calculate_best_path(state, island, 0, 3, 4, 70000, 10.0,
-                                PathSearchConfig())
+    found = calculate_best_path(state, island, 0, 3, 4, 70000, 10.0, 0.25)
     assert found is not None
     seg1, seg2, _, _ = found
     shared = [(l.src, l.dst) for l in seg1 + seg2]
     assert shared.count((1, 2)) == 2          # the corridor is crossed twice
     # 100 Mb/s per segment would need 200 of the remaining 150
     assert calculate_best_path(state, island, 0, 3, 4, 100000, 10.0,
-                               PathSearchConfig()) is None
+                               0.25) is None
 
 
 def test_edge_weight_without_network_power_is_delay_only():
     plain = make_graph(3, [(0, 1, 100.0, 1.0), (1, 2, 100.0, 2.0)])
     graph = NetworkGraph(plain.nodes, [(0, 1, 100.0, 1.0), (1, 2, 100.0, 2.0)],
                          PowerParams(switch_static_w=0.0, port_w=0.0))
-    state = NetworkState(graph)
-    assert edge_weight(state, graph.link(0, 1), 1.0, 0.0) == 0.0
-    assert edge_weight(state, graph.link(0, 1), 0.5, 0.5) == 0.25
+    assert _edge_terms(graph, graph.link(0, 1), False, False, False) == \
+        (0.0, 0.5)
     demand = make_demand(0, 0, 2, (FN["NAT"],), 1.0, 100.0)
     assert place_all(graph, [demand], [50.0]).acceptance == 1.0
 
 
 def _full_scan(overlay, island, function, candidates, origin, dst, kbps,
-               budget_ms, cfg):
+               budget_ms):
     """Every candidate routed by the oracle; least (cost, hops, category,
     node) wins."""
     hops = _island_hops(overlay.graph, island, origin)
     best = None
     for cand in candidates:
         found = oracle_best_path(overlay, island, origin, cand.node, dst,
-                                 kbps, budget_ms, cfg)
+                                 kbps, budget_ms, 0.25)
         if found is None:
             continue
         cost = incremental_cost(overlay, cand.node, cand.instance_id,
@@ -176,8 +179,7 @@ def test_shared_search_and_pruned_scan_match_per_candidate_oracle(seed):
     # the next ones, checking every position of every partial plan
     state = place_all(graph, demands[:100], BETAS, mode="hbi").state
     hierarchy = build_bih(state, BETAS)
-    ladder = [PathSearchConfig(1.0 - k * 0.25, k * 0.25) for k in range(4)]
-    cfg = PathSearchConfig()
+    ladder = [(1.0 - k * 0.25, k * 0.25) for k in range(4)]
     positions = candidates_seen = 0
     stats = {}
     for demand in demands[100:]:
@@ -193,21 +195,22 @@ def test_shared_search_and_pruned_scan_match_per_candidate_oracle(seed):
             candidates = get_candidate_pms(overlay, function, island, kbps)
             search = _IslandSearch(overlay, island, kbps)
             for cand in candidates:
-                for step_cfg in ladder:
-                    assert calculate_best_path(
-                        overlay, island, origin, cand.node, demand.dst, kbps,
-                        math.inf, step_cfg, None, search) == oracle_best_path(
-                        overlay, island, origin, cand.node, demand.dst, kbps,
-                        math.inf, step_cfg)
+                for gamma, omega in ladder:
+                    assert search.entry(origin, cand.node, gamma, omega) == \
+                        oracle_dijkstra(overlay, island, origin, cand.node,
+                                        kbps, gamma, omega)
+                    assert search.exit(cand.node, demand.dst, gamma, omega) \
+                        == oracle_dijkstra(overlay, island, cand.node,
+                                           demand.dst, kbps, gamma, omega)
                 assert calculate_best_path(
                     overlay, island, origin, cand.node, demand.dst, kbps,
-                    budget, cfg, None, search) == oracle_best_path(
+                    budget, 0.25, None, search) == oracle_best_path(
                     overlay, island, origin, cand.node, demand.dst, kbps,
-                    budget, cfg)
+                    budget, 0.25)
             want = _full_scan(overlay, island, function, candidates, origin,
-                              demand.dst, kbps, budget, cfg)
+                              demand.dst, kbps, budget)
             got = _best_candidate(overlay, island, function, candidates,
-                                  origin, demand.dst, kbps, budget, cfg,
+                                  origin, demand.dst, kbps, budget, 0.25,
                                   stats)
             assert got == want
             positions += 1
@@ -241,7 +244,7 @@ def test_pm_cost_bound_skips_only_candidates_that_cannot_tie(pm_max_w, winner,
     assert [(c.node, c.category) for c in candidates] == [(2, 1), (0, 2), (1, 3)]
     stats = {}
     best = _best_candidate(overlay, island, FN["NAT"], candidates, 0, 0, 1000,
-                           100.0, PathSearchConfig(), stats)
+                           100.0, 0.25, stats)
     # at 394 W each, PM 0 ties with the reuse and wins on hop distance, so
     # it must be routed; one watt more and only the reuse is routed
     assert best[0].node == winner
