@@ -98,6 +98,20 @@ class Allocation:
     bandwidth_kbps: int
 
 
+def _route_delay(allocation: Allocation) -> float:
+    """Propagation over the route plus processing at every chain position.
+    Plain loops, as every commit pays for this: they take half the time
+    of generator sums and add in the same order."""
+    propagation = 0.0
+    for seg in allocation.route.segments:
+        for link in seg:
+            propagation += link.delay
+    processing = 0.0
+    for a in allocation.assignments:
+        processing += a.function.processing_delay
+    return propagation + processing
+
+
 class _StateView:
     """Derived queries, defined once over three primitives that each
     state class supplies: residual(src, dst) in kb/s, link_used(src, dst),
@@ -193,11 +207,14 @@ class NetworkState(_StateView):
             raise AllocationError("allocation carries %d kbps, demand asks %d"
                                   % (allocation.bandwidth_kbps,
                                      demand.bandwidth_kbps))
-        if allocation.total_delay_ms > demand.delay_budget + 1e-9:
-            raise AllocationError("delay %r ms exceeds budget %r ms"
-                                  % (allocation.total_delay_ms,
-                                     demand.delay_budget))
         self._check_route(allocation, demand)
+        delay = _route_delay(allocation)
+        if abs(delay - allocation.total_delay_ms) > 1e-9:
+            raise AllocationError("reported delay %r ms, route and chain take "
+                                  "%r ms" % (allocation.total_delay_ms, delay))
+        if delay > demand.delay_budget + 1e-9:
+            raise AllocationError("delay %r ms exceeds budget %r ms"
+                                  % (delay, demand.delay_budget))
         kbps = allocation.bandwidth_kbps
 
         link_need = Counter()
@@ -359,8 +376,7 @@ class NetworkState(_StateView):
         for dem, alloc in self.allocations.items():
             if alloc.demand_id != dem:
                 bad.append("allocation keyed %d carries id %d" % (dem, alloc.demand_id))
-            proc = sum(a.function.processing_delay for a in alloc.assignments)
-            total = alloc.route.propagation_ms + proc
+            total = _route_delay(alloc)
             if abs(total - alloc.total_delay_ms) > 1e-9:
                 bad.append("allocation %d delay %r, recomputed %r"
                            % (dem, alloc.total_delay_ms, total))

@@ -92,30 +92,42 @@ def _edge_terms(graph: NetworkGraph, link: Link, src_lit: bool,
             link.delay / max_delay if max_delay > 0 else 0.0)
 
 
+# (switch -> lit, cable -> lit) over one island
+_LitMaps = Tuple[Dict[int, bool], Dict[Tuple[int, int], bool]]
+
+
+def _lit_maps(statelike, island: BlockingIsland) -> _LitMaps:
+    """Which switches of the island and which of its cables are lit."""
+    return ({n: statelike.switch_active(n) for n in island.nodes},
+            {c: statelike.cable_active(*c) for c in island.internal_links})
+
+
 class _IslandSearch:
     """Path-search state shared by the candidates of one chain position.
 
     Holds the island's links that can carry kbps, each with its
     normalized power and delay terms, and per (src, gamma, omega) the
     full forward tree from src. Valid while the state it was built from
-    does not change.
+    does not change. lit, the island's (switch, cable) lit maps, is read
+    from statelike when not given.
     """
 
-    def __init__(self, statelike, island: BlockingIsland, kbps: int):
+    def __init__(self, statelike, island: BlockingIsland, kbps: int,
+                 lit: Optional[_LitMaps] = None):
         graph = statelike.graph
-        lit_switch = {n: statelike.switch_active(n) for n in island.nodes}
+        lit_switch, lit_cable = lit if lit is not None else _lit_maps(
+            statelike, island)
         self.adj: Dict[int, List[Tuple[int, Link, float, float]]] = {
             n: [] for n in island.nodes}
         # edge order within a list does not matter: each neighbor occurs
         # once and heap ties are broken by node id
         for a, b in island.internal_links:
-            lit_cable = statelike.cable_active(a, b)
             for u, v in ((a, b), (b, a)):
                 if statelike.residual(u, v) < kbps:
                     continue
                 link = graph.link(u, v)
                 power, delay = _edge_terms(graph, link, lit_switch[u],
-                                           lit_switch[v], lit_cable)
+                                           lit_switch[v], lit_cable[(a, b)])
                 self.adj[u].append((v, link, power, delay))
         self._trees: Dict[Tuple[int, float, float], Dict[int, Link]] = {}
 
@@ -234,63 +246,125 @@ def calculate_best_path(statelike, island: BlockingIsland, src: int, pm: int,
 
 def get_candidate_pms(statelike, function: FunctionType,
                       island: BlockingIsland, kbps: int) -> List[Candidate]:
-    """Island PMs able to host the function, cheapest category first."""
+    """Island PMs able to host the function, cheapest category first.
+
+    Reads each node's instances once: a best-fit instance of the function
+    with kbps spare (least free kb/s, then id) makes the node category 1,
+    as find_reusable would pick it; otherwise the resources in use decide
+    whether the function fits, as has_room would, and any instance at all
+    means the PM is on (pm_active).
+    """
+    graph = statelike.graph
+    name = function.name
     out = []
     for node in sorted(island.nodes):
-        found = statelike.find_reusable(node, function, kbps)
-        if found is not None:
-            out.append(Candidate(node, found[0], 1))
+        best = None
+        used: Dict[str, int] = {}
+        powered = False
+        for inst, free in statelike.hosted(node):
+            powered = True
+            if inst.function.name == name and free >= kbps:
+                key = (free, inst.id)
+                if best is None or key < best:
+                    best = key
+            for res, amount in inst.function.requirements.items():
+                used[res] = used.get(res, 0) + amount
+        if best is not None:
+            out.append(Candidate(node, best[1], 1))
             continue
-        if not statelike.has_room(node, function):
-            continue
-        out.append(Candidate(node, None, 2 if statelike.pm_active(node) else 3))
+        cap = graph.node(node).pm.capacity
+        if all(used.get(res, 0) + amount <= cap.get(res, 0)
+               for res, amount in function.requirements.items()):
+            out.append(Candidate(node, None, 2 if powered else 3))
     out.sort(key=lambda c: (c.category, c.node))
     return out
 
 
-def _island_hops(graph: NetworkGraph, island: BlockingIsland,
-                 src: int) -> Dict[int, int]:
-    """BFS hop counts from src over the island's internal links."""
-    adj: Dict[int, List[int]] = {n: [] for n in island.nodes}
-    for a, b in island.internal_links:
-        adj[a].append(b)
-        adj[b].append(a)
-    for nbrs in adj.values():
-        nbrs.sort()
-    hops = {src: 0}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in hops:
-                hops[v] = hops[u] + 1
-                queue.append(v)
-    return hops
+class _ChainView:
+    """The island as one demand's chain walk sees it: the overlay with the
+    partial plan, the origin of the next chain position, and the path
+    search and hop counts from that origin.
+
+    The committed state does not change while a demand is planned, so the
+    lit maps are read once and then patched with each planned segment: a
+    planned link carries kbps > 0 and so lights its cable and both its
+    switches. An empty segment (co-location) leaves the origin, the
+    residuals and the lit maps as they were, so the search, with its
+    cached trees, and the hop counts are kept; a non-empty one drops
+    both, to be rebuilt on first use.
+    """
+
+    def __init__(self, overlay: StateOverlay, island: BlockingIsland,
+                 src: int, kbps: int):
+        self.overlay = overlay
+        self.island = island
+        self.kbps = kbps
+        self.origin = src
+        self.lit = _lit_maps(overlay, island)
+        self._nbrs: Dict[int, List[int]] = {n: [] for n in island.nodes}
+        for a, b in island.internal_links:
+            self._nbrs[a].append(b)
+            self._nbrs[b].append(a)
+        self._search: Optional[_IslandSearch] = None
+        self._hops: Optional[Dict[int, int]] = None
+
+    def search(self) -> _IslandSearch:
+        if self._search is None:
+            self._search = _IslandSearch(self.overlay, self.island,
+                                         self.kbps, self.lit)
+        return self._search
+
+    def hops(self) -> Dict[int, int]:
+        """BFS hop counts from the origin over the island's links."""
+        if self._hops is None:
+            hops = {self.origin: 0}
+            queue = deque([self.origin])
+            while queue:
+                u = queue.popleft()
+                for v in self._nbrs[u]:
+                    if v not in hops:
+                        hops[v] = hops[u] + 1
+                        queue.append(v)
+            self._hops = hops
+        return self._hops
+
+    def add_segment(self, links: Tuple[Link, ...]) -> None:
+        """Plan links from the origin on; they end at the new origin."""
+        self.overlay.add_links(links, self.kbps)
+        if not links:
+            return
+        lit_switch, lit_cable = self.lit
+        for link in links:
+            lit_switch[link.src] = lit_switch[link.dst] = True
+            lit_cable[link.cable] = True
+        self.origin = links[-1].dst
+        self._search = self._hops = None
 
 
-def _best_candidate(overlay: StateOverlay, island: BlockingIsland,
-                    function: FunctionType, candidates: List[Candidate],
-                    origin: int, dst: int, kbps: int, budget_ms: float,
+def _best_candidate(view: _ChainView, function: FunctionType,
+                    candidates: List[Candidate], dst: int, budget_ms: float,
                     weight_step: float, stats: Optional[dict] = None):
     """The (candidate, seg1, seg2, d1, d2) of least incremental cost,
-    ties broken by hop distance from origin, category and node id; None
-    if no candidate can be routed. Power ratings are non-negative, so
-    links never cost less than nothing and a candidate whose PM cost
-    alone exceeds the best cost so far cannot win; it is not routed."""
-    hops = _island_hops(overlay.graph, island, origin)
+    ties broken by hop distance from the view's origin, category and node
+    id; None if no candidate can be routed. Power ratings are
+    non-negative, so links never cost less than nothing and a candidate
+    whose PM cost alone exceeds the best cost so far cannot win; it is
+    not routed."""
+    overlay, origin = view.overlay, view.origin
+    hops = view.hops()
     inf = math.inf
     candidates = sorted(candidates,
                         key=lambda c: (c.category, hops.get(c.node, inf), c.node))
-    search = _IslandSearch(overlay, island, kbps)
+    search = view.search()
     best = None
     best_key = None
     for cand in candidates:
         if best_key is not None and incremental_pm_cost(
                 overlay, cand.node, cand.instance_id, function) > best_key[0]:
             continue
-        found = calculate_best_path(overlay, island, origin, cand.node, dst,
-                                    kbps, budget_ms, weight_step, stats,
-                                    search)
+        found = calculate_best_path(overlay, view.island, origin, cand.node,
+                                    dst, view.kbps, budget_ms, weight_step,
+                                    stats, search)
         if found is None:
             continue
         seg1, seg2, d1, d2 = found
@@ -315,7 +389,7 @@ def _plan_in_island(state: NetworkState, island: BlockingIsland, demand,
     if budget < -_EPS:
         return None, "delay"
     overlay = StateOverlay(state)
-    origin = demand.src
+    view = _ChainView(overlay, island, demand.src, kbps)
     spent = 0.0
     segments: List[Tuple[Link, ...]] = []
     assignments: List[FunctionAssignment] = []
@@ -324,19 +398,17 @@ def _plan_in_island(state: NetworkState, island: BlockingIsland, demand,
         candidates = get_candidate_pms(overlay, function, island, kbps)
         if not candidates:
             return None, "no-pm"
-        best = _best_candidate(overlay, island, function, candidates, origin,
-                               demand.dst, kbps, budget - spent, weight_step,
-                               stats)
+        best = _best_candidate(view, function, candidates, demand.dst,
+                               budget - spent, weight_step, stats)
         if best is None:
             return None, "no-path"
         cand, seg1, seg2, d1, d2 = best
-        overlay.add_links(seg1, kbps)
+        view.add_segment(seg1)
         inst_id = overlay.add_assignment(function, cand.node,
                                          cand.instance_id, kbps)
         assignments.append(FunctionAssignment(function, cand.node, inst_id))
         segments.append(seg1)
         spent += d1
-        origin = cand.node
         if last:
             overlay.add_links(seg2, kbps)
             segments.append(seg2)

@@ -127,8 +127,12 @@ class ServiceType:
     def __post_init__(self):
         if not self.chain:
             raise TopologyError("service %s has an empty chain" % self.name)
-        if self.bandwidth <= 0:
-            raise TopologyError("service %s: non-positive bandwidth" % self.name)
+        # netstate books bandwidth in whole kb/s, rounding half to even:
+        # up to 0.5 kb/s would be routed while reserving nothing
+        if not 0.5 < self.bandwidth * 1000.0 < math.inf:
+            raise TopologyError("service %s: bandwidth %r Mb/s is not a "
+                                "finite amount of at least 1 kb/s"
+                                % (self.name, self.bandwidth))
         if self.delay_budget <= 0:
             raise TopologyError("service %s: non-positive delay budget" % self.name)
         if not 0.0 <= self.traffic_share <= 1.0:

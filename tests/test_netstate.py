@@ -149,6 +149,18 @@ def test_apply_rejections_leave_state_untouched():
         state.apply_allocation(_chain_allocation(state, d, [1]), d)
     assert state.snapshot() == pristine
     assert state.validate() == []
+    # 6: a 50 ms link reported as 5 ms under a 10 ms budget; the budget is
+    # checked against the delay the route and chain take, not the report
+    slow = NetworkState(make_graph(2, [(0, 1, 100.0, 50.0)]))
+    d = make_demand(4, 0, 1, (XL,), 1.0, 10.0)
+    route = Route(((slow.graph.link(0, 1),), ()))
+    for reported, error in ((5.0, "route and chain take 50.0 ms"),
+                            (50.0, "exceeds budget")):
+        planned = Allocation(d.id, (FunctionAssignment(XL, 1, -1),), route,
+                             reported, d.bandwidth_kbps)
+        with pytest.raises(AllocationError, match=error):
+            slow.apply_allocation(planned, d)
+    assert slow.snapshot() == NetworkState(slow.graph).snapshot()
 
 
 def test_apply_validates_route_and_chain_consistency():

@@ -6,19 +6,23 @@ import random
 from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (betweenness_oracle, layered_graph, make_demand,
                      make_graph, oracle_best_path, oracle_dijkstra,
                      random_connected_graph, route_allocation)
 from vnfplace.bih import BlockingIsland, build_bih
-from vnfplace.netstate import NetworkState, StateOverlay
-from vnfplace.placement import (_best_candidate, _edge_terms, _island_hops,
-                                _IslandSearch, bc_place_all, betweenness,
-                                calculate_best_path, get_candidate_pms,
-                                place_all)
+from vnfplace.netstate import (Allocation, FunctionAssignment, NetworkState,
+                               Route, StateOverlay)
+from vnfplace.placement import (Candidate, _best_candidate, _ChainView,
+                                _edge_terms, _IslandSearch, bc_place_all,
+                                betweenness, calculate_best_path,
+                                get_candidate_pms, place_all)
 from vnfplace.power import incremental_cost
-from vnfplace.topology import (CPU, FunctionType, NetworkGraph, PowerParams,
-                               default_catalogs, nobel_germany)
+from vnfplace.topology import (CPU, FunctionType, NetworkGraph, NodeSpec,
+                               PmSpec, PowerParams, default_catalogs,
+                               nobel_germany)
 from vnfplace.workload import generate_demands
 
 BETAS = [900.0, 700.0, 500.0, 300.0]
@@ -151,11 +155,25 @@ def test_edge_weight_without_network_power_is_delay_only():
     assert place_all(graph, [demand], [50.0]).acceptance == 1.0
 
 
+def _fresh_hops(graph, island, src):
+    """BFS hop counts from src over the island's cables, found anew."""
+    hops = {src: 0}
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        for v in graph.neighbors(u):
+            cable = (u, v) if u < v else (v, u)
+            if v not in hops and cable in island.internal_links:
+                hops[v] = hops[u] + 1
+                queue.append(v)
+    return hops
+
+
 def _full_scan(overlay, island, function, candidates, origin, dst, kbps,
                budget_ms):
     """Every candidate routed by the oracle; least (cost, hops, category,
     node) wins."""
-    hops = _island_hops(overlay.graph, island, origin)
+    hops = _fresh_hops(overlay.graph, island, origin)
     best = None
     for cand in candidates:
         found = oracle_best_path(overlay, island, origin, cand.node, dst,
@@ -181,6 +199,7 @@ def test_shared_search_and_pruned_scan_match_per_candidate_oracle(seed):
     hierarchy = build_bih(state, BETAS)
     ladder = [(1.0 - k * 0.25, k * 0.25) for k in range(4)]
     positions = candidates_seen = 0
+    entered = {True: 0, False: 0}      # positions after a co-location or not
     stats = {}
     for demand in demands[100:]:
         kbps = demand.bandwidth_kbps
@@ -188,12 +207,20 @@ def test_shared_search_and_pruned_scan_match_per_candidate_oracle(seed):
         if island is None:
             continue
         overlay = StateOverlay(state)
-        origin = demand.src
+        view = _ChainView(overlay, island, demand.src, kbps)
         budget = demand.delay_budget - sum(f.processing_delay
                                            for f in demand.chain)
+        colocated = None
         for function in demand.chain:
+            origin = view.origin
+            # the view the planner keeps equals one built anew
+            fresh = _IslandSearch(overlay, island, kbps)
+            assert view.search().adj == fresh.adj
+            assert view.hops() == _fresh_hops(graph, island, origin)
+            if colocated is not None:
+                entered[colocated] += 1
+            search = view.search()
             candidates = get_candidate_pms(overlay, function, island, kbps)
-            search = _IslandSearch(overlay, island, kbps)
             for cand in candidates:
                 for gamma, omega in ladder:
                     assert search.entry(origin, cand.node, gamma, omega) == \
@@ -209,22 +236,47 @@ def test_shared_search_and_pruned_scan_match_per_candidate_oracle(seed):
                     budget, 0.25)
             want = _full_scan(overlay, island, function, candidates, origin,
                               demand.dst, kbps, budget)
-            got = _best_candidate(overlay, island, function, candidates,
-                                  origin, demand.dst, kbps, budget, 0.25,
-                                  stats)
+            got = _best_candidate(view, function, candidates, demand.dst,
+                                  budget, 0.25, stats)
             assert got == want
             positions += 1
             candidates_seen += len(candidates)
             if got is None:
                 break
             cand, seg1, _, d1, _ = got
-            overlay.add_links(seg1, kbps)
+            view.add_segment(seg1)
             overlay.add_assignment(function, cand.node, cand.instance_id, kbps)
-            origin = cand.node
+            assert view.origin == cand.node
+            colocated = not seg1
             budget -= d1
     assert positions >= 50
+    # both kinds of position were checked: search and hops kept after a
+    # co-location, rebuilt after a non-empty segment
+    assert entered[True] > 0 and entered[False] > 0
     # the PM-cost bound skipped some candidates without changing a winner
     assert 0 < stats["path_searches"] < candidates_seen
+
+
+def test_chain_view_lights_what_the_plan_routes_over():
+    # a planned segment lights its cables and switches for later
+    # positions, as a view built anew over the overlay sees them
+    graph = make_graph(4, [(0, 1, 1000.0, 1.0), (1, 2, 1000.0, 1.0),
+                           (2, 3, 1000.0, 1.0), (0, 3, 1000.0, 5.0)])
+    overlay = StateOverlay(NetworkState(graph))
+    island = _island_over(graph)
+    view = _ChainView(overlay, island, 0, 1000)
+    assert view.lit == ({n: False for n in range(4)},
+                        {c: False for c in graph.cables()})
+    view.search()
+    view.add_segment(())                    # co-location keeps everything
+    assert view.origin == 0 and view.lit[0] == {n: False for n in range(4)}
+    view.add_segment((graph.link(0, 1), graph.link(1, 2)))
+    assert view.origin == 2
+    assert view.lit == ({0: True, 1: True, 2: True, 3: False},
+                        {(0, 1): True, (1, 2): True, (2, 3): False,
+                         (0, 3): False})
+    assert view.search().adj == _IslandSearch(overlay, island, 1000).adj
+    assert view.hops() == {2: 0, 1: 1, 3: 1, 0: 2}
 
 
 @pytest.mark.parametrize("pm_max_w, winner, searches",
@@ -243,8 +295,8 @@ def test_pm_cost_bound_skips_only_candidates_that_cannot_tie(pm_max_w, winner,
     candidates = get_candidate_pms(overlay, FN["NAT"], island, 1000)
     assert [(c.node, c.category) for c in candidates] == [(2, 1), (0, 2), (1, 3)]
     stats = {}
-    best = _best_candidate(overlay, island, FN["NAT"], candidates, 0, 0, 1000,
-                           100.0, 0.25, stats)
+    best = _best_candidate(_ChainView(overlay, island, 0, 1000), FN["NAT"],
+                           candidates, 0, 100.0, 0.25, stats)
     # at 394 W each, PM 0 ties with the reuse and wins on hop distance, so
     # it must be routed; one watt more and only the reuse is routed
     assert best[0].node == winner
@@ -263,6 +315,83 @@ def test_place_all_fingerprint_is_pinned():
             sol = place_all(graph, demands, BETAS, mode=mode)
             digest.update(sol.state.snapshot().encode())
     assert digest.hexdigest() == "6617ffd7044b620fbfa0848706733137a04b61c9"
+
+
+def test_place_all_fingerprint_is_pinned_at_benchmark_length():
+    # sha1 over the snapshots of lbi then hbi runs at seed 0 with 300
+    # demands, the benchmark's sequence length, where more islands split
+    graph = nobel_germany()
+    _, services = default_catalogs()
+    demands = generate_demands(graph, 300, services, 0)
+    digest = hashlib.sha1()
+    for mode in ("lbi", "hbi"):
+        sol = place_all(graph, demands, BETAS, mode=mode)
+        digest.update(sol.state.snapshot().encode())
+    assert digest.hexdigest() == "b0501be4cd53526f86127ae9e6aa608cba731269"
+
+
+# functions of two sizes and one needing a resource only some PMs have
+CAND_FNS = (FunctionType("S", {CPU: 2}, 10.0, 0.0),
+            FunctionType("M", {CPU: 4}, 10.0, 0.0),
+            FunctionType("G", {CPU: 2, "gpu": 1}, 10.0, 0.0))
+
+
+def _composed_candidates(overlay, function, island, kbps):
+    """get_candidate_pms as find_reusable, then has_room, then pm_active."""
+    out = []
+    for node in sorted(island.nodes):
+        found = overlay.find_reusable(node, function, kbps)
+        if found is not None:
+            out.append(Candidate(node, found[0], 1))
+        elif overlay.has_room(node, function):
+            out.append(Candidate(node, None,
+                                 2 if overlay.pm_active(node) else 3))
+    out.sort(key=lambda c: (c.category, c.node))
+    return out
+
+
+# (node, function, kb/s, start a new instance even if one could be reused)
+_STEP = st.tuples(st.integers(0, 3), st.integers(0, 2),
+                  st.sampled_from([1000, 2500, 5000, 10000]), st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(committed=st.lists(_STEP, max_size=12),
+       planned=st.lists(_STEP, max_size=8),
+       fn=st.integers(0, 2), kbps=st.sampled_from([1, 2500, 5000, 10000]))
+def test_candidate_listing_equals_the_query_composition(committed, planned,
+                                                        fn, kbps):
+    # a 4-node line of 8-core PMs, node 3 with a GPU: committed instances
+    # with spare kb/s, then pending instances and debits of the plan, fill
+    # some PMs and leave others off
+    nodes = [NodeSpec(i, PmSpec({CPU: 8, "gpu": 1} if i == 3 else {CPU: 8}))
+             for i in range(4)]
+    graph = NetworkGraph(nodes, [(i, i + 1, 1e6, 0.1) for i in range(3)])
+    state = NetworkState(graph)
+    line = [graph.link(i, i + 1) for i in range(3)]
+    for k, (node, f, need, fresh) in enumerate(committed):
+        function = CAND_FNS[f]
+        found = None if fresh else StateOverlay(state).find_reusable(
+            node, function, need)
+        if found is None and not StateOverlay(state).has_room(node, function):
+            continue
+        demand = make_demand(k, 0, 3, (function,), need / 1000.0, 1e6)
+        route = Route((tuple(line[:node]), tuple(line[node:])))
+        state.apply_allocation(Allocation(
+            k, (FunctionAssignment(function, node,
+                                   found[0] if found else -1),),
+            route, route.propagation_ms, need), demand)
+    overlay = StateOverlay(state)
+    for node, f, need, fresh in planned:
+        function = CAND_FNS[f]
+        found = None if fresh else overlay.find_reusable(node, function, need)
+        if found is not None:
+            overlay.add_assignment(function, node, found[0], need)
+        elif overlay.has_room(node, function):
+            overlay.add_assignment(function, node, None, need)
+    island = _island_over(graph)
+    assert get_candidate_pms(overlay, CAND_FNS[fn], island, kbps) == \
+        _composed_candidates(overlay, CAND_FNS[fn], island, kbps)
 
 
 def test_single_demand_lights_minimal_gear():

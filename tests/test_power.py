@@ -48,7 +48,7 @@ def test_power_after_allocations():
     state = NetworkState(graph)
     demand = make_demand(0, 0, 1, (FN_A,), 10.0, 100.0)
     alloc = Allocation(0, (FunctionAssignment(FN_A, 1, -1),),
-                       Route(((graph.link(0, 1),), ())), 10.01, 10000)
+                       Route(((graph.link(0, 1),), ())), 10.1, 10000)
     state.apply_allocation(alloc, demand)
     # two switches, one cable, one PM with 4 of 16 cores
     assert network_power(state) == 2 * 130.0 + 2.0
@@ -57,7 +57,7 @@ def test_power_after_allocations():
 
     demand2 = make_demand(1, 1, 2, (FN_A,), 10.0, 100.0)
     alloc2 = Allocation(1, (FunctionAssignment(FN_A, 1, 0),),
-                        Route(((), (graph.link(1, 2),))), 10.01, 10000)
+                        Route(((), (graph.link(1, 2),))), 10.1, 10000)
     state.apply_allocation(alloc2, demand2)
     # third switch and second cable lit; same instance, no PM change
     assert network_power(state) == 3 * 130.0 + 4.0
@@ -86,7 +86,7 @@ def test_incremental_cost_components():
                             [graph.link(0, 1)]) == 175.0 + 262.0
     demand = make_demand(0, 0, 1, (FN_A,), 10.0, 100.0)
     alloc = Allocation(0, (FunctionAssignment(FN_A, 1, -1),),
-                       Route(((graph.link(0, 1),), ())), 10.01, 10000)
+                       Route(((graph.link(0, 1),), ())), 10.1, 10000)
     state.apply_allocation(alloc, demand)
     # reuse of the existing instance over lit gear is free
     assert incremental_cost(state, 1, 0, FN_A, [graph.link(0, 1)]) == 0.0

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from vnfplace.netstate import to_kbps
 from vnfplace.topology import (CPU, FunctionType, Link, NetworkGraph,
                                NodeSpec, PmSpec, PowerParams, ServiceType,
                                TopologyError, default_catalogs,
@@ -53,6 +54,18 @@ def test_service_type_validation():
         ServiceType("s", (fn,), 1.0, 0.0, 0.5)
     with pytest.raises(TopologyError):
         ServiceType("s", (fn,), 1.0, 10.0, 1.5)
+    # bandwidth is booked in whole kb/s: what rounds to 0 (half to even)
+    # would be routed while reserving nothing
+    for mbps in (-1.0, 0.0004, 0.0005, math.nan, math.inf):
+        with pytest.raises(TopologyError, match="bandwidth"):
+            ServiceType("s", (fn,), mbps, 10.0, 0.5)
+    for mbps in (0.0004, 0.0005, 0.00050001, 0.0006, 0.0015, 0.064):
+        try:
+            kbps = to_kbps(ServiceType("s", (fn,), mbps, 10.0, 0.5).bandwidth)
+        except TopologyError:
+            assert to_kbps(mbps) == 0
+        else:
+            assert kbps >= 1
 
 
 def _graph_text():
