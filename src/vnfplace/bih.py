@@ -13,6 +13,7 @@ allocations come and go, and always equal a from-scratch rebuild.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
@@ -79,12 +80,16 @@ class BIHierarchy:
         betas = list(betas_mbps)
         if not betas:
             raise ValueError("empty threshold ladder")
-        if any(b <= 0 for b in betas):
-            raise ValueError("thresholds must be positive")
-        if any(a <= b for a, b in zip(betas, betas[1:])):
-            raise ValueError("thresholds must be strictly descending: %r" % betas)
+        if not all(math.isfinite(b) for b in betas):
+            raise ValueError("thresholds must be finite: %r" % betas)
+        kbps = [to_kbps(b) for b in betas]
+        if any(k <= 0 for k in kbps):
+            raise ValueError("thresholds must be at least 1 kb/s: %r" % betas)
+        if any(a <= b for a, b in zip(kbps, kbps[1:])):
+            raise ValueError("thresholds must be strictly descending in kb/s: "
+                             "%r gives %r" % (betas, kbps))
         self.betas_mbps = betas
-        self.betas_kbps = [to_kbps(b) for b in betas]
+        self.betas_kbps = kbps
         self._next_id = 0
         self.levels: Dict[int, BIGraph] = {}
         for beta in self.betas_kbps:

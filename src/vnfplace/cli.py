@@ -77,16 +77,17 @@ def _print_report(report: MetricsReport) -> None:
             print("wrote %s" % path)
     if not report.rows:
         return
-    print("%-10s %8s %6s %12s %12s %12s %10s %8s %10s"
+    print("%-10s %8s %6s %12s %12s %12s %10s %8s %10s  %s"
           % ("algorithm", "demands", "seeds", "total[W]", "net[W]",
-             "pm[W]", "delay[ms]", "acc[%]", "time[s]"))
+             "pm[W]", "delay[ms]", "acc[%]", "time[s]", "rejected"))
     for row in report.rows:
         s = row.stats
-        print("%-10s %8d %6d %12.1f %12.1f %12.1f %10.2f %8.1f %10.3f"
+        rejected = " ".join("%s:%d" % kv for kv in sorted(row.rejections.items()))
+        print("%-10s %8d %6d %12.1f %12.1f %12.1f %10.2f %8.1f %10.3f  %s"
               % (row.algorithm, row.demand_count, row.seeds,
                  s["total_power_mean"], s["network_power_mean"],
                  s["pm_power_mean"], s["mean_delay_mean"],
-                 s["acceptance_mean"], s["runtime_mean"]))
+                 s["acceptance_mean"], s["runtime_mean"], rejected or "-"))
 
 
 def main(argv: Optional[List[str]] = None) -> int:

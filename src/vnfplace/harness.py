@@ -13,6 +13,7 @@ import math
 import os
 import statistics
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -63,6 +64,7 @@ class RunResult:
     mean_delay_ms: float
     acceptance: float
     runtime_s: float
+    rejections: Dict[str, int] = field(default_factory=dict)   # per reason
 
 
 @dataclass
@@ -71,6 +73,7 @@ class AggregateRow:
     demand_count: int
     seeds: int
     stats: Dict[str, float]        # <metric>_mean / <metric>_std
+    rejections: Dict[str, int] = field(default_factory=dict)   # all seeds
 
 
 @dataclass
@@ -113,7 +116,9 @@ def _run_once(graph: NetworkGraph, algorithm: str, demands,
         _gate(sol.state, sol.total_power_w, 1e-9)
         return RunResult(algorithm, count, seed, sol.total_power_w,
                          sol.network_power_w, sol.pm_power_w,
-                         sol.mean_delay_ms, sol.acceptance, sol.runtime_s)
+                         sol.mean_delay_ms, sol.acceptance, sol.runtime_s,
+                         Counter(o.reason for o in sol.outcomes
+                                 if not o.accepted))
     if algorithm == "exact-small":
         model = build_model(graph, demands)
         start = time.perf_counter()
@@ -148,6 +153,9 @@ def run_experiment(config: ExperimentConfig) -> MetricsReport:
     if any(c < 1 for c in config.demand_counts):
         raise ValueError("demand counts must be positive, got %r"
                          % (config.demand_counts,))
+    csv_dir = os.path.dirname(config.out or "")
+    if csv_dir and not os.path.isdir(csv_dir) and set(config.algorithms) - {"lp-export"}:
+        raise ValueError("output directory %s does not exist" % csv_dir)
     graph = load_topology(config.topology, config.power)
     _, services = default_catalogs()
     report = MetricsReport([], [])
@@ -182,8 +190,9 @@ def run_experiment(config: ExperimentConfig) -> MetricsReport:
                 mean, std = _stats(values)
                 stats[metric + "_mean"] = mean
                 stats[metric + "_std"] = std
-            report.rows.append(AggregateRow(algorithm, count,
-                                            config.seeds, stats))
+            rejections = sum((Counter(r.rejections) for r in cell), Counter())
+            report.rows.append(AggregateRow(algorithm, count, config.seeds,
+                                            stats, rejections))
     return report
 
 

@@ -4,9 +4,11 @@ Two families are provided. place_all clusters the substrate into
 blocking islands, confines each demand to one island chosen by free
 bandwidth (mode 'lbi' prefers the largest qualifying island, 'hbi' the
 smallest), then walks the chain function by function, picking the
-(PM, route) pair of least incremental power. bc_place_all is a
-centrality baseline: every demand follows its hop-shortest path and
-functions are stacked on the most central path nodes with capacity.
+(PM, route) pair of least incremental power; the walk reads the island
+once per demand and patches what it read as each position is planned.
+bc_place_all is a centrality baseline: every demand follows its
+hop-shortest path and functions are stacked on the most central path
+nodes with capacity.
 
 Path search weighs edges by a convex mix of normalized power and
 normalized delay. Searches start power-only and shift weight toward
@@ -24,7 +26,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from .bih import BlockingIsland, build_bih
 from .netstate import (Allocation, FunctionAssignment, NetworkState, Route,
-                       StateOverlay)
+                       StateOverlay, VnfInstance)
 from .power import (incremental_cost, incremental_pm_cost, network_power,
                     pm_power_total)
 from .topology import FunctionType, Link, NetworkGraph
@@ -102,34 +104,48 @@ def _lit_maps(statelike, island: BlockingIsland) -> _LitMaps:
             {c: statelike.cable_active(*c) for c in island.internal_links})
 
 
-class _IslandSearch:
-    """Path-search state shared by the candidates of one chain position.
+def _island_nbrs(island: BlockingIsland) -> Dict[int, List[int]]:
+    """Each island node's neighbours over the island's cables."""
+    nbrs: Dict[int, List[int]] = {n: [] for n in island.nodes}
+    for a, b in island.internal_links:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    return nbrs
 
-    Holds the island's links that can carry kbps, each with its
-    normalized power and delay terms, and per (src, gamma, omega) the
-    full forward tree from src. Valid while the state it was built from
-    does not change. lit, the island's (switch, cable) lit maps, is read
-    from statelike when not given.
-    """
+
+class _IslandSearch:
+    """Path-search state shared by the candidates of one chain walk: the
+    island's links that can carry kbps, each with its normalized power and
+    delay terms, and the trees searched over them. lit, the island's
+    (switch, cable) lit maps, is read from statelike when not given; when
+    either changes, refill patches the links out of the nodes it touched."""
 
     def __init__(self, statelike, island: BlockingIsland, kbps: int,
-                 lit: Optional[_LitMaps] = None):
+                 lit: Optional[_LitMaps] = None,
+                 nbrs: Optional[Dict[int, List[int]]] = None):
+        self._state, self._kbps = statelike, kbps
+        self._lit = lit if lit is not None else _lit_maps(statelike, island)
+        self._nbrs = nbrs if nbrs is not None else _island_nbrs(island)
+        self.adj: Dict[int, List[Tuple[int, Link, float, float]]] = {}
+        self._trees: Dict[tuple, Dict[int, Link]] = {}
+        self.refill(island.nodes)
+
+    def refill(self, nodes: Iterable[int]) -> None:
+        """Re-read the links out of nodes and drop the trees. Any edge order
+        gives the same trees: heap ties are broken by node id."""
+        statelike, kbps = self._state, self._kbps
         graph = statelike.graph
-        lit_switch, lit_cable = lit if lit is not None else _lit_maps(
-            statelike, island)
-        self.adj: Dict[int, List[Tuple[int, Link, float, float]]] = {
-            n: [] for n in island.nodes}
-        # edge order within a list does not matter: each neighbor occurs
-        # once and heap ties are broken by node id
-        for a, b in island.internal_links:
-            for u, v in ((a, b), (b, a)):
-                if statelike.residual(u, v) < kbps:
-                    continue
-                link = graph.link(u, v)
-                power, delay = _edge_terms(graph, link, lit_switch[u],
-                                           lit_switch[v], lit_cable[(a, b)])
-                self.adj[u].append((v, link, power, delay))
-        self._trees: Dict[Tuple[int, float, float], Dict[int, Link]] = {}
+        lit_switch, lit_cable = self._lit
+        for u in nodes:
+            row = []
+            for v in self._nbrs[u]:
+                if statelike.residual(u, v) >= kbps:
+                    link = graph.link(u, v)
+                    row.append((v, link, *_edge_terms(
+                        graph, link, lit_switch[u], lit_switch[v],
+                        lit_cable[(u, v) if u < v else (v, u)])))
+            self.adj[u] = row
+        self._trees.clear()
 
     def entry(self, src: int, pm: int, gamma: float,
               omega: float) -> Optional[List[Link]]:
@@ -142,8 +158,12 @@ class _IslandSearch:
 
     def exit(self, pm: int, dst: int, gamma: float,
              omega: float) -> Optional[List[Link]]:
-        """Min-weight path pm -> dst, searched until dst is settled."""
-        return _path(_settle(self.adj, pm, dst, gamma, omega), pm, dst)
+        """Min-weight path pm -> dst, searched until dst is settled; the
+        search is kept, as co-located positions repeat it."""
+        key = (pm, gamma, omega, dst)
+        if key not in self._trees:
+            self._trees[key] = _settle(self.adj, pm, dst, gamma, omega)
+        return _path(self._trees[key], pm, dst)
 
 
 def _settle(adj: dict, src: int, dst: Optional[int], gamma: float,
@@ -282,36 +302,46 @@ def get_candidate_pms(statelike, function: FunctionType,
 
 class _ChainView:
     """The island as one demand's chain walk sees it: the overlay with the
-    partial plan, the origin of the next chain position, and the path
-    search and hop counts from that origin.
+    partial plan, the origin of the next chain position, the path search
+    and hop counts from that origin, and the reads of candidate listing
+    and pricing (hosted, pm_active, switch_active, cable_active).
 
-    The committed state does not change while a demand is planned, so the
-    lit maps are read once and then patched with each planned segment: a
-    planned link carries kbps > 0 and so lights its cable and both its
-    switches. An empty segment (co-location) leaves the origin, the
-    residuals and the lit maps as they were, so the search, with its
-    cached trees, and the hop counts are kept; a non-empty one drops
-    both, to be rebuilt on first use.
-    """
+    The committed state does not change while a demand is planned, so
+    each table is read once and then patched: a planned segment lights its
+    cables and switches, and the search refills the nodes whose links it
+    changed (its link sources, and the ends and island neighbours of what
+    it newly lit); an assignment re-reads its node's hosted rows."""
 
     def __init__(self, overlay: StateOverlay, island: BlockingIsland,
                  src: int, kbps: int):
         self.overlay = overlay
+        self.graph = overlay.graph
         self.island = island
         self.kbps = kbps
         self.origin = src
         self.lit = _lit_maps(overlay, island)
-        self._nbrs: Dict[int, List[int]] = {n: [] for n in island.nodes}
-        for a, b in island.internal_links:
-            self._nbrs[a].append(b)
-            self._nbrs[b].append(a)
+        self._nbrs = _island_nbrs(island)
+        self._rows: Dict[int, List[Tuple[VnfInstance, int]]] = {
+            n: list(overlay.hosted(n)) for n in island.nodes}
         self._search: Optional[_IslandSearch] = None
         self._hops: Optional[Dict[int, int]] = None
+
+    def hosted(self, node: int) -> List[Tuple[VnfInstance, int]]:
+        return self._rows[node]
+
+    def pm_active(self, node: int) -> bool:
+        return bool(self.hosted(node))
+
+    def switch_active(self, node: int) -> bool:
+        return self.lit[0][node]
+
+    def cable_active(self, a: int, b: int) -> bool:
+        return self.lit[1][(a, b) if a < b else (b, a)]
 
     def search(self) -> _IslandSearch:
         if self._search is None:
             self._search = _IslandSearch(self.overlay, self.island,
-                                         self.kbps, self.lit)
+                                         self.kbps, self.lit, self._nbrs)
         return self._search
 
     def hops(self) -> Dict[int, int]:
@@ -334,11 +364,28 @@ class _ChainView:
         if not links:
             return
         lit_switch, lit_cable = self.lit
+        touched = {link.src for link in links}      # their residuals fell
         for link in links:
-            lit_switch[link.src] = lit_switch[link.dst] = True
-            lit_cable[link.cable] = True
+            cable = link.cable
+            if not lit_cable[cable]:
+                lit_cable[cable] = True
+                touched.update(cable)
+            for node in cable:
+                if not lit_switch[node]:
+                    lit_switch[node] = True
+                    touched.update(self._nbrs[node], (node,))
+        if self._search is not None:
+            self._search.refill(touched)
         self.origin = links[-1].dst
-        self._search = self._hops = None
+        self._hops = None
+
+    def add_assignment(self, function: FunctionType, node: int,
+                       instance_id: Optional[int]) -> int:
+        """StateOverlay.add_assignment, keeping the node's rows current."""
+        inst_id = self.overlay.add_assignment(function, node, instance_id,
+                                              self.kbps)
+        self._rows[node] = list(self.overlay.hosted(node))
+        return inst_id
 
 
 def _best_candidate(view: _ChainView, function: FunctionType,
@@ -350,7 +397,6 @@ def _best_candidate(view: _ChainView, function: FunctionType,
     non-negative, so links never cost less than nothing and a candidate
     whose PM cost alone exceeds the best cost so far cannot win; it is
     not routed."""
-    overlay, origin = view.overlay, view.origin
     hops = view.hops()
     inf = math.inf
     candidates = sorted(candidates,
@@ -360,15 +406,15 @@ def _best_candidate(view: _ChainView, function: FunctionType,
     best_key = None
     for cand in candidates:
         if best_key is not None and incremental_pm_cost(
-                overlay, cand.node, cand.instance_id, function) > best_key[0]:
+                view, cand.node, cand.instance_id, function) > best_key[0]:
             continue
-        found = calculate_best_path(overlay, view.island, origin, cand.node,
-                                    dst, view.kbps, budget_ms, weight_step,
-                                    stats, search)
+        found = calculate_best_path(view.overlay, view.island, view.origin,
+                                    cand.node, dst, view.kbps, budget_ms,
+                                    weight_step, stats, search)
         if found is None:
             continue
         seg1, seg2, d1, d2 = found
-        cost = incremental_cost(overlay, cand.node, cand.instance_id,
+        cost = incremental_cost(view, cand.node, cand.instance_id,
                                 function, seg1 + seg2)
         key = (cost, hops.get(cand.node, inf), cand.category, cand.node)
         if best_key is None or key < best_key:
@@ -395,7 +441,7 @@ def _plan_in_island(state: NetworkState, island: BlockingIsland, demand,
     assignments: List[FunctionAssignment] = []
     for idx, function in enumerate(chain):
         last = idx == len(chain) - 1
-        candidates = get_candidate_pms(overlay, function, island, kbps)
+        candidates = get_candidate_pms(view, function, island, kbps)
         if not candidates:
             return None, "no-pm"
         best = _best_candidate(view, function, candidates, demand.dst,
@@ -404,8 +450,7 @@ def _plan_in_island(state: NetworkState, island: BlockingIsland, demand,
             return None, "no-path"
         cand, seg1, seg2, d1, d2 = best
         view.add_segment(seg1)
-        inst_id = overlay.add_assignment(function, cand.node,
-                                         cand.instance_id, kbps)
+        inst_id = view.add_assignment(function, cand.node, cand.instance_id)
         assignments.append(FunctionAssignment(function, cand.node, inst_id))
         segments.append(seg1)
         spent += d1

@@ -139,6 +139,19 @@ def test_hierarchy_rejects_bad_ladders():
         BIHierarchy(state, [40.0, 40.0])
     with pytest.raises(ValueError):
         BIHierarchy(state, [40.0, 0.0])
+    # non-finite thresholds
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            BIHierarchy(state, [40.0, bad])
+    # a threshold that rounds to 0 kb/s (half rounds to even)
+    for bad in ([0.0004], [30.0, 0.0005]):
+        with pytest.raises(ValueError, match="at least 1 kb/s"):
+            BIHierarchy(state, bad)
+    # descending in Mb/s but not on the 1 kb/s grid: two betas, one level
+    with pytest.raises(ValueError, match="descending in kb/s"):
+        BIHierarchy(state, [900.0004, 900.0001, 300.0])
+    # the smallest and the closest thresholds the grid tells apart
+    assert BIHierarchy(state, [0.0016, 0.0006]).betas_kbps == [2, 1]
 
 
 def test_select_prefers_requested_level():

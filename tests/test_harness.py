@@ -162,6 +162,28 @@ def test_cli_run_writes_csv(tmp_path, capsys):
     assert out.read_text().splitlines()[0] == CSV_HEADER
 
 
+def test_cli_table_counts_rejection_reasons(tmp_path, capsys):
+    # a 1 kb/s ladder fits no demand: each is rejected as no-island, and
+    # the printed row sums the reasons over the cell's seeds
+    out = tmp_path / "rejected.csv"
+    assert cli.main(["run", "--betas", "0.001", "--demands", "5",
+                     "--seeds", "2", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[-1] == "rejected"
+    assert lines[1].split()[0] == "bi-lbi"
+    assert lines[1].split()[-1] == "no-island:10"
+    report = run_experiment(_small_config(betas_mbps=[0.001]))
+    assert [r.rejections for r in report.runs] == [{"no-island": 5}] * 2
+    assert report.rows[0].rejections == {"no-island": 10}
+    # the counts stay out of the CSV
+    text = out.read_text().splitlines()
+    assert text[0] == CSV_HEADER
+    assert len(text[1].split(",")) == 15
+    # a row with no rejection shows a dash
+    assert cli.main(["run", "--demands", "5", "--seeds", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split()[-1] == "-"
+
+
 def test_cli_lp_export(tmp_path, capsys):
     out = tmp_path / "models"
     rc = cli.main(["run", "--algo", "lp-export", "--demands", "2",
@@ -186,6 +208,21 @@ def test_cli_bad_inputs_exit_two(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "demand counts must be positive" in captured.err
     assert captured.out == ""
+    # threshold ladders: non-finite, 0 kb/s, or not descending in kb/s
+    for betas, message in (("inf", "finite"), ("nan", "finite"),
+                           ("0.0004", "at least 1 kb/s"),
+                           ("900.0004,900.0001,300", "descending in kb/s")):
+        assert cli.main(["run", "--betas", betas, "--demands", "1",
+                         "--seeds", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+    # a CSV path in a missing directory fails before any cell runs
+    missing = tmp_path / "nope" / "out.csv"
+    assert cli.main(["run", "--demands", "1", "--seeds", "1",
+                     "--out", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert "error: output directory" in captured.err
+    assert captured.out == "" and not missing.parent.exists()
 
 
 def test_cli_config_file_supplies_defaults(tmp_path, capsys):

@@ -9,16 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (betweenness_oracle, layered_graph, make_demand,
+from helpers import (XL, betweenness_oracle, layered_graph, make_demand,
                      make_graph, oracle_best_path, oracle_dijkstra,
-                     random_connected_graph, route_allocation)
-from vnfplace.bih import BlockingIsland, build_bih
+                     random_connected_graph, route_allocation,
+                     skim_random_links)
+from vnfplace.bih import BlockingIsland, beta_bi_search, build_bih
 from vnfplace.netstate import (Allocation, FunctionAssignment, NetworkState,
                                Route, StateOverlay)
 from vnfplace.placement import (Candidate, _best_candidate, _ChainView,
-                                _edge_terms, _IslandSearch, bc_place_all,
-                                betweenness, calculate_best_path,
-                                get_candidate_pms, place_all)
+                                _edge_terms, _IslandSearch, _lit_maps,
+                                _settle, bc_place_all, betweenness,
+                                calculate_best_path, get_candidate_pms,
+                                place_all)
 from vnfplace.power import incremental_cost
 from vnfplace.topology import (CPU, FunctionType, NetworkGraph, NodeSpec,
                                PmSpec, PowerParams, default_catalogs,
@@ -213,10 +215,14 @@ def test_shared_search_and_pruned_scan_match_per_candidate_oracle(seed):
         colocated = None
         for function in demand.chain:
             origin = view.origin
-            # the view the planner keeps equals one built anew
+            # the view the planner keeps equals one built anew: search
+            # adjacency, hop counts, lit maps and every node's rows
             fresh = _IslandSearch(overlay, island, kbps)
             assert view.search().adj == fresh.adj
             assert view.hops() == _fresh_hops(graph, island, origin)
+            assert view.lit == _lit_maps(overlay, island)
+            for node in island.nodes:
+                assert view.hosted(node) == list(overlay.hosted(node))
             if colocated is not None:
                 entered[colocated] += 1
             search = view.search()
@@ -245,13 +251,13 @@ def test_shared_search_and_pruned_scan_match_per_candidate_oracle(seed):
                 break
             cand, seg1, _, d1, _ = got
             view.add_segment(seg1)
-            overlay.add_assignment(function, cand.node, cand.instance_id, kbps)
+            view.add_assignment(function, cand.node, cand.instance_id)
             assert view.origin == cand.node
             colocated = not seg1
             budget -= d1
     assert positions >= 50
     # both kinds of position were checked: search and hops kept after a
-    # co-location, rebuilt after a non-empty segment
+    # co-location, search patched and hops rebuilt after a non-empty one
     assert entered[True] > 0 and entered[False] > 0
     # the PM-cost bound skipped some candidates without changing a winner
     assert 0 < stats["path_searches"] < candidates_seen
@@ -277,6 +283,134 @@ def test_chain_view_lights_what_the_plan_routes_over():
                          (0, 3): False})
     assert view.search().adj == _IslandSearch(overlay, island, 1000).adj
     assert view.hops() == {2: 0, 1: 1, 3: 1, 0: 2}
+
+
+# one step of a chain walk: (planned segment or assignment, segment
+# length in links, a pick for the target node and the segment's turns,
+# which function, start a new instance even if one could be reused)
+_WALK_STEP = st.tuples(st.booleans(), st.integers(0, 3), st.integers(0, 63),
+                       st.integers(0, 1), st.booleans())
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       kbps=st.sampled_from([1000, 20000, 60000]),
+       walk=st.lists(_WALK_STEP, min_size=1, max_size=10))
+def test_chain_view_patches_equal_fresh_reads(seed, kbps, walk):
+    # a random island over a loaded random graph; segments from the origin
+    # over any island link, so some push a link below kbps, and new or
+    # reused instances on any node; after each step every table the view
+    # patched equals a fresh read of the overlay
+    rng = random.Random(seed)
+    graph = random_connected_graph(rng, max_nodes=12, cap_range=(10, 150))
+    state = NetworkState(graph)
+    skim_random_links(state, rng)
+    src = rng.randrange(graph.num_nodes)
+    nodes, links = beta_bi_search(state, src, 1.0)
+    island = BlockingIsland(1, 1000, nodes, links)
+    ordered = sorted(nodes)
+    nbrs = {n: sorted(v for v in graph.neighbors(n)
+                      if (min(n, v), max(n, v)) in links) for n in nodes}
+    overlay = StateOverlay(state)
+    view = _ChainView(overlay, island, src, kbps)
+    functions = (XL, FN["NAT"])
+    for is_segment, length, pick, f, fresh_instance in walk:
+        search = view.search()
+        target, before = ordered[pick % len(ordered)], view.origin
+        search.entry(before, target, 1.0, 0.0)           # cache the trees
+        search.exit(before, target, 0.5, 0.5)
+        if is_segment:
+            path, at = [], view.origin
+            for _ in range(length):
+                steps = [v for v in nbrs[at]
+                         if all(v != l.src for l in path)]
+                if not steps:
+                    break
+                nxt = steps[pick % len(steps)]
+                path.append(graph.link(at, nxt))
+                at = nxt
+            view.add_segment(tuple(path))
+            assert view.origin == at
+        else:
+            function = functions[f]
+            reuse = None if fresh_instance else next(
+                (inst.id for inst, _ in overlay.hosted(target)
+                 if inst.function.name == function.name), None)
+            view.add_assignment(function, target, reuse)
+        assert view.search().adj == _IslandSearch(overlay, island, kbps).adj
+        assert view.lit == _lit_maps(overlay, island)
+        for node in ordered:
+            assert view.hosted(node) == list(overlay.hosted(node))
+            assert view.pm_active(node) == overlay.pm_active(node)
+        # no tree survives a change of the links it was grown over
+        assert view.search().entry(view.origin, target, 1.0, 0.0) == \
+            oracle_dijkstra(overlay, island, view.origin, target, kbps,
+                            1.0, 0.0)
+        assert view.search().exit(before, target, 0.5, 0.5) == \
+            oracle_dijkstra(overlay, island, before, target, kbps, 0.5, 0.5)
+
+
+def test_settle_trees_match_networkx_on_patched_searches():
+    nx = pytest.importorskip("networkx")
+    graph = nobel_germany()
+    params = graph.power
+    max_power = params.switch_static_w + 2.0 * params.port_w
+    _, services = default_catalogs()
+    demands = generate_demands(graph, 120, services, 2)
+    state = place_all(graph, demands[:100], BETAS, mode="lbi").state
+    hierarchy = build_bih(state, BETAS)
+    patched = 0
+    for demand in demands[100:]:
+        kbps = demand.bandwidth_kbps
+        island = hierarchy.select(demand.src, demand.dst, kbps, "lbi")
+        if island is None:
+            continue
+        overlay = StateOverlay(state)
+        view = _ChainView(overlay, island, demand.src, kbps)
+        segments = 0
+        for function in demand.chain[:3]:
+            candidates = get_candidate_pms(view, function, island, kbps)
+            best = _best_candidate(view, function, candidates, demand.dst,
+                                   1e9, 0.25)
+            if best is None:
+                break
+            view.add_segment(best[1])
+            view.add_assignment(function, best[0].node, best[0].instance_id)
+            segments += bool(best[1])
+        if not segments:
+            continue            # the search was never patched
+        patched += 1
+        # edge weights from the overlay, without the library's terms
+        for k in range(4):
+            gamma, omega = 1.0 - k * 0.25, k * 0.25
+            g = nx.DiGraph()
+            g.add_nodes_from(island.nodes)
+            for a, b in island.internal_links:
+                for u, v in ((a, b), (b, a)):
+                    if overlay.residual(u, v) < kbps:
+                        continue
+                    power = (params.switch_static_w / 2.0
+                             * (2 - overlay.switch_active(u)
+                                - overlay.switch_active(v)))
+                    if not overlay.cable_active(a, b):
+                        power += 2.0 * params.port_w
+                    delay = graph.link(u, v).delay / graph.max_link_delay
+                    g.add_edge(u, v, weight=gamma * power / max_power
+                               + omega * delay)
+            want = nx.single_source_dijkstra_path_length(g, view.origin)
+            pred = _settle(view.search().adj, view.origin, None, gamma, omega)
+            got = {}
+            for node in list(pred) + [view.origin]:
+                total, at = 0.0, node
+                while at != view.origin:
+                    link = pred[at]
+                    total += g[link.src][link.dst]["weight"]
+                    at = link.src
+                got[node] = total
+            assert got.keys() == want.keys()
+            for node, dist in want.items():
+                assert got[node] == pytest.approx(dist, rel=1e-12, abs=1e-12)
+    assert patched >= 5
 
 
 @pytest.mark.parametrize("pm_max_w, winner, searches",
@@ -528,6 +662,19 @@ def test_betweenness_splits_ties_fractionally():
                            (0, 2, 100.0, 0.1), (2, 3, 100.0, 0.1)])
     scores = betweenness(graph)
     assert scores == {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0}
+
+
+def test_betweenness_is_twice_networkx_on_nobel_germany():
+    # networkx counts unordered pairs, betweenness ordered ones; the sums
+    # run in another order, so they agree to rounding
+    nx = pytest.importorskip("networkx")
+    graph = nobel_germany()
+    want = nx.betweenness_centrality(nx.Graph(graph.cables()),
+                                     normalized=False)
+    got = betweenness(graph)
+    assert got.keys() == want.keys()
+    for node, score in want.items():
+        assert got[node] == pytest.approx(2.0 * score, rel=1e-12)
 
 
 def test_betweenness_matches_enumeration_oracle():
