@@ -73,23 +73,28 @@ def beta_bi_search(state: NetworkState, node: int,
     return _flood(state, node, to_kbps(beta_mbps))
 
 
+def ladder_kbps(betas_mbps: List[float]) -> List[int]:
+    """The threshold ladder in kb/s. ValueError unless it is non-empty,
+    finite, at least 1 kb/s and strictly descending in kb/s."""
+    if not betas_mbps:
+        raise ValueError("empty threshold ladder")
+    if not all(math.isfinite(b) for b in betas_mbps):
+        raise ValueError("thresholds must be finite: %r" % betas_mbps)
+    kbps = [to_kbps(b) for b in betas_mbps]
+    if any(k <= 0 for k in kbps):
+        raise ValueError("thresholds must be at least 1 kb/s: %r" % betas_mbps)
+    if any(a <= b for a, b in zip(kbps, kbps[1:])):
+        raise ValueError("thresholds must be strictly descending in kb/s: "
+                         "%r gives %r" % (betas_mbps, kbps))
+    return kbps
+
+
 class BIHierarchy:
     """Island clusterings at a descending ladder of thresholds."""
 
     def __init__(self, state: NetworkState, betas_mbps: Iterable[float]):
-        betas = list(betas_mbps)
-        if not betas:
-            raise ValueError("empty threshold ladder")
-        if not all(math.isfinite(b) for b in betas):
-            raise ValueError("thresholds must be finite: %r" % betas)
-        kbps = [to_kbps(b) for b in betas]
-        if any(k <= 0 for k in kbps):
-            raise ValueError("thresholds must be at least 1 kb/s: %r" % betas)
-        if any(a <= b for a, b in zip(kbps, kbps[1:])):
-            raise ValueError("thresholds must be strictly descending in kb/s: "
-                             "%r gives %r" % (betas, kbps))
-        self.betas_mbps = betas
-        self.betas_kbps = kbps
+        self.betas_mbps = list(betas_mbps)
+        self.betas_kbps = ladder_kbps(self.betas_mbps)
         self._next_id = 0
         self.levels: Dict[int, BIGraph] = {}
         for beta in self.betas_kbps:

@@ -17,6 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from .bih import ladder_kbps
 from .exact import build_model, export_lp, solve_exact_small
 from .netstate import NetworkState
 from .placement import bc_place_all, place_all
@@ -153,8 +154,12 @@ def run_experiment(config: ExperimentConfig) -> MetricsReport:
     if any(c < 1 for c in config.demand_counts):
         raise ValueError("demand counts must be positive, got %r"
                          % (config.demand_counts,))
+    ladder_kbps(config.betas_mbps)
+    tables = set(config.algorithms) - {"lp-export"}
+    if config.out and tables and "lp-export" in config.algorithms:
+        raise ValueError("--out cannot be lp-export's directory and a CSV too")
     csv_dir = os.path.dirname(config.out or "")
-    if csv_dir and not os.path.isdir(csv_dir) and set(config.algorithms) - {"lp-export"}:
+    if csv_dir and not os.path.isdir(csv_dir) and tables:
         raise ValueError("output directory %s does not exist" % csv_dir)
     graph = load_topology(config.topology, config.power)
     _, services = default_catalogs()

@@ -4,12 +4,12 @@ Bandwidth is tracked internally as integer kb/s so that applying and
 releasing an allocation are exact inverses (no float drift). Public
 inputs in Mb/s are quantized to a 1 kb/s grid.
 
-Switch, cable and PM activity are not stored; they are derived from use
-counts and hosted instances, which keeps the on/off bookkeeping
-consistent by construction. NetworkState and the planning view
-StateOverlay share one read API: each supplies link residuals, link use
-and the instances hosted on a node, and every derived query is defined
-once on top of those.
+NetworkState and the planning view StateOverlay share one read API over
+link residuals, link use and the instances hosted on a node. The
+committed state also keeps two indices, changed only when an allocation
+is applied or released and checked against a rebuild by validate(): the
+lit cables of each switch and the resources in use on each node. The
+state's queries read them, and the overlay adds its deltas to them.
 """
 
 from __future__ import annotations
@@ -112,10 +112,22 @@ def _route_delay(allocation: Allocation) -> float:
     return propagation + processing
 
 
+def _book(used_by_node: Dict[int, Dict[str, int]], inst: VnfInstance,
+          sign: int) -> None:
+    """Add (+1) or take back (-1) an instance's resources; 0s are dropped."""
+    used = used_by_node.setdefault(inst.node, {})
+    for res, amount in inst.function.requirements.items():
+        used[res] = used.get(res, 0) + sign * amount
+        if not used[res]:
+            del used[res]
+
+
 class _StateView:
     """Derived queries, defined once over three primitives that each
     state class supplies: residual(src, dst) in kb/s, link_used(src, dst),
-    and hosted(node), the instances on a node each with its free kb/s."""
+    and hosted(node), the instances on a node each with its free kb/s.
+    NetworkState answers switch_active, pm_active and used_resources from
+    its indices instead."""
 
     graph: NetworkGraph
 
@@ -155,6 +167,9 @@ class NetworkState(_StateView):
         self.instances: Dict[int, VnfInstance] = {}
         # node -> {instance id: instance}; the same objects as instances
         self.node_instances: Dict[int, Dict[int, VnfInstance]] = {}
+        # switch -> lit cables; node -> resources in use, without 0 totals
+        self.lit_cables: Dict[int, int] = {n.id: 0 for n in graph.nodes}
+        self.resources_used: Dict[int, Dict[str, int]] = {}
         self.allocations: Dict[int, Allocation] = {}
         self._next_instance = 0
 
@@ -170,6 +185,15 @@ class NetworkState(_StateView):
     def hosted(self, node: int) -> Iterator[Tuple[VnfInstance, int]]:
         for inst in self.node_instances.get(node, {}).values():
             yield inst, inst.residual_kbps
+
+    def switch_active(self, node: int) -> bool:
+        return self.lit_cables[node] > 0
+
+    def pm_active(self, node: int) -> bool:
+        return bool(self.node_instances.get(node))
+
+    def used_resources(self, node: int) -> Dict[str, int]:
+        return dict(self.resources_used.get(node, {}))
 
     # -- mutation --------------------------------------------------------
 
@@ -257,20 +281,18 @@ class NetworkState(_StateView):
         for node, fns in new_by_node.items():
             used = self.used_resources(node)
             cap = self.graph.node(node).pm.capacity
-            extra: Dict[str, int] = Counter()
             for fn in fns:
                 for res, amount in fn.requirements.items():
-                    extra[res] += amount
-            for res, amount in extra.items():
-                if used.get(res, 0) + amount > cap.get(res, 0):
-                    raise AllocationError("PM %d lacks %s for new instances"
-                                          % (node, res))
+                    used[res] = used.get(res, 0) + amount
+                    if used[res] > cap.get(res, 0):
+                        raise AllocationError("PM %d lacks %s for new instances"
+                                              % (node, res))
 
         # all checks passed, now mutate
         for pair, need in link_need.items():
             self.residual_kbps[pair] -= need
         for link in allocation.route.links():
-            self.link_use[(link.src, link.dst)] += 1
+            self._use_link(link, 1)
         id_map: Dict[int, int] = {}
         for a in allocation.assignments:
             if a.instance_id < 0 and a.instance_id not in id_map:
@@ -281,6 +303,7 @@ class NetworkState(_StateView):
                                    to_kbps(function.processing_capacity), {})
                 self.instances[new_id] = inst
                 self.node_instances.setdefault(node, {})[new_id] = inst
+                _book(self.resources_used, inst, 1)
                 id_map[a.instance_id] = new_id
         resolved = []
         for a in allocation.assignments:
@@ -303,15 +326,25 @@ class NetworkState(_StateView):
             raise AllocationError("demand %d has no allocation" % demand_id)
         kbps = alloc.bandwidth_kbps
         for link in alloc.route.links():
-            pair = (link.src, link.dst)
-            self.residual_kbps[pair] += kbps
-            self.link_use[pair] -= 1
+            self.residual_kbps[(link.src, link.dst)] += kbps
+            self._use_link(link, -1)
         for inst_id in {a.instance_id for a in alloc.assignments}:
             inst = self.instances[inst_id]
             inst.residual_kbps += inst.served.pop(demand_id)
             if inst.residual_kbps == inst.capacity_kbps:
                 del self.instances[inst_id]
                 del self.node_instances[inst.node][inst_id]
+                _book(self.resources_used, inst, -1)
+
+    def _use_link(self, link: Link, step: int) -> None:
+        """Count a route more (+1) or less (-1) over the link, lighting or
+        darkening its cable when the cable's use leaves or reaches 0."""
+        pair = (link.src, link.dst)
+        before = self.link_use[pair] + self.link_use[(link.dst, link.src)]
+        self.link_use[pair] += step
+        if not before or not before + step:
+            self.lit_cables[link.src] += step
+            self.lit_cables[link.dst] += step
 
     # -- integrity -------------------------------------------------------
 
@@ -366,8 +399,19 @@ class NetworkState(_StateView):
         if indexed != len(self.instances):
             bad.append("node index holds %d instances, %d are live"
                        % (indexed, len(self.instances)))
+        want_used: Dict[int, Dict[str, int]] = {}
+        for inst in self.instances.values():
+            _book(want_used, inst, 1)
         for node in self.graph.nodes:
-            used = self.used_resources(node.id)
+            lit = sum(1 for nbr in self.graph.neighbors(node.id)
+                      if want_use[(node.id, nbr)] or want_use[(nbr, node.id)])
+            if self.lit_cables[node.id] != lit:
+                bad.append("switch %d indexes %d lit cables, %d are lit"
+                           % (node.id, self.lit_cables[node.id], lit))
+            used = want_used.get(node.id, {})
+            if self.resources_used.get(node.id, {}) != used:
+                bad.append("PM %d indexes resources %s, its instances use %s"
+                           % (node.id, self.resources_used.get(node.id), used))
             for res, amount in used.items():
                 if amount > node.pm.capacity.get(res, 0):
                     bad.append("PM %d over capacity on %s (%d > %d)"
@@ -476,24 +520,39 @@ class StateOverlay(_StateView):
             if inst.node == node:
                 yield inst, inst.residual_kbps
 
-    # -- planning queries ------------------------------------------------
+    # -- planning queries: the state's indices plus the deltas -----------
+
+    def switch_active(self, node: int) -> bool:
+        return self.state.switch_active(node) or (
+            bool(self.link_debit) and _StateView.switch_active(self, node))
 
     def has_room(self, node: int, function: FunctionType) -> bool:
-        used = self.used_resources(node)
+        used = self.state.used_resources(node)
+        for inst in self.pending.values():
+            if inst.node == node:
+                for res, amount in inst.function.requirements.items():
+                    used[res] = used.get(res, 0) + amount
         cap = self.graph.node(node).pm.capacity
-        return all(used.get(res, 0) + amount <= cap.get(res, 0)
-                   for res, amount in function.requirements.items())
+        for res, amount in function.requirements.items():
+            if used.get(res, 0) + amount > cap.get(res, 0):
+                return False
+        return True
 
     def find_reusable(self, node: int, function: FunctionType,
                       need_kbps: int) -> Optional[Tuple[int, int]]:
         """Best-fit instance of the given function type on the node with at
         least need_kbps spare, as (instance id, residual); None if none fits."""
-        best = None
-        for inst, free in self.hosted(node):
-            if inst.function.name == function.name and free >= need_kbps:
-                key = (free, inst.id)
-                if best is None or key < best:
-                    best = key
+        name, debit, best = function.name, self.inst_debit, None
+        for inst in self.state.node_instances.get(node, {}).values():
+            if inst.function.name == name:
+                free = inst.residual_kbps - debit.get(inst.id, 0)
+                if free >= need_kbps and (best is None or (free, inst.id) < best):
+                    best = (free, inst.id)
+        for inst in self.pending.values():
+            if (inst.node == node and inst.function.name == name
+                    and inst.residual_kbps >= need_kbps
+                    and (best is None or (inst.residual_kbps, inst.id) < best)):
+                best = (inst.residual_kbps, inst.id)
         if best is None:
             return None
         return (best[1], best[0])

@@ -233,7 +233,7 @@ class NetworkGraph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, NetworkGraph):
             return NotImplemented
-        return (self.nodes == other.nodes and self.links == other.links
+        return (self.nodes == other.nodes and self._by_pair == other._by_pair
                 and self.power == other.power)
 
 

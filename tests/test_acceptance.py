@@ -115,7 +115,9 @@ def test_02_incremental_hierarchy_equals_rebuild():
                                               alloc.bandwidth_kbps)
                     live[next_id] = alloc
                     next_id += 1
-            if hier.canonical() != build_bih(state, BETAS).canonical():
+            # the state's own indices must equal their rebuild, too
+            if (hier.canonical() != build_bih(state, BETAS).canonical()
+                    or state.validate() != []):
                 mismatches += 1
     elapsed = time.perf_counter() - start
     _verdict("02 incremental vs rebuild", mismatches == 0 and elapsed < 30.0,

@@ -223,6 +223,20 @@ def test_cli_bad_inputs_exit_two(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "error: output directory" in captured.err
     assert captured.out == "" and not missing.parent.exists()
+    # a bad ladder fails before any cell runs, bc cells included
+    for algo in ("bc", "bc,bi-lbi"):
+        assert cli.main(["run", "--algo", algo, "--betas", "nan",
+                         "--demands", "2", "--seeds", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "finite" in captured.err
+        assert captured.out == ""
+    # --out cannot be both the LP directory and the CSV path
+    lpout = tmp_path / "lpout"
+    assert cli.main(["run", "--algo", "bi-lbi,lp-export", "--demands", "2",
+                     "--seeds", "1", "--out", str(lpout)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "lp-export" in captured.err
+    assert captured.out == "" and not lpout.exists()
 
 
 def test_cli_config_file_supplies_defaults(tmp_path, capsys):

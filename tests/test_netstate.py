@@ -3,13 +3,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import XL, make_demand, make_graph, random_connected_graph, \
     route_allocation
 from vnfplace.netstate import (Allocation, AllocationError,
                                FunctionAssignment, NetworkState, Route,
-                               StateOverlay, to_kbps, to_mbps)
-from vnfplace.topology import CPU, FunctionType
+                               StateOverlay, _StateView, to_kbps, to_mbps)
+from vnfplace.topology import (CPU, FunctionType, NetworkGraph, NodeSpec,
+                               PmSpec)
 
 
 FN_A = FunctionType("A", {CPU: 4}, 200.0, 10.0)
@@ -251,6 +254,15 @@ def test_validate_spots_corruption():
     assert any("capacity" in msg for msg in state.validate())
     inst.residual_kbps += 1
     assert state.validate() == []
+    # the lit-cable and resource indices must equal their rebuild
+    state.lit_cables[1] += 1
+    assert state.validate() == ["switch 1 indexes 3 lit cables, 2 are lit"]
+    state.lit_cables[1] -= 1
+    state.resources_used[1][CPU] -= 1
+    assert state.validate() == [
+        "PM 1 indexes resources {'cpu': 3}, its instances use {'cpu': 4}"]
+    state.resources_used[1][CPU] += 1
+    assert state.validate() == []
     # the per-node index must list exactly the live instances
     del state.node_instances[1][inst.id]
     assert any("missing from the index of node 1" in msg
@@ -330,3 +342,100 @@ def test_random_sequences_keep_state_consistent():
         for demand_id in live:
             state.release_allocation(demand_id)
         assert state.snapshot() == NetworkState(graph).snapshot()
+
+
+# functions of two sizes and one needing a resource only odd PMs have
+IDX_FNS = (FunctionType("S", {CPU: 2}, 10.0, 0.0),
+           FunctionType("M", {CPU: 4}, 10.0, 0.0),
+           FunctionType("G", {CPU: 2, "gpu": 1}, 10.0, 0.0))
+
+
+def _random_allocation(state, rng, demand_id):
+    """A walk of 0-3 hops, so cables may be crossed both ways, with one or
+    two chain positions on it, each on a new or a reused instance."""
+    path = [rng.randrange(state.graph.num_nodes)]
+    for _ in range(rng.randrange(4)):
+        path.append(rng.choice(state.graph.neighbors(path[-1])))
+    chain = tuple(rng.choice(IDX_FNS) for _ in range(rng.randint(1, 2)))
+    kbps = rng.choice([1000, 2500, 5000])
+    cuts = sorted(rng.randrange(len(path)) for _ in chain)
+    links = [state.graph.link(a, b) for a, b in zip(path, path[1:])]
+    bounds = [0] + cuts + [len(links)]
+    segments = tuple(tuple(links[i:j]) for i, j in zip(bounds, bounds[1:]))
+    assigns = []
+    for k, (fn, cut) in enumerate(zip(chain, cuts)):
+        mine = [inst.id for inst in state.node_instances.get(path[cut], {})
+                .values() if inst.function == fn]
+        inst_id = rng.choice(mine) if mine and rng.random() < 0.6 else -1 - k
+        assigns.append(FunctionAssignment(fn, path[cut], inst_id))
+    demand = make_demand(demand_id, path[0], path[-1], chain, kbps / 1000.0,
+                         1e9)
+    route = Route(segments)
+    delay = route.propagation_ms + sum(f.processing_delay for f in chain)
+    return Allocation(demand_id, tuple(assigns), route, delay, kbps), demand
+
+
+def _room(statelike, node, function):
+    used = _StateView.used_resources(statelike, node)
+    cap = statelike.graph.node(node).pm.capacity
+    return all(used.get(res, 0) + amount <= cap.get(res, 0)
+               for res, amount in function.requirements.items())
+
+
+def _reusable(statelike, node, function, need):
+    best = min(((free, inst.id) for inst, free in statelike.hosted(node)
+                if inst.function.name == function.name and free >= need),
+               default=None)
+    return None if best is None else (best[1], best[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), steps=st.integers(1, 30))
+def test_indices_equal_their_derivation(seed, steps):
+    # random applies (some refused, some reusing instances) and releases;
+    # after each step the indexed queries equal _StateView's derivation
+    # over the primitives, and an overlay with random pending assignments
+    # and debits answers has_room and find_reusable as composed over hosted
+    rng = random.Random(seed)
+    base = random_connected_graph(rng, max_nodes=8, cap_range=(5, 60))
+    graph = NetworkGraph(
+        [NodeSpec(i, PmSpec({CPU: 8, "gpu": 1} if i % 2 else {CPU: 8}))
+         for i in range(base.num_nodes)],
+        [(a, b, base.link(a, b).capacity, 0.1) for a, b in base.cables()])
+    state = NetworkState(graph)
+    live = []
+    for step in range(steps):
+        if live and rng.random() < 0.35:
+            state.release_allocation(live.pop(rng.randrange(len(live))))
+        else:
+            try:
+                state.apply_allocation(*_random_allocation(state, rng, step))
+                live.append(step)
+            except AllocationError:
+                pass
+        assert state.validate() == []
+        for node in range(graph.num_nodes):
+            assert state.switch_active(node) == \
+                _StateView.switch_active(state, node)
+            assert state.pm_active(node) == _StateView.pm_active(state, node)
+            assert state.used_resources(node) == \
+                _StateView.used_resources(state, node)
+        overlay = StateOverlay(state)
+        for _ in range(rng.randrange(4)):
+            node, fn = rng.randrange(graph.num_nodes), rng.choice(IDX_FNS)
+            found = overlay.find_reusable(node, fn, 1000)
+            if found is not None and rng.random() < 0.5:
+                overlay.add_assignment(fn, node, found[0], 1000)
+            elif overlay.has_room(node, fn):
+                overlay.add_assignment(fn, node, None, 1000)
+            overlay.add_links([rng.choice(graph.links)], 1000)
+        for node in range(graph.num_nodes):
+            assert overlay.switch_active(node) == \
+                _StateView.switch_active(overlay, node)
+            for fn in IDX_FNS:
+                assert overlay.has_room(node, fn) == _room(overlay, node, fn)
+                for need in (1, 5000, 10000):
+                    assert overlay.find_reusable(node, fn, need) == \
+                        _reusable(overlay, node, fn, need)
+    state.used_resources(0)[CPU] = -1      # a copy, not the index
+    assert state.validate() == []

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vnfplace.netstate import to_kbps
 from vnfplace.topology import (CPU, FunctionType, Link, NetworkGraph,
@@ -229,3 +231,33 @@ def test_duplicate_node_ids_rejected():
     nodes = [NodeSpec(0, PmSpec({CPU: 4})), NodeSpec(0, PmSpec({CPU: 4}))]
     with pytest.raises(TopologyError):
         NetworkGraph(nodes, [])
+
+
+_FINITE = dict(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_round_trip_ignores_cable_order_and_orientation(data):
+    # a graph's cables given in any order, either end first, with any
+    # finite capacity and delay, is equal to its own round trip, and
+    # every such graph serializes to the same bytes
+    n = data.draw(st.integers(2, 8))
+    nodes = [NodeSpec(i, PmSpec({CPU: data.draw(st.integers(1, 64))}))
+             for i in range(n)]
+    pairs = data.draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda p: p[0] != p[1]),
+        unique_by=frozenset, max_size=n * (n - 1) // 2))
+    cables = [(a, b, data.draw(st.floats(1e-3, 1e6, **_FINITE)),
+               data.draw(st.floats(0.0, 1e3, **_FINITE))) for a, b in pairs]
+    graph = NetworkGraph(nodes, cables)
+    shuffled = data.draw(st.permutations(cables))
+    flips = data.draw(st.lists(st.booleans(), min_size=len(cables),
+                               max_size=len(cables)))
+    other = NetworkGraph(nodes, [(b, a, c, d) if flip else (a, b, c, d)
+                                 for (a, b, c, d), flip in zip(shuffled, flips)])
+    text = serialize_topology(graph)
+    assert parse_topology(text) == graph == other
+    assert serialize_topology(other) == text
+    assert serialize_topology(parse_topology(text)) == text

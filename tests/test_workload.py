@@ -1,6 +1,8 @@
 """Demand sampling and the demand file format."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import make_graph
 from vnfplace.topology import default_catalogs, nobel_germany
@@ -114,3 +116,13 @@ def test_parse_reports_offending_line():
             parse_demands(text, graph, SERVICES)
         assert where in str(err.value)
         assert what in str(err.value)
+
+
+@settings(max_examples=50, deadline=None)
+@given(count=st.integers(0, 60), seed=st.integers(0, 2 ** 32 - 1))
+def test_export_parse_round_trip(count, seed):
+    graph = nobel_germany()
+    demands = generate_demands(graph, count, SERVICES, seed)
+    text = export_demands(demands)
+    assert parse_demands(text, graph, SERVICES) == demands
+    assert export_demands(parse_demands(text, graph, SERVICES)) == text
