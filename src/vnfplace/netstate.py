@@ -469,8 +469,10 @@ class StateOverlay(_StateView):
         self._next_placeholder = -1
 
     def fork(self) -> "StateOverlay":
-        """Independent copy of the pending deltas over the same state;
-        used to explore alternatives without unwinding."""
+        """Independent copy of the pending deltas over the same state, to
+        explore alternatives without unwinding. No placer calls it (the
+        centrality search patches and undoes its own path table); it stays
+        for the tests and the benchmark's tracer."""
         dup = StateOverlay(self.state)
         dup.link_debit = dict(self.link_debit)
         dup.inst_debit = dict(self.inst_debit)

@@ -8,7 +8,10 @@ smallest), then walks the chain function by function, picking the
 once per demand and patches what it read as each position is planned.
 bc_place_all is a centrality baseline: every demand follows its
 hop-shortest path and functions are stacked on the most central path
-nodes with capacity.
+nodes with capacity. Each endpoint pair's route is found once per run;
+a demand then checks residuals and searches on a path table, its path
+nodes' instances and resources read once and patched in place, with
+trials undone on backtrack.
 
 Path search weighs edges by a convex mix of normalized power and
 normalized delay. Searches start power-only and shift weight toward
@@ -26,7 +29,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from .bih import BlockingIsland, build_bih
 from .netstate import (Allocation, FunctionAssignment, NetworkState, Route,
-                       StateOverlay, VnfInstance)
+                       StateOverlay, VnfInstance, to_kbps)
 from .power import (incremental_cost, incremental_pm_cost, network_power,
                     pm_power_total)
 from .topology import FunctionType, Link, NetworkGraph
@@ -563,60 +566,172 @@ def _bfs_path(graph: NetworkGraph, src: int, dst: int) -> Optional[List[int]]:
     return None
 
 
-def _assign_on_path(overlay: StateOverlay, path: List[int], chain,
-                    kbps: int, pref: List[int], k: int, min_pos: int
+class _PathTable:
+    """What the centrality search reads of one demand's path, read once
+    through the state's read API and then patched in place by trial
+    assignments. Per path position: the node's instance rows
+    [id, function name, free kb/s] (committed instances, then the plan's
+    placeholders), the resources in use on the node and the PM's capacity.
+    next_placeholder is the id the next new instance gets (-1, -2, ...,
+    as apply_allocation expects). backtracks counts the search's failed
+    trials, and last is its suffix bound, None until it is computed."""
+
+    __slots__ = ("state", "path", "rows", "used", "caps", "next_placeholder",
+                 "backtracks", "last")
+
+    def __init__(self, state: NetworkState, path: List[int]):
+        graph = state.graph
+        self.state = state
+        self.path = path
+        self.rows = [[[inst.id, inst.function.name, free]
+                      for inst, free in state.hosted(node)] for node in path]
+        self.used = [state.used_resources(node) for node in path]
+        self.caps = [graph.node(node).pm.capacity for node in path]
+        self.next_placeholder = -1
+        self.backtracks = 0
+        self.last: Optional[List[int]] = None
+
+
+def _has_room(used: Dict[str, int], cap: Dict[str, int],
+              function: FunctionType) -> bool:
+    for res, amount in function.requirements.items():
+        if used.get(res, 0) + amount > cap.get(res, 0):
+            return False
+    return True
+
+
+def _book(used: Dict[str, int], function: FunctionType, sign: int) -> None:
+    """Add (+1) or take back (-1) a function's resources; 0s are dropped."""
+    for res, amount in function.requirements.items():
+        used[res] = used.get(res, 0) + sign * amount
+        if not used[res]:
+            del used[res]
+
+
+def _suffix_bound(state: NetworkState, path: List[int], chain,
+                  kbps: int) -> List[int]:
+    """last[k]: the highest position at or below last[k+1] where chain[k]
+    fits on the committed state (room for a new instance, or an instance
+    of it with kbps spare), -1 if none. A plan only takes capacity away,
+    an instance it starts holds a function that fitted there, and
+    positions never decrease along the chain, so no complete assignment
+    puts chain[k] beyond last[k]."""
+    last = []
+    top = len(path) - 1
+    for function in reversed(chain):
+        name = function.name
+        while top >= 0 and not (
+                _has_room(state.used_resources(path[top]),
+                          state.graph.node(path[top]).pm.capacity, function)
+                or any(free >= kbps and inst.function.name == name
+                       for inst, free in state.hosted(path[top]))):
+            top -= 1
+        last.append(top)
+    last.reverse()
+    return last
+
+
+def _assign_on_path(table: _PathTable, chain, kbps: int, pref: List[int],
+                    k: int = 0, min_pos: int = 0
                     ) -> Optional[Tuple[List[int], List[FunctionAssignment]]]:
     """Depth-first assignment of chain[k:] to path positions >= min_pos,
-    trying the most central nodes first and backtracking when the tail
-    of the chain cannot fit. Returns the first complete assignment."""
+    trying the most central nodes first (pref) and backtracking when the
+    tail of the chain cannot fit. Returns the first complete assignment.
+
+    A trial debits the function's best-fit row (least free kb/s, then
+    lowest id, over committed and placeholder rows), or, if no row has
+    kbps spare and the PM has room, a new placeholder row whose resources
+    it books. A failed subtree undoes exactly its patch, so placeholder
+    ids follow the trial order and a None leaves the table as read.
+
+    Once the search has backtracked path length x chain length times,
+    table.last caps every chain position (_suffix_bound): a demand whose
+    tail fits nowhere late on a long path is refused after about that
+    many trials instead of every nondecreasing position tuple. Searches
+    that backtrack less, nearly all of them, would spend more on the
+    bound than it saves."""
     if k == len(chain):
         return [], []
     function = chain[k]
+    name = function.name
+    rows = table.rows
+    hi = len(pref) - 1 if table.last is None else table.last[k]
     for pos in pref:
-        if pos < min_pos:
+        if pos < min_pos or pos > hi:
             continue
-        node = path[pos]
-        found = overlay.find_reusable(node, function, kbps)
-        if found is None and not overlay.has_room(node, function):
-            continue
-        trial = overlay.fork()
-        inst_id = trial.add_assignment(function, node,
-                                       found[0] if found else None, kbps)
-        tail = _assign_on_path(trial, path, chain, kbps, pref, k + 1, pos)
+        best = None
+        for row in rows[pos]:
+            free = row[2]
+            if (free >= kbps and row[1] == name
+                    and (best is None or free < best[2]
+                         or (free == best[2] and row[0] < best[0]))):
+                best = row
+        started = best is None
+        if started:
+            if not _has_room(table.used[pos], table.caps[pos], function):
+                continue
+            best = [table.next_placeholder, name,
+                    to_kbps(function.processing_capacity)]
+            table.next_placeholder -= 1
+            rows[pos].append(best)
+            _book(table.used[pos], function, 1)
+        best[2] -= kbps
+        tail = _assign_on_path(table, chain, kbps, pref, k + 1, pos)
         if tail is not None:
-            positions, assigns = tail
-            return ([pos] + positions,
-                    [FunctionAssignment(function, node, inst_id)] + assigns)
+            return ([pos] + tail[0], [FunctionAssignment(
+                function, table.path[pos], best[0])] + tail[1])
+        best[2] += kbps
+        if started:
+            rows[pos].pop()
+            _book(table.used[pos], function, -1)
+            table.next_placeholder += 1
+        table.backtracks += 1
+        if table.backtracks == len(pref) * len(chain):
+            table.last = _suffix_bound(table.state, table.path, chain, kbps)
+        if table.last is not None:
+            hi = table.last[k]
     return None
 
 
-def _plan_on_path(state: NetworkState, path: List[int], demand,
-                  scores: Dict[int, float]
+def _pair_route(graph: NetworkGraph, scores: Dict[int, float], src: int,
+                dst: int) -> Optional[tuple]:
+    """The fixed route of an endpoint pair: its BFS node path, the path's
+    links, the sum of their delays and the path positions most central
+    first; None if dst cannot be reached."""
+    path = _bfs_path(graph, src, dst)
+    if path is None:
+        return None
+    links = tuple(graph.link(path[i], path[i + 1])
+                  for i in range(len(path) - 1))
+    pref = sorted(range(len(path)), key=lambda i: (-scores[path[i]], path[i]))
+    return path, links, sum(l.delay for l in links), pref
+
+
+def _plan_on_path(state: NetworkState, route, demand
                   ) -> Tuple[Optional[Allocation], Optional[str]]:
-    """Stack the chain onto the fixed path, most central nodes first,
-    never moving backwards, so the traffic crosses each path link once."""
+    """Stack the chain onto the pair's fixed route (see _pair_route), most
+    central nodes first, never moving backwards, so the traffic crosses
+    each path link once. Per demand only the links' residuals, the delay
+    budget and a fresh _PathTable of the path's nodes are read."""
+    path, links, link_delay, pref = route
     kbps = demand.bandwidth_kbps
-    links = [state.graph.link(path[i], path[i + 1])
-             for i in range(len(path) - 1)]
     for link in links:
         if state.residual(link.src, link.dst) < kbps:
             return None, "bandwidth"
     processing = sum(f.processing_delay for f in demand.chain)
-    total_delay = sum(l.delay for l in links) + processing
+    total_delay = link_delay + processing
     if total_delay > demand.delay_budget + _EPS:
         return None, "delay"
-    overlay = StateOverlay(state)
-    pref = sorted(range(len(path)), key=lambda i: (-scores[path[i]], path[i]))
-    found = _assign_on_path(overlay, path, demand.chain, kbps, pref, 0, 0)
+    found = _assign_on_path(_PathTable(state, path), demand.chain, kbps, pref)
     if found is None:
         return None, "no-pm"
     positions, assignments = found
     segments = []
     prev = 0
     for pos in positions:
-        segments.append(tuple(links[prev:pos]))
+        segments.append(links[prev:pos])
         prev = pos
-    segments.append(tuple(links[prev:]))
+    segments.append(links[prev:])
     alloc = Allocation(demand.id, tuple(assignments), Route(tuple(segments)),
                        total_delay, kbps)
     return alloc, None
@@ -624,17 +739,24 @@ def _plan_on_path(state: NetworkState, path: List[int], demand,
 
 def bc_place_all(graph: NetworkGraph, demands: Iterable) -> SolutionSet:
     """Centrality baseline: hop-shortest routes, chain stacked on the
-    most central path nodes with room. No detours are attempted."""
+    most central path nodes with room. No detours are attempted. Each
+    endpoint pair's route is found once per run and kept in a run-local
+    table; a demand then only checks residuals and plans on a path table
+    (_PathTable) read for it alone."""
     state = NetworkState(graph)
     outcomes: List[DemandOutcome] = []
     start = time.perf_counter()
     scores = betweenness(graph)
+    routes: Dict[Tuple[int, int], Optional[tuple]] = {}
     for demand in demands:
-        path = _bfs_path(graph, demand.src, demand.dst)
-        if path is None:
+        key = (demand.src, demand.dst)
+        if key not in routes:
+            routes[key] = _pair_route(graph, scores, *key)
+        route = routes[key]
+        if route is None:
             outcomes.append(DemandOutcome(demand, False, None, "no-path"))
             continue
-        planned, reason = _plan_on_path(state, path, demand, scores)
+        planned, reason = _plan_on_path(state, route, demand)
         if planned is None:
             outcomes.append(DemandOutcome(demand, False, None, reason))
             continue

@@ -168,6 +168,39 @@ def oracle_best_path(statelike, island, src: int, pm: int, dst: int,
             return tuple(seg1), tuple(seg2), d1, d2
 
 
+# -- centrality search oracle ----------------------------------------------
+
+
+def reference_assign_on_path(overlay: StateOverlay, path: List[int], chain,
+                             kbps: int, pref: List[int], k: int,
+                             min_pos: int
+                             ) -> Optional[Tuple[List[int],
+                                                 List[FunctionAssignment]]]:
+    """The centrality search over overlay forks: every position tried gets
+    its own copy of the plan, asked through find_reusable and has_room;
+    no suffix bound. Returns the first complete assignment."""
+    if k == len(chain):
+        return [], []
+    function = chain[k]
+    for pos in pref:
+        if pos < min_pos:
+            continue
+        node = path[pos]
+        found = overlay.find_reusable(node, function, kbps)
+        if found is None and not overlay.has_room(node, function):
+            continue
+        trial = overlay.fork()
+        inst_id = trial.add_assignment(function, node,
+                                       found[0] if found else None, kbps)
+        tail = reference_assign_on_path(trial, path, chain, kbps, pref,
+                                        k + 1, pos)
+        if tail is not None:
+            positions, assigns = tail
+            return ([pos] + positions,
+                    [FunctionAssignment(function, node, inst_id)] + assigns)
+    return None
+
+
 # -- fixture graphs -------------------------------------------------------
 
 # three capacity tiers; at 50 the graph falls apart into four islands,

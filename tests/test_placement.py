@@ -11,14 +11,17 @@ from hypothesis import strategies as st
 
 from helpers import (XL, betweenness_oracle, layered_graph, make_demand,
                      make_graph, oracle_best_path, oracle_dijkstra,
-                     random_connected_graph, route_allocation,
-                     skim_random_links)
+                     random_connected_graph, reference_assign_on_path,
+                     route_allocation, skim_random_links)
+from vnfplace import placement
 from vnfplace.bih import BlockingIsland, beta_bi_search, build_bih
 from vnfplace.netstate import (Allocation, FunctionAssignment, NetworkState,
                                Route, StateOverlay)
-from vnfplace.placement import (Candidate, _best_candidate, _ChainView,
-                                _edge_terms, _IslandSearch, _lit_maps,
-                                _settle, bc_place_all, betweenness,
+from vnfplace.placement import (Candidate, _assign_on_path, _best_candidate,
+                                _bfs_path, _ChainView, _edge_terms,
+                                _IslandSearch, _lit_maps, _pair_route,
+                                _PathTable, _plan_on_path, _settle,
+                                bc_place_all, betweenness,
                                 calculate_best_path, get_candidate_pms,
                                 place_all)
 from vnfplace.power import incremental_cost
@@ -464,6 +467,19 @@ def test_place_all_fingerprint_is_pinned_at_benchmark_length():
     assert digest.hexdigest() == "b0501be4cd53526f86127ae9e6aa608cba731269"
 
 
+def test_bc_place_all_fingerprint_is_pinned():
+    # sha1 over the snapshots of bc runs, seeds 0-2, 1000 demands on
+    # nobel-germany, the benchmark's sequence length; pins the centrality
+    # search's positions, backtracking and placeholder order
+    graph = nobel_germany()
+    _, services = default_catalogs()
+    digest = hashlib.sha1()
+    for seed in range(3):
+        demands = generate_demands(graph, 1000, services, seed)
+        digest.update(bc_place_all(graph, demands).state.snapshot().encode())
+    assert digest.hexdigest() == "582bbb71321106f5d71474075170c8fdd5aeb44e"
+
+
 # functions of two sizes and one needing a resource only some PMs have
 CAND_FNS = (FunctionType("S", {CPU: 2}, 10.0, 0.0),
             FunctionType("M", {CPU: 4}, 10.0, 0.0),
@@ -764,3 +780,109 @@ def test_baseline_is_deterministic():
     two = bc_place_all(graph, demands)
     assert one.state.snapshot() == two.state.snapshot()
     assert one.total_power_w == two.total_power_w
+
+
+VOIP = (FN["NAT"], FN["FW"], FN["TM"], FN["FW"], FN["NAT"])
+
+
+def _host(state, demand_id, node, function, mbps, reuse=True):
+    """Commit a one-node demand on a best-fit instance of the function,
+    or on a new one if reuse is False or none fits; False when a new
+    instance is needed and the PM has no room."""
+    demand = make_demand(demand_id, node, node, (function,), mbps, 1e9)
+    overlay = StateOverlay(state)
+    found = overlay.find_reusable(node, function, demand.bandwidth_kbps)
+    if found is None or not reuse:
+        if not overlay.has_room(node, function):
+            return False
+        found = (-1, None)
+    planned = Allocation(demand_id,
+                         (FunctionAssignment(function, node, found[0]),),
+                         Route(((), ())), function.processing_delay,
+                         demand.bandwidth_kbps)
+    state.apply_allocation(planned, demand)
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_path_table_search_matches_the_forking_reference(seed):
+    # random graphs whose PMs hold 1-4 instances, loaded beforehand so some
+    # are full and others keep spare kb/s; chains repeat functions like
+    # voip does, and the position order is any permutation. Few function
+    # kinds and loads equal to the demand's kb/s make best-fit ties
+    # between instances, and between an instance and a placeholder, common
+    rng = random.Random(seed)
+    graph = random_connected_graph(rng, max_nodes=10,
+                                   cores=rng.choice([4, 8, 12, 16]))
+    state = NetworkState(graph)
+    n = len(graph.nodes)
+    fns = list(FN.values())[:rng.randrange(1, 6)]
+    for i in range(rng.randrange(0, 5 * n)):
+        _host(state, i, rng.randrange(n), rng.choice(fns),
+              rng.choice([1.0, 64.0, 100.0, 150.0]), rng.random() < 0.5)
+    src, dst = rng.randrange(n), rng.randrange(n)
+    path = _bfs_path(graph, src, dst)
+    if rng.random() < 0.3:
+        chain = VOIP
+    else:
+        chain = tuple(rng.choice(fns) for _ in range(rng.randrange(1, 7)))
+    kbps = rng.choice([1000, 64000, 100000, 150000])
+    pref = list(range(len(path)))
+    rng.shuffle(pref)
+    want = reference_assign_on_path(StateOverlay(state), path, chain, kbps,
+                                    pref, 0, 0)
+    table = _PathTable(state, path)
+    assert _assign_on_path(table, chain, kbps, pref) == want
+    if want is None:
+        fresh = _PathTable(state, path)
+        assert table.rows == fresh.rows
+        assert table.used == fresh.used
+        assert table.next_placeholder == -1
+
+
+def test_suffix_bound_refuses_a_long_path_in_few_trials(monkeypatch):
+    # a 60-node line whose PMs are full of NAT/FW/TM/WOC instances with
+    # spare kb/s and host no IDPS: every nondecreasing placement of the
+    # first four functions fits, the fifth fits nowhere
+    size = 60
+    graph = make_graph(size, [(i, i + 1, 1000.0, 0.1)
+                              for i in range(size - 1)], cores=16)
+    state = NetworkState(graph)
+    demand_id = 0
+    for node in range(size):
+        for fn in WEB[:4]:
+            assert _host(state, demand_id, node, fn, 1.0)
+            demand_id += 1
+    calls = []
+    search = placement._assign_on_path
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(placement, "_assign_on_path", counted)
+    route = _pair_route(graph, betweenness(graph), 0, size - 1)
+    demand = make_demand(demand_id, 0, size - 1, WEB, 1.0, 1e9)
+    assert _plan_on_path(state, route, demand) == (None, "no-pm")
+    assert 0 < len(calls) <= 2 * size * len(WEB)
+
+
+def test_baseline_finds_each_pair_route_once(monkeypatch):
+    graph = layered_graph(cores=64)
+    rng = random.Random(3)
+    pairs = [tuple(rng.sample(range(9), 2)) for _ in range(5)]
+    demands = [make_demand(i, *pairs[i % 5], chain=(FN["NAT"],),
+                           bandwidth_mbps=1.0, budget_ms=500.0)
+               for i in range(20)]
+    calls = []
+    search = placement._bfs_path
+
+    def counted(graph, src, dst):
+        calls.append((src, dst))
+        return search(graph, src, dst)
+
+    monkeypatch.setattr(placement, "_bfs_path", counted)
+    sol = bc_place_all(graph, demands)
+    assert sorted(calls) == sorted(set(pairs))
+    assert sol.acceptance == 1.0
