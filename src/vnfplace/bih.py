@@ -3,11 +3,10 @@
 A beta-island is a maximal set of nodes mutually reachable over links
 whose free capacity (min of both directions) is at least beta. Islands
 are computed per threshold; thresholds stacked in descending order form
-a hierarchy in which every island lies inside one island, its father, at
-the next lower threshold. The hierarchy stores only each level's islands
-(members and internal cables), which is all placement reads; fathers and
-the abstract links between islands follow from the islands and the state
-and are derived on demand. The islands are maintained incrementally as
+a hierarchy in which every island lies inside one island at the next
+lower threshold. The hierarchy stores only each level's islands (members
+and internal cables), which is all placement reads when it picks the
+island a demand is routed in. The islands are maintained incrementally as
 allocations come and go, and always equal a from-scratch rebuild.
 """
 
@@ -93,8 +92,7 @@ class BIHierarchy:
     """Island clusterings at a descending ladder of thresholds."""
 
     def __init__(self, state: NetworkState, betas_mbps: Iterable[float]):
-        self.betas_mbps = list(betas_mbps)
-        self.betas_kbps = ladder_kbps(self.betas_mbps)
+        self.betas_kbps = ladder_kbps(list(betas_mbps))
         self._next_id = 0
         self.levels: Dict[int, BIGraph] = {}
         for beta in self.betas_kbps:
@@ -119,32 +117,6 @@ class BIHierarchy:
         return level
 
     # -- lookups ---------------------------------------------------------
-
-    def father(self, beta_kbps: int,
-               island: BlockingIsland) -> Optional[BlockingIsland]:
-        """The island holding this one at the next lower threshold; None
-        on the lowest level."""
-        i = self.betas_kbps.index(beta_kbps)
-        if i + 1 == len(self.betas_kbps):
-            return None
-        below = self.levels[self.betas_kbps[i + 1]]
-        return below.islands[below.node_island[min(island.nodes)]]
-
-    def abstract_links(self, state: NetworkState,
-                       beta_kbps: int) -> Dict[Tuple[int, int], int]:
-        """(island id, island id) -> best sym residual among the cables
-        joining the two islands of the level."""
-        level = self.levels[beta_kbps]
-        abstract: Dict[Tuple[int, int], int] = {}
-        for a, b in state.graph.cables():
-            ia, ib = level.node_island[a], level.node_island[b]
-            if ia == ib:
-                continue
-            key = (ia, ib) if ia < ib else (ib, ia)
-            res = state.sym_residual(a, b)
-            if res > abstract.get(key, -1):
-                abstract[key] = res
-        return abstract
 
     def select(self, src: int, dst: int, kbps: int, mode: str) -> Optional[BlockingIsland]:
         """Pick the island to place a demand in, or None if no level both
@@ -244,35 +216,16 @@ class BIHierarchy:
                     for n in merged.nodes:
                         level.node_island[n] = nid
 
-    # -- comparison and debugging ---------------------------------------
+    # -- comparison ------------------------------------------------------
 
     def canonical(self):
-        """Id-free structural form: used to compare against a rebuild.
-        Islands are all the hierarchy stores; fathers and abstract links
-        follow from them and the state."""
+        """Id-free structural form of every level's islands: used to
+        compare against a rebuild."""
         return tuple(
             (beta, tuple(sorted(
                 (tuple(sorted(i.nodes)), tuple(sorted(i.internal_links)))
                 for i in self.levels[beta].islands.values())))
             for beta in self.betas_kbps)
-
-    def dump(self, state: NetworkState) -> str:
-        out = []
-        for beta_mbps, beta in zip(self.betas_mbps, self.betas_kbps):
-            level = self.levels[beta]
-            out.append("beta %r" % beta_mbps)
-            for iid in sorted(level.islands, key=lambda i: min(level.islands[i].nodes)):
-                island = level.islands[iid]
-                father = self.father(beta, island)
-                out.append("  island %d father %s nodes %s" % (
-                    iid, "-" if father is None else str(father.id),
-                    " ".join(str(n) for n in sorted(island.nodes))))
-            abstract = self.abstract_links(state, beta)
-            for (ia, ib) in sorted(abstract,
-                                   key=lambda k: (min(level.islands[k[0]].nodes),
-                                                  min(level.islands[k[1]].nodes))):
-                out.append("  abstract %d-%d max %d" % (ia, ib, abstract[(ia, ib)]))
-        return "\n".join(out) + "\n"
 
 
 def build_bih(state: NetworkState, betas_mbps: Iterable[float]) -> BIHierarchy:

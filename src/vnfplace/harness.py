@@ -12,21 +12,20 @@ from __future__ import annotations
 import math
 import os
 import statistics
-import time
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from .bih import ladder_kbps
-from .exact import build_model, export_lp, solve_exact_small
+from .exact import build_model, export_lp
 from .netstate import NetworkState
 from .placement import bc_place_all, place_all
-from .power import network_power, pm_power_total, total_power
+from .power import total_power
 from .topology import (NetworkGraph, PowerParams, default_catalogs,
                        nobel_germany, parse_topology)
 from .workload import generate_demands
 
-ALGORITHMS = ("bi-lbi", "bi-hbi", "bc", "exact-small", "lp-export")
+ALGORITHMS = ("bi-lbi", "bi-hbi", "bc", "lp-export")
 
 CSV_HEADER = ("algorithm,demands,seeds,"
               "total_power_mean_w,total_power_std_w,"
@@ -91,50 +90,31 @@ def load_topology(spec: str, power: Optional[PowerParams] = None) -> NetworkGrap
         return parse_topology(fh.read(), power)
 
 
-def _gate(state: NetworkState, reported_w: float, tol: float) -> float:
-    """The power recomputed from the state. Raises HarnessError unless
-    the state passes its integrity check and reported_w is within tol of
-    the recomputation."""
+def _gate(state: NetworkState, reported_w: float) -> None:
+    """Raise HarnessError unless the state passes its integrity check and
+    reported_w is within 1e-9 W of the power recomputed from the state."""
     bad = state.validate()
     if bad:
         raise HarnessError("state violations: " + "; ".join(bad[:5]))
     recomputed = total_power(state)
-    if abs(recomputed - reported_w) > tol:
+    if abs(recomputed - reported_w) > 1e-9:
         raise HarnessError("reported power %r, recomputed %r"
                            % (reported_w, recomputed))
-    return recomputed
 
 
 def _run_once(graph: NetworkGraph, algorithm: str, demands,
               config: ExperimentConfig, count: int, seed: int) -> RunResult:
-    if algorithm in ("bi-lbi", "bi-hbi", "bc"):
-        if algorithm == "bc":
-            sol = bc_place_all(graph, demands)
-        else:
-            sol = place_all(graph, demands, config.betas_mbps,
-                            mode=algorithm.split("-")[1],
-                            weight_step=config.weight_step)
-        _gate(sol.state, sol.total_power_w, 1e-9)
-        return RunResult(algorithm, count, seed, sol.total_power_w,
-                         sol.network_power_w, sol.pm_power_w,
-                         sol.mean_delay_ms, sol.acceptance, sol.runtime_s,
-                         Counter(o.reason for o in sol.outcomes
-                                 if not o.accepted))
-    if algorithm == "exact-small":
-        model = build_model(graph, demands)
-        start = time.perf_counter()
-        sol = solve_exact_small(model)
-        runtime = time.perf_counter() - start
-        if sol.status != "optimal":
-            return RunResult(algorithm, count, seed, math.nan, math.nan,
-                             math.nan, math.nan, 0.0, runtime)
-        recomputed = _gate(sol.state, sol.objective, 1e-6)
-        delays = [a.total_delay_ms for a in sol.allocations]
-        mean_delay = sum(delays) / len(delays) if delays else math.nan
-        return RunResult(algorithm, count, seed, recomputed,
-                         network_power(sol.state), pm_power_total(sol.state),
-                         mean_delay, 1.0, runtime)
-    raise ValueError("unknown algorithm %r" % algorithm)
+    if algorithm == "bc":
+        sol = bc_place_all(graph, demands)
+    else:
+        sol = place_all(graph, demands, config.betas_mbps,
+                        mode=algorithm.split("-")[1],
+                        weight_step=config.weight_step)
+    _gate(sol.state, sol.total_power_w)
+    return RunResult(algorithm, count, seed, sol.total_power_w,
+                     sol.network_power_w, sol.pm_power_w, sol.mean_delay_ms,
+                     sol.acceptance, sol.runtime_s,
+                     Counter(o.reason for o in sol.outcomes if not o.accepted))
 
 
 def _stats(values: List[float]) -> tuple:

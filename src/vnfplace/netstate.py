@@ -74,9 +74,6 @@ class Route:
     def propagation_ms(self) -> float:
         return sum(l.delay for l in self.links())
 
-    def hop_count(self) -> int:
-        return sum(len(seg) for seg in self.segments)
-
 
 @dataclass(frozen=True)
 class FunctionAssignment:

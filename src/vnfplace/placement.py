@@ -72,10 +72,6 @@ class SolutionSet:
     acceptance: float
     runtime_s: float
 
-    @property
-    def accepted_count(self) -> int:
-        return sum(1 for o in self.outcomes if o.accepted)
-
 
 def _edge_terms(graph: NetworkGraph, link: Link, src_lit: bool,
                 dst_lit: bool, cable_lit: bool) -> Tuple[float, float]:
@@ -273,12 +269,14 @@ def get_candidate_pms(statelike, function: FunctionType,
 
     Reads each node's instances once: a best-fit instance of the function
     with kbps spare (least free kb/s, then id) makes the node category 1,
-    as find_reusable would pick it; otherwise the resources in use decide
-    whether the function fits, as has_room would, and any instance at all
-    means the PM is on (pm_active).
+    as find_reusable would pick it; otherwise, if a new instance can carry
+    kbps at all, the resources in use decide whether the function fits,
+    as has_room would, and any instance at all means the PM is on
+    (pm_active).
     """
     graph = statelike.graph
     name = function.name
+    new_fits = to_kbps(function.processing_capacity) >= kbps
     out = []
     for node in sorted(island.nodes):
         best = None
@@ -296,8 +294,8 @@ def get_candidate_pms(statelike, function: FunctionType,
             out.append(Candidate(node, best[1], 1))
             continue
         cap = graph.node(node).pm.capacity
-        if all(used.get(res, 0) + amount <= cap.get(res, 0)
-               for res, amount in function.requirements.items()):
+        if new_fits and all(used.get(res, 0) + amount <= cap.get(res, 0)
+                            for res, amount in function.requirements.items()):
             out.append(Candidate(node, None, 2 if powered else 3))
     out.sort(key=lambda c: (c.category, c.node))
     return out
@@ -611,18 +609,20 @@ def _book(used: Dict[str, int], function: FunctionType, sign: int) -> None:
 def _suffix_bound(state: NetworkState, path: List[int], chain,
                   kbps: int) -> List[int]:
     """last[k]: the highest position at or below last[k+1] where chain[k]
-    fits on the committed state (room for a new instance, or an instance
-    of it with kbps spare), -1 if none. A plan only takes capacity away,
-    an instance it starts holds a function that fitted there, and
-    positions never decrease along the chain, so no complete assignment
-    puts chain[k] beyond last[k]."""
+    fits on the committed state (room for a new instance that can carry
+    kbps, or an instance of it with kbps spare), -1 if none. A plan only
+    takes capacity away, an instance it starts holds a function that
+    fitted there, and positions never decrease along the chain, so no
+    complete assignment puts chain[k] beyond last[k]."""
     last = []
     top = len(path) - 1
     for function in reversed(chain):
         name = function.name
+        new_fits = to_kbps(function.processing_capacity) >= kbps
         while top >= 0 and not (
-                _has_room(state.used_resources(path[top]),
-                          state.graph.node(path[top]).pm.capacity, function)
+                new_fits and _has_room(state.used_resources(path[top]),
+                                       state.graph.node(path[top]).pm.capacity,
+                                       function)
                 or any(free >= kbps and inst.function.name == name
                        for inst, free in state.hosted(path[top]))):
             top -= 1
@@ -640,9 +640,10 @@ def _assign_on_path(table: _PathTable, chain, kbps: int, pref: List[int],
 
     A trial debits the function's best-fit row (least free kb/s, then
     lowest id, over committed and placeholder rows), or, if no row has
-    kbps spare and the PM has room, a new placeholder row whose resources
-    it books. A failed subtree undoes exactly its patch, so placeholder
-    ids follow the trial order and a None leaves the table as read.
+    kbps spare, a new instance can carry kbps and the PM has room, a new
+    placeholder row whose resources it books. A failed subtree undoes
+    exactly its patch, so placeholder ids follow the trial order and a
+    None leaves the table as read.
 
     Once the search has backtracked path length x chain length times,
     table.last caps every chain position (_suffix_bound): a demand whose
@@ -670,8 +671,10 @@ def _assign_on_path(table: _PathTable, chain, kbps: int, pref: List[int],
         if started:
             if not _has_room(table.used[pos], table.caps[pos], function):
                 continue
-            best = [table.next_placeholder, name,
-                    to_kbps(function.processing_capacity)]
+            free = to_kbps(function.processing_capacity)
+            if free < kbps:
+                continue
+            best = [table.next_placeholder, name, free]
             table.next_placeholder -= 1
             rows[pos].append(best)
             _book(table.used[pos], function, 1)

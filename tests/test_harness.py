@@ -9,9 +9,9 @@ import pytest
 
 import vnfplace
 from vnfplace import cli
-from vnfplace.exact import ExactLimitError
-from vnfplace.harness import (CSV_HEADER, ExperimentConfig, HarnessError,
-                              emit_csv, load_topology, run_experiment)
+from vnfplace.harness import (ALGORITHMS, CSV_HEADER, ExperimentConfig,
+                              HarnessError, emit_csv, load_topology,
+                              run_experiment)
 
 
 def _small_config(**kw):
@@ -86,14 +86,6 @@ def test_lp_export_writes_model_files(tmp_path):
         assert text.endswith("End\n")
 
 
-def test_exact_small_refuses_long_default_chains():
-    # bundled service chains are longer than the enumerator's limit, so
-    # the harness hands the user to the LP export instead of grinding
-    with pytest.raises(ExactLimitError, match="use export_lp"):
-        run_experiment(_small_config(algorithms=["exact-small"],
-                                     demand_counts=[1], seeds=1))
-
-
 def test_config_validation():
     with pytest.raises(ValueError, match="unknown algorithm"):
         run_experiment(_small_config(algorithms=["magic"]))
@@ -130,11 +122,11 @@ def test_gate_rejects_tampered_results(monkeypatch):
     monkeypatch.setattr(mod, "place_all", crooked)
     with pytest.raises(HarnessError, match="reported power"):
         run_experiment(_small_config(seeds=1))
-    # one gate for every algorithm; exact objectives get a wider tolerance
+    # the gate allows 1e-9 W between reported and recomputed power
     state = real(load_topology("nobel-germany"), [], [900.0]).state
-    assert mod._gate(state, 1e-7, 1e-6) == 0.0
+    mod._gate(state, 1e-10)
     with pytest.raises(HarnessError, match="reported power"):
-        mod._gate(state, 1e-7, 1e-9)
+        mod._gate(state, 1e-7)
 
 
 def test_import_loads_no_third_party_module():
@@ -193,13 +185,24 @@ def test_cli_lp_export(tmp_path, capsys):
     assert (out / "model_c2_s0.lp").exists()
 
 
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_cli_runs_every_listed_algorithm(algo, tmp_path):
+    out = tmp_path / ("models" if algo == "lp-export" else "report.csv")
+    assert cli.main(["run", "--algo", algo, "--demands", "1", "--seeds", "1",
+                     "--out", str(out)]) == 0
+    assert out.exists()
+
+
 def test_cli_bad_inputs_exit_two(tmp_path, capsys):
     assert cli.main(["run", "--algo", "magic", "--seeds", "1"]) == 2
     assert cli.main(["run", "--topology", str(tmp_path / "nope.txt"),
                      "--seeds", "1"]) == 2
     assert cli.main(["run", "--demands", "abc", "--seeds", "1"]) == 2
+    capsys.readouterr()
+    # no CLI algorithm runs the exact solver: the library does
     assert cli.main(["run", "--algo", "exact-small", "--demands", "1",
                      "--seeds", "1"]) == 2
+    assert "unknown algorithm" in capsys.readouterr().err
     assert cli.main(["run", "--seeds", "0"]) == 2
     assert cli.main(["run", "--delta-w", "0", "--demands", "1",
                      "--seeds", "1"]) == 2

@@ -630,8 +630,8 @@ def test_island_choice_separates_modes():
     lbi = place_all(graph, [demand], [100.0, 25.0], mode="lbi")
     hbi = place_all(graph, [demand], [100.0, 25.0], mode="hbi")
     assert lbi.acceptance == hbi.acceptance == 1.0
-    assert lbi.outcomes[0].allocation.route.hop_count() == 1
-    assert hbi.outcomes[0].allocation.route.hop_count() == 2
+    assert sum(map(len, lbi.outcomes[0].allocation.route.segments)) == 1
+    assert sum(map(len, hbi.outcomes[0].allocation.route.segments)) == 2
     assert lbi.total_power_w == 437.0
     assert hbi.total_power_w == 569.0
     assert lbi.total_power_w < hbi.total_power_w
@@ -769,6 +769,18 @@ def test_baseline_rejection_reasons():
     assert sol.state.snapshot() == NetworkState(graph).snapshot()
 
 
+def test_demand_no_instance_can_carry_is_rejected_as_no_pm():
+    # a NAT instance carries 200 Mb/s, so no plan serves 300 Mb/s; the
+    # ordinary demand after it is still served
+    graph = make_graph(2, [(0, 1, 1000.0, 1.0)], cores=16)
+    demands = [make_demand(0, 0, 1, (FN["NAT"],), 300.0, 500.0),
+               make_demand(1, 0, 1, (FN["NAT"],), 1.0, 500.0)]
+    for sol in (place_all(graph, demands, BETAS),
+                bc_place_all(graph, demands)):
+        assert [o.reason for o in sol.outcomes] == ["no-pm", None]
+        assert sol.state.validate() == []
+
+
 def test_baseline_is_deterministic():
     graph = layered_graph(cores=16)
     rng = random.Random(4)
@@ -842,30 +854,35 @@ def test_path_table_search_matches_the_forking_reference(seed):
 
 
 def test_suffix_bound_refuses_a_long_path_in_few_trials(monkeypatch):
-    # a 60-node line whose PMs are full of NAT/FW/TM/WOC instances with
-    # spare kb/s and host no IDPS: every nondecreasing placement of the
-    # first four functions fits, the fifth fits nowhere
+    # a 60-node line whose PMs hold NAT/FW/TM/WOC instances with spare
+    # kb/s and host no IDPS: every nondecreasing placement of the first
+    # four functions fits, the fifth fits nowhere, either because the PMs
+    # are full or because a new instance of it cannot carry the demand
     size = 60
-    graph = make_graph(size, [(i, i + 1, 1000.0, 0.1)
-                              for i in range(size - 1)], cores=16)
-    state = NetworkState(graph)
-    demand_id = 0
-    for node in range(size):
-        for fn in WEB[:4]:
-            assert _host(state, demand_id, node, fn, 1.0)
-            demand_id += 1
-    calls = []
-    search = placement._assign_on_path
+    narrow = FunctionType("IDPS", {CPU: 4}, 0.5, 10.0)
+    for cores, last in ((16, WEB[4]), (20, narrow)):
+        graph = make_graph(size, [(i, i + 1, 1000.0, 0.1)
+                                  for i in range(size - 1)], cores=cores)
+        state = NetworkState(graph)
+        demand_id = 0
+        for node in range(size):
+            for fn in WEB[:4]:
+                assert _host(state, demand_id, node, fn, 1.0)
+                demand_id += 1
+        calls = []
+        search = placement._assign_on_path
 
-    def counted(*args):
-        calls.append(args)
-        return search(*args)
+        def counted(*args):
+            calls.append(args)
+            return search(*args)
 
-    monkeypatch.setattr(placement, "_assign_on_path", counted)
-    route = _pair_route(graph, betweenness(graph), 0, size - 1)
-    demand = make_demand(demand_id, 0, size - 1, WEB, 1.0, 1e9)
-    assert _plan_on_path(state, route, demand) == (None, "no-pm")
-    assert 0 < len(calls) <= 2 * size * len(WEB)
+        monkeypatch.setattr(placement, "_assign_on_path", counted)
+        route = _pair_route(graph, betweenness(graph), 0, size - 1)
+        demand = make_demand(demand_id, 0, size - 1, WEB[:4] + (last,),
+                             1.0, 1e9)
+        assert _plan_on_path(state, route, demand) == (None, "no-pm")
+        assert 0 < len(calls) <= 2 * size * len(WEB)
+        monkeypatch.undo()
 
 
 def test_baseline_finds_each_pair_route_once(monkeypatch):
