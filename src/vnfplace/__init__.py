@@ -11,8 +11,7 @@ from .bih import BIGraph, BIHierarchy, BlockingIsland, beta_bi_search, build_bih
 from .power import (incremental_cost, network_power, pm_power,
                     pm_power_total, switch_power, total_power)
 from .placement import (Candidate, DemandOutcome, SolutionSet,
-                        bc_place_all, betweenness, calculate_best_path,
-                        get_candidate_pms, place_all)
+                        bc_place_all, betweenness, place_all)
 from .workload import (Demand, WorkloadError, export_demands,
                        generate_demands, parse_demands)
 from .exact import (ExactLimitError, ExactLimits, ExactSolution, MilpModel,

@@ -71,6 +71,13 @@ def _listify(value, cast) -> List:
     return [cast(p) for p in parts]
 
 
+def _integer(value) -> int:
+    """int() that refuses a config file's booleans and fractions."""
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise ValueError("expected an integer, got %r" % (value,))
+    return int(value)
+
+
 def _print_report(report: MetricsReport) -> None:
     if report.lp_files:
         for path in report.lp_files:
@@ -114,11 +121,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         run_parser.set_defaults(**data)
         args = parser.parse_args(argv)     # explicit flags still win
     try:
+        # a config file's values bypass argparse's types
+        if not isinstance(args.topology, str) or not isinstance(
+                args.out, (str, type(None))):
+            raise TypeError("topology must be a string and out a string or "
+                            "null, got %r and %r" % (args.topology, args.out))
         config = ExperimentConfig(
             topology=args.topology,
             algorithms=_listify(args.algo, str),
-            demand_counts=_listify(args.demands, int),
-            seeds=int(args.seeds),
+            demand_counts=_listify(args.demands, _integer),
+            seeds=_integer(args.seeds),
             betas_mbps=_listify(args.betas, float),
             weight_step=float(args.delta_w),
             power=PowerParams(float(args.switch_power), float(args.port_power),

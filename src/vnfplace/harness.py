@@ -19,7 +19,7 @@ from typing import Dict, List, Optional
 from .bih import ladder_kbps
 from .exact import build_model, export_lp
 from .netstate import NetworkState
-from .placement import bc_place_all, place_all
+from .placement import _check_step, bc_place_all, place_all
 from .power import total_power
 from .topology import (NetworkGraph, PowerParams, default_catalogs,
                        nobel_germany, parse_topology)
@@ -135,6 +135,7 @@ def run_experiment(config: ExperimentConfig) -> MetricsReport:
         raise ValueError("demand counts must be positive, got %r"
                          % (config.demand_counts,))
     ladder_kbps(config.betas_mbps)
+    _check_step(config.weight_step)
     tables = set(config.algorithms) - {"lp-export"}
     if config.out and tables and "lp-export" in config.algorithms:
         raise ValueError("--out cannot be lp-export's directory and a CSV too")

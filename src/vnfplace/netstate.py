@@ -8,8 +8,8 @@ NetworkState and the planning view StateOverlay share one read API over
 link residuals, link use and the instances hosted on a node. The
 committed state also keeps two indices, changed only when an allocation
 is applied or released and checked against a rebuild by validate(): the
-lit cables of each switch and the resources in use on each node. The
-state's queries read them, and the overlay adds its deltas to them.
+lit cables of each switch and the resources in use on each node, which
+the state's queries read. Only tests and perfbench read the overlay.
 """
 
 from __future__ import annotations
@@ -452,9 +452,9 @@ class NetworkState(_StateView):
 class StateOverlay(_StateView):
     """A NetworkState read view with uncommitted deltas layered on top.
 
-    Placement plans a chain hop by hop; each planned segment and instance
-    is recorded here so later hops see the partial plan, while the real
-    state stays untouched until the whole chain fits.
+    No placer reads it: the island walk and the centrality search each
+    patch a per-demand table of their own. It stays as the tests' oracle
+    for those tables and for the benchmark's tracer.
     """
 
     def __init__(self, state: NetworkState):
@@ -520,10 +520,6 @@ class StateOverlay(_StateView):
                 yield inst, inst.residual_kbps
 
     # -- planning queries: the state's indices plus the deltas -----------
-
-    def switch_active(self, node: int) -> bool:
-        return self.state.switch_active(node) or (
-            bool(self.link_debit) and _StateView.switch_active(self, node))
 
     def has_room(self, node: int, function: FunctionType) -> bool:
         used = self.state.used_resources(node)

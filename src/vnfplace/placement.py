@@ -4,8 +4,8 @@ Two families are provided. place_all clusters the substrate into
 blocking islands, confines each demand to one island chosen by free
 bandwidth (mode 'lbi' prefers the largest qualifying island, 'hbi' the
 smallest), then walks the chain function by function, picking the
-(PM, route) pair of least incremental power; the walk reads the island
-once per demand and patches what it read as each position is planned.
+(PM, route) pair of least incremental power; one view per demand reads
+the island once, holds the plan and patches what it read as it grows.
 bc_place_all is a centrality baseline: every demand follows its
 hop-shortest path and functions are stacked on the most central path
 nodes with capacity. Each endpoint pair's route is found once per run;
@@ -29,7 +29,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from .bih import BlockingIsland, build_bih
 from .netstate import (Allocation, FunctionAssignment, NetworkState, Route,
-                       StateOverlay, VnfInstance, to_kbps)
+                       VnfInstance, to_kbps)
 from .power import (incremental_cost, incremental_pm_cost, network_power,
                     pm_power_total)
 from .topology import FunctionType, Link, NetworkGraph
@@ -93,52 +93,69 @@ def _edge_terms(graph: NetworkGraph, link: Link, src_lit: bool,
             link.delay / max_delay if max_delay > 0 else 0.0)
 
 
-# (switch -> lit, cable -> lit) over one island
-_LitMaps = Tuple[Dict[int, bool], Dict[Tuple[int, int], bool]]
+class _ChainView:
+    """The island as one demand's chain walk sees it: the committed state
+    with the partial plan on top, the origin of the next chain position,
+    and the walk's reads (residual, hosted, pm_active, switch_active,
+    cable_active, hops from the origin, the search's adjacency and trees).
 
+    The committed state does not change while a demand is planned, so
+    each table is read once from state (anything with the state's read
+    API) and then patched: a planned segment debits its links, lights its
+    cables and switches and refills the adjacency of the nodes whose links
+    changed (its link sources, and the ends and island neighbours of what
+    it newly lit); an assignment debits its instance's row or appends a
+    placeholder row. Placeholder ids are -1, -2, ... in creation order,
+    as apply_allocation expects."""
 
-def _lit_maps(statelike, island: BlockingIsland) -> _LitMaps:
-    """Which switches of the island and which of its cables are lit."""
-    return ({n: statelike.switch_active(n) for n in island.nodes},
-            {c: statelike.cable_active(*c) for c in island.internal_links})
-
-
-def _island_nbrs(island: BlockingIsland) -> Dict[int, List[int]]:
-    """Each island node's neighbours over the island's cables."""
-    nbrs: Dict[int, List[int]] = {n: [] for n in island.nodes}
-    for a, b in island.internal_links:
-        nbrs[a].append(b)
-        nbrs[b].append(a)
-    return nbrs
-
-
-class _IslandSearch:
-    """Path-search state shared by the candidates of one chain walk: the
-    island's links that can carry kbps, each with its normalized power and
-    delay terms, and the trees searched over them. lit, the island's
-    (switch, cable) lit maps, is read from statelike when not given; when
-    either changes, refill patches the links out of the nodes it touched."""
-
-    def __init__(self, statelike, island: BlockingIsland, kbps: int,
-                 lit: Optional[_LitMaps] = None,
-                 nbrs: Optional[Dict[int, List[int]]] = None):
-        self._state, self._kbps = statelike, kbps
-        self._lit = lit if lit is not None else _lit_maps(statelike, island)
-        self._nbrs = nbrs if nbrs is not None else _island_nbrs(island)
+    def __init__(self, state, island: BlockingIsland, src: int, kbps: int):
+        self.state = state
+        self.graph = state.graph
+        self.kbps = kbps
+        self.origin = src
+        self.lit = ({n: state.switch_active(n) for n in island.nodes},
+                    {c: state.cable_active(*c) for c in island.internal_links})
+        self._nbrs: Dict[int, List[int]] = {n: [] for n in island.nodes}
+        for a, b in island.internal_links:
+            self._nbrs[a].append(b)
+            self._nbrs[b].append(a)
+        # per node: [instance, free kb/s], committed rows then placeholders
+        self._rows: Dict[int, List[list]] = {
+            n: [[inst, free] for inst, free in state.hosted(n)]
+            for n in island.nodes}
+        self._debit: Dict[Tuple[int, int], int] = {}
+        self._next_placeholder = -1
+        self._hops: Optional[Dict[int, int]] = None
+        # the island's links that can carry kbps, each with its normalized
+        # power and delay terms, and the trees searched over them
         self.adj: Dict[int, List[Tuple[int, Link, float, float]]] = {}
         self._trees: Dict[tuple, Dict[int, Link]] = {}
         self.refill(island.nodes)
 
+    def residual(self, src: int, dst: int) -> int:
+        return self.state.residual(src, dst) - self._debit.get((src, dst), 0)
+
+    def hosted(self, node: int) -> List[list]:
+        return self._rows[node]
+
+    def pm_active(self, node: int) -> bool:
+        return bool(self._rows[node])
+
+    def switch_active(self, node: int) -> bool:
+        return self.lit[0][node]
+
+    def cable_active(self, a: int, b: int) -> bool:
+        return self.lit[1][(a, b) if a < b else (b, a)]
+
     def refill(self, nodes: Iterable[int]) -> None:
         """Re-read the links out of nodes and drop the trees. Any edge order
         gives the same trees: heap ties are broken by node id."""
-        statelike, kbps = self._state, self._kbps
-        graph = statelike.graph
-        lit_switch, lit_cable = self._lit
+        graph, kbps = self.graph, self.kbps
+        lit_switch, lit_cable = self.lit
         for u in nodes:
             row = []
             for v in self._nbrs[u]:
-                if statelike.residual(u, v) >= kbps:
+                if self.residual(u, v) >= kbps:
                     link = graph.link(u, v)
                     row.append((v, link, *_edge_terms(
                         graph, link, lit_switch[u], lit_switch[v],
@@ -146,14 +163,15 @@ class _IslandSearch:
             self.adj[u] = row
         self._trees.clear()
 
-    def entry(self, src: int, pm: int, gamma: float,
+    def entry(self, pm: int, gamma: float,
               omega: float) -> Optional[List[Link]]:
-        """Min-weight path src -> pm, read from the forward tree of src,
-        which is built on first use."""
-        key = (src, gamma, omega)
+        """Min-weight path origin -> pm, read from the forward tree of the
+        origin, which is built on first use."""
+        key = (gamma, omega)
         if key not in self._trees:
-            self._trees[key] = _settle(self.adj, src, None, gamma, omega)
-        return _path(self._trees[key], src, pm)
+            self._trees[key] = _settle(self.adj, self.origin, None, gamma,
+                                       omega)
+        return _path(self._trees[key], self.origin, pm)
 
     def exit(self, pm: int, dst: int, gamma: float,
              omega: float) -> Optional[List[Link]]:
@@ -163,6 +181,57 @@ class _IslandSearch:
         if key not in self._trees:
             self._trees[key] = _settle(self.adj, pm, dst, gamma, omega)
         return _path(self._trees[key], pm, dst)
+
+    def hops(self) -> Dict[int, int]:
+        """BFS hop counts from the origin over the island's links."""
+        if self._hops is None:
+            hops = {self.origin: 0}
+            queue = deque([self.origin])
+            while queue:
+                u = queue.popleft()
+                for v in self._nbrs[u]:
+                    if v not in hops:
+                        hops[v] = hops[u] + 1
+                        queue.append(v)
+            self._hops = hops
+        return self._hops
+
+    def add_segment(self, links: Tuple[Link, ...]) -> None:
+        """Plan links from the origin on; they end at the new origin."""
+        if not links:
+            return
+        lit_switch, lit_cable = self.lit
+        touched = set()
+        for link in links:
+            pair = (link.src, link.dst)
+            self._debit[pair] = self._debit.get(pair, 0) + self.kbps
+            touched.add(link.src)                   # its residual fell
+            cable = link.cable
+            if not lit_cable[cable]:
+                lit_cable[cable] = True
+                touched.update(cable)
+            for node in cable:
+                if not lit_switch[node]:
+                    lit_switch[node] = True
+                    touched.update(self._nbrs[node], (node,))
+        self.refill(touched)
+        self.origin = links[-1].dst
+        self._hops = None
+
+    def add_assignment(self, function: FunctionType, node: int,
+                       instance_id: Optional[int]) -> int:
+        """Plan one chain position on the instance, or on a new one if
+        instance_id is None; returns the (placeholder) instance id."""
+        if instance_id is None:
+            instance_id = self._next_placeholder
+            self._next_placeholder -= 1
+            inst = VnfInstance(instance_id, node, function,
+                               to_kbps(function.processing_capacity), {})
+            self._rows[node].append([inst, inst.residual_kbps])
+        for row in self._rows[node]:
+            if row[0].id == instance_id:
+                row[1] -= self.kbps
+        return instance_id
 
 
 def _settle(adj: dict, src: int, dst: Optional[int], gamma: float,
@@ -211,25 +280,20 @@ def _path(pred: Dict[int, Link], src: int, dst: int) -> Optional[List[Link]]:
     return path
 
 
-def calculate_best_path(statelike, island: BlockingIsland, src: int, pm: int,
-                        dst: int, kbps: int, budget_ms: float,
-                        weight_step: float, stats: Optional[dict] = None,
-                        search: Optional[_IslandSearch] = None
+def calculate_best_path(view: _ChainView, pm: int, dst: int, budget_ms: float,
+                        weight_step: float, stats: Optional[dict] = None
                         ) -> Optional[Tuple[Tuple[Link, ...], Tuple[Link, ...], float, float]]:
-    """Route src -> pm -> dst inside the island within the delay budget.
+    """Route the view's origin -> pm -> dst inside its island within the
+    delay budget, at the view's kb/s.
 
     Weight setting k weighs edges by gamma = 1 - k * weight_step on
     power and omega = k * weight_step on delay: the search starts
     power-only and shifts emphasis toward delay while the result misses
     the budget. Gives up once the mix would leave no power emphasis at
     all. Returns (entry segment, exit segment, entry delay, exit delay);
-    None if no setting meets the budget.
-    search, if given, must have been built from the same statelike,
-    island and kbps; candidates sharing it share their entry trees.
+    None if no setting meets the budget. Candidates routed through one
+    view share its entry trees. place_all checks weight_step.
     """
-    _check_step(weight_step)
-    if search is None:
-        search = _IslandSearch(statelike, island, kbps)
     settings = 0
     found = None
     while True:
@@ -238,18 +302,18 @@ def calculate_best_path(statelike, island: BlockingIsland, src: int, pm: int,
         if gamma < _EPS or omega > 1.0 - _EPS:
             break
         settings += 1
-        seg1 = search.entry(src, pm, gamma, omega)
+        seg1 = view.entry(pm, gamma, omega)
         if seg1 is None:
             continue
-        seg2 = search.exit(pm, dst, gamma, omega)
+        seg2 = view.exit(pm, dst, gamma, omega)
         if seg2 is None:
             continue
         # both segments carry the demand; shared links must fit twice
         need: Dict[Tuple[int, int], int] = {}
         for link in seg1 + seg2:
             pair = (link.src, link.dst)
-            need[pair] = need.get(pair, 0) + kbps
-        if any(statelike.residual(*pair) < total for pair, total in need.items()):
+            need[pair] = need.get(pair, 0) + view.kbps
+        if any(view.residual(*pair) < total for pair, total in need.items()):
             continue
         d1 = sum(l.delay for l in seg1)
         d2 = sum(l.delay for l in seg2)
@@ -301,94 +365,6 @@ def get_candidate_pms(statelike, function: FunctionType,
     return out
 
 
-class _ChainView:
-    """The island as one demand's chain walk sees it: the overlay with the
-    partial plan, the origin of the next chain position, the path search
-    and hop counts from that origin, and the reads of candidate listing
-    and pricing (hosted, pm_active, switch_active, cable_active).
-
-    The committed state does not change while a demand is planned, so
-    each table is read once and then patched: a planned segment lights its
-    cables and switches, and the search refills the nodes whose links it
-    changed (its link sources, and the ends and island neighbours of what
-    it newly lit); an assignment re-reads its node's hosted rows."""
-
-    def __init__(self, overlay: StateOverlay, island: BlockingIsland,
-                 src: int, kbps: int):
-        self.overlay = overlay
-        self.graph = overlay.graph
-        self.island = island
-        self.kbps = kbps
-        self.origin = src
-        self.lit = _lit_maps(overlay, island)
-        self._nbrs = _island_nbrs(island)
-        self._rows: Dict[int, List[Tuple[VnfInstance, int]]] = {
-            n: list(overlay.hosted(n)) for n in island.nodes}
-        self._search: Optional[_IslandSearch] = None
-        self._hops: Optional[Dict[int, int]] = None
-
-    def hosted(self, node: int) -> List[Tuple[VnfInstance, int]]:
-        return self._rows[node]
-
-    def pm_active(self, node: int) -> bool:
-        return bool(self.hosted(node))
-
-    def switch_active(self, node: int) -> bool:
-        return self.lit[0][node]
-
-    def cable_active(self, a: int, b: int) -> bool:
-        return self.lit[1][(a, b) if a < b else (b, a)]
-
-    def search(self) -> _IslandSearch:
-        if self._search is None:
-            self._search = _IslandSearch(self.overlay, self.island,
-                                         self.kbps, self.lit, self._nbrs)
-        return self._search
-
-    def hops(self) -> Dict[int, int]:
-        """BFS hop counts from the origin over the island's links."""
-        if self._hops is None:
-            hops = {self.origin: 0}
-            queue = deque([self.origin])
-            while queue:
-                u = queue.popleft()
-                for v in self._nbrs[u]:
-                    if v not in hops:
-                        hops[v] = hops[u] + 1
-                        queue.append(v)
-            self._hops = hops
-        return self._hops
-
-    def add_segment(self, links: Tuple[Link, ...]) -> None:
-        """Plan links from the origin on; they end at the new origin."""
-        self.overlay.add_links(links, self.kbps)
-        if not links:
-            return
-        lit_switch, lit_cable = self.lit
-        touched = {link.src for link in links}      # their residuals fell
-        for link in links:
-            cable = link.cable
-            if not lit_cable[cable]:
-                lit_cable[cable] = True
-                touched.update(cable)
-            for node in cable:
-                if not lit_switch[node]:
-                    lit_switch[node] = True
-                    touched.update(self._nbrs[node], (node,))
-        if self._search is not None:
-            self._search.refill(touched)
-        self.origin = links[-1].dst
-        self._hops = None
-
-    def add_assignment(self, function: FunctionType, node: int,
-                       instance_id: Optional[int]) -> int:
-        """StateOverlay.add_assignment, keeping the node's rows current."""
-        inst_id = self.overlay.add_assignment(function, node, instance_id,
-                                              self.kbps)
-        self._rows[node] = list(self.overlay.hosted(node))
-        return inst_id
-
-
 def _best_candidate(view: _ChainView, function: FunctionType,
                     candidates: List[Candidate], dst: int, budget_ms: float,
                     weight_step: float, stats: Optional[dict] = None):
@@ -402,16 +378,14 @@ def _best_candidate(view: _ChainView, function: FunctionType,
     inf = math.inf
     candidates = sorted(candidates,
                         key=lambda c: (c.category, hops.get(c.node, inf), c.node))
-    search = view.search()
     best = None
     best_key = None
     for cand in candidates:
         if best_key is not None and incremental_pm_cost(
                 view, cand.node, cand.instance_id, function) > best_key[0]:
             continue
-        found = calculate_best_path(view.overlay, view.island, view.origin,
-                                    cand.node, dst, view.kbps, budget_ms,
-                                    weight_step, stats, search)
+        found = calculate_best_path(view, cand.node, dst, budget_ms,
+                                    weight_step, stats)
         if found is None:
             continue
         seg1, seg2, d1, d2 = found
@@ -427,16 +401,16 @@ def _best_candidate(view: _ChainView, function: FunctionType,
 def _plan_in_island(state: NetworkState, island: BlockingIsland, demand,
                     weight_step: float, stats: Optional[dict] = None
                     ) -> Tuple[Optional[Allocation], Optional[str]]:
-    """Greedy chain walk inside one island. Returns a planned allocation
-    with placeholder instance ids, or (None, reason)."""
+    """Greedy chain walk inside one island on one _ChainView, which holds
+    the plan so far. Returns a planned allocation with placeholder
+    instance ids, or (None, reason)."""
     kbps = demand.bandwidth_kbps
     chain = demand.chain
     processing = sum(f.processing_delay for f in chain)
     budget = demand.delay_budget - processing
     if budget < -_EPS:
         return None, "delay"
-    overlay = StateOverlay(state)
-    view = _ChainView(overlay, island, demand.src, kbps)
+    view = _ChainView(state, island, demand.src, kbps)
     spent = 0.0
     segments: List[Tuple[Link, ...]] = []
     assignments: List[FunctionAssignment] = []
@@ -456,7 +430,6 @@ def _plan_in_island(state: NetworkState, island: BlockingIsland, demand,
         segments.append(seg1)
         spent += d1
         if last:
-            overlay.add_links(seg2, kbps)
             segments.append(seg2)
             spent += d2
     alloc = Allocation(demand.id, tuple(assignments), Route(tuple(segments)),

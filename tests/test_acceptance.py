@@ -20,8 +20,8 @@ from vnfplace.bih import BlockingIsland, build_bih
 from vnfplace.exact import (build_model, export_lp, solve_exact_small,
                             validate_solution)
 from vnfplace.netstate import NetworkState, StateOverlay, to_mbps
-from vnfplace.placement import (bc_place_all, calculate_best_path,
-                                betweenness, place_all)
+from vnfplace.placement import (_ChainView, bc_place_all,
+                                calculate_best_path, betweenness, place_all)
 from vnfplace.power import pm_power, switch_power, total_power
 from vnfplace.topology import (CPU, FunctionType, PowerParams,
                                default_catalogs, nobel_germany)
@@ -296,8 +296,8 @@ def test_11_path_search_setting_budget():
     island = BlockingIsland(1, 1000, frozenset(n.id for n in GRAPH.nodes),
                             frozenset(GRAPH.cables()))
     stats = {}
-    found = calculate_best_path(NetworkState(GRAPH), island, 0, 8, 16, 1000,
-                                0.0, 0.25, stats)
+    found = calculate_best_path(_ChainView(NetworkState(GRAPH), island, 0,
+                                           1000), 8, 16, 0.0, 0.25, stats)
     exhausted = found is None and stats["weight_settings_max"] == 4
     stats = {}
     demands = generate_demands(GRAPH, 100, SERVICES, 0)

@@ -226,13 +226,18 @@ def test_cli_bad_inputs_exit_two(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "error: output directory" in captured.err
     assert captured.out == "" and not missing.parent.exists()
-    # a bad ladder fails before any cell runs, bc cells included
-    for algo in ("bc", "bc,bi-lbi"):
-        assert cli.main(["run", "--algo", algo, "--betas", "nan",
-                         "--demands", "2", "--seeds", "1"]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: ") and "finite" in captured.err
-        assert captured.out == ""
+    # a bad ladder or weight step fails before any cell runs, bc cells
+    # included
+    for flag, value, message in (("--betas", "nan", "finite"),
+                                 ("--delta-w", "5", "weight step"),
+                                 ("--delta-w", "0", "weight step")):
+        for algo in ("bc", "bc,bi-lbi"):
+            assert cli.main(["run", "--algo", algo, flag, value,
+                             "--demands", "2", "--seeds", "1"]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ")
+            assert message in captured.err
+            assert captured.out == ""
     # --out cannot be both the LP directory and the CSV path
     lpout = tmp_path / "lpout"
     assert cli.main(["run", "--algo", "bi-lbi,lp-export", "--demands", "2",
@@ -260,6 +265,17 @@ def test_cli_config_file_supplies_defaults(tmp_path, capsys):
                                 "pm_idle_power": 100, "pm_max_power": 200}))
     assert cli.main(["run", "--config", str(conf)]) == 0
     assert "bi-hbi" in capsys.readouterr().out
+
+    # argparse's types do not apply to a file's values: a value of the
+    # wrong JSON type is refused, not truncated or left to raise
+    for bad in ({"topology": None}, {"topology": []}, {"out": 5},
+                {"seeds": 1.7}, {"seeds": True}, {"demands": [2.9]}):
+        conf.write_text(json.dumps(dict({"algo": "bc", "demands": "2",
+                                         "seeds": 1}, **bad)))
+        assert cli.main(["run", "--config", str(conf)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("bad option value: ")
+        assert captured.out == ""
 
     conf.write_text(json.dumps({"algo": "bc", "surprise": 1}))
     assert cli.main(["run", "--config", str(conf)]) == 2

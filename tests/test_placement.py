@@ -19,9 +19,8 @@ from vnfplace.netstate import (Allocation, FunctionAssignment, NetworkState,
                                Route, StateOverlay)
 from vnfplace.placement import (Candidate, _assign_on_path, _best_candidate,
                                 _bfs_path, _ChainView, _edge_terms,
-                                _IslandSearch, _lit_maps, _pair_route,
-                                _PathTable, _plan_on_path, _settle,
-                                bc_place_all, betweenness,
+                                _pair_route, _PathTable, _plan_on_path,
+                                _settle, bc_place_all, betweenness,
                                 calculate_best_path, get_candidate_pms,
                                 place_all)
 from vnfplace.power import incremental_cost
@@ -51,13 +50,11 @@ def test_path_search_config_validation():
     for step in (0.5, 1.0):
         assert place_all(graph, [demand], BETAS,
                          weight_step=step).acceptance == 1.0
-        assert calculate_best_path(state, island, 0, 1, 1, 1000, 50.0,
-                                   step) is not None
+        assert calculate_best_path(_ChainView(state, island, 0, 1000), 1, 1,
+                                   50.0, step) is not None
     for step in (0.0, -0.25, 1.5, math.nan):
         with pytest.raises(ValueError, match="weight step"):
             place_all(graph, [demand], BETAS, weight_step=step)
-        with pytest.raises(ValueError, match="weight step"):
-            calculate_best_path(state, island, 0, 1, 1, 1000, 50.0, step)
 
 
 def test_edge_weight_mixes_power_and_delay():
@@ -79,27 +76,23 @@ def test_edge_weight_mixes_power_and_delay():
 def test_path_search_tries_at_most_four_settings():
     graph = make_graph(2, [(0, 1, 1000.0, 10.0)])
     state = NetworkState(graph)
-    island = _island_over(graph)
+    view = _ChainView(state, _island_over(graph), 0, 1000)
     stats = {}
     # budget below the only path's delay: every setting fails
-    found = calculate_best_path(state, island, 0, 1, 1, 1000, 5.0,
-                                0.25, stats)
+    found = calculate_best_path(view, 1, 1, 5.0, 0.25, stats)
     assert found is None
     assert stats["weight_settings_max"] == 4
     assert stats["path_searches"] == 1
     # a coarser step leaves fewer settings before the mix degenerates
     stats = {}
-    calculate_best_path(state, island, 0, 1, 1, 1000, 5.0,
-                        0.5, stats)
+    calculate_best_path(view, 1, 1, 5.0, 0.5, stats)
     assert stats["weight_settings_max"] == 2
     stats = {}
-    calculate_best_path(state, island, 0, 1, 1, 1000, 5.0,
-                        1.0, stats)
+    calculate_best_path(view, 1, 1, 5.0, 1.0, stats)
     assert stats["weight_settings_max"] == 1
     # a feasible budget returns on the first setting
     stats = {}
-    found = calculate_best_path(state, island, 0, 1, 1, 1000, 50.0,
-                                0.25, stats)
+    found = calculate_best_path(view, 1, 1, 50.0, 0.25, stats)
     assert found is not None
     assert stats["weight_settings_max"] == 1
 
@@ -110,20 +103,18 @@ def test_path_search_shifts_weight_toward_delay():
                            (0, 2, 1000.0, 2.0), (2, 3, 1000.0, 2.0)])
     state = NetworkState(graph)
     route_allocation(state, [0, 2, 3], 1.0, 0)
-    island = _island_over(graph)
+    view = _ChainView(state, _island_over(graph), 0, 1000)
 
     # plenty of budget: power-only weighting stays on the lit detour
     stats = {}
-    seg1, seg2, d1, d2 = calculate_best_path(state, island, 0, 3, 3, 1000,
-                                             5.0, 0.25, stats)
+    seg1, seg2, d1, d2 = calculate_best_path(view, 3, 3, 5.0, 0.25, stats)
     assert [l.dst for l in seg1] == [2, 3]
     assert seg2 == ()
     assert stats["weight_settings_max"] == 1
 
     # tight budget: the mix keeps shifting until delay dominates enough
     stats = {}
-    seg1, seg2, d1, d2 = calculate_best_path(state, island, 0, 3, 3, 1000,
-                                             1.0, 0.25, stats)
+    seg1, seg2, d1, d2 = calculate_best_path(view, 3, 3, 1.0, 0.25, stats)
     assert [l.dst for l in seg1] == [1, 3]
     assert d1 == pytest.approx(0.2)
     assert stats["weight_settings_max"] == 3
@@ -140,14 +131,15 @@ def test_path_search_checks_combined_segment_load():
     route_allocation(state, [1, 2], 850.0, 2)     # leaves 150 on 1->2
     island = _island_over(graph)
 
-    found = calculate_best_path(state, island, 0, 3, 4, 70000, 10.0, 0.25)
+    found = calculate_best_path(_ChainView(state, island, 0, 70000), 3, 4,
+                                10.0, 0.25)
     assert found is not None
     seg1, seg2, _, _ = found
     shared = [(l.src, l.dst) for l in seg1 + seg2]
     assert shared.count((1, 2)) == 2          # the corridor is crossed twice
     # 100 Mb/s per segment would need 200 of the remaining 150
-    assert calculate_best_path(state, island, 0, 3, 4, 100000, 10.0,
-                               0.25) is None
+    assert calculate_best_path(_ChainView(state, island, 0, 100000), 3, 4,
+                               10.0, 0.25) is None
 
 
 def test_edge_weight_without_network_power_is_delay_only():
@@ -172,6 +164,25 @@ def _fresh_hops(graph, island, src):
                 hops[v] = hops[u] + 1
                 queue.append(v)
     return hops
+
+
+def _rows(view, nodes):
+    return {n: [(inst.id, inst.function.name, free)
+                for inst, free in view.hosted(n)] for n in nodes}
+
+
+def _assert_matches_overlay(view, overlay, island):
+    """The view equals one built anew over an overlay that went through
+    the same plan: residuals, search adjacency, lit maps and every node's
+    rows as (id, function name, free). A placeholder's own residual_kbps
+    is each side's bookkeeping and is not compared."""
+    fresh = _ChainView(overlay, island, view.origin, view.kbps)
+    for a, b in island.internal_links:
+        for u, v in ((a, b), (b, a)):
+            assert view.residual(u, v) == overlay.residual(u, v)
+    assert view.adj == fresh.adj
+    assert view.lit == fresh.lit
+    assert _rows(view, island.nodes) == _rows(fresh, island.nodes)
 
 
 def _full_scan(overlay, island, function, candidates, origin, dst, kbps,
@@ -212,37 +223,31 @@ def test_shared_search_and_pruned_scan_match_per_candidate_oracle(seed):
         if island is None:
             continue
         overlay = StateOverlay(state)
-        view = _ChainView(overlay, island, demand.src, kbps)
+        view = _ChainView(state, island, demand.src, kbps)
         budget = demand.delay_budget - sum(f.processing_delay
                                            for f in demand.chain)
         colocated = None
         for function in demand.chain:
             origin = view.origin
-            # the view the planner keeps equals one built anew: search
-            # adjacency, hop counts, lit maps and every node's rows
-            fresh = _IslandSearch(overlay, island, kbps)
-            assert view.search().adj == fresh.adj
+            # the view the planner keeps equals one built anew over the
+            # overlay, and its hop counts a fresh BFS
+            _assert_matches_overlay(view, overlay, island)
             assert view.hops() == _fresh_hops(graph, island, origin)
-            assert view.lit == _lit_maps(overlay, island)
-            for node in island.nodes:
-                assert view.hosted(node) == list(overlay.hosted(node))
             if colocated is not None:
                 entered[colocated] += 1
-            search = view.search()
             candidates = get_candidate_pms(overlay, function, island, kbps)
             for cand in candidates:
                 for gamma, omega in ladder:
-                    assert search.entry(origin, cand.node, gamma, omega) == \
+                    assert view.entry(cand.node, gamma, omega) == \
                         oracle_dijkstra(overlay, island, origin, cand.node,
                                         kbps, gamma, omega)
-                    assert search.exit(cand.node, demand.dst, gamma, omega) \
+                    assert view.exit(cand.node, demand.dst, gamma, omega) \
                         == oracle_dijkstra(overlay, island, cand.node,
                                            demand.dst, kbps, gamma, omega)
                 assert calculate_best_path(
-                    overlay, island, origin, cand.node, demand.dst, kbps,
-                    budget, 0.25, None, search) == oracle_best_path(
-                    overlay, island, origin, cand.node, demand.dst, kbps,
-                    budget, 0.25)
+                    view, cand.node, demand.dst, budget, 0.25) == \
+                    oracle_best_path(overlay, island, origin, cand.node,
+                                     demand.dst, kbps, budget, 0.25)
             want = _full_scan(overlay, island, function, candidates, origin,
                               demand.dst, kbps, budget)
             got = _best_candidate(view, function, candidates, demand.dst,
@@ -254,13 +259,17 @@ def test_shared_search_and_pruned_scan_match_per_candidate_oracle(seed):
                 break
             cand, seg1, _, d1, _ = got
             view.add_segment(seg1)
-            view.add_assignment(function, cand.node, cand.instance_id)
+            overlay.add_links(seg1, kbps)
+            assert view.add_assignment(function, cand.node,
+                                       cand.instance_id) == \
+                overlay.add_assignment(function, cand.node, cand.instance_id,
+                                       kbps)
             assert view.origin == cand.node
             colocated = not seg1
             budget -= d1
     assert positions >= 50
-    # both kinds of position were checked: search and hops kept after a
-    # co-location, search patched and hops rebuilt after a non-empty one
+    # both kinds of position were checked: trees and hops kept after a
+    # co-location, adjacency patched and hops rebuilt after a non-empty one
     assert entered[True] > 0 and entered[False] > 0
     # the PM-cost bound skipped some candidates without changing a winner
     assert 0 < stats["path_searches"] < candidates_seen
@@ -271,20 +280,22 @@ def test_chain_view_lights_what_the_plan_routes_over():
     # positions, as a view built anew over the overlay sees them
     graph = make_graph(4, [(0, 1, 1000.0, 1.0), (1, 2, 1000.0, 1.0),
                            (2, 3, 1000.0, 1.0), (0, 3, 1000.0, 5.0)])
-    overlay = StateOverlay(NetworkState(graph))
+    state = NetworkState(graph)
+    overlay = StateOverlay(state)
     island = _island_over(graph)
-    view = _ChainView(overlay, island, 0, 1000)
+    view = _ChainView(state, island, 0, 1000)
     assert view.lit == ({n: False for n in range(4)},
                         {c: False for c in graph.cables()})
-    view.search()
     view.add_segment(())                    # co-location keeps everything
     assert view.origin == 0 and view.lit[0] == {n: False for n in range(4)}
-    view.add_segment((graph.link(0, 1), graph.link(1, 2)))
+    segment = (graph.link(0, 1), graph.link(1, 2))
+    view.add_segment(segment)
+    overlay.add_links(segment, 1000)
     assert view.origin == 2
     assert view.lit == ({0: True, 1: True, 2: True, 3: False},
                         {(0, 1): True, (1, 2): True, (2, 3): False,
                          (0, 3): False})
-    assert view.search().adj == _IslandSearch(overlay, island, 1000).adj
+    _assert_matches_overlay(view, overlay, island)
     assert view.hops() == {2: 0, 1: 1, 3: 1, 0: 2}
 
 
@@ -303,7 +314,7 @@ def test_chain_view_patches_equal_fresh_reads(seed, kbps, walk):
     # a random island over a loaded random graph; segments from the origin
     # over any island link, so some push a link below kbps, and new or
     # reused instances on any node; after each step every table the view
-    # patched equals a fresh read of the overlay
+    # patched equals a fresh read of an overlay given the same plan
     rng = random.Random(seed)
     graph = random_connected_graph(rng, max_nodes=12, cap_range=(10, 150))
     state = NetworkState(graph)
@@ -315,13 +326,12 @@ def test_chain_view_patches_equal_fresh_reads(seed, kbps, walk):
     nbrs = {n: sorted(v for v in graph.neighbors(n)
                       if (min(n, v), max(n, v)) in links) for n in nodes}
     overlay = StateOverlay(state)
-    view = _ChainView(overlay, island, src, kbps)
+    view = _ChainView(state, island, src, kbps)
     functions = (XL, FN["NAT"])
     for is_segment, length, pick, f, fresh_instance in walk:
-        search = view.search()
         target, before = ordered[pick % len(ordered)], view.origin
-        search.entry(before, target, 1.0, 0.0)           # cache the trees
-        search.exit(before, target, 0.5, 0.5)
+        view.entry(target, 1.0, 0.0)                    # cache the trees
+        view.exit(before, target, 0.5, 0.5)
         if is_segment:
             path, at = [], view.origin
             for _ in range(length):
@@ -333,23 +343,23 @@ def test_chain_view_patches_equal_fresh_reads(seed, kbps, walk):
                 path.append(graph.link(at, nxt))
                 at = nxt
             view.add_segment(tuple(path))
+            overlay.add_links(path, kbps)
             assert view.origin == at
         else:
             function = functions[f]
             reuse = None if fresh_instance else next(
                 (inst.id for inst, _ in overlay.hosted(target)
                  if inst.function.name == function.name), None)
-            view.add_assignment(function, target, reuse)
-        assert view.search().adj == _IslandSearch(overlay, island, kbps).adj
-        assert view.lit == _lit_maps(overlay, island)
+            assert view.add_assignment(function, target, reuse) == \
+                overlay.add_assignment(function, target, reuse, kbps)
+        _assert_matches_overlay(view, overlay, island)
         for node in ordered:
-            assert view.hosted(node) == list(overlay.hosted(node))
             assert view.pm_active(node) == overlay.pm_active(node)
         # no tree survives a change of the links it was grown over
-        assert view.search().entry(view.origin, target, 1.0, 0.0) == \
+        assert view.entry(target, 1.0, 0.0) == \
             oracle_dijkstra(overlay, island, view.origin, target, kbps,
                             1.0, 0.0)
-        assert view.search().exit(before, target, 0.5, 0.5) == \
+        assert view.exit(before, target, 0.5, 0.5) == \
             oracle_dijkstra(overlay, island, before, target, kbps, 0.5, 0.5)
 
 
@@ -369,7 +379,7 @@ def test_settle_trees_match_networkx_on_patched_searches():
         if island is None:
             continue
         overlay = StateOverlay(state)
-        view = _ChainView(overlay, island, demand.src, kbps)
+        view = _ChainView(state, island, demand.src, kbps)
         segments = 0
         for function in demand.chain[:3]:
             candidates = get_candidate_pms(view, function, island, kbps)
@@ -377,11 +387,16 @@ def test_settle_trees_match_networkx_on_patched_searches():
                                    1e9, 0.25)
             if best is None:
                 break
-            view.add_segment(best[1])
-            view.add_assignment(function, best[0].node, best[0].instance_id)
-            segments += bool(best[1])
+            cand, seg1 = best[:2]
+            view.add_segment(seg1)
+            overlay.add_links(seg1, kbps)
+            assert view.add_assignment(function, cand.node,
+                                       cand.instance_id) == \
+                overlay.add_assignment(function, cand.node, cand.instance_id,
+                                       kbps)
+            segments += bool(seg1)
         if not segments:
-            continue            # the search was never patched
+            continue            # the adjacency was never patched
         patched += 1
         # edge weights from the overlay, without the library's terms
         for k in range(4):
@@ -401,7 +416,7 @@ def test_settle_trees_match_networkx_on_patched_searches():
                     g.add_edge(u, v, weight=gamma * power / max_power
                                + omega * delay)
             want = nx.single_source_dijkstra_path_length(g, view.origin)
-            pred = _settle(view.search().adj, view.origin, None, gamma, omega)
+            pred = _settle(view.adj, view.origin, None, gamma, omega)
             got = {}
             for node in list(pred) + [view.origin]:
                 total, at = 0.0, node
@@ -425,15 +440,14 @@ def test_pm_cost_bound_skips_only_candidates_that_cannot_tie(pm_max_w, winner,
     cables = [(0, 1, 1000.0, 1.0), (1, 2, 1000.0, 1.0)]
     graph = NetworkGraph(make_graph(3, cables, cores=16).nodes, cables,
                          PowerParams(pm_max_w=pm_max_w))
-    overlay = StateOverlay(NetworkState(graph))
-    overlay.add_assignment(FN["NAT"], 2, None, 1000)
-    overlay.add_assignment(FN["FW"], 0, None, 1000)
     island = _island_over(graph)
-    candidates = get_candidate_pms(overlay, FN["NAT"], island, 1000)
+    view = _ChainView(NetworkState(graph), island, 0, 1000)
+    view.add_assignment(FN["NAT"], 2, None)
+    view.add_assignment(FN["FW"], 0, None)
+    candidates = get_candidate_pms(view, FN["NAT"], island, 1000)
     assert [(c.node, c.category) for c in candidates] == [(2, 1), (0, 2), (1, 3)]
     stats = {}
-    best = _best_candidate(_ChainView(overlay, island, 0, 1000), FN["NAT"],
-                           candidates, 0, 100.0, 0.25, stats)
+    best = _best_candidate(view, FN["NAT"], candidates, 0, 100.0, 0.25, stats)
     # at 394 W each, PM 0 ties with the reuse and wins on hop distance, so
     # it must be routed; one watt more and only the reuse is routed
     assert best[0].node == winner
