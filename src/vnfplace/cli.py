@@ -71,9 +71,16 @@ def _listify(value, cast) -> List:
     return [cast(p) for p in parts]
 
 
+def _real(value) -> float:
+    """float() that refuses a config file's booleans."""
+    if isinstance(value, bool):
+        raise ValueError("expected a number, got %r" % (value,))
+    return float(value)
+
+
 def _integer(value) -> int:
     """int() that refuses a config file's booleans and fractions."""
-    if isinstance(value, bool) or not float(value).is_integer():
+    if not _real(value).is_integer():
         raise ValueError("expected an integer, got %r" % (value,))
     return int(value)
 
@@ -131,11 +138,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             algorithms=_listify(args.algo, str),
             demand_counts=_listify(args.demands, _integer),
             seeds=_integer(args.seeds),
-            betas_mbps=_listify(args.betas, float),
-            weight_step=float(args.delta_w),
-            power=PowerParams(float(args.switch_power), float(args.port_power),
-                              float(args.pm_idle_power),
-                              float(args.pm_max_power)),
+            betas_mbps=_listify(args.betas, _real),
+            weight_step=_real(args.delta_w),
+            power=PowerParams(_real(args.switch_power), _real(args.port_power),
+                              _real(args.pm_idle_power),
+                              _real(args.pm_max_power)),
             out=args.out)
     except (TypeError, ValueError) as exc:
         print("bad option value: %s" % exc, file=sys.stderr)

@@ -377,24 +377,16 @@ class ExactSolution:
 
 def _check_limits(model: MilpModel, limits: ExactLimits) -> None:
     graph, demands = model.graph, model.demands
-    if graph.num_nodes > limits.max_nodes:
-        raise ExactLimitError(
-            "%d nodes exceeds the exact solver limit of %d; use export_lp "
-            "with an external solver" % (graph.num_nodes, limits.max_nodes))
-    if len(graph.cables()) > limits.max_cables:
-        raise ExactLimitError(
-            "%d cables exceeds the exact solver limit of %d; use export_lp "
-            "with an external solver" % (len(graph.cables()), limits.max_cables))
-    if len(demands) > limits.max_demands:
-        raise ExactLimitError(
-            "%d demands exceeds the exact solver limit of %d; use export_lp "
-            "with an external solver" % (len(demands), limits.max_demands))
-    for d in demands:
-        if len(d.chain) > limits.max_chain_len:
+    longest = max((len(d.chain) for d in demands), default=0)
+    for what, count, limit in (
+            ("%d nodes", graph.num_nodes, limits.max_nodes),
+            ("%d cables", len(graph.cables()), limits.max_cables),
+            ("%d demands", len(demands), limits.max_demands),
+            ("chain of %d functions", longest, limits.max_chain_len)):
+        if count > limit:
             raise ExactLimitError(
-                "chain of %d functions exceeds the exact solver limit of %d; "
-                "use export_lp with an external solver"
-                % (len(d.chain), limits.max_chain_len))
+                (what + " exceeds the exact solver limit of %d; use export_lp "
+                 "with an external solver") % (count, limit))
     if not demands:
         return
     # the search ignores bandwidth, which is only sound when no routing or

@@ -10,6 +10,10 @@ committed state also keeps two indices, changed only when an allocation
 is applied or released and checked against a rebuild by validate(): the
 lit cables of each switch and the resources in use on each node, which
 the state's queries read. Only tests and perfbench read the overlay.
+
+book() and lacking() are the one PM-capacity rule, used by the commit,
+the resource index and both placers' per-demand tables. The overlay's
+has_room and validate()'s capacity check stay apart as independent checks.
 """
 
 from __future__ import annotations
@@ -109,14 +113,22 @@ def _route_delay(allocation: Allocation) -> float:
     return propagation + processing
 
 
-def _book(used_by_node: Dict[int, Dict[str, int]], inst: VnfInstance,
-          sign: int) -> None:
+def book(used: Dict[str, int], function: FunctionType, sign: int) -> None:
     """Add (+1) or take back (-1) an instance's resources; 0s are dropped."""
-    used = used_by_node.setdefault(inst.node, {})
-    for res, amount in inst.function.requirements.items():
+    for res, amount in function.requirements.items():
         used[res] = used.get(res, 0) + sign * amount
         if not used[res]:
             del used[res]
+
+
+def lacking(used: Dict[str, int], cap: Dict[str, int],
+            function: FunctionType) -> Optional[str]:
+    """The first resource a new instance of function would overrun on a
+    PM with these resources in use and this capacity; None if it fits."""
+    for res, amount in function.requirements.items():
+        if used.get(res, 0) + amount > cap.get(res, 0):
+            return res
+    return None
 
 
 class _StateView:
@@ -144,8 +156,7 @@ class _StateView:
     def used_resources(self, node: int) -> Dict[str, int]:
         used: Dict[str, int] = {}
         for inst, _ in self.hosted(node):
-            for res, amount in inst.function.requirements.items():
-                used[res] = used.get(res, 0) + amount
+            book(used, inst.function, 1)
         return used
 
     def cpu_utilization(self, node: int) -> float:
@@ -279,11 +290,11 @@ class NetworkState(_StateView):
             used = self.used_resources(node)
             cap = self.graph.node(node).pm.capacity
             for fn in fns:
-                for res, amount in fn.requirements.items():
-                    used[res] = used.get(res, 0) + amount
-                    if used[res] > cap.get(res, 0):
-                        raise AllocationError("PM %d lacks %s for new instances"
-                                              % (node, res))
+                res = lacking(used, cap, fn)
+                if res is not None:
+                    raise AllocationError("PM %d lacks %s for new instances"
+                                          % (node, res))
+                book(used, fn, 1)
 
         # all checks passed, now mutate
         for pair, need in link_need.items():
@@ -300,7 +311,7 @@ class NetworkState(_StateView):
                                    to_kbps(function.processing_capacity), {})
                 self.instances[new_id] = inst
                 self.node_instances.setdefault(node, {})[new_id] = inst
-                _book(self.resources_used, inst, 1)
+                book(self.resources_used.setdefault(node, {}), function, 1)
                 id_map[a.instance_id] = new_id
         resolved = []
         for a in allocation.assignments:
@@ -331,7 +342,7 @@ class NetworkState(_StateView):
             if inst.residual_kbps == inst.capacity_kbps:
                 del self.instances[inst_id]
                 del self.node_instances[inst.node][inst_id]
-                _book(self.resources_used, inst, -1)
+                book(self.resources_used[inst.node], inst.function, -1)
 
     def _use_link(self, link: Link, step: int) -> None:
         """Count a route more (+1) or less (-1) over the link, lighting or
@@ -398,7 +409,7 @@ class NetworkState(_StateView):
                        % (indexed, len(self.instances)))
         want_used: Dict[int, Dict[str, int]] = {}
         for inst in self.instances.values():
-            _book(want_used, inst, 1)
+            book(want_used.setdefault(inst.node, {}), inst.function, 1)
         for node in self.graph.nodes:
             lit = sum(1 for nbr in self.graph.neighbors(node.id)
                       if want_use[(node.id, nbr)] or want_use[(nbr, node.id)])

@@ -29,7 +29,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from .bih import BlockingIsland, build_bih
 from .netstate import (Allocation, FunctionAssignment, NetworkState, Route,
-                       VnfInstance, to_kbps)
+                       book, lacking, to_kbps)
 from .power import (incremental_cost, incremental_pm_cost, network_power,
                     pm_power_total)
 from .topology import FunctionType, Link, NetworkGraph
@@ -96,21 +96,25 @@ def _edge_terms(graph: NetworkGraph, link: Link, src_lit: bool,
 class _ChainView:
     """The island as one demand's chain walk sees it: the committed state
     with the partial plan on top, the origin of the next chain position,
-    and the walk's reads (residual, hosted, pm_active, switch_active,
-    cable_active, hops from the origin, the search's adjacency and trees).
+    and the walk's reads (residual, pm_active, used_resources,
+    switch_active, cable_active, hops from the origin, the search's
+    adjacency and trees). Per island node, rows holds the instance rows
+    [id, function name, free kb/s] (committed instances, then the plan's
+    placeholders) and used the resources in use, as in _PathTable.
 
     The committed state does not change while a demand is planned, so
     each table is read once from state (anything with the state's read
     API) and then patched: a planned segment debits its links, lights its
     cables and switches and refills the adjacency of the nodes whose links
     changed (its link sources, and the ends and island neighbours of what
-    it newly lit); an assignment debits its instance's row or appends a
-    placeholder row. Placeholder ids are -1, -2, ... in creation order,
-    as apply_allocation expects."""
+    it newly lit); an assignment debits its instance's row, or appends a
+    placeholder row and books its function's resources. Placeholder ids
+    are -1, -2, ... in creation order, as apply_allocation expects."""
 
     def __init__(self, state, island: BlockingIsland, src: int, kbps: int):
         self.state = state
         self.graph = state.graph
+        self.nodes = sorted(island.nodes)
         self.kbps = kbps
         self.origin = src
         self.lit = ({n: state.switch_active(n) for n in island.nodes},
@@ -119,10 +123,10 @@ class _ChainView:
         for a, b in island.internal_links:
             self._nbrs[a].append(b)
             self._nbrs[b].append(a)
-        # per node: [instance, free kb/s], committed rows then placeholders
-        self._rows: Dict[int, List[list]] = {
-            n: [[inst, free] for inst, free in state.hosted(n)]
-            for n in island.nodes}
+        self.rows: Dict[int, List[list]] = {
+            n: [[inst.id, inst.function.name, free]
+                for inst, free in state.hosted(n)] for n in self.nodes}
+        self.used = {n: state.used_resources(n) for n in self.nodes}
         self._debit: Dict[Tuple[int, int], int] = {}
         self._next_placeholder = -1
         self._hops: Optional[Dict[int, int]] = None
@@ -135,11 +139,11 @@ class _ChainView:
     def residual(self, src: int, dst: int) -> int:
         return self.state.residual(src, dst) - self._debit.get((src, dst), 0)
 
-    def hosted(self, node: int) -> List[list]:
-        return self._rows[node]
-
     def pm_active(self, node: int) -> bool:
-        return bool(self._rows[node])
+        return bool(self.rows[node])
+
+    def used_resources(self, node: int) -> Dict[str, int]:
+        return dict(self.used[node])
 
     def switch_active(self, node: int) -> bool:
         return self.lit[0][node]
@@ -225,12 +229,12 @@ class _ChainView:
         if instance_id is None:
             instance_id = self._next_placeholder
             self._next_placeholder -= 1
-            inst = VnfInstance(instance_id, node, function,
-                               to_kbps(function.processing_capacity), {})
-            self._rows[node].append([inst, inst.residual_kbps])
-        for row in self._rows[node]:
-            if row[0].id == instance_id:
-                row[1] -= self.kbps
+            self.rows[node].append([instance_id, function.name,
+                                    to_kbps(function.processing_capacity)])
+            book(self.used[node], function, 1)
+        for row in self.rows[node]:
+            if row[0] == instance_id:
+                row[2] -= self.kbps
         return instance_id
 
 
@@ -327,40 +331,38 @@ def calculate_best_path(view: _ChainView, pm: int, dst: int, budget_ms: float,
     return found
 
 
-def get_candidate_pms(statelike, function: FunctionType,
-                      island: BlockingIsland, kbps: int) -> List[Candidate]:
-    """Island PMs able to host the function, cheapest category first.
+def _best_row(rows: List[list], name: str, kbps: int) -> Optional[list]:
+    """The best-fit row of the named function with kbps spare: least free
+    kb/s, then lowest id; None if no row has kbps spare."""
+    best = None
+    for row in rows:
+        free = row[2]
+        if (free >= kbps and row[1] == name
+                and (best is None or free < best[2]
+                     or (free == best[2] and row[0] < best[0]))):
+            best = row
+    return best
 
-    Reads each node's instances once: a best-fit instance of the function
-    with kbps spare (least free kb/s, then id) makes the node category 1,
-    as find_reusable would pick it; otherwise, if a new instance can carry
-    kbps at all, the resources in use decide whether the function fits,
-    as has_room would, and any instance at all means the PM is on
-    (pm_active).
+
+def get_candidate_pms(view: _ChainView,
+                      function: FunctionType) -> List[Candidate]:
+    """The view's island PMs able to host the function at its kb/s,
+    cheapest category first: a best-fit row of the function makes a node
+    category 1; otherwise, if a new instance can carry the kb/s and the
+    resources in use leave it room, the node is category 2 when any row
+    means the PM is on, else 3.
     """
-    graph = statelike.graph
-    name = function.name
+    name, kbps, graph = function.name, view.kbps, view.graph
     new_fits = to_kbps(function.processing_capacity) >= kbps
     out = []
-    for node in sorted(island.nodes):
-        best = None
-        used: Dict[str, int] = {}
-        powered = False
-        for inst, free in statelike.hosted(node):
-            powered = True
-            if inst.function.name == name and free >= kbps:
-                key = (free, inst.id)
-                if best is None or key < best:
-                    best = key
-            for res, amount in inst.function.requirements.items():
-                used[res] = used.get(res, 0) + amount
+    for node in view.nodes:
+        rows = view.rows[node]
+        best = _best_row(rows, name, kbps)
         if best is not None:
-            out.append(Candidate(node, best[1], 1))
-            continue
-        cap = graph.node(node).pm.capacity
-        if new_fits and all(used.get(res, 0) + amount <= cap.get(res, 0)
-                            for res, amount in function.requirements.items()):
-            out.append(Candidate(node, None, 2 if powered else 3))
+            out.append(Candidate(node, best[0], 1))
+        elif new_fits and lacking(view.used[node], graph.node(node).pm.capacity,
+                                  function) is None:
+            out.append(Candidate(node, None, 2 if rows else 3))
     out.sort(key=lambda c: (c.category, c.node))
     return out
 
@@ -416,7 +418,7 @@ def _plan_in_island(state: NetworkState, island: BlockingIsland, demand,
     assignments: List[FunctionAssignment] = []
     for idx, function in enumerate(chain):
         last = idx == len(chain) - 1
-        candidates = get_candidate_pms(view, function, island, kbps)
+        candidates = get_candidate_pms(view, function)
         if not candidates:
             return None, "no-pm"
         best = _best_candidate(view, function, candidates, demand.dst,
@@ -542,7 +544,8 @@ class _PathTable:
     through the state's read API and then patched in place by trial
     assignments. Per path position: the node's instance rows
     [id, function name, free kb/s] (committed instances, then the plan's
-    placeholders), the resources in use on the node and the PM's capacity.
+    placeholders; the shape _ChainView keeps), the resources in use on the
+    node, booked through netstate.book, and the PM's capacity.
     next_placeholder is the id the next new instance gets (-1, -2, ...,
     as apply_allocation expects). backtracks counts the search's failed
     trials, and last is its suffix bound, None until it is computed."""
@@ -563,41 +566,22 @@ class _PathTable:
         self.last: Optional[List[int]] = None
 
 
-def _has_room(used: Dict[str, int], cap: Dict[str, int],
-              function: FunctionType) -> bool:
-    for res, amount in function.requirements.items():
-        if used.get(res, 0) + amount > cap.get(res, 0):
-            return False
-    return True
-
-
-def _book(used: Dict[str, int], function: FunctionType, sign: int) -> None:
-    """Add (+1) or take back (-1) a function's resources; 0s are dropped."""
-    for res, amount in function.requirements.items():
-        used[res] = used.get(res, 0) + sign * amount
-        if not used[res]:
-            del used[res]
-
-
-def _suffix_bound(state: NetworkState, path: List[int], chain,
-                  kbps: int) -> List[int]:
+def _suffix_bound(table: _PathTable, chain, kbps: int) -> List[int]:
     """last[k]: the highest position at or below last[k+1] where chain[k]
-    fits on the committed state (room for a new instance that can carry
-    kbps, or an instance of it with kbps spare), -1 if none. A plan only
-    takes capacity away, an instance it starts holds a function that
-    fitted there, and positions never decrease along the chain, so no
-    complete assignment puts chain[k] beyond last[k]."""
+    fits on the committed state, read into a fresh table (room for a new
+    instance that can carry kbps, or a row of it with kbps spare), -1 if
+    none. A plan only takes capacity away, an instance it starts holds a
+    function that fitted there, and positions never decrease along the
+    chain, so no complete assignment puts chain[k] beyond last[k]."""
+    fresh = _PathTable(table.state, table.path)
     last = []
-    top = len(path) - 1
+    top = len(table.path) - 1
     for function in reversed(chain):
-        name = function.name
         new_fits = to_kbps(function.processing_capacity) >= kbps
         while top >= 0 and not (
-                new_fits and _has_room(state.used_resources(path[top]),
-                                       state.graph.node(path[top]).pm.capacity,
-                                       function)
-                or any(free >= kbps and inst.function.name == name
-                       for inst, free in state.hosted(path[top]))):
+                new_fits and lacking(fresh.used[top], fresh.caps[top],
+                                     function) is None
+                or _best_row(fresh.rows[top], function.name, kbps)):
             top -= 1
         last.append(top)
     last.reverse()
@@ -633,16 +617,10 @@ def _assign_on_path(table: _PathTable, chain, kbps: int, pref: List[int],
     for pos in pref:
         if pos < min_pos or pos > hi:
             continue
-        best = None
-        for row in rows[pos]:
-            free = row[2]
-            if (free >= kbps and row[1] == name
-                    and (best is None or free < best[2]
-                         or (free == best[2] and row[0] < best[0]))):
-                best = row
+        best = _best_row(rows[pos], name, kbps)
         started = best is None
         if started:
-            if not _has_room(table.used[pos], table.caps[pos], function):
+            if lacking(table.used[pos], table.caps[pos], function) is not None:
                 continue
             free = to_kbps(function.processing_capacity)
             if free < kbps:
@@ -650,7 +628,7 @@ def _assign_on_path(table: _PathTable, chain, kbps: int, pref: List[int],
             best = [table.next_placeholder, name, free]
             table.next_placeholder -= 1
             rows[pos].append(best)
-            _book(table.used[pos], function, 1)
+            book(table.used[pos], function, 1)
         best[2] -= kbps
         tail = _assign_on_path(table, chain, kbps, pref, k + 1, pos)
         if tail is not None:
@@ -659,11 +637,11 @@ def _assign_on_path(table: _PathTable, chain, kbps: int, pref: List[int],
         best[2] += kbps
         if started:
             rows[pos].pop()
-            _book(table.used[pos], function, -1)
+            book(table.used[pos], function, -1)
             table.next_placeholder += 1
         table.backtracks += 1
         if table.backtracks == len(pref) * len(chain):
-            table.last = _suffix_bound(table.state, table.path, chain, kbps)
+            table.last = _suffix_bound(table, chain, kbps)
         if table.last is not None:
             hi = table.last[k]
     return None

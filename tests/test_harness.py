@@ -269,7 +269,8 @@ def test_cli_config_file_supplies_defaults(tmp_path, capsys):
     # argparse's types do not apply to a file's values: a value of the
     # wrong JSON type is refused, not truncated or left to raise
     for bad in ({"topology": None}, {"topology": []}, {"out": 5},
-                {"seeds": 1.7}, {"seeds": True}, {"demands": [2.9]}):
+                {"seeds": 1.7}, {"seeds": True}, {"demands": [2.9]},
+                {"betas": True}, {"delta_w": True}, {"switch_power": True}):
         conf.write_text(json.dumps(dict({"algo": "bc", "demands": "2",
                                          "seeds": 1}, **bad)))
         assert cli.main(["run", "--config", str(conf)]) == 2

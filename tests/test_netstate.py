@@ -164,6 +164,15 @@ def test_apply_rejections_leave_state_untouched():
         with pytest.raises(AllocationError, match=error):
             slow.apply_allocation(planned, d)
     assert slow.snapshot() == NetworkState(slow.graph).snapshot()
+    # 7: two new GPU instances fit a GPU PM's cores but not its one GPU
+    gpu_fn = FunctionType("G", {CPU: 1, "gpu": 1}, 200.0, 10.0)
+    gpu_pms = NetworkState(NetworkGraph(
+        [NodeSpec(i, PmSpec({CPU: 4, "gpu": 1})) for i in range(3)],
+        [(0, 1, 100.0, 0.1), (1, 2, 100.0, 0.1)]))
+    d = make_demand(5, 0, 2, (gpu_fn, gpu_fn), 1.0, 100.0)
+    with pytest.raises(AllocationError, match="PM 1 lacks gpu"):
+        gpu_pms.apply_allocation(_chain_allocation(gpu_pms, d, [1, 1]), d)
+    assert gpu_pms.snapshot() == NetworkState(gpu_pms.graph).snapshot()
 
 
 def test_apply_validates_route_and_chain_consistency():

@@ -167,15 +167,13 @@ def _fresh_hops(graph, island, src):
 
 
 def _rows(view, nodes):
-    return {n: [(inst.id, inst.function.name, free)
-                for inst, free in view.hosted(n)] for n in nodes}
+    return {n: [tuple(row) for row in view.rows[n]] for n in nodes}
 
 
 def _assert_matches_overlay(view, overlay, island):
     """The view equals one built anew over an overlay that went through
-    the same plan: residuals, search adjacency, lit maps and every node's
-    rows as (id, function name, free). A placeholder's own residual_kbps
-    is each side's bookkeeping and is not compared."""
+    the same plan: residuals, search adjacency, lit maps, every node's
+    rows as (id, function name, free) and its resources in use."""
     fresh = _ChainView(overlay, island, view.origin, view.kbps)
     for a, b in island.internal_links:
         for u, v in ((a, b), (b, a)):
@@ -183,6 +181,8 @@ def _assert_matches_overlay(view, overlay, island):
     assert view.adj == fresh.adj
     assert view.lit == fresh.lit
     assert _rows(view, island.nodes) == _rows(fresh, island.nodes)
+    for node in island.nodes:
+        assert view.used_resources(node) == fresh.used_resources(node)
 
 
 def _full_scan(overlay, island, function, candidates, origin, dst, kbps,
@@ -235,7 +235,8 @@ def test_shared_search_and_pruned_scan_match_per_candidate_oracle(seed):
             assert view.hops() == _fresh_hops(graph, island, origin)
             if colocated is not None:
                 entered[colocated] += 1
-            candidates = get_candidate_pms(overlay, function, island, kbps)
+            candidates = get_candidate_pms(
+                _ChainView(overlay, island, origin, kbps), function)
             for cand in candidates:
                 for gamma, omega in ladder:
                     assert view.entry(cand.node, gamma, omega) == \
@@ -382,7 +383,7 @@ def test_settle_trees_match_networkx_on_patched_searches():
         view = _ChainView(state, island, demand.src, kbps)
         segments = 0
         for function in demand.chain[:3]:
-            candidates = get_candidate_pms(view, function, island, kbps)
+            candidates = get_candidate_pms(view, function)
             best = _best_candidate(view, function, candidates, demand.dst,
                                    1e9, 0.25)
             if best is None:
@@ -444,7 +445,7 @@ def test_pm_cost_bound_skips_only_candidates_that_cannot_tie(pm_max_w, winner,
     view = _ChainView(NetworkState(graph), island, 0, 1000)
     view.add_assignment(FN["NAT"], 2, None)
     view.add_assignment(FN["FW"], 0, None)
-    candidates = get_candidate_pms(view, FN["NAT"], island, 1000)
+    candidates = get_candidate_pms(view, FN["NAT"])
     assert [(c.node, c.category) for c in candidates] == [(2, 1), (0, 2), (1, 3)]
     stats = {}
     best = _best_candidate(view, FN["NAT"], candidates, 0, 100.0, 0.25, stats)
@@ -554,7 +555,8 @@ def test_candidate_listing_equals_the_query_composition(committed, planned,
         elif overlay.has_room(node, function):
             overlay.add_assignment(function, node, None, need)
     island = _island_over(graph)
-    assert get_candidate_pms(overlay, CAND_FNS[fn], island, kbps) == \
+    assert get_candidate_pms(_ChainView(overlay, island, 0, kbps),
+                             CAND_FNS[fn]) == \
         _composed_candidates(overlay, CAND_FNS[fn], island, kbps)
 
 
