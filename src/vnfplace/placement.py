@@ -6,6 +6,9 @@ bandwidth (mode 'lbi' prefers the largest qualifying island, 'hbi' the
 smallest), then walks the chain function by function, picking the
 (PM, route) pair of least incremental power; one view per demand reads
 the island once, holds the plan and patches what it read as it grows.
+At each position the reuse candidates are routed first; new instances
+are listed and routed only when one could still cost no more than the
+best reuse found.
 bc_place_all is a centrality baseline: every demand follows its
 hop-shortest path and functions are stacked on the most central path
 nodes with capacity. Each endpoint pair's route is found once per run;
@@ -32,7 +35,7 @@ from .netstate import (Allocation, FunctionAssignment, NetworkState, Route,
                        book, lacking, to_kbps)
 from .power import (incremental_cost, incremental_pm_cost, network_power,
                     pm_power_total)
-from .topology import FunctionType, Link, NetworkGraph
+from .topology import CPU, FunctionType, Link, NetworkGraph
 
 _EPS = 1e-9
 
@@ -100,7 +103,8 @@ class _ChainView:
     switch_active, cable_active, hops from the origin, the search's
     adjacency and trees). Per island node, rows holds the instance rows
     [id, function name, free kb/s] (committed instances, then the plan's
-    placeholders) and used the resources in use, as in _PathTable.
+    placeholders) and used the resources in use, as in _PathTable;
+    max_cores is the island's largest PM core count.
 
     The committed state does not change while a demand is planned, so
     each table is read once from state (anything with the state's read
@@ -127,6 +131,7 @@ class _ChainView:
             n: [[inst.id, inst.function.name, free]
                 for inst, free in state.hosted(n)] for n in self.nodes}
         self.used = {n: state.used_resources(n) for n in self.nodes}
+        self.max_cores = max(self.graph.node(n).pm.cores for n in self.nodes)
         self._debit: Dict[Tuple[int, int], int] = {}
         self._next_placeholder = -1
         self._hops: Optional[Dict[int, int]] = None
@@ -297,6 +302,10 @@ def calculate_best_path(view: _ChainView, pm: int, dst: int, budget_ms: float,
     all. Returns (entry segment, exit segment, entry delay, exit delay);
     None if no setting meets the budget. Candidates routed through one
     view share its entry trees. place_all checks weight_step.
+
+    Every link of the view's adjacency has the kb/s spare and a tree path
+    repeats no link, so only a link on both segments can lack room: it
+    carries the demand twice.
     """
     settings = 0
     found = None
@@ -312,13 +321,12 @@ def calculate_best_path(view: _ChainView, pm: int, dst: int, budget_ms: float,
         seg2 = view.exit(pm, dst, gamma, omega)
         if seg2 is None:
             continue
-        # both segments carry the demand; shared links must fit twice
-        need: Dict[Tuple[int, int], int] = {}
-        for link in seg1 + seg2:
-            pair = (link.src, link.dst)
-            need[pair] = need.get(pair, 0) + view.kbps
-        if any(view.residual(*pair) < total for pair, total in need.items()):
-            continue
+        if seg1 and seg2:
+            pairs = {(l.src, l.dst) for l in seg1}
+            if any((l.src, l.dst) in pairs
+                   and view.residual(l.src, l.dst) < 2 * view.kbps
+                   for l in seg2):
+                continue
         d1 = sum(l.delay for l in seg1)
         d2 = sum(l.delay for l in seg2)
         if d1 + d2 <= budget_ms + _EPS:
@@ -344,60 +352,86 @@ def _best_row(rows: List[list], name: str, kbps: int) -> Optional[list]:
     return best
 
 
-def get_candidate_pms(view: _ChainView,
-                      function: FunctionType) -> List[Candidate]:
-    """The view's island PMs able to host the function at its kb/s,
-    cheapest category first: a best-fit row of the function makes a node
-    category 1; otherwise, if a new instance can carry the kb/s and the
-    resources in use leave it room, the node is category 2 when any row
-    means the PM is on, else 3.
-    """
-    name, kbps, graph = function.name, view.kbps, view.graph
-    new_fits = to_kbps(function.processing_capacity) >= kbps
+def get_candidate_pms(view: _ChainView, function: FunctionType,
+                      reuse: bool) -> List[Candidate]:
+    """The view's island PMs able to host the function at its kb/s. With
+    reuse, the category-1 candidates in node order: each node with a row
+    of the function that has the kb/s spare, on its best-fit row. Without,
+    the nodes with no such row where a new instance can carry the kb/s and
+    the resources in use leave it room, category 2 (any row means the PM
+    is on) before 3, each in node order. The two lists together are every
+    candidate, cheapest category first."""
+    name, kbps = function.name, view.kbps
     out = []
+    if reuse:
+        for node in view.nodes:
+            best = _best_row(view.rows[node], name, kbps)
+            if best is not None:
+                out.append(Candidate(node, best[0], 1))
+        return out
+    if to_kbps(function.processing_capacity) < kbps:
+        return out
+    graph = view.graph
     for node in view.nodes:
         rows = view.rows[node]
-        best = _best_row(rows, name, kbps)
-        if best is not None:
-            out.append(Candidate(node, best[0], 1))
-        elif new_fits and lacking(view.used[node], graph.node(node).pm.capacity,
-                                  function) is None:
+        if (_best_row(rows, name, kbps) is None
+                and lacking(view.used[node], graph.node(node).pm.capacity,
+                            function) is None):
             out.append(Candidate(node, None, 2 if rows else 3))
-    out.sort(key=lambda c: (c.category, c.node))
+    out.sort(key=lambda c: c.category)
     return out
 
 
-def _best_candidate(view: _ChainView, function: FunctionType,
-                    candidates: List[Candidate], dst: int, budget_ms: float,
-                    weight_step: float, stats: Optional[dict] = None):
-    """The (candidate, seg1, seg2, d1, d2) of least incremental cost,
-    ties broken by hop distance from the view's origin, category and node
-    id; None if no candidate can be routed. Power ratings are
-    non-negative, so links never cost less than nothing and a candidate
-    whose PM cost alone exceeds the best cost so far cannot win; it is
-    not routed."""
+def _best_candidate(view: _ChainView, function: FunctionType, dst: int,
+                    budget_ms: float, weight_step: float,
+                    stats: Optional[dict] = None):
+    """One chain position: ((candidate, seg1, seg2, d1, d2), None) for the
+    candidate of least incremental cost, ties broken by hop distance from
+    the view's origin, category and node id; (None, "no-pm") if no PM can
+    host the function, (None, "no-path") if no candidate can be routed.
+
+    Power ratings are non-negative and a PM's peak is not below its idle
+    wattage, so links never cost less than nothing and a candidate whose
+    PM cost alone exceeds the best cost so far cannot win; it is not
+    routed. A new instance costs at least the load slope of its function
+    on the island's largest PM (incremental_pm_cost's expression), so the
+    new-instance candidates are listed only when no reuse candidate was
+    routed or the best cost is not below that floor. Candidates are tried
+    category first either way, so the winner is that of a full scan."""
     hops = view.hops()
     inf = math.inf
-    candidates = sorted(candidates,
-                        key=lambda c: (c.category, hops.get(c.node, inf), c.node))
     best = None
     best_key = None
-    for cand in candidates:
-        if best_key is not None and incremental_pm_cost(
-                view, cand.node, cand.instance_id, function) > best_key[0]:
-            continue
-        found = calculate_best_path(view, cand.node, dst, budget_ms,
-                                    weight_step, stats)
-        if found is None:
-            continue
-        seg1, seg2, d1, d2 = found
-        cost = incremental_cost(view, cand.node, cand.instance_id,
-                                function, seg1 + seg2)
-        key = (cost, hops.get(cand.node, inf), cand.category, cand.node)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (cand, seg1, seg2, d1, d2)
-    return best
+    listed = False
+    for reuse in (True, False):
+        if not reuse and best_key is not None:
+            params = view.graph.power
+            floor = (params.pm_max_w - params.pm_idle_w) * (
+                function.requirements[CPU] / view.max_cores)
+            if best_key[0] < floor:
+                break
+        candidates = get_candidate_pms(view, function, reuse)
+        listed = listed or bool(candidates)
+        candidates.sort(key=lambda c: (c.category, hops.get(c.node, inf),
+                                       c.node))
+        for cand in candidates:
+            if best_key is not None and incremental_pm_cost(
+                    view, cand.node, cand.instance_id, function) > best_key[0]:
+                continue
+            found = calculate_best_path(view, cand.node, dst, budget_ms,
+                                        weight_step, stats)
+            if found is None:
+                continue
+            seg1, seg2, d1, d2 = found
+            cost = incremental_cost(view, cand.node, cand.instance_id,
+                                    function, seg1 + seg2)
+            key = (cost, hops.get(cand.node, inf), cand.category, cand.node)
+            if best_key is None or key < best_key:
+                best_key = key
+                best = (cand, seg1, seg2, d1, d2)
+    if best is None:
+        return None, "no-path" if listed else "no-pm"
+    return best, None
 
 
 def _plan_in_island(state: NetworkState, island: BlockingIsland, demand,
@@ -416,24 +450,19 @@ def _plan_in_island(state: NetworkState, island: BlockingIsland, demand,
     spent = 0.0
     segments: List[Tuple[Link, ...]] = []
     assignments: List[FunctionAssignment] = []
-    for idx, function in enumerate(chain):
-        last = idx == len(chain) - 1
-        candidates = get_candidate_pms(view, function)
-        if not candidates:
-            return None, "no-pm"
-        best = _best_candidate(view, function, candidates, demand.dst,
-                               budget - spent, weight_step, stats)
+    for function in chain:
+        best, reason = _best_candidate(view, function, demand.dst,
+                                       budget - spent, weight_step, stats)
         if best is None:
-            return None, "no-path"
+            return None, reason
         cand, seg1, seg2, d1, d2 = best
         view.add_segment(seg1)
         inst_id = view.add_assignment(function, cand.node, cand.instance_id)
         assignments.append(FunctionAssignment(function, cand.node, inst_id))
         segments.append(seg1)
         spent += d1
-        if last:
-            segments.append(seg2)
-            spent += d2
+    segments.append(seg2)
+    spent += d2
     alloc = Allocation(demand.id, tuple(assignments), Route(tuple(segments)),
                        spent + processing, kbps)
     return alloc, None
@@ -447,12 +476,12 @@ def place_all(graph: NetworkGraph, demands: Iterable, betas_mbps: List[float],
     Rejected demands leave no trace on the state; the island hierarchy
     is kept in sync incrementally after every accepted demand.
     weight_step is the path search's reweighting step (see
-    calculate_best_path).
+    calculate_best_path). runtime_s covers the whole call.
     """
+    start = time.perf_counter()
     _check_step(weight_step)
     state = NetworkState(graph)
     outcomes: List[DemandOutcome] = []
-    start = time.perf_counter()
     hierarchy = build_bih(state, betas_mbps)
     for demand in demands:
         island = hierarchy.select(demand.src, demand.dst,
@@ -469,12 +498,13 @@ def place_all(graph: NetworkGraph, demands: Iterable, betas_mbps: List[float],
         hierarchy.update_on_allocation(state, committed.route,
                                        committed.bandwidth_kbps)
         outcomes.append(DemandOutcome(demand, True, committed, None))
-    runtime = time.perf_counter() - start
-    return _finish(outcomes, state, runtime)
+    return _finish(outcomes, state, start)
 
 
 def _finish(outcomes: List[DemandOutcome], state: NetworkState,
-            runtime: float) -> SolutionSet:
+            start: float) -> SolutionSet:
+    """Price the final state; the runtime runs from start to the end of
+    the pricing."""
     accepted = [o for o in outcomes if o.accepted]
     delays = [o.allocation.total_delay_ms for o in accepted]
     mean_delay = sum(delays) / len(delays) if delays else math.nan
@@ -482,7 +512,7 @@ def _finish(outcomes: List[DemandOutcome], state: NetworkState,
     pm = pm_power_total(state)
     rate = len(accepted) / len(outcomes) if outcomes else 0.0
     return SolutionSet(outcomes, state, net, pm, net + pm, mean_delay,
-                       rate, runtime)
+                       rate, time.perf_counter() - start)
 
 
 # -- centrality baseline -------------------------------------------------
@@ -696,10 +726,10 @@ def bc_place_all(graph: NetworkGraph, demands: Iterable) -> SolutionSet:
     most central path nodes with room. No detours are attempted. Each
     endpoint pair's route is found once per run and kept in a run-local
     table; a demand then only checks residuals and plans on a path table
-    (_PathTable) read for it alone."""
+    (_PathTable) read for it alone. runtime_s covers the whole call."""
+    start = time.perf_counter()
     state = NetworkState(graph)
     outcomes: List[DemandOutcome] = []
-    start = time.perf_counter()
     scores = betweenness(graph)
     routes: Dict[Tuple[int, int], Optional[tuple]] = {}
     for demand in demands:
@@ -716,5 +746,4 @@ def bc_place_all(graph: NetworkGraph, demands: Iterable) -> SolutionSet:
             continue
         committed = state.apply_allocation(planned, demand)
         outcomes.append(DemandOutcome(demand, True, committed, None))
-    runtime = time.perf_counter() - start
-    return _finish(outcomes, state, runtime)
+    return _finish(outcomes, state, start)

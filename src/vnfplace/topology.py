@@ -44,6 +44,10 @@ class PowerParams:
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError("%s must be finite and non-negative, got %r"
                                  % (name, value))
+        if self.pm_max_w < self.pm_idle_w:
+            raise ValueError("pm_max_w %r is below pm_idle_w %r: a PM's "
+                             "power must not fall as its load rises"
+                             % (self.pm_max_w, self.pm_idle_w))
 
 
 @dataclass(frozen=True)

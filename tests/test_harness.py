@@ -247,6 +247,16 @@ def test_cli_bad_inputs_exit_two(tmp_path, capsys):
     assert captured.out == "" and not lpout.exists()
 
 
+def test_cli_refuses_pm_peak_below_idle(capsys):
+    assert cli.main(["run", "--algo", "bi-lbi,bc", "--demands", "20",
+                     "--seeds", "2", "--pm-idle-power", "200",
+                     "--pm-max-power", "100"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("bad option value: ")
+    assert "below pm_idle_w" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_config_file_supplies_defaults(tmp_path, capsys):
     conf = tmp_path / "exp.json"
     conf.write_text(json.dumps({"algo": "bc", "demands": "4", "seeds": 1}))

@@ -140,6 +140,12 @@ def test_path_search_checks_combined_segment_load():
     # 100 Mb/s per segment would need 200 of the remaining 150
     assert calculate_best_path(_ChainView(state, island, 0, 100000), 3, 4,
                                10.0, 0.25) is None
+    # 75 Mb/s per segment fills the remaining 150 exactly
+    found = calculate_best_path(_ChainView(state, island, 0, 75000), 3, 4,
+                                10.0, 0.25)
+    assert found is not None
+    seg1, seg2, _, _ = found
+    assert [(l.src, l.dst) for l in seg1 + seg2].count((1, 2)) == 2
 
 
 def test_edge_weight_without_network_power_is_delay_only():
@@ -235,8 +241,8 @@ def test_shared_search_and_pruned_scan_match_per_candidate_oracle(seed):
             assert view.hops() == _fresh_hops(graph, island, origin)
             if colocated is not None:
                 entered[colocated] += 1
-            candidates = get_candidate_pms(
-                _ChainView(overlay, island, origin, kbps), function)
+            candidates = _composed_candidates(overlay, function, island,
+                                              kbps)
             for cand in candidates:
                 for gamma, omega in ladder:
                     assert view.entry(cand.node, gamma, omega) == \
@@ -251,9 +257,11 @@ def test_shared_search_and_pruned_scan_match_per_candidate_oracle(seed):
                                      demand.dst, kbps, budget, 0.25)
             want = _full_scan(overlay, island, function, candidates, origin,
                               demand.dst, kbps, budget)
-            got = _best_candidate(view, function, candidates, demand.dst,
-                                  budget, 0.25, stats)
+            got, reason = _best_candidate(view, function, demand.dst, budget,
+                                          0.25, stats)
             assert got == want
+            assert reason == (None if got else
+                              "no-path" if candidates else "no-pm")
             positions += 1
             candidates_seen += len(candidates)
             if got is None:
@@ -383,9 +391,7 @@ def test_settle_trees_match_networkx_on_patched_searches():
         view = _ChainView(state, island, demand.src, kbps)
         segments = 0
         for function in demand.chain[:3]:
-            candidates = get_candidate_pms(view, function)
-            best = _best_candidate(view, function, candidates, demand.dst,
-                                   1e9, 0.25)
+            best, _ = _best_candidate(view, function, demand.dst, 1e9, 0.25)
             if best is None:
                 break
             cand, seg1 = best[:2]
@@ -432,10 +438,24 @@ def test_settle_trees_match_networkx_on_patched_searches():
     assert patched >= 5
 
 
+def _counted_listings(monkeypatch):
+    """Route placement's candidate listings through a counter; returns
+    the list of reuse flags it was called with."""
+    calls = []
+    listing = placement.get_candidate_pms
+
+    def counted(view, function, reuse):
+        calls.append(reuse)
+        return listing(view, function, reuse)
+
+    monkeypatch.setattr(placement, "get_candidate_pms", counted)
+    return calls
+
+
 @pytest.mark.parametrize("pm_max_w, winner, searches",
                          [(1726.0, 0, 2), (1730.0, 2, 1)])
-def test_pm_cost_bound_skips_only_candidates_that_cannot_tie(pm_max_w, winner,
-                                                             searches):
+def test_pm_cost_bound_skips_only_candidates_that_cannot_tie(
+        pm_max_w, winner, searches, monkeypatch):
     # reusing NAT on 2 lights the dark line 0-1-2 for 3 * 130 + 4 = 394 W;
     # a new NAT on the powered PM 0 costs its load slope, (max - idle) / 4
     cables = [(0, 1, 1000.0, 1.0), (1, 2, 1000.0, 1.0)]
@@ -445,14 +465,43 @@ def test_pm_cost_bound_skips_only_candidates_that_cannot_tie(pm_max_w, winner,
     view = _ChainView(NetworkState(graph), island, 0, 1000)
     view.add_assignment(FN["NAT"], 2, None)
     view.add_assignment(FN["FW"], 0, None)
-    candidates = get_candidate_pms(view, FN["NAT"])
+    candidates = (get_candidate_pms(view, FN["NAT"], True)
+                  + get_candidate_pms(view, FN["NAT"], False))
     assert [(c.node, c.category) for c in candidates] == [(2, 1), (0, 2), (1, 3)]
+    calls = _counted_listings(monkeypatch)
     stats = {}
-    best = _best_candidate(view, FN["NAT"], candidates, 0, 100.0, 0.25, stats)
+    best, reason = _best_candidate(view, FN["NAT"], 0, 100.0, 0.25, stats)
     # at 394 W each, PM 0 ties with the reuse and wins on hop distance, so
-    # it must be routed; one watt more and only the reuse is routed
+    # it must be listed and routed; one watt more and only the reuse is
+    # listed and routed
+    assert reason is None
     assert best[0].node == winner
     assert stats["path_searches"] == searches
+    assert calls == ([True, False] if winner == 0 else [True])
+
+
+def test_new_instances_are_listed_against_the_largest_pm(monkeypatch):
+    # reusing NAT on 2 lights cable 0-2 for 2 * 10 + 2 = 22 W, between the
+    # load slopes of a new NAT on an 8-core PM (100 * 4 / 8 = 50 W) and on
+    # the powered 32-core PM 0 at the origin (12.5 W, no links); the floor
+    # on new instances must come from the largest PM, so PM 0 is listed
+    nodes = [NodeSpec(0, PmSpec({CPU: 32})), NodeSpec(1, PmSpec({CPU: 8})),
+             NodeSpec(2, PmSpec({CPU: 8}))]
+    graph = NetworkGraph(nodes, [(0, 1, 1000.0, 1.0), (0, 2, 1000.0, 1.0)],
+                         PowerParams(switch_static_w=10.0, port_w=1.0))
+    view = _ChainView(NetworkState(graph), _island_over(graph), 0, 1000)
+    view.add_assignment(FN["NAT"], 2, None)
+    view.add_assignment(FN["FW"], 0, None)
+    calls = _counted_listings(monkeypatch)
+    stats = {}
+    best, reason = _best_candidate(view, FN["NAT"], 0, 100.0, 0.25, stats)
+    assert calls == [True, False]
+    assert reason is None
+    assert (best[0].node, best[0].category) == (0, 2)
+    assert best[1:3] == ((), ())
+    assert incremental_cost(view, 0, None, FN["NAT"], ()) == 12.5
+    # the reuse and PM 0 are routed; the dark 8-core PM 1 cannot win
+    assert stats["path_searches"] == 2
 
 
 def test_place_all_fingerprint_is_pinned():
@@ -555,9 +604,37 @@ def test_candidate_listing_equals_the_query_composition(committed, planned,
         elif overlay.has_room(node, function):
             overlay.add_assignment(function, node, None, need)
     island = _island_over(graph)
-    assert get_candidate_pms(_ChainView(overlay, island, 0, kbps),
-                             CAND_FNS[fn]) == \
+    view = _ChainView(overlay, island, 0, kbps)
+    assert get_candidate_pms(view, CAND_FNS[fn], True) + \
+        get_candidate_pms(view, CAND_FNS[fn], False) == \
         _composed_candidates(overlay, CAND_FNS[fn], island, kbps)
+
+
+@pytest.mark.parametrize("placer", ["island", "centrality"])
+def test_runtime_covers_state_construction_and_pricing(placer, monkeypatch):
+    # a fake clock that only moves when the state is built (1 s) or the
+    # final state is priced (10 s): runtime_s must hold both
+    clock = [0.0]
+
+    def slow(fn, seconds):
+        def wrapped(*args):
+            clock[0] += seconds
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(placement.time, "perf_counter", lambda: clock[0])
+    monkeypatch.setattr(placement, "NetworkState",
+                        slow(placement.NetworkState, 1.0))
+    monkeypatch.setattr(placement, "network_power",
+                        slow(placement.network_power, 10.0))
+    graph = make_graph(2, [(0, 1, 1000.0, 1.0)], cores=16)
+    demands = [make_demand(0, 0, 1, (FN["NAT"],), 1.0, 100.0)]
+    if placer == "island":
+        sol = place_all(graph, demands, BETAS)
+    else:
+        sol = bc_place_all(graph, demands)
+    assert sol.acceptance == 1.0
+    assert sol.runtime_s == 11.0
 
 
 def test_single_demand_lights_minimal_gear():

@@ -139,6 +139,10 @@ def test_power_params_reject_negative_or_non_finite_ratings(value):
         with pytest.raises(ValueError, match=name):
             PowerParams(**{name: value})
     PowerParams(0.0, 0.0, 0.0, 0.0)
+    # a PM's power runs from idle up to its peak, never down
+    with pytest.raises(ValueError, match="pm_max_w 100.0 is below pm_idle_w"):
+        PowerParams(pm_idle_w=200.0, pm_max_w=100.0)
+    PowerParams(pm_idle_w=200.0, pm_max_w=200.0)
 
 
 def test_parse_rejects_structural_problems():
