@@ -23,7 +23,7 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 from .netstate import (Allocation, FunctionAssignment, NetworkState, Route,
                        to_kbps)
 from .power import pm_power, total_power
-from .topology import CPU, FunctionType, NetworkGraph
+from .topology import FunctionType, NetworkGraph
 
 _TOL = 1e-6
 
@@ -68,10 +68,7 @@ class MilpModel:
         self.constraints.append(Constraint(name, dict(coeffs), sense, rhs))
 
     def z_upper(self, node: int, fname: str) -> int:
-        cap = self.graph.node(node).pm.capacity
-        fn = self.types[fname]
-        return min(cap.get(res, 0) // need
-                   for res, need in fn.requirements.items())
+        return self.graph.node(node).pm.cores // self.types[fname].cores
 
 
 def _u(i: int, k: int, g: int) -> str:
@@ -126,22 +123,18 @@ def build_model(graph: NetworkGraph, demands: Sequence) -> MilpModel:
         slope = params.pm_max_w - params.pm_idle_w
         cores = graph.node(i).pm.cores
         for fname, fn in m.types.items():
-            m.objective[_z(i, fname)] = slope * fn.requirements[CPU] / cores
+            m.objective[_z(i, fname)] = slope * fn.cores / cores
     for i in nodes:
         m.objective["y_%d" % i] = params.switch_static_w
     for a, b in cables:
         m.objective["l_%d_%d" % (a, b)] = 2.0 * params.port_w
 
-    # per-PM resource capacity
-    resources = sorted({res for n in graph.nodes for res in n.pm.capacity})
+    # per-PM core capacity
     for i in nodes:
-        for res in resources:
-            coeffs = {_z(i, fname): fn.requirements.get(res, 0)
-                      for fname, fn in m.types.items()
-                      if fn.requirements.get(res, 0)}
-            if coeffs:
-                m.add_con("resource_n%d_%s" % (i, res), coeffs, "<=",
-                          graph.node(i).pm.capacity.get(res, 0))
+        if m.types:
+            m.add_con("resource_n%d_cpu" % i,
+                      {_z(i, fname): fn.cores for fname, fn in m.types.items()},
+                      "<=", graph.node(i).pm.cores)
 
     # per-type processing capacity; every traversal of a position counts
     for i in nodes:
@@ -447,17 +440,15 @@ def _pm_power_of(graph: NetworkGraph, used: FrozenSet[Tuple[int, str]],
     """PM power of one instance per used (node, type) pair; None when a
     node cannot fit its instances."""
     params = graph.power
-    per_node: Dict[int, Dict[str, int]] = {}
+    per_node: Dict[int, int] = {}
     for node, fname in used:
-        need = per_node.setdefault(node, {})
-        for res, amount in types[fname].requirements.items():
-            need[res] = need.get(res, 0) + amount
+        per_node[node] = per_node.get(node, 0) + types[fname].cores
     power = 0.0
     for node, need in per_node.items():
-        cap = graph.node(node).pm.capacity
-        if any(amount > cap.get(res, 0) for res, amount in need.items()):
+        cores = graph.node(node).pm.cores
+        if need > cores:
             return None
-        power += pm_power(params, need.get(CPU, 0) / graph.node(node).pm.cores)
+        power += pm_power(params, need / cores)
     return power
 
 
@@ -529,7 +520,7 @@ def solve_exact_small(model: MilpModel,
     lb_pm = 0.0
     if union_types:
         lb_pm = params.pm_idle_w + slope * sum(
-            model.types[f].requirements[CPU] for f in union_types) / max_cores
+            model.types[f].cores for f in union_types) / max_cores
 
     best_total = math.inf
     best_pick = None

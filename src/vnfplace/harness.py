@@ -125,6 +125,8 @@ def _stats(values: List[float]) -> tuple:
 
 
 def run_experiment(config: ExperimentConfig) -> MetricsReport:
+    if not config.algorithms or not config.demand_counts:
+        raise ValueError("need at least one algorithm and one demand count")
     for algorithm in config.algorithms:
         if algorithm not in ALGORITHMS:
             raise ValueError("unknown algorithm %r, expected one of %s"

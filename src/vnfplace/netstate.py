@@ -8,12 +8,12 @@ NetworkState and the planning view StateOverlay share one read API over
 link residuals, link use and the instances hosted on a node. The
 committed state also keeps two indices, changed only when an allocation
 is applied or released and checked against a rebuild by validate(): the
-lit cables of each switch and the resources in use on each node, which
+lit cables of each switch and the CPU cores in use on each node, which
 the state's queries read. Only tests and perfbench read the overlay.
 
-book() and lacking() are the one PM-capacity rule, used by the commit,
-the resource index and both placers' per-demand tables. The overlay's
-has_room and validate()'s capacity check stay apart as independent checks.
+PMs and functions are sized in CPU cores alone. fits() is the one
+PM-capacity rule, used by the commit and both placers' per-demand tables;
+the overlay's has_room and validate()'s check stay apart, as oracles.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import (Dict, Iterable, Iterator, List, Optional, Tuple,
                     TYPE_CHECKING)
 
-from .topology import CPU, FunctionType, Link, NetworkGraph
+from .topology import FunctionType, Link, NetworkGraph
 
 if TYPE_CHECKING:
     from .workload import Demand
@@ -113,30 +113,17 @@ def _route_delay(allocation: Allocation) -> float:
     return propagation + processing
 
 
-def book(used: Dict[str, int], function: FunctionType, sign: int) -> None:
-    """Add (+1) or take back (-1) an instance's resources; 0s are dropped."""
-    for res, amount in function.requirements.items():
-        used[res] = used.get(res, 0) + sign * amount
-        if not used[res]:
-            del used[res]
-
-
-def lacking(used: Dict[str, int], cap: Dict[str, int],
-            function: FunctionType) -> Optional[str]:
-    """The first resource a new instance of function would overrun on a
-    PM with these resources in use and this capacity; None if it fits."""
-    for res, amount in function.requirements.items():
-        if used.get(res, 0) + amount > cap.get(res, 0):
-            return res
-    return None
+def fits(used: int, need: int, cores: int) -> bool:
+    """Whether need more cores fit a PM of cores with used in use."""
+    return used + need <= cores
 
 
 class _StateView:
     """Derived queries, defined once over three primitives that each
     state class supplies: residual(src, dst) in kb/s, link_used(src, dst),
     and hosted(node), the instances on a node each with its free kb/s.
-    NetworkState answers switch_active, pm_active and used_resources from
-    its indices instead."""
+    NetworkState answers switch_active, pm_active and used_cores, the CPU
+    cores in use on a node, from its indices instead."""
 
     graph: NetworkGraph
 
@@ -153,14 +140,11 @@ class _StateView:
     def pm_active(self, node: int) -> bool:
         return any(True for _ in self.hosted(node))
 
-    def used_resources(self, node: int) -> Dict[str, int]:
-        used: Dict[str, int] = {}
-        for inst, _ in self.hosted(node):
-            book(used, inst.function, 1)
-        return used
+    def used_cores(self, node: int) -> int:
+        return sum(inst.function.cores for inst, _ in self.hosted(node))
 
     def cpu_utilization(self, node: int) -> float:
-        return self.used_resources(node).get(CPU, 0) / self.graph.node(node).pm.cores
+        return self.used_cores(node) / self.graph.node(node).pm.cores
 
 
 class NetworkState(_StateView):
@@ -175,9 +159,9 @@ class NetworkState(_StateView):
         self.instances: Dict[int, VnfInstance] = {}
         # node -> {instance id: instance}; the same objects as instances
         self.node_instances: Dict[int, Dict[int, VnfInstance]] = {}
-        # switch -> lit cables; node -> resources in use, without 0 totals
+        # switch -> lit cables; node -> CPU cores in use
         self.lit_cables: Dict[int, int] = {n.id: 0 for n in graph.nodes}
-        self.resources_used: Dict[int, Dict[str, int]] = {}
+        self.cores_used: Dict[int, int] = {n.id: 0 for n in graph.nodes}
         self.allocations: Dict[int, Allocation] = {}
         self._next_instance = 0
 
@@ -200,8 +184,8 @@ class NetworkState(_StateView):
     def pm_active(self, node: int) -> bool:
         return bool(self.node_instances.get(node))
 
-    def used_resources(self, node: int) -> Dict[str, int]:
-        return dict(self.resources_used.get(node, {}))
+    def used_cores(self, node: int) -> int:
+        return self.cores_used[node]
 
     # -- mutation --------------------------------------------------------
 
@@ -266,7 +250,7 @@ class NetworkState(_StateView):
                     raise AllocationError("placeholder %d reused inconsistently"
                                           % a.instance_id)
                 placeholder_fn[a.instance_id] = (a.function, a.node)
-        new_by_node: Dict[int, List[FunctionType]] = {}
+        new_cores: Dict[int, int] = Counter()
         for inst_id, need in inst_need.items():
             if inst_id >= 0:
                 inst = self.instances.get(inst_id)
@@ -279,22 +263,16 @@ class NetworkState(_StateView):
                 if to_kbps(function.processing_capacity) < need:
                     raise AllocationError("new %s instance cannot carry %d kbps"
                                           % (function.name, need))
-                new_by_node.setdefault(node, []).append(function)
+                new_cores[node] += function.cores
         for a in allocation.assignments:
             if a.instance_id >= 0:
                 inst = self.instances[a.instance_id]
                 if inst.node != a.node or inst.function.name != a.function.name:
                     raise AllocationError("instance %d does not match assignment"
                                           % a.instance_id)
-        for node, fns in new_by_node.items():
-            used = self.used_resources(node)
-            cap = self.graph.node(node).pm.capacity
-            for fn in fns:
-                res = lacking(used, cap, fn)
-                if res is not None:
-                    raise AllocationError("PM %d lacks %s for new instances"
-                                          % (node, res))
-                book(used, fn, 1)
+        for node, need in new_cores.items():
+            if not fits(self.cores_used[node], need, self.graph.node(node).pm.cores):
+                raise AllocationError("PM %d lacks cpu for new instances" % node)
 
         # all checks passed, now mutate
         for pair, need in link_need.items():
@@ -311,7 +289,7 @@ class NetworkState(_StateView):
                                    to_kbps(function.processing_capacity), {})
                 self.instances[new_id] = inst
                 self.node_instances.setdefault(node, {})[new_id] = inst
-                book(self.resources_used.setdefault(node, {}), function, 1)
+                self.cores_used[node] += function.cores
                 id_map[a.instance_id] = new_id
         resolved = []
         for a in allocation.assignments:
@@ -342,7 +320,7 @@ class NetworkState(_StateView):
             if inst.residual_kbps == inst.capacity_kbps:
                 del self.instances[inst_id]
                 del self.node_instances[inst.node][inst_id]
-                book(self.resources_used[inst.node], inst.function, -1)
+                self.cores_used[inst.node] -= inst.function.cores
 
     def _use_link(self, link: Link, step: int) -> None:
         """Count a route more (+1) or less (-1) over the link, lighting or
@@ -407,24 +385,22 @@ class NetworkState(_StateView):
         if indexed != len(self.instances):
             bad.append("node index holds %d instances, %d are live"
                        % (indexed, len(self.instances)))
-        want_used: Dict[int, Dict[str, int]] = {}
+        want_cores: Dict[int, int] = Counter()
         for inst in self.instances.values():
-            book(want_used.setdefault(inst.node, {}), inst.function, 1)
+            want_cores[inst.node] += inst.function.cores
         for node in self.graph.nodes:
             lit = sum(1 for nbr in self.graph.neighbors(node.id)
                       if want_use[(node.id, nbr)] or want_use[(nbr, node.id)])
             if self.lit_cables[node.id] != lit:
                 bad.append("switch %d indexes %d lit cables, %d are lit"
                            % (node.id, self.lit_cables[node.id], lit))
-            used = want_used.get(node.id, {})
-            if self.resources_used.get(node.id, {}) != used:
-                bad.append("PM %d indexes resources %s, its instances use %s"
-                           % (node.id, self.resources_used.get(node.id), used))
-            for res, amount in used.items():
-                if amount > node.pm.capacity.get(res, 0):
-                    bad.append("PM %d over capacity on %s (%d > %d)"
-                               % (node.id, res, amount,
-                                  node.pm.capacity.get(res, 0)))
+            used = want_cores[node.id]
+            if self.cores_used[node.id] != used:
+                bad.append("PM %d indexes %d cores in use, its instances "
+                           "use %d" % (node.id, self.cores_used[node.id], used))
+            if used > node.pm.cores:
+                bad.append("PM %d over capacity (%d > %d cores)"
+                           % (node.id, used, node.pm.cores))
         for dem, alloc in self.allocations.items():
             if alloc.demand_id != dem:
                 bad.append("allocation keyed %d carries id %d" % (dem, alloc.demand_id))
@@ -533,16 +509,11 @@ class StateOverlay(_StateView):
     # -- planning queries: the state's indices plus the deltas -----------
 
     def has_room(self, node: int, function: FunctionType) -> bool:
-        used = self.state.used_resources(node)
+        used = self.state.used_cores(node) + function.cores
         for inst in self.pending.values():
             if inst.node == node:
-                for res, amount in inst.function.requirements.items():
-                    used[res] = used.get(res, 0) + amount
-        cap = self.graph.node(node).pm.capacity
-        for res, amount in function.requirements.items():
-            if used.get(res, 0) + amount > cap.get(res, 0):
-                return False
-        return True
+                used += inst.function.cores
+        return used <= self.graph.node(node).pm.cores
 
     def find_reusable(self, node: int, function: FunctionType,
                       need_kbps: int) -> Optional[Tuple[int, int]]:

@@ -13,7 +13,7 @@ bc_place_all is a centrality baseline: every demand follows its
 hop-shortest path and functions are stacked on the most central path
 nodes with capacity. Each endpoint pair's route is found once per run;
 a demand then checks residuals and searches on a path table, its path
-nodes' instances and resources read once and patched in place, with
+nodes' instances and cores in use read once and patched in place, with
 trials undone on backtrack.
 
 Path search weighs edges by a convex mix of normalized power and
@@ -32,10 +32,10 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from .bih import BlockingIsland, build_bih
 from .netstate import (Allocation, FunctionAssignment, NetworkState, Route,
-                       book, lacking, to_kbps)
+                       fits, to_kbps)
 from .power import (incremental_cost, incremental_pm_cost, network_power,
                     pm_power_total)
-from .topology import CPU, FunctionType, Link, NetworkGraph
+from .topology import FunctionType, Link, NetworkGraph
 
 _EPS = 1e-9
 
@@ -99,12 +99,12 @@ def _edge_terms(graph: NetworkGraph, link: Link, src_lit: bool,
 class _ChainView:
     """The island as one demand's chain walk sees it: the committed state
     with the partial plan on top, the origin of the next chain position,
-    and the walk's reads (residual, pm_active, used_resources,
-    switch_active, cable_active, hops from the origin, the search's
-    adjacency and trees). Per island node, rows holds the instance rows
-    [id, function name, free kb/s] (committed instances, then the plan's
-    placeholders) and used the resources in use, as in _PathTable;
-    max_cores is the island's largest PM core count.
+    and the walk's reads (residual, pm_active, switch_active,
+    cable_active, hops from the origin, the search's adjacency and trees).
+    Per island node, rows holds the instance rows [id, function name,
+    free kb/s] (committed instances, then the plan's placeholders) and
+    used the CPU cores in use, as in _PathTable; max_cores is the
+    island's largest PM core count.
 
     The committed state does not change while a demand is planned, so
     each table is read once from state (anything with the state's read
@@ -112,7 +112,7 @@ class _ChainView:
     cables and switches and refills the adjacency of the nodes whose links
     changed (its link sources, and the ends and island neighbours of what
     it newly lit); an assignment debits its instance's row, or appends a
-    placeholder row and books its function's resources. Placeholder ids
+    placeholder row and adds its function's cores. Placeholder ids
     are -1, -2, ... in creation order, as apply_allocation expects."""
 
     def __init__(self, state, island: BlockingIsland, src: int, kbps: int):
@@ -130,7 +130,7 @@ class _ChainView:
         self.rows: Dict[int, List[list]] = {
             n: [[inst.id, inst.function.name, free]
                 for inst, free in state.hosted(n)] for n in self.nodes}
-        self.used = {n: state.used_resources(n) for n in self.nodes}
+        self.used = {n: state.used_cores(n) for n in self.nodes}
         self.max_cores = max(self.graph.node(n).pm.cores for n in self.nodes)
         self._debit: Dict[Tuple[int, int], int] = {}
         self._next_placeholder = -1
@@ -146,9 +146,6 @@ class _ChainView:
 
     def pm_active(self, node: int) -> bool:
         return bool(self.rows[node])
-
-    def used_resources(self, node: int) -> Dict[str, int]:
-        return dict(self.used[node])
 
     def switch_active(self, node: int) -> bool:
         return self.lit[0][node]
@@ -236,7 +233,7 @@ class _ChainView:
             self._next_placeholder -= 1
             self.rows[node].append([instance_id, function.name,
                                     to_kbps(function.processing_capacity)])
-            book(self.used[node], function, 1)
+            self.used[node] += function.cores
         for row in self.rows[node]:
             if row[0] == instance_id:
                 row[2] -= self.kbps
@@ -358,7 +355,7 @@ def get_candidate_pms(view: _ChainView, function: FunctionType,
     reuse, the category-1 candidates in node order: each node with a row
     of the function that has the kb/s spare, on its best-fit row. Without,
     the nodes with no such row where a new instance can carry the kb/s and
-    the resources in use leave it room, category 2 (any row means the PM
+    the cores in use leave it room, category 2 (any row means the PM
     is on) before 3, each in node order. The two lists together are every
     candidate, cheapest category first."""
     name, kbps = function.name, view.kbps
@@ -375,8 +372,8 @@ def get_candidate_pms(view: _ChainView, function: FunctionType,
     for node in view.nodes:
         rows = view.rows[node]
         if (_best_row(rows, name, kbps) is None
-                and lacking(view.used[node], graph.node(node).pm.capacity,
-                            function) is None):
+                and fits(view.used[node], function.cores,
+                         graph.node(node).pm.cores)):
             out.append(Candidate(node, None, 2 if rows else 3))
     out.sort(key=lambda c: c.category)
     return out
@@ -407,7 +404,7 @@ def _best_candidate(view: _ChainView, function: FunctionType, dst: int,
         if not reuse and best_key is not None:
             params = view.graph.power
             floor = (params.pm_max_w - params.pm_idle_w) * (
-                function.requirements[CPU] / view.max_cores)
+                function.cores / view.max_cores)
             if best_key[0] < floor:
                 break
         candidates = get_candidate_pms(view, function, reuse)
@@ -574,8 +571,8 @@ class _PathTable:
     through the state's read API and then patched in place by trial
     assignments. Per path position: the node's instance rows
     [id, function name, free kb/s] (committed instances, then the plan's
-    placeholders; the shape _ChainView keeps), the resources in use on the
-    node, booked through netstate.book, and the PM's capacity.
+    placeholders; the shape _ChainView keeps), the CPU cores in use on the
+    node and the PM's cores.
     next_placeholder is the id the next new instance gets (-1, -2, ...,
     as apply_allocation expects). backtracks counts the search's failed
     trials, and last is its suffix bound, None until it is computed."""
@@ -584,13 +581,12 @@ class _PathTable:
                  "backtracks", "last")
 
     def __init__(self, state: NetworkState, path: List[int]):
-        graph = state.graph
         self.state = state
         self.path = path
         self.rows = [[[inst.id, inst.function.name, free]
                       for inst, free in state.hosted(node)] for node in path]
-        self.used = [state.used_resources(node) for node in path]
-        self.caps = [graph.node(node).pm.capacity for node in path]
+        self.used = [state.used_cores(node) for node in path]
+        self.caps = [state.graph.node(node).pm.cores for node in path]
         self.next_placeholder = -1
         self.backtracks = 0
         self.last: Optional[List[int]] = None
@@ -609,8 +605,8 @@ def _suffix_bound(table: _PathTable, chain, kbps: int) -> List[int]:
     for function in reversed(chain):
         new_fits = to_kbps(function.processing_capacity) >= kbps
         while top >= 0 and not (
-                new_fits and lacking(fresh.used[top], fresh.caps[top],
-                                     function) is None
+                new_fits and fits(fresh.used[top], function.cores,
+                                  fresh.caps[top])
                 or _best_row(fresh.rows[top], function.name, kbps)):
             top -= 1
         last.append(top)
@@ -628,7 +624,7 @@ def _assign_on_path(table: _PathTable, chain, kbps: int, pref: List[int],
     A trial debits the function's best-fit row (least free kb/s, then
     lowest id, over committed and placeholder rows), or, if no row has
     kbps spare, a new instance can carry kbps and the PM has room, a new
-    placeholder row whose resources it books. A failed subtree undoes
+    placeholder row whose cores it adds. A failed subtree undoes
     exactly its patch, so placeholder ids follow the trial order and a
     None leaves the table as read.
 
@@ -650,7 +646,7 @@ def _assign_on_path(table: _PathTable, chain, kbps: int, pref: List[int],
         best = _best_row(rows[pos], name, kbps)
         started = best is None
         if started:
-            if lacking(table.used[pos], table.caps[pos], function) is not None:
+            if not fits(table.used[pos], function.cores, table.caps[pos]):
                 continue
             free = to_kbps(function.processing_capacity)
             if free < kbps:
@@ -658,7 +654,7 @@ def _assign_on_path(table: _PathTable, chain, kbps: int, pref: List[int],
             best = [table.next_placeholder, name, free]
             table.next_placeholder -= 1
             rows[pos].append(best)
-            book(table.used[pos], function, 1)
+            table.used[pos] += function.cores
         best[2] -= kbps
         tail = _assign_on_path(table, chain, kbps, pref, k + 1, pos)
         if tail is not None:
@@ -667,7 +663,7 @@ def _assign_on_path(table: _PathTable, chain, kbps: int, pref: List[int],
         best[2] += kbps
         if started:
             rows[pos].pop()
-            book(table.used[pos], function, -1)
+            table.used[pos] -= function.cores
             table.next_placeholder += 1
         table.backtracks += 1
         if table.backtracks == len(pref) * len(chain):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .topology import CPU, FunctionType, Link, PowerParams
+from .topology import FunctionType, Link, PowerParams
 
 
 def switch_power(params: PowerParams, active_ports: int) -> float:
@@ -76,6 +76,6 @@ def incremental_pm_cost(state, node: int, instance_id: Optional[int],
     if instance_id is not None:
         return 0.0
     params = state.graph.power
-    share = function.requirements[CPU] / state.graph.node(node).pm.cores
+    share = function.cores / state.graph.node(node).pm.cores
     slope = (params.pm_max_w - params.pm_idle_w) * share
     return slope if state.pm_active(node) else params.pm_idle_w + slope

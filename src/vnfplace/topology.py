@@ -66,16 +66,17 @@ class Link:
 
 @dataclass(frozen=True)
 class PmSpec:
-    """Per-resource capacity of a physical machine. 'cpu' is mandatory."""
+    """A physical machine's size in CPU cores, the one resource the power
+    model prices, given as {CPU: cores}; any other key is refused."""
 
     capacity: Mapping[str, int]
 
     def __post_init__(self):
-        if CPU not in self.capacity:
-            raise TopologyError("PM spec lacks a %r capacity" % CPU)
-        for res, amount in self.capacity.items():
-            if amount <= 0:
-                raise TopologyError("non-positive %s capacity: %r" % (res, amount))
+        if set(self.capacity) != {CPU}:
+            raise TopologyError("a PM is sized in %r cores only, got %r"
+                                % (CPU, list(self.capacity)))
+        if self.cores <= 0:
+            raise TopologyError("non-positive cpu capacity: %r" % self.cores)
 
     @property
     def cores(self) -> int:
@@ -92,7 +93,7 @@ class NodeSpec:
 class FunctionType:
     """A network function type deployable on any PM.
 
-    requirements: per-resource demand of one instance ('cpu' mandatory).
+    requirements: {CPU: cores} of one instance; any other key is refused.
     processing_capacity: traffic one instance can serve, Mb/s.
     processing_delay: per-traversal processing latency, ms.
     """
@@ -103,11 +104,11 @@ class FunctionType:
     processing_delay: float
 
     def __post_init__(self):
-        if CPU not in self.requirements:
-            raise TopologyError("function %s lacks a %r requirement" % (self.name, CPU))
-        for res, amount in self.requirements.items():
-            if amount <= 0:
-                raise TopologyError("function %s: non-positive %s demand" % (self.name, res))
+        if set(self.requirements) != {CPU}:
+            raise TopologyError("function %s is sized in %r cores only, got %r"
+                                % (self.name, CPU, list(self.requirements)))
+        if self.cores <= 0:
+            raise TopologyError("function %s: non-positive cpu demand" % self.name)
         if self.processing_capacity <= 0:
             raise TopologyError("function %s: non-positive processing capacity" % self.name)
         if self.processing_delay < 0:
@@ -229,10 +230,6 @@ class NetworkGraph:
         ids = [n.id for n in self.nodes]
         if ids != list(range(len(ids))):
             raise TopologyError("node ids must be dense 0..N-1, got %r" % (ids,))
-        for a, b in self._cables:
-            fwd, rev = self._by_pair[(a, b)], self._by_pair[(b, a)]
-            if fwd.capacity != rev.capacity or fwd.delay != rev.delay:
-                raise TopologyError("asymmetric cable %d-%d" % (a, b))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NetworkGraph):
@@ -253,7 +250,7 @@ class NetworkGraph:
 
 def parse_topology(text: str, power: Optional[PowerParams] = None) -> NetworkGraph:
     nodes: List[NodeSpec] = []
-    cables: List[Tuple[int, int, float, float]] = []
+    cables: List[Tuple[int, Tuple[int, int, float, float]]] = []
     seen_ids = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -287,14 +284,27 @@ def parse_topology(text: str, power: Optional[PowerParams] = None) -> NetworkGra
                     delay = link_delay_from_length(float(spec))
                 if not math.isfinite(delay):
                     raise ValueError("non-finite length or delay %r" % spec)
-                cables.append((src, dst, capacity, delay))
+                cables.append((lineno, (src, dst, capacity, delay)))
             else:
                 raise ValueError("unknown record %r" % parts[0])
         except (ValueError, TopologyError) as exc:
             raise TopologyError("line %d: %s" % (lineno, exc)) from None
     if not nodes:
         raise TopologyError("topology defines no nodes")
-    return NetworkGraph(nodes, cables, power)
+    at: List[int] = []      # the line of the cable the graph is adding
+
+    def numbered():
+        for lineno, cable in cables:
+            at[:] = [lineno]
+            yield cable
+        at.clear()
+
+    try:
+        return NetworkGraph(nodes, numbered(), power)
+    except TopologyError as exc:
+        if not at:          # sparse node ids: a fault of the whole file
+            raise
+        raise TopologyError("line %d: %s" % (at[0], exc)) from None
 
 
 def serialize_topology(graph: NetworkGraph) -> str:

@@ -199,6 +199,17 @@ def test_cli_bad_inputs_exit_two(tmp_path, capsys):
                      "--seeds", "1"]) == 2
     assert cli.main(["run", "--demands", "abc", "--seeds", "1"]) == 2
     capsys.readouterr()
+    # an empty algorithm or demand-count list would run nothing
+    for argv in (["--demands", ""], ["--algo", ",", "--demands", "3"]):
+        assert cli.main(["run", *argv, "--seeds", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "need at least one algorithm" in captured.err
+        assert captured.out == ""
+    for data in ({"algo": []}, {"demands": []}):
+        conf = tmp_path / "empty.json"
+        conf.write_text(json.dumps(dict(data, seeds=1)))
+        assert cli.main(["run", "--config", str(conf)]) == 2
+        assert "need at least one algorithm" in capsys.readouterr().err
     # no CLI algorithm runs the exact solver: the library does
     assert cli.main(["run", "--algo", "exact-small", "--demands", "1",
                      "--seeds", "1"]) == 2

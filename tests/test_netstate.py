@@ -164,15 +164,6 @@ def test_apply_rejections_leave_state_untouched():
         with pytest.raises(AllocationError, match=error):
             slow.apply_allocation(planned, d)
     assert slow.snapshot() == NetworkState(slow.graph).snapshot()
-    # 7: two new GPU instances fit a GPU PM's cores but not its one GPU
-    gpu_fn = FunctionType("G", {CPU: 1, "gpu": 1}, 200.0, 10.0)
-    gpu_pms = NetworkState(NetworkGraph(
-        [NodeSpec(i, PmSpec({CPU: 4, "gpu": 1})) for i in range(3)],
-        [(0, 1, 100.0, 0.1), (1, 2, 100.0, 0.1)]))
-    d = make_demand(5, 0, 2, (gpu_fn, gpu_fn), 1.0, 100.0)
-    with pytest.raises(AllocationError, match="PM 1 lacks gpu"):
-        gpu_pms.apply_allocation(_chain_allocation(gpu_pms, d, [1, 1]), d)
-    assert gpu_pms.snapshot() == NetworkState(gpu_pms.graph).snapshot()
 
 
 def test_apply_validates_route_and_chain_consistency():
@@ -267,10 +258,10 @@ def test_validate_spots_corruption():
     state.lit_cables[1] += 1
     assert state.validate() == ["switch 1 indexes 3 lit cables, 2 are lit"]
     state.lit_cables[1] -= 1
-    state.resources_used[1][CPU] -= 1
+    state.cores_used[1] -= 1
     assert state.validate() == [
-        "PM 1 indexes resources {'cpu': 3}, its instances use {'cpu': 4}"]
-    state.resources_used[1][CPU] += 1
+        "PM 1 indexes 3 cores in use, its instances use 4"]
+    state.cores_used[1] += 1
     assert state.validate() == []
     # the per-node index must list exactly the live instances
     del state.node_instances[1][inst.id]
@@ -299,7 +290,7 @@ def test_overlay_mirrors_and_debits():
     pid = overlay.add_assignment(FN_B, 0, None, 30000)
     assert pid < 0
     assert overlay.pm_active(0)
-    assert overlay.used_resources(0) == {CPU: 4}
+    assert overlay.used_cores(0) == 4
     assert overlay.cpu_utilization(0) == 0.25
     found = overlay.find_reusable(0, FN_B, 100000)
     assert found == (pid, 170000)
@@ -353,10 +344,9 @@ def test_random_sequences_keep_state_consistent():
         assert state.snapshot() == NetworkState(graph).snapshot()
 
 
-# functions of two sizes and one needing a resource only odd PMs have
+# functions of two sizes
 IDX_FNS = (FunctionType("S", {CPU: 2}, 10.0, 0.0),
-           FunctionType("M", {CPU: 4}, 10.0, 0.0),
-           FunctionType("G", {CPU: 2, "gpu": 1}, 10.0, 0.0))
+           FunctionType("M", {CPU: 4}, 10.0, 0.0))
 
 
 def _random_allocation(state, rng, demand_id):
@@ -385,10 +375,8 @@ def _random_allocation(state, rng, demand_id):
 
 
 def _room(statelike, node, function):
-    used = _StateView.used_resources(statelike, node)
-    cap = statelike.graph.node(node).pm.capacity
-    return all(used.get(res, 0) + amount <= cap.get(res, 0)
-               for res, amount in function.requirements.items())
+    return (_StateView.used_cores(statelike, node) + function.cores
+            <= statelike.graph.node(node).pm.cores)
 
 
 def _reusable(statelike, node, function, need):
@@ -408,8 +396,7 @@ def test_indices_equal_their_derivation(seed, steps):
     rng = random.Random(seed)
     base = random_connected_graph(rng, max_nodes=8, cap_range=(5, 60))
     graph = NetworkGraph(
-        [NodeSpec(i, PmSpec({CPU: 8, "gpu": 1} if i % 2 else {CPU: 8}))
-         for i in range(base.num_nodes)],
+        [NodeSpec(i, PmSpec({CPU: 8})) for i in range(base.num_nodes)],
         [(a, b, base.link(a, b).capacity, 0.1) for a, b in base.cables()])
     state = NetworkState(graph)
     live = []
@@ -427,8 +414,8 @@ def test_indices_equal_their_derivation(seed, steps):
             assert state.switch_active(node) == \
                 _StateView.switch_active(state, node)
             assert state.pm_active(node) == _StateView.pm_active(state, node)
-            assert state.used_resources(node) == \
-                _StateView.used_resources(state, node)
+            assert state.used_cores(node) == \
+                _StateView.used_cores(state, node)
         overlay = StateOverlay(state)
         for _ in range(rng.randrange(4)):
             node, fn = rng.randrange(graph.num_nodes), rng.choice(IDX_FNS)
@@ -446,5 +433,4 @@ def test_indices_equal_their_derivation(seed, steps):
                 for need in (1, 5000, 10000):
                     assert overlay.find_reusable(node, fn, need) == \
                         _reusable(overlay, node, fn, need)
-    state.used_resources(0)[CPU] = -1      # a copy, not the index
     assert state.validate() == []

@@ -32,6 +32,8 @@ def test_pm_spec_requires_cpu():
         PmSpec({"mem": 4})
     with pytest.raises(TopologyError):
         PmSpec({CPU: 0})
+    with pytest.raises(TopologyError, match="cores only"):
+        PmSpec({CPU: 4, "gpu": 1})
     assert PmSpec({CPU: 16}).cores == 16
 
 
@@ -42,6 +44,8 @@ def test_function_type_validation():
         FunctionType("X", {CPU: 4}, 0.0, 1.0)
     with pytest.raises(TopologyError):
         FunctionType("X", {CPU: 4}, 100.0, -1.0)
+    with pytest.raises(TopologyError, match="cores only"):
+        FunctionType("X", {CPU: 4, "gpu": 1}, 100.0, 1.0)
     fn = FunctionType("X", {CPU: 4}, 100.0, 1.0)
     assert fn.cores == 4
 
@@ -109,6 +113,12 @@ def test_parse_errors_carry_line_numbers():
         ("node 0 4\nnode 1 4\nlink 0 1 100\n", "line 3"),
         ("node 0 4\nnode 1 4\nlink 0 1 100 -5\n", "line 3"),
         ("node 0 4\nnode 1 4\nlink 0 1 100 bad\n", "line 3"),
+        ("node 0 4\nnode 1 4\nlink 0 5 10 1\n", "line 3: link endpoint 5"),
+        ("node 0 4\nlink 0 0 10 1\n", "line 2: self loop"),
+        ("node 0 4\nnode 1 4\nlink 0 1 10 1\nlink 1 0 10 1\n",
+         "line 4: duplicate cable 0-1"),
+        ("node 0 4\nnode 1 4\nlink 0 1 0 1ms\n",
+         "line 3: cable 0-1: non-positive"),
     ]
     for text, needle in cases:
         with pytest.raises(TopologyError) as err:
@@ -148,13 +158,6 @@ def test_power_params_reject_negative_or_non_finite_ratings(value):
 def test_parse_rejects_structural_problems():
     with pytest.raises(TopologyError):
         parse_topology("")                               # no nodes
-    with pytest.raises(TopologyError):
-        parse_topology("node 0 4\nnode 1 4\nlink 0 2 10 1\n")   # unknown end
-    with pytest.raises(TopologyError):
-        parse_topology("node 0 4\nlink 0 0 10 1\n")      # self loop
-    with pytest.raises(TopologyError):
-        parse_topology("node 0 4\nnode 1 4\n"
-                       "link 0 1 10 1\nlink 1 0 10 1\n")  # duplicate cable
     with pytest.raises(TopologyError):
         parse_topology("node 0 4\nnode 2 4\nlink 0 2 10 1\n")   # sparse ids
 
