@@ -6,14 +6,13 @@ from .topology import (CPU, FunctionType, Link, NetworkGraph, NodeSpec,
                        nobel_germany, parse_topology, serialize_topology)
 from .netstate import (Allocation, AllocationError, FunctionAssignment,
                        NetworkState, Route, StateOverlay, VnfInstance,
-                       to_kbps, to_mbps)
+                       to_kbps)
 from .bih import BIGraph, BIHierarchy, BlockingIsland, beta_bi_search, build_bih
 from .power import (incremental_cost, network_power, pm_power,
                     pm_power_total, switch_power, total_power)
 from .placement import (Candidate, DemandOutcome, SolutionSet,
                         bc_place_all, betweenness, place_all)
-from .workload import (Demand, WorkloadError, export_demands,
-                       generate_demands, parse_demands)
+from .workload import Demand, WorkloadError, generate_demands
 from .exact import (ExactLimitError, ExactLimits, ExactSolution, MilpModel,
                     build_model, export_lp, extract_assignment,
                     solve_exact_small, validate_solution)

@@ -37,10 +37,6 @@ def to_kbps(mbps: float) -> int:
     return int(round(mbps * 1000.0))
 
 
-def to_mbps(kbps: int) -> float:
-    return kbps / 1000.0
-
-
 @dataclass
 class VnfInstance:
     """One running function instance on a PM.

@@ -8,7 +8,11 @@ smallest), then walks the chain function by function, picking the
 the island once, holds the plan and patches what it read as it grows.
 At each position the reuse candidates are routed first; new instances
 are listed and routed only when one could still cost no more than the
-best reuse found.
+best reuse found. The views of one call share a routing cache: the
+edge terms of every link, each island's node order, neighbours and hop
+counts, and every search tree, keyed by the exact adjacency it was grown
+over, so a later demand that meets the same adjacency reads the tree a
+new search would grow.
 bc_place_all is a centrality baseline: every demand follows its
 hop-shortest path and functions are stacked on the most central path
 nodes with capacity. Each endpoint pair's route is found once per run;
@@ -96,6 +100,88 @@ def _edge_terms(graph: NetworkGraph, link: Link, src_lit: bool,
             link.delay / max_delay if max_delay > 0 else 0.0)
 
 
+class _IslandFacts:
+    """What the walk reads of an island itself, the same for every demand
+    routed in it: its nodes sorted, their index in that order, each node's
+    island neighbours sorted (the canonical order adjacency codes follow),
+    the largest PM core count, and BFS hop counts from each origin asked
+    for so far. id numbers the facts within their _RouteCache."""
+
+    __slots__ = ("id", "nodes", "index", "nbrs", "max_cores", "_hops")
+
+    def __init__(self, fid: int, graph: NetworkGraph, island: BlockingIsland):
+        self.id = fid
+        self.nodes = sorted(island.nodes)
+        self.index = {n: i for i, n in enumerate(self.nodes)}
+        self.nbrs: Dict[int, List[int]] = {n: [] for n in self.nodes}
+        for a, b in island.internal_links:
+            self.nbrs[a].append(b)
+            self.nbrs[b].append(a)
+        for row in self.nbrs.values():
+            row.sort()
+        self.max_cores = max(graph.node(n).pm.cores for n in self.nodes)
+        self._hops: Dict[int, Dict[int, int]] = {}
+
+    def hops(self, origin: int) -> Dict[int, int]:
+        """BFS hop counts from origin over the island's links."""
+        hops = self._hops.get(origin)
+        if hops is None:
+            hops = {origin: 0}
+            queue = deque([origin])
+            while queue:
+                u = queue.popleft()
+                for v in self.nbrs[u]:
+                    if v not in hops:
+                        hops[v] = hops[u] + 1
+                        queue.append(v)
+            self._hops[origin] = hops
+        return hops
+
+
+class _RouteCache:
+    """What the views of one place_all call share; it lives as long as the
+    call, so nothing in it is ever stale or evicted.
+
+    terms[(u, v)] holds the 8 adjacency entries (v, link, power, delay) of
+    a directed link, indexed by src lit * 4 + dst lit * 2 + cable lit
+    (_edge_terms gives the terms). island() gives an island's facts,
+    keyed by its node and link sets, so an island rebuilt as a new object
+    with equal sets maps to the same facts. adj_id() interns an adjacency:
+    the island's facts id and one code per node in sorted order, which
+    holds, per neighbour in sorted order, a base-9 digit: 0 if the link
+    cannot carry the view's kb/s, else 1 + its lit bits. That pins every
+    entry of every row, so two views with one adjacency id search the very
+    same graph. trees maps (adjacency id, src, dst or None, gamma, omega)
+    to the predecessor links _settle returns for them, which are a pure
+    function of that key: a hit is exactly what a new search would give."""
+
+    __slots__ = ("graph", "terms", "trees", "_islands", "_adjs")
+
+    def __init__(self, graph: NetworkGraph):
+        self.graph = graph
+        self.terms: Dict[Tuple[int, int], tuple] = {
+            (link.src, link.dst): tuple(
+                (link.dst, link, *_edge_terms(graph, link, bool(bits & 4),
+                                              bool(bits & 2), bool(bits & 1)))
+                for bits in range(8))
+            for link in graph.links}
+        self.trees: Dict[tuple, Dict[int, Link]] = {}
+        self._islands: Dict[tuple, _IslandFacts] = {}
+        self._adjs: Dict[tuple, int] = {}
+
+    def island(self, island: BlockingIsland) -> _IslandFacts:
+        key = (island.nodes, island.internal_links)
+        facts = self._islands.get(key)
+        if facts is None:
+            facts = _IslandFacts(len(self._islands), self.graph, island)
+            self._islands[key] = facts
+        return facts
+
+    def adj_id(self, facts: _IslandFacts, codes: List[int]) -> int:
+        return self._adjs.setdefault((facts.id, tuple(codes)),
+                                     len(self._adjs))
+
+
 class _ChainView:
     """The island as one demand's chain walk sees it: the committed state
     with the partial plan on top, the origin of the next chain position,
@@ -113,33 +199,38 @@ class _ChainView:
     changed (its link sources, and the ends and island neighbours of what
     it newly lit); an assignment debits its instance's row, or appends a
     placeholder row and adds its function's cores. Placeholder ids
-    are -1, -2, ... in creation order, as apply_allocation expects."""
+    are -1, -2, ... in creation order, as apply_allocation expects.
 
-    def __init__(self, state, island: BlockingIsland, src: int, kbps: int):
+    What does not depend on the plan comes from the run's _RouteCache
+    (a fresh one if none is given): the edge terms, the island's facts and
+    hop counts, and the search trees, which views of earlier demands may
+    already have grown over the same adjacency."""
+
+    def __init__(self, state, island: BlockingIsland, src: int, kbps: int,
+                 cache: Optional[_RouteCache] = None):
         self.state = state
         self.graph = state.graph
-        self.nodes = sorted(island.nodes)
+        self.cache = cache if cache is not None else _RouteCache(self.graph)
+        self.facts = self.cache.island(island)
+        self.nodes = self.facts.nodes
+        self.max_cores = self.facts.max_cores
         self.kbps = kbps
         self.origin = src
-        self.lit = ({n: state.switch_active(n) for n in island.nodes},
+        self.lit = ({n: state.switch_active(n) for n in self.nodes},
                     {c: state.cable_active(*c) for c in island.internal_links})
-        self._nbrs: Dict[int, List[int]] = {n: [] for n in island.nodes}
-        for a, b in island.internal_links:
-            self._nbrs[a].append(b)
-            self._nbrs[b].append(a)
         self.rows: Dict[int, List[list]] = {
             n: [[inst.id, inst.function.name, free]
                 for inst, free in state.hosted(n)] for n in self.nodes}
         self.used = {n: state.used_cores(n) for n in self.nodes}
-        self.max_cores = max(self.graph.node(n).pm.cores for n in self.nodes)
         self._debit: Dict[Tuple[int, int], int] = {}
         self._next_placeholder = -1
-        self._hops: Optional[Dict[int, int]] = None
         # the island's links that can carry kbps, each with its normalized
-        # power and delay terms, and the trees searched over them
+        # power and delay terms; per node its adjacency code, and the id
+        # of the whole adjacency that the trees are keyed by
         self.adj: Dict[int, List[Tuple[int, Link, float, float]]] = {}
-        self._trees: Dict[tuple, Dict[int, Link]] = {}
-        self.refill(island.nodes)
+        self._codes = [0] * len(self.nodes)
+        self._adj_id = -1
+        self.refill(self.nodes)
 
     def residual(self, src: int, dst: int) -> int:
         return self.state.residual(src, dst) - self._debit.get((src, dst), 0)
@@ -154,53 +245,54 @@ class _ChainView:
         return self.lit[1][(a, b) if a < b else (b, a)]
 
     def refill(self, nodes: Iterable[int]) -> None:
-        """Re-read the links out of nodes and drop the trees. Any edge order
-        gives the same trees: heap ties are broken by node id."""
-        graph, kbps = self.graph, self.kbps
+        """Re-read the links out of nodes, with their codes, and intern the
+        adjacency. Any edge order gives the same trees: heap ties are
+        broken by node id."""
+        residual, debit, kbps = self.state.residual, self._debit, self.kbps
+        terms = self.cache.terms
         lit_switch, lit_cable = self.lit
+        facts, codes = self.facts, self._codes
         for u in nodes:
             row = []
-            for v in self._nbrs[u]:
-                if self.residual(u, v) >= kbps:
-                    link = graph.link(u, v)
-                    row.append((v, link, *_edge_terms(
-                        graph, link, lit_switch[u], lit_switch[v],
-                        lit_cable[(u, v) if u < v else (v, u)])))
+            code = 0
+            src_bit = lit_switch[u] << 2
+            for v in facts.nbrs[u]:
+                code *= 9
+                if residual(u, v) - debit.get((u, v), 0) >= kbps:
+                    bits = (src_bit | lit_switch[v] << 1
+                            | lit_cable[(u, v) if u < v else (v, u)])
+                    row.append(terms[(u, v)][bits])
+                    code += 1 + bits
             self.adj[u] = row
-        self._trees.clear()
+            codes[facts.index[u]] = code
+        self._adj_id = self.cache.adj_id(facts, codes)
+
+    def _tree(self, src: int, dst: Optional[int], gamma: float,
+              omega: float) -> Dict[int, Link]:
+        key = (self._adj_id, src, dst, gamma, omega)
+        trees = self.cache.trees
+        tree = trees.get(key)
+        if tree is None:
+            tree = trees[key] = _settle(self.adj, src, dst, gamma, omega)
+        return tree
 
     def entry(self, pm: int, gamma: float,
               omega: float) -> Optional[List[Link]]:
         """Min-weight path origin -> pm, read from the forward tree of the
         origin, which is built on first use."""
-        key = (gamma, omega)
-        if key not in self._trees:
-            self._trees[key] = _settle(self.adj, self.origin, None, gamma,
-                                       omega)
-        return _path(self._trees[key], self.origin, pm)
+        return _path(self._tree(self.origin, None, gamma, omega),
+                     self.origin, pm)
 
     def exit(self, pm: int, dst: int, gamma: float,
              omega: float) -> Optional[List[Link]]:
         """Min-weight path pm -> dst, searched until dst is settled; the
-        search is kept, as co-located positions repeat it."""
-        key = (pm, gamma, omega, dst)
-        if key not in self._trees:
-            self._trees[key] = _settle(self.adj, pm, dst, gamma, omega)
-        return _path(self._trees[key], pm, dst)
+        search is kept in the run's cache, as co-located positions and
+        later demands repeat it."""
+        return _path(self._tree(pm, dst, gamma, omega), pm, dst)
 
     def hops(self) -> Dict[int, int]:
         """BFS hop counts from the origin over the island's links."""
-        if self._hops is None:
-            hops = {self.origin: 0}
-            queue = deque([self.origin])
-            while queue:
-                u = queue.popleft()
-                for v in self._nbrs[u]:
-                    if v not in hops:
-                        hops[v] = hops[u] + 1
-                        queue.append(v)
-            self._hops = hops
-        return self._hops
+        return self.facts.hops(self.origin)
 
     def add_segment(self, links: Tuple[Link, ...]) -> None:
         """Plan links from the origin on; they end at the new origin."""
@@ -219,10 +311,9 @@ class _ChainView:
             for node in cable:
                 if not lit_switch[node]:
                     lit_switch[node] = True
-                    touched.update(self._nbrs[node], (node,))
+                    touched.update(self.facts.nbrs[node], (node,))
         self.refill(touched)
         self.origin = links[-1].dst
-        self._hops = None
 
     def add_assignment(self, function: FunctionType, node: int,
                        instance_id: Optional[int]) -> int:
@@ -248,12 +339,13 @@ def _settle(adj: dict, src: int, dst: Optional[int], gamma: float,
     node's predecessor link is fixed when it is settled, so stopping once
     dst is settled yields the same path to dst as the full tree (dst
     None). Returns the predecessor links."""
+    push, pop = heapq.heappush, heapq.heappop
     best: Dict[int, Tuple[float, float, int]] = {src: (0.0, 0.0, 0)}
     pred: Dict[int, Link] = {}
     heap = [(0.0, 0.0, 0, src)]
     done = set()
     while heap:
-        weight, delay, hops, u = heapq.heappop(heap)
+        weight, delay, hops, u = pop(heap)
         if u in done:
             continue
         done.add(u)
@@ -262,12 +354,15 @@ def _settle(adj: dict, src: int, dst: Optional[int], gamma: float,
         for v, link, power, delay_term in adj[u]:
             if v in done:
                 continue
-            cand = (weight + (gamma * power + omega * delay_term),
-                    delay + link.delay, hops + 1)
-            if v not in best or cand < best[v]:
+            total = weight + (gamma * power + omega * delay_term)
+            old = best.get(v)
+            if old is not None and total > old[0]:
+                continue            # the label below cannot be smaller
+            cand = (total, delay + link.delay, hops + 1)
+            if old is None or cand < old:
                 best[v] = cand
                 pred[v] = link
-                heapq.heappush(heap, (*cand, v))
+                push(heap, (*cand, v))
     return pred
 
 
@@ -298,7 +393,9 @@ def calculate_best_path(view: _ChainView, pm: int, dst: int, budget_ms: float,
     the budget. Gives up once the mix would leave no power emphasis at
     all. Returns (entry segment, exit segment, entry delay, exit delay);
     None if no setting meets the budget. Candidates routed through one
-    view share its entry trees. place_all checks weight_step.
+    view share its entry trees, and every view of a place_all call shares
+    the trees that earlier views grew over the same adjacency (see
+    _RouteCache). place_all checks weight_step.
 
     Every link of the view's adjacency has the kb/s spare and a tree path
     repeats no link, so only a link on both segments can lack room: it
@@ -432,18 +529,19 @@ def _best_candidate(view: _ChainView, function: FunctionType, dst: int,
 
 
 def _plan_in_island(state: NetworkState, island: BlockingIsland, demand,
-                    weight_step: float, stats: Optional[dict] = None
+                    weight_step: float, cache: _RouteCache,
+                    stats: Optional[dict] = None
                     ) -> Tuple[Optional[Allocation], Optional[str]]:
     """Greedy chain walk inside one island on one _ChainView, which holds
-    the plan so far. Returns a planned allocation with placeholder
-    instance ids, or (None, reason)."""
+    the plan so far and shares the run's cache. Returns a planned
+    allocation with placeholder instance ids, or (None, reason)."""
     kbps = demand.bandwidth_kbps
     chain = demand.chain
     processing = sum(f.processing_delay for f in chain)
     budget = demand.delay_budget - processing
     if budget < -_EPS:
         return None, "delay"
-    view = _ChainView(state, island, demand.src, kbps)
+    view = _ChainView(state, island, demand.src, kbps, cache)
     spent = 0.0
     segments: List[Tuple[Link, ...]] = []
     assignments: List[FunctionAssignment] = []
@@ -480,6 +578,7 @@ def place_all(graph: NetworkGraph, demands: Iterable, betas_mbps: List[float],
     state = NetworkState(graph)
     outcomes: List[DemandOutcome] = []
     hierarchy = build_bih(state, betas_mbps)
+    cache = _RouteCache(graph)
     for demand in demands:
         island = hierarchy.select(demand.src, demand.dst,
                                   demand.bandwidth_kbps, mode)
@@ -487,7 +586,7 @@ def place_all(graph: NetworkGraph, demands: Iterable, betas_mbps: List[float],
             outcomes.append(DemandOutcome(demand, False, None, "no-island"))
             continue
         planned, reason = _plan_in_island(state, island, demand, weight_step,
-                                          stats)
+                                          cache, stats)
         if planned is None:
             outcomes.append(DemandOutcome(demand, False, None, reason))
             continue

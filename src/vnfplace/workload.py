@@ -1,10 +1,10 @@
-"""Random demand generation and the demand file format."""
+"""Random demand generation."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List
+from typing import Dict, List
 
 from .netstate import to_kbps
 from .topology import NetworkGraph, ServiceType
@@ -79,46 +79,4 @@ def generate_demands(graph: NetworkGraph, count: int,
                 service = s
                 break
         demands.append(Demand(i, src, dst, service))
-    return demands
-
-
-# -- demand file format --------------------------------------------------
-#
-#   <id> <src> <dst> <service_name>
-#
-# '#' starts a comment, blank lines are skipped.
-
-
-def export_demands(demands: Iterable[Demand]) -> str:
-    lines = ["%d %d %d %s" % (d.id, d.src, d.dst, d.service.name)
-             for d in demands]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def parse_demands(text: str, graph: NetworkGraph,
-                  services: Dict[str, ServiceType]) -> List[Demand]:
-    demands: List[Demand] = []
-    seen = set()
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        try:
-            if len(parts) != 4:
-                raise ValueError("expected '<id> <src> <dst> <service>'")
-            did, src, dst = int(parts[0]), int(parts[1]), int(parts[2])
-            if did in seen:
-                raise ValueError("duplicate demand id %d" % did)
-            if not (0 <= src < graph.num_nodes and 0 <= dst < graph.num_nodes):
-                raise ValueError("endpoint outside the topology")
-            if src == dst:
-                raise ValueError("src equals dst")
-            service = services.get(parts[3])
-            if service is None:
-                raise ValueError("unknown service %r" % parts[3])
-            seen.add(did)
-            demands.append(Demand(did, src, dst, service))
-        except ValueError as exc:
-            raise WorkloadError("line %d: %s" % (lineno, exc)) from None
     return demands

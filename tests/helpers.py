@@ -13,6 +13,11 @@ from vnfplace.topology import (CPU, FunctionType, Link, NetworkGraph,
                                link_delay_from_length)
 from vnfplace.workload import Demand
 
+def to_mbps(kbps: int) -> float:
+    """The inverse of netstate.to_kbps on the values tests feed it."""
+    return kbps / 1000.0
+
+
 # a one-function chain that never binds on processing capacity; used to
 # shape link residuals without the catalog's 200 Mb/s instance ceiling
 XL = FunctionType("XL", {CPU: 1}, 1e6, 0.0)

@@ -15,11 +15,11 @@ from typing import Dict, Tuple
 from helpers import (XL, betweenness_oracle, island_partition, make_demand,
                      partition_oracle, random_connected_graph,
                      route_allocation, skim_random_links, tiny_instance,
-                     triangle_graph)
+                     to_mbps, triangle_graph)
 from vnfplace.bih import BlockingIsland, build_bih
 from vnfplace.exact import (build_model, export_lp, solve_exact_small,
                             validate_solution)
-from vnfplace.netstate import NetworkState, StateOverlay, to_mbps
+from vnfplace.netstate import NetworkState, StateOverlay
 from vnfplace.placement import (_ChainView, bc_place_all,
                                 calculate_best_path, betweenness, place_all)
 from vnfplace.power import pm_power, switch_power, total_power

@@ -6,10 +6,10 @@ import pytest
 
 from helpers import (XL, island_partition, layered_graph, partition_oracle,
                      random_connected_graph, route_allocation,
-                     skim_random_links)
+                     skim_random_links, to_mbps)
 from vnfplace.bih import BIHierarchy, beta_bi_search, build_bih
 from vnfplace.netstate import (Allocation, FunctionAssignment, NetworkState,
-                               StateOverlay, to_mbps)
+                               StateOverlay)
 from vnfplace.placement import place_all
 from vnfplace.topology import default_catalogs, nobel_germany
 from vnfplace.workload import generate_demands

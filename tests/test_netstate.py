@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import XL, make_demand, make_graph, random_connected_graph, \
-    route_allocation
+    route_allocation, to_mbps
 from vnfplace.netstate import (Allocation, AllocationError,
                                FunctionAssignment, NetworkState, Route,
-                               StateOverlay, _StateView, to_kbps, to_mbps)
+                               StateOverlay, _StateView, to_kbps)
 from vnfplace.topology import (CPU, FunctionType, NetworkGraph, NodeSpec,
                                PmSpec)
 

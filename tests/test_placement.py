@@ -25,8 +25,8 @@ from vnfplace.placement import (Candidate, _assign_on_path, _best_candidate,
                                 place_all)
 from vnfplace.power import incremental_cost
 from vnfplace.topology import (CPU, FunctionType, NetworkGraph, NodeSpec,
-                               PmSpec, PowerParams, default_catalogs,
-                               nobel_germany)
+                               PmSpec, PowerParams, ServiceType,
+                               default_catalogs, nobel_germany)
 from vnfplace.workload import generate_demands
 
 BETAS = [900.0, 700.0, 500.0, 300.0]
@@ -435,6 +435,165 @@ def test_settle_trees_match_networkx_on_patched_searches():
             for node, dist in want.items():
                 assert got[node] == pytest.approx(dist, rel=1e-12, abs=1e-12)
     assert patched >= 5
+
+
+def _zero_power_graph():
+    # no switch or port power and no link delay: both denominators are 0
+    cables = [(0, 1, 100.0, 0.0), (1, 2, 100.0, 0.0), (0, 2, 100.0, 0.0)]
+    return NetworkGraph(make_graph(3, cables).nodes, cables,
+                        PowerParams(switch_static_w=0.0, port_w=0.0))
+
+
+@pytest.mark.parametrize("graph", [nobel_germany(), _zero_power_graph()],
+                         ids=["nobel-germany", "zero-power"])
+def test_edge_term_table_equals_edge_terms(graph):
+    # every directed link, every (src lit, dst lit, cable lit) setting
+    terms = placement._RouteCache(graph).terms
+    assert terms.keys() == {(l.src, l.dst) for l in graph.links}
+    for link in graph.links:
+        for src_lit in (False, True):
+            for dst_lit in (False, True):
+                for cable_lit in (False, True):
+                    entry = terms[(link.src, link.dst)][
+                        src_lit * 4 + dst_lit * 2 + cable_lit]
+                    assert entry == (link.dst, link, *_edge_terms(
+                        graph, link, src_lit, dst_lit, cable_lit))
+
+
+def _twin(island):
+    """An island equal to the given one, built as new frozensets filled in
+    reverse order."""
+    return BlockingIsland(island.id + 1, island.beta_kbps,
+                          frozenset(sorted(island.nodes, reverse=True)),
+                          frozenset(sorted(island.internal_links,
+                                           reverse=True)))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_route_cache_hits_equal_fresh_searches(seed, monkeypatch):
+    # successive demands on one island (or its twin) of a loaded random
+    # graph, their views sharing one cache, the state changing between
+    # some of them; at every position every entry and exit search equals
+    # the oracle over an overlay given the same plan. A view with a cache
+    # of its own runs alongside and must search more often: the shared
+    # cache served trees grown for earlier demands
+    settles = [0]
+    real_settle = placement._settle
+
+    def counted(*args):
+        settles[0] += 1
+        return real_settle(*args)
+
+    monkeypatch.setattr(placement, "_settle", counted)
+    rng = random.Random(seed)
+    graph = random_connected_graph(rng, max_nodes=12, cap_range=(10, 150))
+    state = NetworkState(graph)
+    next_id = skim_random_links(state, rng)
+    src = rng.randrange(graph.num_nodes)
+    nodes, links = beta_bi_search(state, src, 1.0)
+    island = BlockingIsland(1, 1000, nodes, links)
+    ordered = sorted(nodes)
+    cache = placement._RouteCache(graph)
+    ladder = [(1.0 - k * 0.25, k * 0.25) for k in range(4)]
+    shared_settles = solo_settles = 0
+    for demand in range(12):
+        kbps = rng.choice([1000, 20000, 60000])
+        origin, dst = rng.choice(ordered), rng.choice(ordered)
+        seen_as = island if demand % 2 else _twin(island)
+        view = _ChainView(state, seen_as, origin, kbps, cache)
+        solo = _ChainView(state, seen_as, origin, kbps)
+        overlay = StateOverlay(state)
+        for _ in range(3):
+            assert view.hops() == _fresh_hops(graph, island, view.origin)
+            for gamma, omega in ladder:
+                for node in ordered:
+                    want_in = oracle_dijkstra(overlay, island, view.origin,
+                                              node, kbps, gamma, omega)
+                    want_out = oracle_dijkstra(overlay, island, node, dst,
+                                               kbps, gamma, omega)
+                    mark = settles[0]
+                    assert view.entry(node, gamma, omega) == want_in
+                    assert view.exit(node, dst, gamma, omega) == want_out
+                    shared_settles += settles[0] - mark
+                    mark = settles[0]
+                    assert solo.entry(node, gamma, omega) == want_in
+                    assert solo.exit(node, dst, gamma, omega) == want_out
+                    solo_settles += settles[0] - mark
+            gamma, omega = rng.choice(ladder)
+            segment = view.entry(rng.choice(ordered), gamma, omega)
+            if segment is None:
+                break
+            view.add_segment(tuple(segment))
+            solo.add_segment(tuple(segment))
+            overlay.add_links(segment, kbps)
+        if rng.random() < 0.5:
+            a, b = rng.choice(sorted(links))
+            if rng.random() < 0.5:
+                a, b = b, a
+            free = state.residual(a, b)
+            if free > 0:
+                route_allocation(state, [a, b],
+                                 rng.randrange(1, free + 1) / 1000.0, next_id)
+                next_id += 1
+    assert shared_settles < solo_settles
+
+
+def _tight_instance(seed):
+    """A small random graph with narrow links and 2-8-core PMs, a random
+    catalog of short chains with tight delay budgets, 80 demands and the
+    thresholds to place them with."""
+    rng = random.Random(seed)
+    plain = random_connected_graph(rng, max_nodes=14, cap_range=(20, 120))
+    nodes = [NodeSpec(n.id, PmSpec({CPU: rng.choice([2, 4, 8])}))
+             for n in plain.nodes]
+    cables = [(a, b, plain.link(a, b).capacity, rng.choice([0.5, 2.0, 8.0]))
+              for a, b in plain.cables()]
+    graph = NetworkGraph(nodes, cables)
+    fns = [FunctionType("F%d" % i, {CPU: rng.choice([1, 2, 4])},
+                        rng.choice([30.0, 60.0, 200.0]),
+                        rng.choice([1.0, 3.0])) for i in range(3)]
+    shares = (0.5, 0.3, 0.2)
+    services = {
+        "s%d" % i: ServiceType("s%d" % i, tuple(
+            rng.choice(fns) for _ in range(rng.randrange(1, 4))),
+            rng.choice([2.0, 10.0, 25.0]), rng.choice([4.0, 15.0, 40.0]),
+            share)
+        for i, share in enumerate(shares)}
+    demands = generate_demands(graph, 80, services, seed)
+    return graph, demands, [60.0, 30.0, 10.0]
+
+
+def test_shared_cache_run_equals_fresh_cache_run(monkeypatch):
+    # whole place_all runs give the same state whether the views of one
+    # run share its cache or each view gets a cache of its own
+    _, services = default_catalogs()
+    germany = nobel_germany()
+    instances = [(germany, generate_demands(germany, 150, services, seed),
+                  BETAS) for seed in range(2)]
+    instances += [_tight_instance(seed) for seed in range(6)]
+    normal = []
+    reasons = set()
+    for graph, demands, betas in instances:
+        for mode in ("lbi", "hbi"):
+            sol = place_all(graph, demands, betas, mode=mode)
+            normal.append(sol.state.snapshot())
+            reasons.update(o.reason for o in sol.outcomes)
+    # the tight instances reject demands for every reason the walk has
+    assert reasons >= {None, "no-island", "no-path", "delay", "no-pm"}
+    shared_view = placement._ChainView
+    views = [0]
+
+    def fresh_cache_view(state, island, src, kbps, cache):
+        views[0] += 1
+        return shared_view(state, island, src, kbps,
+                           placement._RouteCache(state.graph))
+
+    monkeypatch.setattr(placement, "_ChainView", fresh_cache_view)
+    fresh = [place_all(graph, demands, betas, mode=mode).state.snapshot()
+             for graph, demands, betas in instances
+             for mode in ("lbi", "hbi")]
+    assert views[0] > 0
+    assert fresh == normal
 
 
 def _counted_listings(monkeypatch):

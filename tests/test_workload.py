@@ -1,13 +1,10 @@
-"""Demand sampling and the demand file format."""
+"""Demand sampling."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from helpers import make_graph
 from vnfplace.topology import default_catalogs, nobel_germany
-from vnfplace.workload import (WorkloadError, export_demands,
-                               generate_demands, parse_demands)
+from vnfplace.workload import WorkloadError, generate_demands
 
 FUNCTIONS, SERVICES = default_catalogs()
 
@@ -82,47 +79,3 @@ def test_generation_rejects_bad_input():
     lopsided = {"web": SERVICES["web"]}
     with pytest.raises(WorkloadError, match="shares sum"):
         generate_demands(graph, 5, lopsided, seed=0)
-
-
-def test_demand_file_round_trip():
-    graph = nobel_germany()
-    demands = generate_demands(graph, 50, SERVICES, seed=9)
-    text = export_demands(demands)
-    assert parse_demands(text, graph, SERVICES) == demands
-    assert export_demands([]) == ""
-    assert parse_demands("", graph, SERVICES) == []
-
-
-def test_parse_skips_comments_and_blanks():
-    graph = nobel_germany()
-    text = "# demand list\n\n0 0 1 web   # first\n1 2 3 voip\n"
-    demands = parse_demands(text, graph, SERVICES)
-    assert [(d.id, d.src, d.dst, d.service.name) for d in demands] == \
-        [(0, 0, 1, "web"), (1, 2, 3, "voip")]
-
-
-def test_parse_reports_offending_line():
-    graph = nobel_germany()
-    cases = [
-        ("0 0 1\n", "line 1", "expected"),
-        ("0 0 1 web\n0 2 3 voip\n", "line 2", "duplicate demand id"),
-        ("0 0 99 web\n", "line 1", "outside the topology"),
-        ("0 4 4 web\n", "line 1", "src equals dst"),
-        ("# ok\n0 0 1 torrent\n", "line 2", "unknown service"),
-        ("0 0 one web\n", "line 1", "invalid literal"),
-    ]
-    for text, where, what in cases:
-        with pytest.raises(WorkloadError) as err:
-            parse_demands(text, graph, SERVICES)
-        assert where in str(err.value)
-        assert what in str(err.value)
-
-
-@settings(max_examples=50, deadline=None)
-@given(count=st.integers(0, 60), seed=st.integers(0, 2 ** 32 - 1))
-def test_export_parse_round_trip(count, seed):
-    graph = nobel_germany()
-    demands = generate_demands(graph, count, SERVICES, seed)
-    text = export_demands(demands)
-    assert parse_demands(text, graph, SERVICES) == demands
-    assert export_demands(parse_demands(text, graph, SERVICES)) == text
