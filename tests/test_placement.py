@@ -596,6 +596,23 @@ def test_shared_cache_run_equals_fresh_cache_run(monkeypatch):
     assert fresh == normal
 
 
+def test_place_all_fingerprint_is_pinned_on_tight_instances():
+    # sha1 over the snapshots of lbi then hbi runs of each of 30 tight
+    # instances; unlike nobel-germany, these reject demands for every
+    # reason the walk has, so the pin covers searches that fail and
+    # adjacencies that drop links for want of kb/s
+    digest = hashlib.sha1()
+    reasons = set()
+    for seed in range(30):
+        graph, demands, betas = _tight_instance(seed)
+        for mode in ("lbi", "hbi"):
+            sol = place_all(graph, demands, betas, mode=mode)
+            digest.update(sol.state.snapshot().encode())
+            reasons.update(o.reason for o in sol.outcomes)
+    assert reasons >= {"no-island", "no-path", "delay", "no-pm"}
+    assert digest.hexdigest() == "4c6bfb86e675d2155e705e7380f540b3d6faf51a"
+
+
 def _counted_listings(monkeypatch):
     """Route placement's candidate listings through a counter; returns
     the list of reuse flags it was called with."""
