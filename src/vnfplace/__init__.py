@@ -3,11 +3,11 @@
 from .topology import (CPU, FunctionType, Link, NetworkGraph, NodeSpec,
                        PmSpec, PowerParams, ServiceType, TopologyError,
                        default_catalogs, link_delay_from_length,
-                       nobel_germany, parse_topology, serialize_topology)
+                       nobel_germany, parse_topology)
 from .netstate import (Allocation, AllocationError, FunctionAssignment,
                        NetworkState, Route, StateOverlay, VnfInstance,
                        to_kbps)
-from .bih import BIGraph, BIHierarchy, BlockingIsland, beta_bi_search, build_bih
+from .bih import BIGraph, BIHierarchy, BlockingIsland, build_bih
 from .power import (incremental_cost, network_power, pm_power,
                     pm_power_total, switch_power, total_power)
 from .placement import (Candidate, DemandOutcome, SolutionSet,

@@ -64,14 +64,6 @@ def _flood(state, start: int, beta_kbps: int,
     return frozenset(nodes), frozenset(links)
 
 
-def beta_bi_search(state: NetworkState, node: int,
-                   beta_mbps: float) -> Tuple[FrozenSet[int], FrozenSet[Cable]]:
-    """The beta-island of a node, as (member nodes, internal cables)."""
-    if beta_mbps <= 0:
-        raise ValueError("beta must be positive, got %r" % beta_mbps)
-    return _flood(state, node, to_kbps(beta_mbps))
-
-
 def ladder_kbps(betas_mbps: List[float]) -> List[int]:
     """The threshold ladder in kb/s. ValueError unless it is non-empty,
     finite, at least 1 kb/s and strictly descending in kb/s."""

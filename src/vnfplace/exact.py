@@ -22,7 +22,7 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from .netstate import (Allocation, FunctionAssignment, NetworkState, Route,
                        to_kbps)
-from .power import pm_power, total_power
+from .power import pm_load_slope, pm_power, total_power
 from .topology import FunctionType, NetworkGraph
 
 _TOL = 1e-6
@@ -120,10 +120,9 @@ def build_model(graph: NetworkGraph, demands: Sequence) -> MilpModel:
 
     for i in nodes:
         m.objective["x_%d" % i] = params.pm_idle_w
-        slope = params.pm_max_w - params.pm_idle_w
         cores = graph.node(i).pm.cores
         for fname, fn in m.types.items():
-            m.objective[_z(i, fname)] = slope * fn.cores / cores
+            m.objective[_z(i, fname)] = pm_load_slope(params, fn.cores, cores)
     for i in nodes:
         m.objective["y_%d" % i] = params.switch_static_w
     for a, b in cables:

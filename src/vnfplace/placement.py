@@ -10,9 +10,10 @@ At each position the reuse candidates are routed first; new instances
 are listed and routed only when one could still cost no more than the
 best reuse found. The views of one call share a routing cache: the
 edge terms of every link, each island's node order, neighbours and hop
-counts, and every search tree, keyed by the exact adjacency it was grown
-over, so a later demand that meets the same adjacency reads the tree a
-new search would grow.
+counts, and every search tree. Each route, into a PM or out of it, is
+read from the full tree of its source, keyed by the exact adjacency it
+was grown over, so a later position or demand that meets the same
+adjacency reads the tree a new search would grow.
 bc_place_all is a centrality baseline: every demand follows its
 hop-shortest path and functions are stacked on the most central path
 nodes with capacity. Each endpoint pair's route is found once per run;
@@ -38,7 +39,7 @@ from .bih import BlockingIsland, build_bih
 from .netstate import (Allocation, FunctionAssignment, NetworkState, Route,
                        fits, to_kbps)
 from .power import (incremental_cost, incremental_pm_cost, network_power,
-                    pm_power_total)
+                    pm_load_slope, pm_power_total)
 from .topology import FunctionType, Link, NetworkGraph
 
 _EPS = 1e-9
@@ -151,9 +152,10 @@ class _RouteCache:
     holds, per neighbour in sorted order, a base-9 digit: 0 if the link
     cannot carry the view's kb/s, else 1 + its lit bits. That pins every
     entry of every row, so two views with one adjacency id search the very
-    same graph. trees maps (adjacency id, src, dst or None, gamma, omega)
-    to the predecessor links _settle returns for them, which are a pure
-    function of that key: a hit is exactly what a new search would give."""
+    same graph. trees maps (adjacency id, src, gamma, omega) to the
+    predecessor links of the full tree _settle grows for them, which are a
+    pure function of that key: a hit is exactly what a new search would
+    give."""
 
     __slots__ = ("graph", "terms", "trees", "_islands", "_adjs")
 
@@ -201,17 +203,17 @@ class _ChainView:
     placeholder row and adds its function's cores. Placeholder ids
     are -1, -2, ... in creation order, as apply_allocation expects.
 
-    What does not depend on the plan comes from the run's _RouteCache
-    (a fresh one if none is given): the edge terms, the island's facts and
-    hop counts, and the search trees, which views of earlier demands may
-    already have grown over the same adjacency."""
+    What does not depend on the plan comes from the run's _RouteCache:
+    the edge terms, the island's facts and hop counts, and the search
+    trees, which earlier positions and views may already have grown over
+    the same adjacency."""
 
     def __init__(self, state, island: BlockingIsland, src: int, kbps: int,
-                 cache: Optional[_RouteCache] = None):
+                 cache: _RouteCache):
         self.state = state
         self.graph = state.graph
-        self.cache = cache if cache is not None else _RouteCache(self.graph)
-        self.facts = self.cache.island(island)
+        self.cache = cache
+        self.facts = cache.island(island)
         self.nodes = self.facts.nodes
         self.max_cores = self.facts.max_cores
         self.kbps = kbps
@@ -267,28 +269,27 @@ class _ChainView:
             codes[facts.index[u]] = code
         self._adj_id = self.cache.adj_id(facts, codes)
 
-    def _tree(self, src: int, dst: Optional[int], gamma: float,
-              omega: float) -> Dict[int, Link]:
-        key = (self._adj_id, src, dst, gamma, omega)
-        trees = self.cache.trees
-        tree = trees.get(key)
-        if tree is None:
-            tree = trees[key] = _settle(self.adj, src, dst, gamma, omega)
-        return tree
-
-    def entry(self, pm: int, gamma: float,
+    def route(self, src: int, dst: int, gamma: float,
               omega: float) -> Optional[List[Link]]:
-        """Min-weight path origin -> pm, read from the forward tree of the
-        origin, which is built on first use."""
-        return _path(self._tree(self.origin, None, gamma, omega),
-                     self.origin, pm)
-
-    def exit(self, pm: int, dst: int, gamma: float,
-             omega: float) -> Optional[List[Link]]:
-        """Min-weight path pm -> dst, searched until dst is settled; the
-        search is kept in the run's cache, as co-located positions and
-        later demands repeat it."""
-        return _path(self._tree(pm, dst, gamma, omega), pm, dst)
+        """Min-weight path src -> dst over the adjacency, read from the
+        full tree of src, which is grown on first use and kept in the
+        run's cache; [] if src is dst, None if dst is out of reach."""
+        if src == dst:
+            return []
+        key = (self._adj_id, src, gamma, omega)
+        trees = self.cache.trees
+        pred = trees.get(key)
+        if pred is None:
+            pred = trees[key] = _settle(self.adj, src, gamma, omega)
+        if dst not in pred:
+            return None
+        path = []
+        while dst != src:
+            link = pred[dst]
+            path.append(link)
+            dst = link.src
+        path.reverse()
+        return path
 
     def hops(self) -> Dict[int, int]:
         """BFS hop counts from the origin over the island's links."""
@@ -331,14 +332,13 @@ class _ChainView:
         return instance_id
 
 
-def _settle(adj: dict, src: int, dst: Optional[int], gamma: float,
+def _settle(adj: dict, src: int, gamma: float,
             omega: float) -> Dict[int, Link]:
     """Dijkstra from src over the adjacency, each edge weighing
-    gamma * power + omega * delay. Labels are (weight, delay, hops) and
-    heap ties go to the lower node id, so results are reproducible. A
-    node's predecessor link is fixed when it is settled, so stopping once
-    dst is settled yields the same path to dst as the full tree (dst
-    None). Returns the predecessor links."""
+    gamma * power + omega * delay, until every reachable node is settled.
+    Labels are (weight, delay, hops) and heap ties go to the lower node
+    id, so results are reproducible. Returns the predecessor links of the
+    full tree."""
     push, pop = heapq.heappush, heapq.heappop
     best: Dict[int, Tuple[float, float, int]] = {src: (0.0, 0.0, 0)}
     pred: Dict[int, Link] = {}
@@ -349,8 +349,6 @@ def _settle(adj: dict, src: int, dst: Optional[int], gamma: float,
         if u in done:
             continue
         done.add(u)
-        if u == dst:
-            break
         for v, link, power, delay_term in adj[u]:
             if v in done:
                 continue
@@ -366,21 +364,6 @@ def _settle(adj: dict, src: int, dst: Optional[int], gamma: float,
     return pred
 
 
-def _path(pred: Dict[int, Link], src: int, dst: int) -> Optional[List[Link]]:
-    if src == dst:
-        return []
-    if dst not in pred:
-        return None
-    path = []
-    at = dst
-    while at != src:
-        link = pred[at]
-        path.append(link)
-        at = link.src
-    path.reverse()
-    return path
-
-
 def calculate_best_path(view: _ChainView, pm: int, dst: int, budget_ms: float,
                         weight_step: float, stats: Optional[dict] = None
                         ) -> Optional[Tuple[Tuple[Link, ...], Tuple[Link, ...], float, float]]:
@@ -392,10 +375,12 @@ def calculate_best_path(view: _ChainView, pm: int, dst: int, budget_ms: float,
     power-only and shifts emphasis toward delay while the result misses
     the budget. Gives up once the mix would leave no power emphasis at
     all. Returns (entry segment, exit segment, entry delay, exit delay);
-    None if no setting meets the budget. Candidates routed through one
-    view share its entry trees, and every view of a place_all call shares
-    the trees that earlier views grew over the same adjacency (see
-    _RouteCache). place_all checks weight_step.
+    None if no setting meets the budget. Both segments are read from full
+    trees (_ChainView.route): the candidates of one position share the
+    origin's tree, and a tree out of a PM serves both that PM's exit and,
+    once the walk stands on it, the next position's entries, for every
+    view of the place_all call with the same adjacency (see _RouteCache).
+    place_all checks weight_step.
 
     Every link of the view's adjacency has the kb/s spare and a tree path
     repeats no link, so only a link on both segments can lack room: it
@@ -409,10 +394,10 @@ def calculate_best_path(view: _ChainView, pm: int, dst: int, budget_ms: float,
         if gamma < _EPS or omega > 1.0 - _EPS:
             break
         settings += 1
-        seg1 = view.entry(pm, gamma, omega)
+        seg1 = view.route(view.origin, pm, gamma, omega)
         if seg1 is None:
             continue
-        seg2 = view.exit(pm, dst, gamma, omega)
+        seg2 = view.route(pm, dst, gamma, omega)
         if seg2 is None:
             continue
         if seg1 and seg2:
@@ -488,10 +473,10 @@ def _best_candidate(view: _ChainView, function: FunctionType, dst: int,
     wattage, so links never cost less than nothing and a candidate whose
     PM cost alone exceeds the best cost so far cannot win; it is not
     routed. A new instance costs at least the load slope of its function
-    on the island's largest PM (incremental_pm_cost's expression), so the
-    new-instance candidates are listed only when no reuse candidate was
-    routed or the best cost is not below that floor. Candidates are tried
-    category first either way, so the winner is that of a full scan."""
+    on the island's largest PM (pm_load_slope), so the new-instance
+    candidates are listed only when no reuse candidate was routed or the
+    best cost is not below that floor. Candidates are tried category
+    first either way, so the winner is that of a full scan."""
     hops = view.hops()
     inf = math.inf
     best = None
@@ -499,9 +484,8 @@ def _best_candidate(view: _ChainView, function: FunctionType, dst: int,
     listed = False
     for reuse in (True, False):
         if not reuse and best_key is not None:
-            params = view.graph.power
-            floor = (params.pm_max_w - params.pm_idle_w) * (
-                function.cores / view.max_cores)
+            floor = pm_load_slope(view.graph.power, function.cores,
+                                  view.max_cores)
             if best_key[0] < floor:
                 break
         candidates = get_candidate_pms(view, function, reuse)

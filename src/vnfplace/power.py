@@ -28,6 +28,11 @@ def pm_power(params: PowerParams, utilization: float) -> float:
     return params.pm_idle_w + (params.pm_max_w - params.pm_idle_w) * utilization
 
 
+def pm_load_slope(params: PowerParams, cores: int, pm_cores: int) -> float:
+    """Wattage that cores more in use add to a powered PM of pm_cores."""
+    return (params.pm_max_w - params.pm_idle_w) * (cores / pm_cores)
+
+
 def network_power(state) -> float:
     """Total switch-side power: static wattage per active switch plus two
     busy ports per active cable."""
@@ -76,6 +81,6 @@ def incremental_pm_cost(state, node: int, instance_id: Optional[int],
     if instance_id is not None:
         return 0.0
     params = state.graph.power
-    share = function.cores / state.graph.node(node).pm.cores
-    slope = (params.pm_max_w - params.pm_idle_w) * share
+    slope = pm_load_slope(params, function.cores,
+                          state.graph.node(node).pm.cores)
     return slope if state.pm_active(node) else params.pm_idle_w + slope

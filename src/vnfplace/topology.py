@@ -231,12 +231,6 @@ class NetworkGraph:
         if ids != list(range(len(ids))):
             raise TopologyError("node ids must be dense 0..N-1, got %r" % (ids,))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NetworkGraph):
-            return NotImplemented
-        return (self.nodes == other.nodes and self._by_pair == other._by_pair
-                and self.power == other.power)
-
 
 # -- file format ---------------------------------------------------------
 #
@@ -305,17 +299,6 @@ def parse_topology(text: str, power: Optional[PowerParams] = None) -> NetworkGra
         if not at:          # sparse node ids: a fault of the whole file
             raise
         raise TopologyError("line %d: %s" % (at[0], exc)) from None
-
-
-def serialize_topology(graph: NetworkGraph) -> str:
-    """Canonical text form; parse_topology(serialize_topology(g)) == g."""
-    out = []
-    for node in graph.nodes:
-        out.append("node %d %d" % (node.id, node.pm.cores))
-    for a, b in graph.cables():
-        link = graph.link(a, b)
-        out.append("link %d %d %r %rms" % (a, b, link.capacity, link.delay))
-    return "\n".join(out) + "\n"
 
 
 def nobel_germany(power: Optional[PowerParams] = None) -> NetworkGraph:

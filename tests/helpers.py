@@ -3,9 +3,9 @@
 import heapq
 import random
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from vnfplace.bih import beta_bi_search
+from vnfplace.bih import _flood
 from vnfplace.netstate import (Allocation, FunctionAssignment, NetworkState,
                                Route, StateOverlay, to_kbps)
 from vnfplace.topology import (CPU, FunctionType, Link, NetworkGraph,
@@ -49,6 +49,13 @@ def route_allocation(state: NetworkState, path: List[int], mbps: float,
 
 
 # -- island oracles -------------------------------------------------------
+
+
+def beta_bi_search(state, node: int, beta_mbps: float
+                   ) -> Tuple[FrozenSet[int], FrozenSet[Tuple[int, int]]]:
+    """The beta-island of a node, as (member nodes, internal cables): the
+    hierarchy's own flood at beta_mbps."""
+    return _flood(state, node, to_kbps(beta_mbps))
 
 
 def island_partition(state: NetworkState, beta_mbps: float) -> List[Tuple[int, ...]]:

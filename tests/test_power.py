@@ -8,8 +8,10 @@ from helpers import make_demand, make_graph, random_connected_graph, \
     route_allocation, skim_random_links
 from vnfplace.netstate import (Allocation, FunctionAssignment, NetworkState,
                                Route, StateOverlay)
-from vnfplace.power import (incremental_cost, network_power, pm_power,
-                            pm_power_total, switch_power, total_power)
+from vnfplace.exact import build_model
+from vnfplace.power import (incremental_cost, network_power, pm_load_slope,
+                            pm_power, pm_power_total, switch_power,
+                            total_power)
 from vnfplace.topology import CPU, FunctionType, NetworkGraph, PowerParams
 
 PARAMS = PowerParams()
@@ -94,6 +96,26 @@ def test_incremental_cost_components():
     assert incremental_cost(state, 1, None, FN_A, []) == 25.0
     # lit switch at 1, dark switch at 2, dark cable
     assert incremental_cost(state, 1, 0, FN_A, [graph.link(1, 2)]) == 132.0
+
+
+def test_one_load_slope_prices_new_instances_everywhere():
+    # 1 of 3 cores: 100 * (1 / 3) and 100 * 1 / 3 differ in the last bit,
+    # so the placers' prices and the exact model's cost match only if all
+    # come from one expression
+    assert pm_load_slope(PARAMS, 4, 16) == 25.0
+    slope = pm_load_slope(PARAMS, 1, 3)
+    assert slope == 100.0 * (1 / 3) != 100.0 * 1 / 3
+    fn = FunctionType("B", {CPU: 1}, 200.0, 1.0)
+    cables = [(0, 1, 100.0, 0.1)]
+    graph = make_graph(2, cables, cores=3)
+    state = NetworkState(graph)
+    assert incremental_cost(state, 0, None, fn, []) == 150.0 + slope
+    demand = make_demand(0, 0, 1, (fn,), 1.0, 100.0)
+    assert build_model(graph, [demand]).objective["z_0_B"] == slope
+    state.apply_allocation(Allocation(0, (FunctionAssignment(fn, 0, -1),),
+                                      Route(((), (graph.link(0, 1),))), 1.1,
+                                      1000), demand)
+    assert incremental_cost(state, 0, None, fn, []) == slope
 
 
 def test_incremental_cost_matches_committed_difference():

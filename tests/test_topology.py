@@ -11,7 +11,7 @@ from vnfplace.topology import (CPU, FunctionType, Link, NetworkGraph,
                                NodeSpec, PmSpec, PowerParams, ServiceType,
                                TopologyError, default_catalogs,
                                link_delay_from_length, nobel_germany,
-                               parse_topology, serialize_topology)
+                               parse_topology)
 
 
 def test_link_delay_from_length():
@@ -72,6 +72,21 @@ def test_service_type_validation():
             assert to_kbps(mbps) == 0
         else:
             assert kbps >= 1
+
+
+def _fields(graph):
+    """What a graph holds: its nodes, its links by (src, dst) and its power
+    ratings."""
+    return graph.nodes, {(l.src, l.dst): l for l in graph.links}, graph.power
+
+
+def _topology_text(graph):
+    """The graph in the file format, each delay as an exact 'ms' figure."""
+    lines = ["node %d %d" % (n.id, n.pm.cores) for n in graph.nodes]
+    for a, b in graph.cables():
+        link = graph.link(a, b)
+        lines.append("link %d %d %r %rms" % (a, b, link.capacity, link.delay))
+    return "\n".join(lines) + "\n"
 
 
 def _graph_text():
@@ -162,22 +177,6 @@ def test_parse_rejects_structural_problems():
         parse_topology("node 0 4\nnode 2 4\nlink 0 2 10 1\n")   # sparse ids
 
 
-def test_serialize_round_trip():
-    g = parse_topology(_graph_text())
-    text = serialize_topology(g)
-    again = parse_topology(text)
-    assert again == g
-    assert serialize_topology(again) == text
-
-
-def test_graph_equality_covers_power():
-    g1 = parse_topology(_graph_text())
-    g2 = parse_topology(_graph_text())
-    g3 = parse_topology(_graph_text(), PowerParams(switch_static_w=99.0))
-    assert g1 == g2
-    assert g1 != g3
-
-
 def test_graph_lookup_errors():
     g = parse_topology(_graph_text())
     with pytest.raises(TopologyError):
@@ -204,7 +203,7 @@ def test_bundled_topology_shape():
 
 def test_bundled_topology_round_trips():
     g = nobel_germany()
-    assert parse_topology(serialize_topology(g)) == g
+    assert _fields(parse_topology(_topology_text(g))) == _fields(g)
 
 
 def test_default_function_catalog():
@@ -247,8 +246,8 @@ _FINITE = dict(allow_nan=False, allow_infinity=False)
 @given(data=st.data())
 def test_round_trip_ignores_cable_order_and_orientation(data):
     # a graph's cables given in any order, either end first, with any
-    # finite capacity and delay, is equal to its own round trip, and
-    # every such graph serializes to the same bytes
+    # finite capacity and delay, give the same nodes and links, and the
+    # graph written with exact 'ms' delays parses back to them
     n = data.draw(st.integers(2, 8))
     nodes = [NodeSpec(i, PmSpec({CPU: data.draw(st.integers(1, 64))}))
              for i in range(n)]
@@ -264,7 +263,6 @@ def test_round_trip_ignores_cable_order_and_orientation(data):
                                max_size=len(cables)))
     other = NetworkGraph(nodes, [(b, a, c, d) if flip else (a, b, c, d)
                                  for (a, b, c, d), flip in zip(shuffled, flips)])
-    text = serialize_topology(graph)
-    assert parse_topology(text) == graph == other
-    assert serialize_topology(other) == text
-    assert serialize_topology(parse_topology(text)) == text
+    assert _fields(parse_topology(_topology_text(graph))) == \
+        _fields(graph) == _fields(other)
+    assert other.cables() == graph.cables()
