@@ -280,9 +280,11 @@ def skim_random_links(state: NetworkState, rng: random.Random,
 # -- tiny instances for exact comparison ----------------------------------
 
 
-def tiny_instance(rng: random.Random):
+def tiny_instance(rng: random.Random, cores: int = 16,
+                  budgets=(25.0, 30.0, 50.0, 100.0)):
     """Random instance inside the exact solver's limits, with ample link
-    capacity so only topology, delay and PM packing drive the optimum."""
+    capacity so only topology, delay and PM packing drive the optimum.
+    Every PM has `cores` cores; each budget is drawn from `budgets`."""
     n = rng.randrange(3, 7)
     cables = []
     seen = set()
@@ -301,7 +303,7 @@ def tiny_instance(rng: random.Random):
         seen.add(key)
         cables.append((key[0], key[1], 1000.0,
                        link_delay_from_length(rng.choice([20, 50, 100, 200, 400]))))
-    graph = make_graph(n, cables, cores=16)
+    graph = make_graph(n, cables, cores=cores)
     fns = {name: FunctionType(name, {CPU: 4}, 200.0, 10.0) for name in "ABC"}
     demands = []
     for i in range(rng.randrange(1, 4)):
@@ -311,7 +313,7 @@ def tiny_instance(rng: random.Random):
         chain = tuple(fns[rng.choice("ABC")] for _ in range(rng.randrange(1, 3)))
         demands.append(make_demand(i, src, dst, chain,
                                    rng.choice([1.0, 2.0, 5.0, 10.0, 20.0]),
-                                   rng.choice([25.0, 30.0, 50.0, 100.0])))
+                                   rng.choice(budgets)))
     return graph, demands
 
 

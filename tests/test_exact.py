@@ -1,11 +1,14 @@
 """Reference integer program: model rows, LP text, tiny-instance optimum."""
 
+import hashlib
 import os
 import random
+from collections import Counter
 
 import pytest
 
 from helpers import make_demand, make_graph, tiny_instance, triangle_graph
+from vnfplace import exact
 from vnfplace.exact import (ExactLimitError, ExactLimits, build_model,
                             export_lp, extract_assignment, solve_exact_small,
                             validate_solution)
@@ -222,3 +225,61 @@ def test_heuristic_never_beats_the_optimum():
             continue
         assert heur.total_power_w >= exact.objective - 1e-6
         solved += 1
+
+
+def _network_power(graph, mask):
+    """Switch and port power of the cables lit in `mask` (bit i is
+    graph.cables()[i])."""
+    lit = [c for i, c in enumerate(graph.cables()) if mask >> i & 1]
+    params = graph.power
+    return (params.switch_static_w * len({s for c in lit for s in c})
+            + 2.0 * params.port_w * len(lit))
+
+
+def _detours(graph, demands, sol):
+    """Segments of an optimal solution slower than the shortest path
+    between their ends over every cable."""
+    cables = graph.cables()
+    dist, _ = exact._subset_distances(graph, (1 << len(cables)) - 1, cables)
+    count = 0
+    for d, alloc in zip(demands, sol.allocations):
+        waypoints = [d.src] + [a.node for a in alloc.assignments] + [d.dst]
+        for a, b, seg in zip(waypoints, waypoints[1:], alloc.route.segments):
+            count += sum(l.delay for l in seg) > dist[a][b] + 1e-9
+    return count
+
+
+def test_solve_exact_small_fingerprint_is_pinned(monkeypatch):
+    """sha1 over status, objective and state snapshot of 300 seeded tiny
+    instances: 200 drawn as gate 05 draws them, 100 on 4- or 8-core PMs
+    with 21-30 ms budgets. The sweep reaches infeasible instances, optimal
+    routes that detour from the shortest path over every cable, and
+    instance-usage sets that some PM cannot host."""
+    unhostable = Counter()
+    real = exact._pm_power_of
+
+    def counting(*args):
+        power = real(*args)
+        unhostable[power is None] += 1
+        return power
+
+    monkeypatch.setattr(exact, "_pm_power_of", counting)
+    rng = random.Random(18)
+    instances = [tiny_instance(rng) for _ in range(200)]
+    instances += [tiny_instance(rng, cores=rng.choice([4, 8]),
+                                budgets=(21.0, 25.0, 30.0))
+                  for _ in range(100)]
+    digest = hashlib.sha1()
+    statuses = Counter()
+    detours = 0
+    for graph, demands in instances:
+        sol = solve_exact_small(build_model(graph, demands))
+        statuses[sol.status] += 1
+        digest.update(("%s %r\n" % (sol.status, sol.objective)).encode())
+        digest.update((sol.state.snapshot() if sol.state is not None
+                       else "infeasible\n").encode())
+        if sol.status == "optimal":
+            detours += _detours(graph, demands, sol)
+    assert statuses["infeasible"] > 0 and detours > 0 and unhostable[True] > 0
+    assert digest.hexdigest() == "34e675f4591097786774ee1235c47eb919b0fa00"
+
