@@ -5,8 +5,11 @@ renders it as CPLEX LP text for external solvers. solve_exact_small
 finds a provably optimal solution for tiny instances by enumerating
 lit-cable subsets in ascending network power and, per subset, all ways
 of pinning chain positions to nodes (deduplicated through a dynamic
-program over instance-usage sets). validate_solution re-checks any
-assignment against every row of the model.
+program over instance-usage sets). A subset's shortest paths and the
+pinnings that fit its delays are worked out only when the search
+reaches it, so the subsets beyond the optimum's power cost nothing.
+validate_solution re-checks any assignment against every row of the
+model.
 
 Virtual node indexing per demand with a K-function chain: 0 is the
 source endpoint, 1..K the chain positions, K+1 the destination; virtual
@@ -434,20 +437,22 @@ def _subset_distances(graph: NetworkGraph, mask: int,
     return dist, nxt
 
 
-def _pm_power_of(graph: NetworkGraph, used: FrozenSet[Tuple[int, str]],
-                 types: Dict[str, FunctionType]) -> Optional[float]:
-    """PM power of one instance per used (node, type) pair; None when a
-    node cannot fit its instances."""
-    params = graph.power
+def _pm_power_of(params, used: FrozenSet[Tuple[int, str]],
+                 pm_cores: Dict[int, int],
+                 need: Dict[Tuple[int, str], int]) -> Optional[float]:
+    """PM power of one instance per used (node, type) pair, each needing
+    need[pair] of its node's pm_cores[node]; None when a node cannot fit
+    its instances."""
     per_node: Dict[int, int] = {}
-    for node, fname in used:
-        per_node[node] = per_node.get(node, 0) + types[fname].cores
+    for pair in used:
+        node = pair[0]
+        per_node[node] = per_node.get(node, 0) + need[pair]
     power = 0.0
-    for node, need in per_node.items():
-        cores = graph.node(node).pm.cores
-        if need > cores:
+    for node, load in per_node.items():
+        cores = pm_cores[node]
+        if load > cores:
             return None
-        power += pm_power(params, need / cores)
+        power += pm_power(params, load / cores)
     return power
 
 
@@ -460,6 +465,14 @@ def solve_exact_small(model: MilpModel,
     placement among all delay-feasible chain pinnings. The first power
     level at which everything fits is optimal because network power only
     grows and the PM bound below it is exhausted before moving on.
+
+    Only the full cable set is examined up front: the pinnings that miss
+    their budget over every cable are dropped (no subset is faster), and
+    if a demand keeps none the instance is infeasible. A subset's
+    distances and the delay test of the remaining pinnings are computed
+    when the loop reaches it, so the loop's early stop also skips their
+    cost. Usage sets are priced from per-solve tables of PM cores per
+    node and cores per (node, type).
     """
     if limits is None:
         limits = ExactLimits()
@@ -473,38 +486,29 @@ def solve_exact_small(model: MilpModel,
     cables = graph.cables()
     ncab = len(cables)
     nodes = [n.id for n in graph.nodes]
-    dists = {}
-    for mask in range(1 << ncab):
-        dists[mask] = _subset_distances(graph, mask, cables)
-
-    # every delay-feasible pinning of each chain, as a bitmask over subsets
     full = (1 << ncab) - 1
+    dists = {full: _subset_distances(graph, full, cables)}
+
+    # pinnings within budget over every cable, in product order; no
+    # subset is faster, so no other pinning fits any subset
+    dist = dists[full][0]
     per_demand = []
     for d in demands:
-        budget = d.delay_budget - sum(f.processing_delay for f in d.chain)
+        limit = (d.delay_budget - sum(f.processing_delay for f in d.chain)
+                 + 1e-9)
         locals_ = []
         for combo in itertools.product(nodes, repeat=len(d.chain)):
-            waypoints = [d.src, *combo, d.dst]
-            feasible = 0
-            for mask in range(1 << ncab):
-                dist = dists[mask][0]
-                prop = 0.0
-                ok = True
-                for a, b in zip(waypoints, waypoints[1:]):
-                    seg = dist[a][b]
-                    if seg == math.inf:
-                        ok = False
-                        break
-                    prop += seg
-                if ok and prop <= budget + 1e-9:
-                    feasible |= 1 << mask
-            if feasible:
+            legs = list(zip([d.src, *combo], [*combo, d.dst]))
+            prop = 0.0
+            for a, b in legs:
+                prop += dist[a][b]
+            if prop <= limit:
                 sig = frozenset((node, fn.name)
                                 for node, fn in zip(combo, d.chain))
-                locals_.append((combo, sig, feasible))
-        if not any(feas & (1 << full) for _, _, feas in locals_):
+                locals_.append((combo, sig, legs))
+        if not locals_:
             return ExactSolution("infeasible", None, {}, [], None)
-        per_demand.append(locals_)
+        per_demand.append((limit, locals_))
 
     net_power = {}
     for m in range(1 << ncab):
@@ -515,11 +519,12 @@ def solve_exact_small(model: MilpModel,
 
     union_types = sorted({fn.name for d in demands for fn in d.chain})
     slope = params.pm_max_w - params.pm_idle_w
-    max_cores = max(graph.node(i).pm.cores for i in nodes)
+    pm_cores = {i: graph.node(i).pm.cores for i in nodes}
+    need = {(i, f): fn.cores for i in nodes for f, fn in model.types.items()}
     lb_pm = 0.0
     if union_types:
         lb_pm = params.pm_idle_w + slope * sum(
-            model.types[f].cores for f in union_types) / max_cores
+            model.types[f].cores for f in union_types) / max(pm_cores.values())
 
     best_total = math.inf
     best_pick = None
@@ -527,19 +532,24 @@ def solve_exact_small(model: MilpModel,
         pnet = net_power[mask]
         if pnet + lb_pm >= best_total:
             break
-        bit = 1 << mask
+        if mask not in dists:
+            dists[mask] = _subset_distances(graph, mask, cables)
+        dist = dists[mask][0]
         sigs_per_demand = []
-        ok = True
-        for locals_ in per_demand:
+        for limit, locals_ in per_demand:
             sigs: Dict[FrozenSet, Tuple] = {}
-            for combo, sig, feas in locals_:
-                if feas & bit and sig not in sigs:
+            for combo, sig, legs in locals_:
+                if sig in sigs:
+                    continue
+                prop = 0.0
+                for a, b in legs:
+                    prop += dist[a][b]
+                if prop <= limit:
                     sigs[sig] = combo
             if not sigs:
-                ok = False
                 break
             sigs_per_demand.append(sigs)
-        if not ok:
+        if len(sigs_per_demand) < len(per_demand):
             continue
         states: Dict[FrozenSet, Tuple] = {frozenset(): ()}
         for sigs in sigs_per_demand:
@@ -551,14 +561,16 @@ def solve_exact_small(model: MilpModel,
                         new[merged] = picks + (combo,)
             states = new
         for used, picks in states.items():
-            pm = _pm_power_of(graph, used, model.types)
+            pm = _pm_power_of(params, used, pm_cores, need)
             if pm is None:
                 continue
             total = pnet + pm
-            key = (total, tuple(sorted(used)))
-            if best_pick is None or key < (best_total, best_pick[0]):
+            if total > best_total:
+                continue
+            key = tuple(sorted(used))
+            if total < best_total or key < best_pick[0]:
                 best_total = total
-                best_pick = (tuple(sorted(used)), mask, picks)
+                best_pick = (key, mask, picks)
     if best_pick is None:
         return ExactSolution("infeasible", None, {}, [], None)
 

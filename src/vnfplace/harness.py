@@ -19,7 +19,8 @@ from typing import Dict, List, Optional
 from .bih import ladder_kbps
 from .exact import build_model, export_lp
 from .netstate import NetworkState
-from .placement import _check_step, bc_place_all, place_all
+from .placement import (_check_step, bc_place_all, place_all,
+                        validate_outcomes)
 from .power import total_power
 from .topology import (NetworkGraph, PowerParams, default_catalogs,
                        nobel_germany, parse_topology)
@@ -111,6 +112,9 @@ def _run_once(graph: NetworkGraph, algorithm: str, demands,
                         mode=algorithm.split("-")[1],
                         weight_step=config.weight_step)
     _gate(sol.state, sol.total_power_w)
+    bad = validate_outcomes(sol)
+    if bad:
+        raise HarnessError("outcome violations: " + "; ".join(bad[:5]))
     return RunResult(algorithm, count, seed, sol.total_power_w,
                      sol.network_power_w, sol.pm_power_w, sol.mean_delay_ms,
                      sol.acceptance, sol.runtime_s,

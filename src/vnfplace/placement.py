@@ -81,6 +81,22 @@ class SolutionSet:
     runtime_s: float
 
 
+def validate_outcomes(solution: SolutionSet) -> List[str]:
+    """Check each outcome record: a rejected demand carries a reason and
+    no allocation, an accepted one a route with one segment per hop
+    between its waypoints (source, chain positions, destination)."""
+    bad: List[str] = []
+    for outcome in solution.outcomes:
+        alloc = outcome.allocation
+        if not outcome.accepted:
+            if alloc is not None or not outcome.reason:
+                bad.append("demand %d: bad rejection record"
+                           % outcome.demand.id)
+        elif len(alloc.route.segments) != len(alloc.assignments) + 1:
+            bad.append("demand %d: segment count" % outcome.demand.id)
+    return bad
+
+
 def _edge_terms(graph: NetworkGraph, link: Link, src_lit: bool,
                 dst_lit: bool, cable_lit: bool) -> Tuple[float, float]:
     """Normalized (power, delay) terms of one directed link, each in

@@ -21,7 +21,8 @@ from vnfplace.exact import (build_model, export_lp, solve_exact_small,
                             validate_solution)
 from vnfplace.netstate import NetworkState, StateOverlay
 from vnfplace.placement import (_ChainView, _RouteCache, bc_place_all,
-                                calculate_best_path, betweenness, place_all)
+                                calculate_best_path, betweenness, place_all,
+                                validate_outcomes)
 from vnfplace.power import pm_power, switch_power, total_power
 from vnfplace.topology import (CPU, FunctionType, PowerParams,
                                default_catalogs, nobel_germany)
@@ -136,16 +137,14 @@ def test_03_power_model_point_values():
 
 
 def _check_solution(sol, demands):
-    bad = list(sol.state.validate())
+    bad = list(sol.state.validate()) + validate_outcomes(sol)
     if abs(total_power(sol.state) - sol.total_power_w) > 1e-9:
         bad.append("power mismatch")
     by_id = {d.id: d for d in demands}
     for outcome in sol.outcomes:
-        demand = by_id[outcome.demand.id]
         if not outcome.accepted:
-            if outcome.allocation is not None or not outcome.reason:
-                bad.append("demand %d: bad rejection record" % demand.id)
             continue
+        demand = by_id[outcome.demand.id]
         alloc = outcome.allocation
         if alloc.bandwidth_kbps != demand.bandwidth_kbps:
             bad.append("demand %d: bandwidth" % demand.id)
@@ -155,8 +154,7 @@ def _check_solution(sol, demands):
         waypoints = [demand.src] + [a.node for a in alloc.assignments] + \
             [demand.dst]
         if len(alloc.route.segments) != len(waypoints) - 1:
-            bad.append("demand %d: segment count" % demand.id)
-            continue
+            continue                     # validate_outcomes reports it
         for (a, b), seg in zip(zip(waypoints, waypoints[1:]),
                                alloc.route.segments):
             if not seg:

@@ -283,3 +283,46 @@ def test_solve_exact_small_fingerprint_is_pinned(monkeypatch):
     assert statuses["infeasible"] > 0 and detours > 0 and unhostable[True] > 0
     assert digest.hexdigest() == "34e675f4591097786774ee1235c47eb919b0fa00"
 
+
+def test_exact_search_computes_distances_only_for_subsets_it_reaches(
+        monkeypatch):
+    """Every cable subset other than the full set whose distances are
+    computed has network power at most the optimum: the ascending-power
+    search stops before any dearer subset. Each subset is computed once."""
+    computed = []
+    real = exact._subset_distances
+
+    def counting(graph, mask, cables):
+        computed.append(mask)
+        return real(graph, mask, cables)
+
+    monkeypatch.setattr(exact, "_subset_distances", counting)
+    rng = random.Random(41)
+    checked = 0
+    for _ in range(80):
+        graph, demands = tiny_instance(rng)
+        computed.clear()
+        sol = solve_exact_small(build_model(graph, demands))
+        assert len(computed) == len(set(computed))
+        if sol.status != "optimal":
+            continue
+        full = (1 << len(graph.cables())) - 1
+        for mask in computed:
+            if mask != full:
+                assert _network_power(graph, mask) <= sol.objective + 1e-9
+        checked += 1
+    assert checked >= 70
+
+    # a ring of six with two chords: the cheap subsets settle it
+    ring = [(i, (i + 1) % 6, 1000.0, 1.0) for i in range(6)]
+    graph = make_graph(6, ring + [(0, 3, 1000.0, 0.5), (1, 4, 1000.0, 0.5)],
+                       cores=16)
+    assert len(graph.cables()) == 8
+    demands = [make_demand(0, 0, 3, (FN_A, FN_B), 5.0, 30.0),
+               make_demand(1, 2, 5, (FN_C,), 5.0, 30.0)]
+    computed.clear()
+    model = build_model(graph, demands)
+    sol = solve_exact_small(model)
+    assert sol.status == "optimal"
+    assert validate_solution(model, sol.assignment, sol.objective) == []
+    assert len(computed) < 2 ** 8

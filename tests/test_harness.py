@@ -1,5 +1,6 @@
 """Experiment driver and command line front end."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 import vnfplace
 from vnfplace import cli
+from vnfplace.netstate import Route
 from vnfplace.harness import (ALGORITHMS, CSV_HEADER, ExperimentConfig,
                               HarnessError, emit_csv, load_topology,
                               run_experiment)
@@ -127,6 +129,31 @@ def test_gate_rejects_tampered_results(monkeypatch):
     mod._gate(state, 1e-10)
     with pytest.raises(HarnessError, match="reported power"):
         mod._gate(state, 1e-7)
+
+
+def test_run_rejects_bad_outcome_records(monkeypatch):
+    from vnfplace import harness as mod
+
+    real = mod.bc_place_all
+
+    def dropped_segment(*args, **kw):
+        sol = real(*args, **kw)
+        outcome = next(o for o in sol.outcomes if o.accepted)
+        route = Route(outcome.allocation.route.segments[:-1])
+        outcome.allocation = dataclasses.replace(outcome.allocation,
+                                                 route=route)
+        return sol
+
+    def silent_rejection(*args, **kw):
+        sol = real(*args, **kw)
+        next(o for o in sol.outcomes if o.accepted).accepted = False
+        return sol
+
+    for crooked, what in ((dropped_segment, "segment count"),
+                          (silent_rejection, "bad rejection record")):
+        monkeypatch.setattr(mod, "bc_place_all", crooked)
+        with pytest.raises(HarnessError, match="outcome violations.*" + what):
+            run_experiment(_small_config(algorithms=["bc"], seeds=1))
 
 
 def test_import_loads_no_third_party_module():
