@@ -26,7 +26,7 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 from .netstate import (Allocation, FunctionAssignment, NetworkState, Route,
                        to_kbps)
 from .power import pm_load_slope, pm_power, total_power
-from .topology import FunctionType, NetworkGraph
+from .topology import FunctionType, NetworkGraph, PowerParams
 
 _TOL = 1e-6
 
@@ -437,7 +437,7 @@ def _subset_distances(graph: NetworkGraph, mask: int,
     return dist, nxt
 
 
-def _pm_power_of(params, used: FrozenSet[Tuple[int, str]],
+def _pm_power_of(params: PowerParams, used: FrozenSet[Tuple[int, str]],
                  pm_cores: Dict[int, int],
                  need: Dict[Tuple[int, str], int]) -> Optional[float]:
     """PM power of one instance per used (node, type) pair, each needing
