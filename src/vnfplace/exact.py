@@ -93,8 +93,7 @@ def build_model(graph: NetworkGraph, demands: Sequence) -> MilpModel:
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate demand ids: %r" % ids)
     for d in m.demands:
-        if not (0 <= d.src < graph.num_nodes and 0 <= d.dst < graph.num_nodes):
-            raise ValueError("demand %d has endpoints outside the graph" % d.id)
+        graph.check_endpoints(d)
         for fn in d.chain:
             known = m.types.setdefault(fn.name, fn)
             if known is not fn and known != fn:

@@ -2,9 +2,9 @@
 
 Each (algorithm, demand count) cell is repeated over seeds 0..n-1 with
 freshly generated demands and a fresh substrate, then aggregated to
-mean and population standard deviation. Every run is gated on a full
-state integrity check and on the reported power matching an independent
-recomputation from the final state.
+mean and population standard deviation. Every run is gated on
+placement.check_solution: the state's integrity check, the reported
+power against the final state re-priced, and each outcome record.
 """
 
 from __future__ import annotations
@@ -18,10 +18,7 @@ from typing import Dict, List, Optional
 
 from .bih import ladder_kbps
 from .exact import build_model, export_lp
-from .netstate import NetworkState
-from .placement import (_check_step, bc_place_all, place_all,
-                        validate_outcomes)
-from .power import total_power
+from .placement import _check_step, bc_place_all, check_solution, place_all
 from .topology import (NetworkGraph, PowerParams, default_catalogs,
                        nobel_germany, parse_topology)
 from .workload import generate_demands
@@ -91,18 +88,6 @@ def load_topology(spec: str, power: Optional[PowerParams] = None) -> NetworkGrap
         return parse_topology(fh.read(), power)
 
 
-def _gate(state: NetworkState, reported_w: float) -> None:
-    """Raise HarnessError unless the state passes its integrity check and
-    reported_w is within 1e-9 W of the power recomputed from the state."""
-    bad = state.validate()
-    if bad:
-        raise HarnessError("state violations: " + "; ".join(bad[:5]))
-    recomputed = total_power(state)
-    if abs(recomputed - reported_w) > 1e-9:
-        raise HarnessError("reported power %r, recomputed %r"
-                           % (reported_w, recomputed))
-
-
 def _run_once(graph: NetworkGraph, algorithm: str, demands,
               config: ExperimentConfig, count: int, seed: int) -> RunResult:
     if algorithm == "bc":
@@ -111,10 +96,9 @@ def _run_once(graph: NetworkGraph, algorithm: str, demands,
         sol = place_all(graph, demands, config.betas_mbps,
                         mode=algorithm.split("-")[1],
                         weight_step=config.weight_step)
-    _gate(sol.state, sol.total_power_w)
-    bad = validate_outcomes(sol)
+    bad = check_solution(sol)
     if bad:
-        raise HarnessError("outcome violations: " + "; ".join(bad[:5]))
+        raise HarnessError("solution check failed: " + "; ".join(bad[:5]))
     return RunResult(algorithm, count, seed, sol.total_power_w,
                      sol.network_power_w, sol.pm_power_w, sol.mean_delay_ms,
                      sol.acceptance, sol.runtime_s,

@@ -39,7 +39,7 @@ from .bih import BlockingIsland, build_bih
 from .netstate import (Allocation, FunctionAssignment, NetworkState, Route,
                        fits, to_kbps)
 from .power import (incremental_cost, incremental_pm_cost, network_power,
-                    pm_load_slope, pm_power_total)
+                    pm_load_slope, pm_power_total, total_power)
 from .topology import FunctionType, Link, NetworkGraph
 
 _EPS = 1e-9
@@ -81,11 +81,18 @@ class SolutionSet:
     runtime_s: float
 
 
-def validate_outcomes(solution: SolutionSet) -> List[str]:
-    """Check each outcome record: a rejected demand carries a reason and
-    no allocation, an accepted one a route with one segment per hop
-    between its waypoints (source, chain positions, destination)."""
-    bad: List[str] = []
+def check_solution(solution: SolutionSet) -> List[str]:
+    """Every problem of a reported solution: state.validate() (which
+    rebuilds the state's indices from its allocations), the reported total
+    power against total_power(state) within 1e-9 W (on a valid state), and
+    the outcome records: a rejection has a reason and no allocation, an
+    acceptance one route segment per hop between its waypoints."""
+    bad = solution.state.validate()
+    if not bad:
+        recomputed = total_power(solution.state)
+        if abs(recomputed - solution.total_power_w) > 1e-9:
+            bad.append("reported power %r, recomputed %r"
+                       % (solution.total_power_w, recomputed))
     for outcome in solution.outcomes:
         alloc = outcome.allocation
         if not outcome.accepted:
@@ -575,11 +582,14 @@ def place_all(graph: NetworkGraph, demands: Iterable, betas_mbps: List[float],
     """
     start = time.perf_counter()
     _check_step(weight_step)
+    if mode not in ("hbi", "lbi"):
+        raise ValueError("mode must be 'hbi' or 'lbi', got %r" % mode)
     state = NetworkState(graph)
     outcomes: List[DemandOutcome] = []
     hierarchy = build_bih(state, betas_mbps)
     cache = _RouteCache(graph)
     for demand in demands:
+        graph.check_endpoints(demand)
         island = hierarchy.select(demand.src, demand.dst,
                                   demand.bandwidth_kbps, mode)
         if island is None:
@@ -828,6 +838,7 @@ def bc_place_all(graph: NetworkGraph, demands: Iterable) -> SolutionSet:
     scores = betweenness(graph)
     routes: Dict[Tuple[int, int], Optional[tuple]] = {}
     for demand in demands:
+        graph.check_endpoints(demand)
         key = (demand.src, demand.dst)
         if key not in routes:
             routes[key] = _pair_route(graph, scores, *key)

@@ -21,9 +21,9 @@ from vnfplace.exact import (build_model, export_lp, solve_exact_small,
                             validate_solution)
 from vnfplace.netstate import NetworkState, StateOverlay
 from vnfplace.placement import (_ChainView, _RouteCache, bc_place_all,
-                                calculate_best_path, betweenness, place_all,
-                                validate_outcomes)
-from vnfplace.power import pm_power, switch_power, total_power
+                                calculate_best_path, betweenness,
+                                check_solution, place_all)
+from vnfplace.power import pm_power, switch_power
 from vnfplace.topology import (CPU, FunctionType, PowerParams,
                                default_catalogs, nobel_germany)
 from vnfplace.workload import generate_demands
@@ -137,9 +137,7 @@ def test_03_power_model_point_values():
 
 
 def _check_solution(sol, demands):
-    bad = list(sol.state.validate()) + validate_outcomes(sol)
-    if abs(total_power(sol.state) - sol.total_power_w) > 1e-9:
-        bad.append("power mismatch")
+    bad = check_solution(sol)
     by_id = {d.id: d for d in demands}
     for outcome in sol.outcomes:
         if not outcome.accepted:
@@ -154,7 +152,7 @@ def _check_solution(sol, demands):
         waypoints = [demand.src] + [a.node for a in alloc.assignments] + \
             [demand.dst]
         if len(alloc.route.segments) != len(waypoints) - 1:
-            continue                     # validate_outcomes reports it
+            continue                     # check_solution reports it
         for (a, b), seg in zip(zip(waypoints, waypoints[1:]),
                                alloc.route.segments):
             if not seg:

@@ -11,6 +11,7 @@ import pytest
 import vnfplace
 from vnfplace import cli
 from vnfplace.netstate import Route
+from vnfplace.placement import check_solution
 from vnfplace.harness import (ALGORITHMS, CSV_HEADER, ExperimentConfig,
                               HarnessError, emit_csv, load_topology,
                               run_experiment)
@@ -124,11 +125,27 @@ def test_gate_rejects_tampered_results(monkeypatch):
     monkeypatch.setattr(mod, "place_all", crooked)
     with pytest.raises(HarnessError, match="reported power"):
         run_experiment(_small_config(seeds=1))
-    # the gate allows 1e-9 W between reported and recomputed power
-    state = real(load_topology("nobel-germany"), [], [900.0]).state
-    mod._gate(state, 1e-10)
-    with pytest.raises(HarnessError, match="reported power"):
-        mod._gate(state, 1e-7)
+    # the check allows 1e-9 W between reported and recomputed power
+    sol = real(load_topology("nobel-germany"), [], [900.0])
+    sol.total_power_w = 1e-10
+    assert check_solution(sol) == []
+    sol.total_power_w = 1e-7
+    assert check_solution(sol) == ["reported power 1e-07, recomputed 0.0"]
+
+
+def test_run_rejects_a_corrupt_state(monkeypatch):
+    from vnfplace import harness as mod
+
+    real = mod.place_all
+
+    def miscounted(*args, **kw):
+        sol = real(*args, **kw)
+        sol.state.cores_used[5] += 4
+        return sol
+
+    monkeypatch.setattr(mod, "place_all", miscounted)
+    with pytest.raises(HarnessError, match="PM 5 indexes"):
+        run_experiment(_small_config(seeds=1))
 
 
 def test_run_rejects_bad_outcome_records(monkeypatch):
@@ -152,7 +169,7 @@ def test_run_rejects_bad_outcome_records(monkeypatch):
     for crooked, what in ((dropped_segment, "segment count"),
                           (silent_rejection, "bad rejection record")):
         monkeypatch.setattr(mod, "bc_place_all", crooked)
-        with pytest.raises(HarnessError, match="outcome violations.*" + what):
+        with pytest.raises(HarnessError, match="solution check failed.*" + what):
             run_experiment(_small_config(algorithms=["bc"], seeds=1))
 
 

@@ -16,6 +16,7 @@ from helpers import (XL, beta_bi_search, betweenness_oracle, layered_graph,
                      skim_random_links)
 from vnfplace import placement
 from vnfplace.bih import BlockingIsland, build_bih
+from vnfplace.exact import build_model
 from vnfplace.netstate import (Allocation, FunctionAssignment, NetworkState,
                                Route, StateOverlay)
 from vnfplace.placement import (Candidate, _assign_on_path, _best_candidate,
@@ -956,6 +957,28 @@ def test_invalid_mode_rejected():
     demand = make_demand(0, 0, 1, (FN["NAT"],), 1.0, 100.0)
     with pytest.raises(ValueError):
         place_all(graph, [demand], BETAS, mode="mid")
+    # refused even when no demand reaches the island select
+    with pytest.raises(ValueError, match="mode must be"):
+        place_all(graph, [], BETAS, mode="mid")
+
+
+@pytest.mark.parametrize("src, dst", [(-1, 3), (99, 3), (3, 99)])
+def test_demands_outside_the_graph_are_refused(src, dst):
+    graph = nobel_germany()
+    good = make_demand(0, 0, 1, (FN["NAT"],), 1.0, 100.0)
+    bad = make_demand(1, src, dst, (FN["NAT"],), 1.0, 100.0)
+
+    def stream():               # the placers refuse it as they read it
+        yield good
+        yield bad
+        raise AssertionError("read past the bad demand")
+
+    for run in (lambda: place_all(graph, stream(), BETAS),
+                lambda: bc_place_all(graph, stream()),
+                lambda: build_model(graph, [good, bad])):
+        with pytest.raises(ValueError,
+                           match="demand 1 has endpoints outside the graph"):
+            run()
 
 
 def test_place_all_is_deterministic():

@@ -134,6 +134,8 @@ def test_parse_errors_carry_line_numbers():
          "line 4: duplicate cable 0-1"),
         ("node 0 4\nnode 1 4\nlink 0 1 0 1ms\n",
          "line 3: cable 0-1: non-positive"),
+        ("node 0 4\nnode 1 4\nlink 0 1 10 -5ms\n",
+         "line 3: cable 0-1: negative delay"),
     ]
     for text, needle in cases:
         with pytest.raises(TopologyError) as err:
@@ -144,7 +146,7 @@ def test_parse_errors_carry_line_numbers():
 @pytest.mark.parametrize("link", ["link 0 1 inf 10km", "link 0 1 nan 10km",
                                   "link 0 1 1000 nanms", "link 0 1 1000 inf"])
 def test_parse_rejects_non_finite_values(link):
-    with pytest.raises(TopologyError, match="line 3: non-finite"):
+    with pytest.raises(TopologyError, match="line 3: cable 0-1: non-finite"):
         parse_topology("node 0 4\nnode 1 4\n%s\n" % link)
 
 
@@ -179,8 +181,9 @@ def test_parse_rejects_structural_problems():
 
 def test_graph_lookup_errors():
     g = parse_topology(_graph_text())
-    with pytest.raises(TopologyError):
-        g.node(7)
+    for bad in (7, -1):
+        with pytest.raises(TopologyError, match="unknown node id"):
+            g.node(bad)
     with pytest.raises(TopologyError):
         g.link(0, 2)
     assert not g.has_link(0, 2)
