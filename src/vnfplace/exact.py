@@ -238,7 +238,8 @@ def _num(value: float) -> str:
     return "%.12g" % value
 
 
-def _terms(coeffs: Mapping[str, float]) -> str:
+def _terms(coeffs: Mapping[str, float], blank: str) -> str:
+    """LP text of a linear sum; a sum without terms reads `0 blank`."""
     parts = []
     for name, coeff in coeffs.items():
         if coeff == 0:
@@ -250,14 +251,17 @@ def _terms(coeffs: Mapping[str, float]) -> str:
             parts.append(body if sign == "+" else "- " + body)
         else:
             parts.append("%s %s" % (sign, body))
-    return " ".join(parts) if parts else "0 " + next(iter(coeffs), "none")
+    return " ".join(parts) if parts else "0 " + next(iter(coeffs), blank)
 
 
 def export_lp(model: MilpModel) -> str:
-    """Deterministic CPLEX LP rendering of the model."""
-    out = ["Minimize", " obj: %s" % _terms(model.objective), "Subject To"]
+    """Deterministic CPLEX LP rendering of the model. A row without terms
+    (a link no demand can cross) names the model's first variable."""
+    blank = next(iter(model.variables))
+    out = ["Minimize", " obj: %s" % _terms(model.objective, blank),
+           "Subject To"]
     for con in model.constraints:
-        out.append(" %s: %s %s %s" % (con.name, _terms(con.coeffs),
+        out.append(" %s: %s %s %s" % (con.name, _terms(con.coeffs, blank),
                                       con.sense, _num(con.rhs)))
     bounds = [v for v in model.variables.values()
               if v.kind == "integer" and v.ub is not None]

@@ -3,6 +3,7 @@
 import hashlib
 import os
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -90,6 +91,28 @@ def test_lp_matches_golden_file():
         assert text == fh.read()
     # a rebuilt model renders byte-identical
     assert export_lp(build_model(graph, [_triangle_demand()])) == text
+
+
+_NAME = re.compile(r"[A-Za-z_]\w*$")
+
+
+def _lp_row_names(text):
+    """Every variable name on the objective and constraint lines."""
+    names = set()
+    for line in text.splitlines():
+        if ": " in line:
+            names.update(t for t in line.split(": ", 1)[1].split()
+                         if _NAME.match(t))
+    return names
+
+
+def test_lp_rows_without_terms_name_a_declared_variable():
+    # no demand crosses any link, so every linkcap row is an empty sum
+    model = build_model(triangle_graph(), [])
+    text = export_lp(model)
+    assert " linkcap_0_1: 0 x_0 <= 1000\n" in text
+    assert text.count(": ") == 1 + len(model.constraints)
+    assert _lp_row_names(text) <= set(model.variables)
 
 
 def test_empty_model_is_trivially_optimal():
