@@ -15,7 +15,8 @@ from vnfplace.exact import (ExactLimitError, ExactLimits, build_model,
                             validate_solution)
 from vnfplace.power import total_power
 from vnfplace.placement import place_all
-from vnfplace.topology import CPU, FunctionType
+from vnfplace.topology import CPU, FunctionType, default_catalogs, nobel_germany
+from vnfplace.workload import generate_demands
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "triangle_model.lp")
 
@@ -349,3 +350,58 @@ def test_exact_search_computes_distances_only_for_subsets_it_reaches(
     assert sol.status == "optimal"
     assert validate_solution(model, sol.assignment, sol.objective) == []
     assert len(computed) < 2 ** 8
+
+
+def _pinned_models():
+    """200 seeded tiny instances (50 with small PMs and tight budgets), a
+    two-demand nobel-germany model and a model without demands, as
+    (model, solvable) pairs."""
+    rng = random.Random(20)
+    instances = [tiny_instance(rng) for _ in range(150)]
+    instances += [tiny_instance(rng, cores=rng.choice([4, 8]),
+                                budgets=(21.0, 25.0, 30.0))
+                  for _ in range(50)]
+    models = [(build_model(*inst), True) for inst in instances]
+    graph = nobel_germany()
+    _, services = default_catalogs()
+    models.append((build_model(graph, generate_demands(graph, 2, services, 0)),
+                   False))
+    models.append((build_model(triangle_graph(), []), True))
+    return models
+
+
+def test_lp_text_and_validation_messages_are_pinned():
+    """sha1 over the LP text of every pinned model and over
+    validate_solution's messages for an empty assignment, for each
+    optimal solution, and for a copy of it with one value set to 0.5 and
+    the objective 10 W off."""
+    rng = random.Random(21)
+    digest = hashlib.sha1()
+    statuses = Counter()
+    for model, solvable in _pinned_models():
+        digest.update(export_lp(model).encode())
+        checks = [({}, None)]
+        if solvable:
+            sol = solve_exact_small(model)
+            statuses[sol.status] += 1
+            if sol.status == "optimal":
+                broken = dict(sol.assignment)
+                broken[rng.choice(sorted(model.variables))] = 0.5
+                checks += [(sol.assignment, sol.objective),
+                           (broken, sol.objective + 10.0)]
+        for assignment, objective in checks:
+            lines = validate_solution(model, assignment, objective)
+            digest.update(("%d\n" % len(lines)).encode())
+            digest.update("".join(l + "\n" for l in lines).encode())
+    assert statuses["optimal"] > 150 and statuses["infeasible"] > 0
+    assert digest.hexdigest() == "d4a9f0da9b2da0d76b675ae744df3e72c61a26a8"
+
+
+def test_model_rows_name_only_declared_variables():
+    """validate_solution counts a missing name as zero, so a row naming
+    an undeclared variable would silently lose that term."""
+    for model, _ in _pinned_models():
+        for con in model.constraints:
+            assert set(con.coeffs) <= model.variables.keys(), con.name
+        assert set(model.objective) <= model.variables.keys()
+        assert _lp_row_names(export_lp(model)) <= model.variables.keys()
