@@ -21,7 +21,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from operator import mul
+from typing import (Dict, FrozenSet, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from .netstate import (Allocation, FunctionAssignment, NetworkState, Route,
                        to_kbps)
@@ -35,16 +37,14 @@ class ExactLimitError(ValueError):
     """Instance too large (or outside the regime) for the exact solver."""
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(NamedTuple):
     name: str
     kind: str                 # "binary" or "integer"
     lb: float = 0.0
     ub: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     name: str
     coeffs: Mapping[str, float]
     sense: str                # "<=", ">=" or "="
@@ -62,17 +62,6 @@ class MilpModel:
         self.objective: Dict[str, float] = {}
         self.types: Dict[str, FunctionType] = {}
 
-    def add_var(self, name: str, kind: str, ub: Optional[float] = None) -> str:
-        self.variables[name] = Variable(name, kind, 0.0, ub)
-        return name
-
-    def add_con(self, name: str, coeffs: Dict[str, float], sense: str,
-                rhs: float) -> None:
-        self.constraints.append(Constraint(name, dict(coeffs), sense, rhs))
-
-    def z_upper(self, node: int, fname: str) -> int:
-        return self.graph.node(node).pm.cores // self.types[fname].cores
-
 
 def _u(i: int, k: int, g: int) -> str:
     return "u_%d_%d_%d" % (i, k, g)
@@ -87,145 +76,159 @@ def _z(i: int, fname: str) -> str:
 
 
 def build_model(graph: NetworkGraph, demands: Sequence) -> MilpModel:
-    """Materialize every variable and constraint row for the instance."""
+    """Materialize every variable and constraint row for the instance.
+
+    Each name is formatted once into a per-model table (X, Y, L, Z, and
+    per demand U[k][i] and W[e][(src, dst)]) that every row reads."""
     m = MilpModel(graph, demands)
     ids = [d.id for d in m.demands]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate demand ids: %r" % ids)
+    types = m.types
     for d in m.demands:
         graph.check_endpoints(d)
         for fn in d.chain:
-            known = m.types.setdefault(fn.name, fn)
+            known = types.setdefault(fn.name, fn)
             if known is not fn and known != fn:
                 raise ValueError("conflicting definitions of type %s" % fn.name)
     params = graph.power
-    nodes = [n.id for n in graph.nodes]
+    nodes = range(graph.num_nodes)
+    cores = [n.pm.cores for n in graph.nodes]
+    nbrs = [graph.neighbors(i) for i in nodes]
     cables = graph.cables()
+    pairs = [(link.src, link.dst) for link in graph.links]
+    # per demand: its chain and its E = K + 1 virtual edges
+    chains = [(d, d.chain, len(d.chain) + 1) for d in m.demands]
 
-    for i in nodes:
-        m.add_var("x_%d" % i, "binary")
-    for i in nodes:
-        m.add_var("y_%d" % i, "binary")
-    for a, b in cables:
-        m.add_var("l_%d_%d" % (a, b), "binary")
-    for i in nodes:
-        for fname in m.types:
-            m.add_var(_z(i, fname), "integer", ub=m.z_upper(i, fname))
-    for d in m.demands:
-        K = len(d.chain)
-        for k in range(K + 2):
-            for i in nodes:
-                m.add_var(_u(i, k, d.id), "binary")
-        for e in range(K + 1):
-            for link in graph.links:
-                m.add_var(_w(link.src, link.dst, e, d.id), "binary")
+    X = ["x_%d" % i for i in nodes]
+    Y = ["y_%d" % i for i in nodes]
+    L = {c: "l_%d_%d" % c for c in cables}
+    Z = [{f: _z(i, f) for f in types} for i in nodes]
+    u_ = ["u_%d_" % i for i in nodes]
+    w_ = {p: "w_%d_%d_" % p for p in pairs}
+    U = [[[ui + tail for ui in u_]
+          for tail in ["%d_%d" % (k, d.id) for k in range(E + 1)]]
+         for d, _, E in chains]
+    W = [[{p: wp + tail for p, wp in w_.items()}
+          for tail in ["%d_%d" % (e, d.id) for e in range(E)]]
+         for d, _, E in chains]
 
+    var = m.variables
+    for name in itertools.chain(X, Y, L.values()):
+        var[name] = Variable(name, "binary")
     for i in nodes:
-        m.objective["x_%d" % i] = params.pm_idle_w
-        cores = graph.node(i).pm.cores
-        for fname, fn in m.types.items():
-            m.objective[_z(i, fname)] = pm_load_slope(params, fn.cores, cores)
-    for i in nodes:
-        m.objective["y_%d" % i] = params.switch_static_w
-    for a, b in cables:
-        m.objective["l_%d_%d" % (a, b)] = 2.0 * params.port_w
+        for f, fn in types.items():
+            var[Z[i][f]] = Variable(Z[i][f], "integer", 0.0,
+                                    cores[i] // fn.cores)
+    for Ud, Wd in zip(U, W):
+        for name in itertools.chain.from_iterable(Ud):
+            var[name] = Variable(name, "binary")
+        for We in Wd:
+            for name in We.values():
+                var[name] = Variable(name, "binary")
 
+    obj = m.objective
+    for i in nodes:
+        obj[X[i]] = params.pm_idle_w
+        for f, fn in types.items():
+            obj[Z[i][f]] = pm_load_slope(params, fn.cores, cores[i])
+    for i in nodes:
+        obj[Y[i]] = params.switch_static_w
+    for name in L.values():
+        obj[name] = 2.0 * params.port_w
+
+    add = m.constraints.append
     # per-PM core capacity
-    for i in nodes:
-        if m.types:
-            m.add_con("resource_n%d_cpu" % i,
-                      {_z(i, fname): fn.cores for fname, fn in m.types.items()},
-                      "<=", graph.node(i).pm.cores)
+    if types:
+        for i in nodes:
+            add(Constraint("resource_n%d_cpu" % i,
+                           {Z[i][f]: fn.cores for f, fn in types.items()},
+                           "<=", cores[i]))
 
     # per-type processing capacity; every traversal of a position counts
+    served: Dict[str, List[Tuple[List[str], float]]] = {f: [] for f in types}
+    for (d, chain, _), Ud in zip(chains, U):
+        for k, fn in enumerate(chain, start=1):
+            served[fn.name].append((Ud[k], float(d.bandwidth)))
     for i in nodes:
-        for fname, fn in m.types.items():
-            coeffs: Dict[str, float] = {}
-            for d in m.demands:
-                for k, cfn in enumerate(d.chain, start=1):
-                    if cfn.name == fname:
-                        name = _u(i, k, d.id)
-                        coeffs[name] = coeffs.get(name, 0.0) + d.bandwidth
-            coeffs[_z(i, fname)] = -fn.processing_capacity
-            m.add_con("processing_n%d_%s" % (i, fname), coeffs, "<=", 0.0)
+        for f, fn in types.items():
+            coeffs = {Uk[i]: bw for Uk, bw in served[f]}
+            coeffs[Z[i][f]] = -fn.processing_capacity
+            add(Constraint("processing_n%d_%s" % (i, f), coeffs, "<=", 0.0))
 
     # directed link capacity
-    for link in graph.links:
+    for link, p in zip(graph.links, pairs):
         coeffs = {}
-        for d in m.demands:
-            for e in range(len(d.chain) + 1):
-                coeffs[_w(link.src, link.dst, e, d.id)] = d.bandwidth
-        m.add_con("linkcap_%d_%d" % (link.src, link.dst), coeffs, "<=",
-                  link.capacity)
+        for (d, _, _), Wd in zip(chains, W):
+            for We in Wd:
+                coeffs[We[p]] = d.bandwidth
+        add(Constraint("linkcap_%d_%d" % p, coeffs, "<=", link.capacity))
 
     # a position may only sit where an instance of its type runs
-    for d in m.demands:
-        for k, fn in enumerate(d.chain, start=1):
+    for (d, chain, _), Ud in zip(chains, U):
+        for k, fn in enumerate(chain, start=1):
             for i in nodes:
-                m.add_con("mapping_n%d_k%d_d%d" % (i, k, d.id),
-                          {_u(i, k, d.id): 1.0, _z(i, fn.name): -1.0},
-                          "<=", 0.0)
+                add(Constraint("mapping_n%d_k%d_d%d" % (i, k, d.id),
+                               {Ud[k][i]: 1.0, Z[i][fn.name]: -1.0},
+                               "<=", 0.0))
 
     # end-to-end delay: processing once per traversal plus propagation
-    for d in m.demands:
+    delays = [link.delay for link in graph.links]
+    for (d, chain, _), Ud, Wd in zip(chains, U, W):
         coeffs = {}
-        for k, fn in enumerate(d.chain, start=1):
-            for i in nodes:
-                coeffs[_u(i, k, d.id)] = fn.processing_delay
-        for e in range(len(d.chain) + 1):
-            for link in graph.links:
-                coeffs[_w(link.src, link.dst, e, d.id)] = link.delay
-        m.add_con("delay_d%d" % d.id, coeffs, "<=", d.delay_budget)
+        for k, fn in enumerate(chain, start=1):
+            coeffs.update(dict.fromkeys(Ud[k], fn.processing_delay))
+        for We in Wd:
+            coeffs.update(zip(We.values(), delays))
+        add(Constraint("delay_d%d" % d.id, coeffs, "<=", d.delay_budget))
 
     # flow conservation per virtual edge
-    for d in m.demands:
-        for e in range(len(d.chain) + 1):
+    for (d, _, E), Ud, Wd in zip(chains, U, W):
+        for e in range(E):
+            We = Wd[e]
             for i in nodes:
                 coeffs = {}
-                for j in graph.neighbors(i):
-                    coeffs[_w(i, j, e, d.id)] = 1.0
-                    coeffs[_w(j, i, e, d.id)] = -1.0
-                coeffs[_u(i, e, d.id)] = coeffs.get(_u(i, e, d.id), 0.0) - 1.0
-                coeffs[_u(i, e + 1, d.id)] = coeffs.get(_u(i, e + 1, d.id), 0.0) + 1.0
-                m.add_con("flow_d%d_e%d_n%d" % (d.id, e, i), coeffs, "=", 0.0)
+                for j in nbrs[i]:
+                    coeffs[We[i, j]] = 1.0
+                    coeffs[We[j, i]] = -1.0
+                coeffs[Ud[e][i]] = -1.0
+                coeffs[Ud[e + 1][i]] = 1.0
+                add(Constraint("flow_d%d_e%d_n%d" % (d.id, e, i), coeffs,
+                               "=", 0.0))
 
     # endpoints are pinned, chain positions hosted exactly once
-    for d in m.demands:
-        K = len(d.chain)
+    for (d, _, E), Ud in zip(chains, U):
         for i in nodes:
-            m.add_con("endpoint_src_d%d_n%d" % (d.id, i),
-                      {_u(i, 0, d.id): 1.0}, "=",
-                      1.0 if i == d.src else 0.0)
-            m.add_con("endpoint_dst_d%d_n%d" % (d.id, i),
-                      {_u(i, K + 1, d.id): 1.0}, "=",
-                      1.0 if i == d.dst else 0.0)
-        for k in range(1, K + 1):
-            m.add_con("place_once_k%d_d%d" % (k, d.id),
-                      {_u(i, k, d.id): 1.0 for i in nodes}, "=", 1.0)
+            add(Constraint("endpoint_src_d%d_n%d" % (d.id, i),
+                           {Ud[0][i]: 1.0}, "=", 1.0 if i == d.src else 0.0))
+            add(Constraint("endpoint_dst_d%d_n%d" % (d.id, i),
+                           {Ud[E][i]: 1.0}, "=", 1.0 if i == d.dst else 0.0))
+        for k in range(1, E):
+            add(Constraint("place_once_k%d_d%d" % (k, d.id),
+                           dict.fromkeys(Ud[k], 1.0), "=", 1.0))
 
     # indicator couplings with documented big-M values
-    psi_w = sum(len(d.chain) + 1 for d in m.demands)
-    for a, b in cables:
+    psi_w = sum(E for _, _, E in chains)
+    for c in cables:
+        a, b = c
         coeffs = {}
-        for d in m.demands:
-            for e in range(len(d.chain) + 1):
-                coeffs[_w(a, b, e, d.id)] = 1.0
-                coeffs[_w(b, a, e, d.id)] = 1.0
-        coeffs["l_%d_%d" % (a, b)] = -float(psi_w)
-        m.add_con("cable_on_%d_%d" % (a, b), coeffs, "<=", 0.0)
+        for Wd in W:
+            for We in Wd:
+                coeffs[We[a, b]] = 1.0
+                coeffs[We[b, a]] = 1.0
+        coeffs[L[c]] = -float(psi_w)
+        add(Constraint("cable_on_%d_%d" % c, coeffs, "<=", 0.0))
     psi_y = 2 * graph.num_nodes
     for i in nodes:
-        coeffs = {}
-        for j in graph.neighbors(i):
-            a, b = (i, j) if i < j else (j, i)
-            coeffs["l_%d_%d" % (a, b)] = 1.0
-        coeffs["y_%d" % i] = -float(psi_y)
-        m.add_con("switch_on_%d" % i, coeffs, "<=", 0.0)
+        coeffs = dict.fromkeys((L[(i, j) if i < j else (j, i)]
+                                for j in nbrs[i]), 1.0)
+        coeffs[Y[i]] = -float(psi_y)
+        add(Constraint("switch_on_%d" % i, coeffs, "<=", 0.0))
     for i in nodes:
-        psi_x = sum(m.z_upper(i, fname) for fname in m.types)
-        coeffs = {_z(i, fname): 1.0 for fname in m.types}
-        coeffs["x_%d" % i] = -float(max(psi_x, 1))
-        m.add_con("pm_on_%d" % i, coeffs, "<=", 0.0)
+        psi_x = sum(cores[i] // fn.cores for fn in types.values())
+        coeffs = dict.fromkeys(Z[i].values(), 1.0)
+        coeffs[X[i]] = -float(max(psi_x, 1))
+        add(Constraint("pm_on_%d" % i, coeffs, "<=", 0.0))
     return m
 
 
@@ -291,22 +294,25 @@ def validate_solution(model: MilpModel, assignment: Mapping[str, float],
     """Check an assignment against every variable domain and every row.
     Missing variables count as zero. Returns human-readable violations."""
     bad: List[str] = []
-
-    def val(name: str) -> float:
-        return float(assignment.get(name, 0.0))
-
-    for name in assignment:
-        if name not in model.variables:
+    values = dict.fromkeys(model.variables, 0.0)
+    for name, value in assignment.items():
+        if name in values:
+            values[name] = float(value)
+        else:
             bad.append("unknown variable %s" % name)
+    value = values.__getitem__
     for var in model.variables.values():
-        v = val(var.name)
+        v = values[var.name]
+        if not math.isfinite(v):
+            bad.append("%s = %r is not finite" % (var.name, v))
+            continue
         if abs(v - round(v)) > _TOL:
             bad.append("%s = %r is not integral" % (var.name, v))
         lo, hi = var.lb, 1.0 if var.kind == "binary" else var.ub
         if v < lo - _TOL or (hi is not None and v > hi + _TOL):
             bad.append("%s = %r outside [%s, %s]" % (var.name, v, lo, hi))
     for con in model.constraints:
-        lhs = sum(coeff * val(name) for name, coeff in con.coeffs.items())
+        lhs = sum(map(mul, con.coeffs.values(), map(value, con.coeffs)))
         ok = (lhs <= con.rhs + _TOL if con.sense == "<=" else
               lhs >= con.rhs - _TOL if con.sense == ">=" else
               abs(lhs - con.rhs) <= _TOL)
@@ -314,8 +320,9 @@ def validate_solution(model: MilpModel, assignment: Mapping[str, float],
             bad.append("constraint %s violated: lhs %r %s rhs %r"
                        % (con.name, lhs, con.sense, con.rhs))
     if objective is not None:
-        got = sum(coeff * val(name) for name, coeff in model.objective.items())
-        if abs(got - objective) > _TOL:
+        got = sum(map(mul, model.objective.values(),
+                      map(value, model.objective)))
+        if not abs(got - objective) <= _TOL:
             bad.append("objective mismatch: %r vs %r" % (got, objective))
     return bad
 

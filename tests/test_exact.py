@@ -1,6 +1,7 @@
 """Reference integer program: model rows, LP text, tiny-instance optimum."""
 
 import hashlib
+import math
 import os
 import random
 import re
@@ -217,6 +218,25 @@ def test_validator_flags_corruption():
 
     bad = validate_solution(model, good, sol.objective + 10.0)
     assert any("objective mismatch" in line for line in bad)
+
+
+def test_validator_reports_values_that_are_not_finite():
+    model = build_model(triangle_graph(), [_triangle_demand()])
+    sol = solve_exact_small(model)
+    for value in (math.nan, math.inf, -math.inf):
+        broken = dict(sol.assignment)
+        broken["x_0"] = value
+        broken["u_0_1_0"] = 0.5
+        bad = validate_solution(model, broken, sol.objective)
+        assert "x_0 = %r is not finite" % value in bad
+        # the other values and the rows are still checked
+        assert "u_0_1_0 = 0.5 is not integral" in bad
+        assert any(line.startswith("objective mismatch") for line in bad)
+    bad = validate_solution(model, {"x_0": math.nan}, math.nan)
+    assert "x_0 = nan is not finite" in bad
+    assert any("pm_on_0 violated: lhs nan" in line for line in bad)
+    assert validate_solution(model, sol.assignment, math.nan) == [
+        "objective mismatch: %r vs nan" % sol.objective]
 
 
 def test_heuristic_state_satisfies_the_program():
