@@ -1,15 +1,16 @@
 """Reference integer model of chain placement and an exact tiny solver.
 
-build_model emits the complete binary/integer formulation; export_lp
-renders it as CPLEX LP text for external solvers. solve_exact_small
+build_model emits the complete binary/integer formulation, formatting
+each variable name once into per-model tables that every row reads;
+export_lp renders it as CPLEX LP text for external solvers. solve_exact_small
 finds a provably optimal solution for tiny instances by enumerating
 lit-cable subsets in ascending network power and, per subset, all ways
 of pinning chain positions to nodes (deduplicated through a dynamic
 program over instance-usage sets). A subset's shortest paths and the
 pinnings that fit its delays are worked out only when the search
 reaches it, so the subsets beyond the optimum's power cost nothing.
-validate_solution re-checks any assignment against every row of the
-model.
+validate_solution re-checks any assignment, through one table of
+values, against every variable domain and every row of the model.
 
 Virtual node indexing per demand with a K-function chain: 0 is the
 source endpoint, 1..K the chain positions, K+1 the destination; virtual
@@ -67,19 +68,13 @@ def _u(i: int, k: int, g: int) -> str:
     return "u_%d_%d_%d" % (i, k, g)
 
 
-def _w(i: int, j: int, e: int, g: int) -> str:
-    return "w_%d_%d_%d_%d" % (i, j, e, g)
-
-
 def _z(i: int, fname: str) -> str:
     return "z_%d_%s" % (i, fname)
 
 
 def build_model(graph: NetworkGraph, demands: Sequence) -> MilpModel:
-    """Materialize every variable and constraint row for the instance.
-
-    Each name is formatted once into a per-model table (X, Y, L, Z, and
-    per demand U[k][i] and W[e][(src, dst)]) that every row reads."""
+    """Materialize every variable and constraint row for the instance from
+    name tables X, Y, L, Z and, per demand, U[k][i] and W[e][(src, dst)]."""
     m = MilpModel(graph, demands)
     ids = [d.id for d in m.demands]
     if len(set(ids)) != len(ids):
@@ -106,12 +101,10 @@ def build_model(graph: NetworkGraph, demands: Sequence) -> MilpModel:
     Z = [{f: _z(i, f) for f in types} for i in nodes]
     u_ = ["u_%d_" % i for i in nodes]
     w_ = {p: "w_%d_%d_" % p for p in pairs}
-    U = [[[ui + tail for ui in u_]
-          for tail in ["%d_%d" % (k, d.id) for k in range(E + 1)]]
+    U = [[[ui + "%d_%d" % (k, d.id) for ui in u_] for k in range(E + 1)]
          for d, _, E in chains]
-    W = [[{p: wp + tail for p, wp in w_.items()}
-          for tail in ["%d_%d" % (e, d.id) for e in range(E)]]
-         for d, _, E in chains]
+    W = [[{p: wp + "%d_%d" % (e, d.id) for p, wp in w_.items()}
+          for e in range(E)] for d, _, E in chains]
 
     var = m.variables
     for name in itertools.chain(X, Y, L.values()):
@@ -121,11 +114,8 @@ def build_model(graph: NetworkGraph, demands: Sequence) -> MilpModel:
             var[Z[i][f]] = Variable(Z[i][f], "integer", 0.0,
                                     cores[i] // fn.cores)
     for Ud, Wd in zip(U, W):
-        for name in itertools.chain.from_iterable(Ud):
+        for name in itertools.chain(*Ud, *(We.values() for We in Wd)):
             var[name] = Variable(name, "binary")
-        for We in Wd:
-            for name in We.values():
-                var[name] = Variable(name, "binary")
 
     obj = m.objective
     for i in nodes:
@@ -173,13 +163,12 @@ def build_model(graph: NetworkGraph, demands: Sequence) -> MilpModel:
                                "<=", 0.0))
 
     # end-to-end delay: processing once per traversal plus propagation
-    delays = [link.delay for link in graph.links]
     for (d, chain, _), Ud, Wd in zip(chains, U, W):
         coeffs = {}
         for k, fn in enumerate(chain, start=1):
             coeffs.update(dict.fromkeys(Ud[k], fn.processing_delay))
         for We in Wd:
-            coeffs.update(zip(We.values(), delays))
+            coeffs.update(zip(We.values(), (l.delay for l in graph.links)))
         add(Constraint("delay_d%d" % d.id, coeffs, "<=", d.delay_budget))
 
     # flow conservation per virtual edge
@@ -209,15 +198,14 @@ def build_model(graph: NetworkGraph, demands: Sequence) -> MilpModel:
 
     # indicator couplings with documented big-M values
     psi_w = sum(E for _, _, E in chains)
-    for c in cables:
-        a, b = c
+    for a, b in cables:
         coeffs = {}
         for Wd in W:
             for We in Wd:
                 coeffs[We[a, b]] = 1.0
                 coeffs[We[b, a]] = 1.0
-        coeffs[L[c]] = -float(psi_w)
-        add(Constraint("cable_on_%d_%d" % c, coeffs, "<=", 0.0))
+        coeffs[L[a, b]] = -float(psi_w)
+        add(Constraint("cable_on_%d_%d" % (a, b), coeffs, "<=", 0.0))
     psi_y = 2 * graph.num_nodes
     for i in nodes:
         coeffs = dict.fromkeys((L[(i, j) if i < j else (j, i)]
@@ -338,11 +326,10 @@ def extract_assignment(model: MilpModel, state: NetworkState) -> Dict[str, float
         assignment[_u(d.src, 0, d.id)] = 1.0
         assignment[_u(d.dst, len(d.chain) + 1, d.id)] = 1.0
         for k, fa in enumerate(alloc.assignments, start=1):
-            name = _u(fa.node, k, d.id)
-            assignment[name] = 1.0
+            assignment[_u(fa.node, k, d.id)] = 1.0
         for e, seg in enumerate(alloc.route.segments):
-            for link in seg:
-                assignment[_w(link.src, link.dst, e, d.id)] = 1.0
+            for l in seg:
+                assignment["w_%d_%d_%d_%d" % (l.src, l.dst, e, d.id)] = 1.0
     per_type: Dict[Tuple[int, str], int] = {}
     for inst in state.instances.values():
         key = (inst.node, inst.function.name)
@@ -484,9 +471,7 @@ def solve_exact_small(model: MilpModel,
     cost. Usage sets are priced from per-solve tables of PM cores per
     node and cores per (node, type).
     """
-    if limits is None:
-        limits = ExactLimits()
-    _check_limits(model, limits)
+    _check_limits(model, limits or ExactLimits())
     graph, demands = model.graph, model.demands
     params = graph.power
     state = NetworkState(graph)
