@@ -16,7 +16,8 @@ from vnfplace.exact import (ExactLimitError, ExactLimits, build_model,
                             validate_solution)
 from vnfplace.power import total_power
 from vnfplace.placement import place_all
-from vnfplace.topology import CPU, FunctionType, default_catalogs, nobel_germany
+from vnfplace.topology import (CPU, FunctionType, default_catalogs,
+                               nobel_germany)
 from vnfplace.workload import generate_demands
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "triangle_model.lp")
