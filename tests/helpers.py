@@ -11,7 +11,7 @@ from vnfplace.netstate import (Allocation, FunctionAssignment, NetworkState,
 from vnfplace.topology import (CPU, FunctionType, Link, NetworkGraph,
                                NodeSpec, PmSpec, ServiceType,
                                link_delay_from_length)
-from vnfplace.workload import Demand
+from vnfplace.workload import Demand, generate_demands
 
 def to_mbps(kbps: int) -> float:
     """The inverse of netstate.to_kbps on the values tests feed it."""
@@ -315,6 +315,34 @@ def tiny_instance(rng: random.Random, cores: int = 16,
                                    rng.choice([1.0, 2.0, 5.0, 10.0, 20.0]),
                                    rng.choice(budgets)))
     return graph, demands
+
+
+# -- tight instances for placement ----------------------------------------
+
+
+def _tight_instance(seed):
+    """A small random graph with narrow links and 2-8-core PMs, a random
+    catalog of short chains with tight delay budgets, 80 demands and the
+    thresholds to place them with."""
+    rng = random.Random(seed)
+    plain = random_connected_graph(rng, max_nodes=14, cap_range=(20, 120))
+    nodes = [NodeSpec(n.id, PmSpec({CPU: rng.choice([2, 4, 8])}))
+             for n in plain.nodes]
+    cables = [(a, b, plain.link(a, b).capacity, rng.choice([0.5, 2.0, 8.0]))
+              for a, b in plain.cables()]
+    graph = NetworkGraph(nodes, cables)
+    fns = [FunctionType("F%d" % i, {CPU: rng.choice([1, 2, 4])},
+                        rng.choice([30.0, 60.0, 200.0]),
+                        rng.choice([1.0, 3.0])) for i in range(3)]
+    shares = (0.5, 0.3, 0.2)
+    services = {
+        "s%d" % i: ServiceType("s%d" % i, tuple(
+            rng.choice(fns) for _ in range(rng.randrange(1, 4))),
+            rng.choice([2.0, 10.0, 25.0]), rng.choice([4.0, 15.0, 40.0]),
+            share)
+        for i, share in enumerate(shares)}
+    demands = generate_demands(graph, 80, services, seed)
+    return graph, demands, [60.0, 30.0, 10.0]
 
 
 def betweenness_oracle(graph: NetworkGraph) -> Dict[int, float]:

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from helpers import (XL, beta_bi_search, island_partition, layered_graph,
-                     partition_oracle, random_connected_graph,
+from helpers import (XL, _tight_instance, beta_bi_search, island_partition,
+                     layered_graph, partition_oracle, random_connected_graph,
                      route_allocation, skim_random_links, to_mbps)
 from vnfplace.bih import BIHierarchy, build_bih
 from vnfplace.netstate import (Allocation, FunctionAssignment, NetworkState,
@@ -216,17 +216,21 @@ def test_incremental_equals_rebuild_on_random_sequences():
 def test_real_routes_keep_hierarchy_equal_to_rebuild(mode):
     """Replay the commits of real placement runs, whose routes cross
     several segments and can reuse a link, and check the incremental
-    islands against a rebuild after every one."""
-    graph = nobel_germany()
+    islands against a rebuild after every one; then release every
+    allocation in a random order, checking again after each release."""
+    germany = nobel_germany()
     _, services = default_catalogs()
-    betas = [900.0, 700.0, 500.0, 300.0]
-    multi_link = 0
-    for seed in range(3):
-        demands = generate_demands(graph, 100, services, seed)
+    instances = [(germany, generate_demands(germany, 100, services, seed),
+                  [900.0, 700.0, 500.0, 300.0]) for seed in range(3)]
+    instances += [_tight_instance(seed) for seed in range(10)]
+    rng = random.Random(5)
+    multi_link = reused = 0
+    for graph, demands, betas in instances:
         sol = place_all(graph, demands, betas, mode=mode)
         state = NetworkState(graph)
         h = build_bih(state, betas)
         seen = set()
+        live = []
         for outcome in sol.outcomes:
             if not outcome.accepted:
                 continue
@@ -248,5 +252,17 @@ def test_real_routes_keep_hierarchy_equal_to_rebuild(mode):
             assert state.validate() == []
             assert h.canonical() == build_bih(state, betas).canonical()
             multi_link += any(len(seg) > 1 for seg in again.route.segments)
+            live.append(again)
         assert state.snapshot() == sol.state.snapshot()
+        rng.shuffle(live)
+        for alloc in live:
+            state.release_allocation(alloc.demand_id)
+            h.update_on_release(state, alloc.route, alloc.bandwidth_kbps)
+            assert state.validate() == []
+            assert h.canonical() == build_bih(state, betas).canonical()
+            cables = [(min(l.src, l.dst), max(l.src, l.dst))
+                      for l in alloc.route.links()]
+            reused += len(set(cables)) < len(cables)
     assert multi_link > 0
+    # some releases give back a cable the route crossed more than once
+    assert reused > 0

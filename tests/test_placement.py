@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (XL, beta_bi_search, betweenness_oracle, layered_graph,
-                     make_demand, make_graph, oracle_best_path,
+from helpers import (XL, _tight_instance, beta_bi_search, betweenness_oracle,
+                     layered_graph, make_demand, make_graph, oracle_best_path,
                      oracle_dijkstra, random_connected_graph,
                      reference_assign_on_path, route_allocation,
                      skim_random_links)
@@ -27,8 +27,8 @@ from vnfplace.placement import (Candidate, _assign_on_path, _best_candidate,
                                 place_all)
 from vnfplace.power import incremental_cost
 from vnfplace.topology import (CPU, FunctionType, NetworkGraph, NodeSpec,
-                               PmSpec, PowerParams, ServiceType,
-                               default_catalogs, nobel_germany)
+                               PmSpec, PowerParams, default_catalogs,
+                               nobel_germany)
 from vnfplace.workload import generate_demands
 
 BETAS = [900.0, 700.0, 500.0, 300.0]
@@ -585,31 +585,6 @@ def test_tree_out_of_a_pm_serves_the_walk_standing_on_it(monkeypatch):
     assert calculate_best_path(view, 4, 4, 100.0, 0.25) == \
         oracle_best_path(overlay, island, 2, 4, 4, 1000, 100.0, 0.25)
     assert settles[0] == 2
-
-
-def _tight_instance(seed):
-    """A small random graph with narrow links and 2-8-core PMs, a random
-    catalog of short chains with tight delay budgets, 80 demands and the
-    thresholds to place them with."""
-    rng = random.Random(seed)
-    plain = random_connected_graph(rng, max_nodes=14, cap_range=(20, 120))
-    nodes = [NodeSpec(n.id, PmSpec({CPU: rng.choice([2, 4, 8])}))
-             for n in plain.nodes]
-    cables = [(a, b, plain.link(a, b).capacity, rng.choice([0.5, 2.0, 8.0]))
-              for a, b in plain.cables()]
-    graph = NetworkGraph(nodes, cables)
-    fns = [FunctionType("F%d" % i, {CPU: rng.choice([1, 2, 4])},
-                        rng.choice([30.0, 60.0, 200.0]),
-                        rng.choice([1.0, 3.0])) for i in range(3)]
-    shares = (0.5, 0.3, 0.2)
-    services = {
-        "s%d" % i: ServiceType("s%d" % i, tuple(
-            rng.choice(fns) for _ in range(rng.randrange(1, 4))),
-            rng.choice([2.0, 10.0, 25.0]), rng.choice([4.0, 15.0, 40.0]),
-            share)
-        for i, share in enumerate(shares)}
-    demands = generate_demands(graph, 80, services, seed)
-    return graph, demands, [60.0, 30.0, 10.0]
 
 
 def test_shared_cache_run_equals_fresh_cache_run(monkeypatch):
