@@ -6,14 +6,17 @@ are computed per threshold; thresholds stacked in descending order form
 a hierarchy in which every island lies inside one island at the next
 lower threshold. The hierarchy stores only each level's islands (members
 and internal cables), which is all placement reads when it picks the
-island a demand is routed in. The islands are maintained incrementally as
-allocations come and go, and always equal a from-scratch rebuild.
+island a demand is routed in. Islands have no ids and compare by
+identity; a level maps each node to its island.
+
+Allocations and releases update the islands in place of a rebuild, and
+keep one invariant: an island's internal_links is exactly the set of
+cables between its nodes whose sym residual is at least its beta.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
@@ -22,9 +25,8 @@ from .netstate import NetworkState, Route, to_kbps
 Cable = Tuple[int, int]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class BlockingIsland:
-    id: int
     beta_kbps: int
     nodes: FrozenSet[int]
     internal_links: FrozenSet[Cable]
@@ -32,11 +34,19 @@ class BlockingIsland:
 
 @dataclass
 class BIGraph:
-    """One clustering level: the islands at a single threshold."""
+    """One clustering level: the island of each node at a single threshold."""
 
-    beta_kbps: int
-    islands: Dict[int, BlockingIsland] = field(default_factory=dict)
-    node_island: Dict[int, int] = field(default_factory=dict)
+    node_island: Dict[int, BlockingIsland] = field(default_factory=dict)
+
+    @property
+    def islands(self) -> List[BlockingIsland]:
+        """Each island once, in the order of its first node."""
+        return list(dict.fromkeys(self.node_island.values()))
+
+    def add(self, island: BlockingIsland) -> None:
+        """Make island the island of each of its nodes."""
+        for n in island.nodes:
+            self.node_island[n] = island
 
 
 def _flood(state, start: int, beta_kbps: int,
@@ -85,28 +95,12 @@ class BIHierarchy:
 
     def __init__(self, state: NetworkState, betas_mbps: Iterable[float]):
         self.betas_kbps = ladder_kbps(list(betas_mbps))
-        self._next_id = 0
         self.levels: Dict[int, BIGraph] = {}
         for beta in self.betas_kbps:
-            self.levels[beta] = self._build_level(state, beta)
-
-    # -- construction ----------------------------------------------------
-
-    def _new_id(self) -> int:
-        self._next_id += 1
-        return self._next_id
-
-    def _build_level(self, state: NetworkState, beta_kbps: int) -> BIGraph:
-        level = BIGraph(beta_kbps)
-        for node in sorted(n.id for n in state.graph.nodes):
-            if node in level.node_island:
-                continue
-            nodes, links = _flood(state, node, beta_kbps)
-            iid = self._new_id()
-            level.islands[iid] = BlockingIsland(iid, beta_kbps, nodes, links)
-            for n in nodes:
-                level.node_island[n] = iid
-        return level
+            level = self.levels[beta] = BIGraph()
+            for node in sorted(n.id for n in state.graph.nodes):
+                if node not in level.node_island:
+                    level.add(BlockingIsland(beta, *_flood(state, node, beta)))
 
     # -- lookups ---------------------------------------------------------
 
@@ -124,100 +118,66 @@ class BIHierarchy:
             if beta < kbps:
                 continue
             level = self.levels[beta]
-            iid = level.node_island.get(src)
-            if iid is not None and iid == level.node_island.get(dst):
+            island = level.node_island.get(src)
+            if island is not None and island is level.node_island.get(dst):
                 if mode == "hbi":
-                    return level.islands[iid]
-                chosen = level.islands[iid]
+                    return island
+                chosen = island
         return chosen
 
     # -- incremental maintenance ----------------------------------------
 
-    def _changed_cables(self, state: NetworkState, route: Route, kbps: int,
-                        released: bool) -> Dict[Cable, Tuple[int, int]]:
-        """Map cable -> (old sym residual, new sym residual) for cables the
-        route touched. The state already reflects the change."""
-        per_dir = Counter()
-        for link in route.links():
-            per_dir[(link.src, link.dst)] += kbps
-        sign = -1 if released else 1
-        changed: Dict[Cable, Tuple[int, int]] = {}
-        cables = {((s, d) if s < d else (d, s)) for s, d in per_dir}
-        for a, b in cables:
-            old = min(state.residual(a, b) + sign * per_dir.get((a, b), 0),
-                      state.residual(b, a) + sign * per_dir.get((b, a), 0))
-            new = state.sym_residual(a, b)
-            changed[(a, b)] = (old, new)
-        return changed
-
-    def update_on_allocation(self, state: NetworkState, route: Route, kbps: int) -> None:
-        """Maintain the hierarchy after bandwidth was taken on a route.
-        Residual drops can only split islands (or thin internal links)."""
-        changed = self._changed_cables(state, route, kbps, released=False)
+    def update_on_allocation(self, state: NetworkState, route: Route) -> None:
+        """Maintain the hierarchy after bandwidth was taken on a route:
+        flood again, within its nodes, each island that holds a route
+        cable now below its beta. Residual drops can only split islands
+        (or thin their internal links)."""
+        cables = _route_cables(state, route)
         for beta in self.betas_kbps:
             level = self.levels[beta]
-            drops = [c for c, (old, new) in changed.items()
-                     if old >= beta > new]
-            hit_islands = {level.node_island[c[0]] for c in drops}
-            for iid in sorted(hit_islands):
-                island = level.islands[iid]
-                remaining = set(island.nodes)
-                parts: List[Tuple[FrozenSet[int], FrozenSet[Cable]]] = []
-                while remaining:
-                    seed = min(remaining)
-                    nodes, links = _flood(state, seed, beta, within=island.nodes)
-                    parts.append((nodes, links))
-                    remaining -= nodes
-                if len(parts) == 1:
-                    # still connected, only the internal link set thinned
-                    level.islands[iid] = BlockingIsland(
-                        iid, beta, parts[0][0], parts[0][1])
-                else:
-                    del level.islands[iid]
-                    for nodes, links in parts:
-                        nid = self._new_id()
-                        level.islands[nid] = BlockingIsland(nid, beta, nodes, links)
-                        for n in nodes:
-                            level.node_island[n] = nid
+            hit = dict.fromkeys(
+                level.node_island[c[0]] for c, free in cables
+                if free < beta and c in level.node_island[c[0]].internal_links)
+            for island in hit:
+                for node in sorted(island.nodes):
+                    if level.node_island[node] is island:
+                        level.add(BlockingIsland(beta, *_flood(
+                            state, node, beta, within=island.nodes)))
 
-    def update_on_release(self, state: NetworkState, route: Route, kbps: int) -> None:
-        """Maintain the hierarchy after bandwidth returned on a route.
-        Residual rises can only merge islands (or add internal links)."""
-        changed = self._changed_cables(state, route, kbps, released=True)
+    def update_on_release(self, state: NetworkState, route: Route) -> None:
+        """Maintain the hierarchy after bandwidth returned on a route: in
+        cable order, join the islands of the ends of each route cable now
+        at or above beta and not yet internal, plus that cable. Residual
+        rises can only merge islands (or add internal links)."""
+        cables = _route_cables(state, route)
         for beta in self.betas_kbps:
             level = self.levels[beta]
-            rises = sorted(c for c, (old, new) in changed.items()
-                           if new >= beta > old)
-            for a, b in rises:
-                ia, ib = level.node_island[a], level.node_island[b]
-                cable = (a, b)
-                if ia == ib:
-                    island = level.islands[ia]
-                    level.islands[ia] = BlockingIsland(
-                        ia, beta, island.nodes,
-                        island.internal_links | {cable})
-                else:
-                    one, two = level.islands[ia], level.islands[ib]
-                    nid = self._new_id()
-                    merged = BlockingIsland(
-                        nid, beta, one.nodes | two.nodes,
-                        one.internal_links | two.internal_links | {cable})
-                    del level.islands[ia]
-                    del level.islands[ib]
-                    level.islands[nid] = merged
-                    for n in merged.nodes:
-                        level.node_island[n] = nid
+            for cable, free in cables:
+                one = level.node_island[cable[0]]
+                if free < beta or cable in one.internal_links:
+                    continue
+                two = level.node_island[cable[1]]
+                level.add(BlockingIsland(
+                    beta, one.nodes | two.nodes,
+                    one.internal_links | two.internal_links | {cable}))
 
     # -- comparison ------------------------------------------------------
 
     def canonical(self):
-        """Id-free structural form of every level's islands: used to
-        compare against a rebuild."""
+        """Structural form of every level's islands: used to compare
+        against a rebuild."""
         return tuple(
             (beta, tuple(sorted(
                 (tuple(sorted(i.nodes)), tuple(sorted(i.internal_links)))
-                for i in self.levels[beta].islands.values())))
+                for i in self.levels[beta].islands)))
             for beta in self.betas_kbps)
+
+
+def _route_cables(state: NetworkState, route: Route) -> List[Tuple[Cable, int]]:
+    """The cables a route crosses, in order, each with its sym residual."""
+    cables = sorted({(l.src, l.dst) if l.src < l.dst else (l.dst, l.src)
+                     for l in route.links()})
+    return [(c, state.sym_residual(*c)) for c in cables]
 
 
 def build_bih(state: NetworkState, betas_mbps: Iterable[float]) -> BIHierarchy:

@@ -33,7 +33,7 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .bih import BlockingIsland, build_bih
 from .netstate import (Allocation, FunctionAssignment, NetworkState, Route,
@@ -570,6 +570,17 @@ def _plan_in_island(state: NetworkState, island: BlockingIsland, demand,
     return alloc, None
 
 
+def _read_demands(graph: NetworkGraph, demands: Iterable) -> Iterator:
+    """Each demand in turn, once its endpoints and new id are checked."""
+    seen = set()
+    for demand in demands:
+        graph.check_endpoints(demand)
+        if demand.id in seen:
+            raise ValueError("demand id %d repeats" % demand.id)
+        seen.add(demand.id)
+        yield demand
+
+
 def place_all(graph: NetworkGraph, demands: Iterable, betas_mbps: List[float],
               mode: str = "lbi", weight_step: float = 0.25,
               stats: Optional[dict] = None) -> SolutionSet:
@@ -588,8 +599,7 @@ def place_all(graph: NetworkGraph, demands: Iterable, betas_mbps: List[float],
     outcomes: List[DemandOutcome] = []
     hierarchy = build_bih(state, betas_mbps)
     cache = _RouteCache(graph)
-    for demand in demands:
-        graph.check_endpoints(demand)
+    for demand in _read_demands(graph, demands):
         island = hierarchy.select(demand.src, demand.dst,
                                   demand.bandwidth_kbps, mode)
         if island is None:
@@ -601,8 +611,7 @@ def place_all(graph: NetworkGraph, demands: Iterable, betas_mbps: List[float],
             outcomes.append(DemandOutcome(demand, False, None, reason))
             continue
         committed = state.apply_allocation(planned, demand)
-        hierarchy.update_on_allocation(state, committed.route,
-                                       committed.bandwidth_kbps)
+        hierarchy.update_on_allocation(state, committed.route)
         outcomes.append(DemandOutcome(demand, True, committed, None))
     return _finish(outcomes, state, start)
 
@@ -837,8 +846,7 @@ def bc_place_all(graph: NetworkGraph, demands: Iterable) -> SolutionSet:
     outcomes: List[DemandOutcome] = []
     scores = betweenness(graph)
     routes: Dict[Tuple[int, int], Optional[tuple]] = {}
-    for demand in demands:
-        graph.check_endpoints(demand)
+    for demand in _read_demands(graph, demands):
         key = (demand.src, demand.dst)
         if key not in routes:
             routes[key] = _pair_route(graph, scores, *key)

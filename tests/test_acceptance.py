@@ -103,8 +103,7 @@ def test_02_incremental_hierarchy_equals_rebuild():
                 demand_id = rng.choice(sorted(live))
                 alloc = live.pop(demand_id)
                 state.release_allocation(demand_id)
-                hier.update_on_release(state, alloc.route,
-                                       alloc.bandwidth_kbps)
+                hier.update_on_release(state, alloc.route)
             else:
                 a, b = GRAPH.cables()[rng.randrange(len(GRAPH.cables()))]
                 free = state.sym_residual(a, b)
@@ -112,8 +111,7 @@ def test_02_incremental_hierarchy_equals_rebuild():
                     take = rng.randrange(1, free + 1)
                     alloc, _ = route_allocation(state, [a, b], to_mbps(take),
                                                 next_id)
-                    hier.update_on_allocation(state, alloc.route,
-                                              alloc.bandwidth_kbps)
+                    hier.update_on_allocation(state, alloc.route)
                     live[next_id] = alloc
                     next_id += 1
             # the state's own indices must equal their rebuild, too
@@ -289,7 +287,7 @@ def test_10_betweenness_equals_enumeration():
 
 
 def test_11_path_search_setting_budget():
-    island = BlockingIsland(1, 1000, frozenset(n.id for n in GRAPH.nodes),
+    island = BlockingIsland(1000, frozenset(n.id for n in GRAPH.nodes),
                             frozenset(GRAPH.cables()))
     stats = {}
     view = _ChainView(NetworkState(GRAPH), island, 0, 1000,

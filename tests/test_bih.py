@@ -18,7 +18,7 @@ BETAS = [50.0, 40.0, 30.0]
 
 
 def _islands_by_nodes(level):
-    return {frozenset(i.nodes): i for i in level.islands.values()}
+    return {frozenset(i.nodes): i for i in level.islands}
 
 
 def test_search_on_layered_fixture():
@@ -91,7 +91,7 @@ def test_hierarchy_levels_nest():
     # each island's nodes lie in a single island one level down
     for beta_hi, beta_lo in ((50000, 40000), (40000, 30000)):
         below = h.levels[beta_lo].node_island
-        for island in h.levels[beta_hi].islands.values():
+        for island in h.levels[beta_hi].islands:
             assert len({below[n] for n in island.nodes}) == 1
 
 
@@ -139,21 +139,19 @@ def test_select_prefers_requested_level():
         h.select(0, 2, 20000, "best")
 
 
-def test_canonical_ignores_island_ids():
+def test_canonical_equals_rebuild_after_split_and_merge():
     state = NetworkState(layered_graph())
     h = build_bih(state, BETAS)
-    # split node 0 off and merge it back so the churned ids move on
+    # split node 0 off and merge it back
     churn = build_bih(state, BETAS)
     a0, _ = route_allocation(state, [0, 1], 45.0, 0)
-    churn.update_on_allocation(state, a0.route, a0.bandwidth_kbps)
+    churn.update_on_allocation(state, a0.route)
     a1, _ = route_allocation(state, [0, 3], 45.0, 1)
-    churn.update_on_allocation(state, a1.route, a1.bandwidth_kbps)
+    churn.update_on_allocation(state, a1.route)
     for demand_id, alloc in ((0, a0), (1, a1)):
         state.release_allocation(demand_id)
-        churn.update_on_release(state, alloc.route, alloc.bandwidth_kbps)
+        churn.update_on_release(state, alloc.route)
     assert churn.canonical() == h.canonical()
-    # yet the 50 Mb/s islands were split and merged anew, under new ids
-    assert set(churn.levels[50000].islands) != set(h.levels[50000].islands)
 
 
 def test_allocation_splits_and_release_merges():
@@ -161,15 +159,15 @@ def test_allocation_splits_and_release_merges():
     h = build_bih(state, BETAS)
     # drain 0-1 below 50: {0,1,3} must stay whole via 0-3 and 1-3
     a0, _ = route_allocation(state, [0, 1], 15.0, 0)
-    h.update_on_allocation(state, a0.route, a0.bandwidth_kbps)
+    h.update_on_allocation(state, a0.route)
     top = _islands_by_nodes(h.levels[50000])
     assert frozenset({0, 1, 3}) in top
     assert top[frozenset({0, 1, 3})].internal_links == {(0, 3), (1, 3)}
     # drain 0-3 and 1-3 too: the island falls apart
     a1, _ = route_allocation(state, [0, 3], 15.0, 1)
-    h.update_on_allocation(state, a1.route, a1.bandwidth_kbps)
+    h.update_on_allocation(state, a1.route)
     a2, _ = route_allocation(state, [1, 3], 15.0, 2)
-    h.update_on_allocation(state, a2.route, a2.bandwidth_kbps)
+    h.update_on_allocation(state, a2.route)
     top = _islands_by_nodes(h.levels[50000])
     assert frozenset({0}) in top and frozenset({1}) in top \
         and frozenset({3}) in top
@@ -177,7 +175,7 @@ def test_allocation_splits_and_release_merges():
     # release in reverse: the pieces merge back
     for demand_id, alloc in ((2, a2), (1, a1), (0, a0)):
         state.release_allocation(demand_id)
-        h.update_on_release(state, alloc.route, alloc.bandwidth_kbps)
+        h.update_on_release(state, alloc.route)
         assert h.canonical() == build_bih(state, BETAS).canonical()
     assert frozenset({0, 1, 3}) in _islands_by_nodes(h.levels[50000])
 
@@ -196,7 +194,7 @@ def test_incremental_equals_rebuild_on_random_sequences():
                 demand_id = rng.choice(sorted(live))
                 alloc = live.pop(demand_id)
                 state.release_allocation(demand_id)
-                h.update_on_release(state, alloc.route, alloc.bandwidth_kbps)
+                h.update_on_release(state, alloc.route)
             else:
                 a, b = graph.cables()[rng.randrange(len(graph.cables()))]
                 free = state.sym_residual(a, b)
@@ -205,8 +203,7 @@ def test_incremental_equals_rebuild_on_random_sequences():
                 take = rng.randrange(1, free + 1)
                 alloc, _ = route_allocation(state, [a, b], to_mbps(take),
                                             next_id)
-                h.update_on_allocation(state, alloc.route,
-                                       alloc.bandwidth_kbps)
+                h.update_on_allocation(state, alloc.route)
                 live[next_id] = alloc
                 next_id += 1
             assert h.canonical() == build_bih(state, betas).canonical()
@@ -248,7 +245,7 @@ def test_real_routes_keep_hierarchy_equal_to_rebuild(mode):
                                  committed.bandwidth_kbps)
             again = state.apply_allocation(planned, outcome.demand)
             assert again == committed
-            h.update_on_allocation(state, again.route, again.bandwidth_kbps)
+            h.update_on_allocation(state, again.route)
             assert state.validate() == []
             assert h.canonical() == build_bih(state, betas).canonical()
             multi_link += any(len(seg) > 1 for seg in again.route.segments)
@@ -257,7 +254,7 @@ def test_real_routes_keep_hierarchy_equal_to_rebuild(mode):
         rng.shuffle(live)
         for alloc in live:
             state.release_allocation(alloc.demand_id)
-            h.update_on_release(state, alloc.route, alloc.bandwidth_kbps)
+            h.update_on_release(state, alloc.route)
             assert state.validate() == []
             assert h.canonical() == build_bih(state, betas).canonical()
             cables = [(min(l.src, l.dst), max(l.src, l.dst))

@@ -39,7 +39,7 @@ WEB = (FN["NAT"], FN["FW"], FN["TM"], FN["WOC"], FN["IDPS"])
 
 
 def _island_over(graph, beta_kbps=10 ** 9):
-    return BlockingIsland(1, beta_kbps, frozenset(n.id for n in graph.nodes),
+    return BlockingIsland(beta_kbps, frozenset(n.id for n in graph.nodes),
                           frozenset(graph.cables()))
 
 
@@ -337,7 +337,7 @@ def test_chain_view_patches_equal_fresh_reads(seed, kbps, walk):
     skim_random_links(state, rng)
     src = rng.randrange(graph.num_nodes)
     nodes, links = beta_bi_search(state, src, 1.0)
-    island = BlockingIsland(1, 1000, nodes, links)
+    island = BlockingIsland(1000, nodes, links)
     ordered = sorted(nodes)
     nbrs = {n: sorted(v for v in graph.neighbors(n)
                       if (min(n, v), max(n, v)) in links) for n in nodes}
@@ -471,7 +471,7 @@ def test_edge_term_table_equals_edge_terms(graph):
 def _twin(island):
     """An island equal to the given one, built as new frozensets filled in
     reverse order."""
-    return BlockingIsland(island.id + 1, island.beta_kbps,
+    return BlockingIsland(island.beta_kbps,
                           frozenset(sorted(island.nodes, reverse=True)),
                           frozenset(sorted(island.internal_links,
                                            reverse=True)))
@@ -499,7 +499,7 @@ def test_route_cache_hits_equal_fresh_searches(seed, monkeypatch):
     next_id = skim_random_links(state, rng)
     src = rng.randrange(graph.num_nodes)
     nodes, links = beta_bi_search(state, src, 1.0)
-    island = BlockingIsland(1, 1000, nodes, links)
+    island = BlockingIsland(1000, nodes, links)
     ordered = sorted(nodes)
     cache = placement._RouteCache(graph)
     ladder = [(1.0 - k * 0.25, k * 0.25) for k in range(4)]
@@ -954,6 +954,28 @@ def test_demands_outside_the_graph_are_refused(src, dst):
         with pytest.raises(ValueError,
                            match="demand 1 has endpoints outside the graph"):
             run()
+
+
+def test_repeated_demand_ids_are_refused():
+    # a 5,000 Mb/s copy of demand 0, which no placer can serve, and demand
+    # 0 itself, in either order: the second one repeats the id and is
+    # refused as the placer reads it, whatever became of the first
+    graph = nobel_germany()
+    _, services = default_catalogs()
+    real = generate_demands(graph, 1, services, 0)[0]
+    copy = make_demand(0, real.src, real.dst, real.chain, 5000.0,
+                       real.delay_budget)
+    for first, second in ((copy, real), (real, copy)):
+
+        def stream():
+            yield first
+            yield second
+            raise AssertionError("read past the repeated id")
+
+        for run in (lambda: place_all(graph, stream(), BETAS),
+                    lambda: bc_place_all(graph, stream())):
+            with pytest.raises(ValueError, match="demand id 0 repeats"):
+                run()
 
 
 def test_place_all_is_deterministic():
