@@ -40,7 +40,7 @@ class BIGraph:
 
     @property
     def islands(self) -> List[BlockingIsland]:
-        """Each island once, in the order of its first node."""
+        """Each island of the level once."""
         return list(dict.fromkeys(self.node_island.values()))
 
     def add(self, island: BlockingIsland) -> None:
@@ -174,7 +174,7 @@ class BIHierarchy:
 
 
 def _route_cables(state: NetworkState, route: Route) -> List[Tuple[Cable, int]]:
-    """The cables a route crosses, in order, each with its sym residual."""
+    """The cables a route crosses, sorted, each with its sym residual."""
     cables = sorted({(l.src, l.dst) if l.src < l.dst else (l.dst, l.src)
                      for l in route.links()})
     return [(c, state.sym_residual(*c)) for c in cables]
