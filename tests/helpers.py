@@ -2,12 +2,14 @@
 
 import heapq
 import random
-from collections import deque
+from collections import Counter, deque
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from vnfplace.bih import _flood
-from vnfplace.netstate import (Allocation, FunctionAssignment, NetworkState,
-                               Route, StateOverlay, to_kbps)
+from vnfplace.netstate import (Allocation, AllocationError,
+                               FunctionAssignment, NetworkState, Route,
+                               StateOverlay, VnfInstance, _route_delay, fits,
+                               to_kbps)
 from vnfplace.topology import (CPU, FunctionType, Link, NetworkGraph,
                                NodeSpec, PmSpec, ServiceType,
                                link_delay_from_length)
@@ -211,6 +213,154 @@ def reference_assign_on_path(overlay: StateOverlay, path: List[int], chain,
             return ([pos] + positions,
                     [FunctionAssignment(function, node, inst_id)] + assigns)
     return None
+
+
+# -- commit and release oracle ---------------------------------------------
+
+
+def _reference_check_route(state: NetworkState, allocation: Allocation,
+                           demand: Demand) -> None:
+    route = allocation.route
+    if len(route.segments) != len(allocation.assignments) + 1:
+        raise AllocationError("route must have one segment per chain hop")
+    at = demand.src
+    for k, seg in enumerate(route.segments):
+        for link in seg:
+            if link.src != at:
+                raise AllocationError("discontinuous route at node %d" % at)
+            if not state.graph.has_link(link.src, link.dst):
+                raise AllocationError("route uses unknown link %d->%d"
+                                      % (link.src, link.dst))
+            at = link.dst
+        want = (allocation.assignments[k].node
+                if k < len(allocation.assignments) else demand.dst)
+        if at != want:
+            raise AllocationError("segment %d ends at %d, expected %d"
+                                  % (k, at, want))
+
+
+def _reference_use_link(state: NetworkState, link: Link, step: int) -> None:
+    pair = (link.src, link.dst)
+    before = state.link_use[pair] + state.link_use[(link.dst, link.src)]
+    state.link_use[pair] += step
+    if not before or not before + step:
+        state.lit_cables[link.src] += step
+        state.lit_cables[link.dst] += step
+
+
+def reference_apply_allocation(state: NetworkState, allocation: Allocation,
+                               demand: Demand) -> Allocation:
+    """NetworkState.apply_allocation as a separate route check, a Counter
+    of link needs and one use-count update per link: every check in the
+    same order with the same message, and the same resulting state."""
+    if demand.id in state.allocations:
+        raise AllocationError("demand %d already allocated" % demand.id)
+    if allocation.demand_id != demand.id:
+        raise AllocationError("allocation/demand id mismatch")
+    chain_names = [f.name for f in demand.chain]
+    if [a.function.name for a in allocation.assignments] != chain_names:
+        raise AllocationError("assignments do not match the demand chain")
+    if allocation.bandwidth_kbps != demand.bandwidth_kbps:
+        raise AllocationError("allocation carries %d kbps, demand asks %d"
+                              % (allocation.bandwidth_kbps,
+                                 demand.bandwidth_kbps))
+    _reference_check_route(state, allocation, demand)
+    delay = _route_delay(allocation)
+    if abs(delay - allocation.total_delay_ms) > 1e-9:
+        raise AllocationError("reported delay %r ms, route and chain take "
+                              "%r ms" % (allocation.total_delay_ms, delay))
+    if delay > demand.delay_budget + 1e-9:
+        raise AllocationError("delay %r ms exceeds budget %r ms"
+                              % (delay, demand.delay_budget))
+    kbps = allocation.bandwidth_kbps
+
+    link_need = Counter()
+    for link in allocation.route.links():
+        link_need[(link.src, link.dst)] += kbps
+    for pair, need in link_need.items():
+        if state.residual_kbps[pair] < need:
+            raise AllocationError("link %d->%d lacks %d kbps" % (*pair, need))
+
+    inst_need: Dict[int, int] = Counter()
+    placeholder_fn: Dict[int, Tuple[FunctionType, int]] = {}
+    for a in allocation.assignments:
+        inst_need[a.instance_id] += kbps
+        if a.instance_id < 0:
+            prior = placeholder_fn.get(a.instance_id)
+            if prior is not None and prior != (a.function, a.node):
+                raise AllocationError("placeholder %d reused inconsistently"
+                                      % a.instance_id)
+            placeholder_fn[a.instance_id] = (a.function, a.node)
+    new_cores: Dict[int, int] = Counter()
+    for inst_id, need in inst_need.items():
+        if inst_id >= 0:
+            inst = state.instances.get(inst_id)
+            if inst is None:
+                raise AllocationError("unknown instance %d" % inst_id)
+            if inst.residual_kbps < need:
+                raise AllocationError("instance %d lacks %d kbps" % (inst_id, need))
+        else:
+            function, node = placeholder_fn[inst_id]
+            if to_kbps(function.processing_capacity) < need:
+                raise AllocationError("new %s instance cannot carry %d kbps"
+                                      % (function.name, need))
+            new_cores[node] += function.cores
+    for a in allocation.assignments:
+        if a.instance_id >= 0:
+            inst = state.instances[a.instance_id]
+            if inst.node != a.node or inst.function.name != a.function.name:
+                raise AllocationError("instance %d does not match assignment"
+                                      % a.instance_id)
+    for node, need in new_cores.items():
+        if not fits(state.cores_used[node], need, state.graph.node(node).pm.cores):
+            raise AllocationError("PM %d lacks cpu for new instances" % node)
+
+    for pair, need in link_need.items():
+        state.residual_kbps[pair] -= need
+    for link in allocation.route.links():
+        _reference_use_link(state, link, 1)
+    id_map: Dict[int, int] = {}
+    for a in allocation.assignments:
+        if a.instance_id < 0 and a.instance_id not in id_map:
+            function, node = placeholder_fn[a.instance_id]
+            new_id = state._next_instance
+            state._next_instance += 1
+            inst = VnfInstance(new_id, node, function,
+                               to_kbps(function.processing_capacity), {})
+            state.instances[new_id] = inst
+            state.node_instances.setdefault(node, {})[new_id] = inst
+            state.cores_used[node] += function.cores
+            id_map[a.instance_id] = new_id
+    resolved = []
+    for a in allocation.assignments:
+        inst_id = id_map.get(a.instance_id, a.instance_id)
+        resolved.append(FunctionAssignment(a.function, a.node, inst_id))
+    for inst_id, need in inst_need.items():
+        inst = state.instances[id_map.get(inst_id, inst_id)]
+        inst.residual_kbps -= need
+        inst.served[demand.id] = inst.served.get(demand.id, 0) + need
+    committed = Allocation(allocation.demand_id, tuple(resolved),
+                           allocation.route, allocation.total_delay_ms, kbps)
+    state.allocations[demand.id] = committed
+    return committed
+
+
+def reference_release_allocation(state: NetworkState, demand_id: int) -> None:
+    """NetworkState.release_allocation with one use-count update per link."""
+    alloc = state.allocations.pop(demand_id, None)
+    if alloc is None:
+        raise AllocationError("demand %d has no allocation" % demand_id)
+    kbps = alloc.bandwidth_kbps
+    for link in alloc.route.links():
+        state.residual_kbps[(link.src, link.dst)] += kbps
+        _reference_use_link(state, link, -1)
+    for inst_id in {a.instance_id for a in alloc.assignments}:
+        inst = state.instances[inst_id]
+        inst.residual_kbps += inst.served.pop(demand_id)
+        if inst.residual_kbps == inst.capacity_kbps:
+            del state.instances[inst_id]
+            del state.node_instances[inst.node][inst_id]
+            state.cores_used[inst.node] -= inst.function.cores
 
 
 # -- fixture graphs -------------------------------------------------------

@@ -1,18 +1,21 @@
 """Substrate state bookkeeping: allocations, instances, overlays."""
 
+import dataclasses
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import XL, make_demand, make_graph, random_connected_graph, \
+    reference_apply_allocation, reference_release_allocation, \
     route_allocation, to_mbps
 from vnfplace.netstate import (Allocation, AllocationError,
                                FunctionAssignment, NetworkState, Route,
                                StateOverlay, _StateView, to_kbps)
-from vnfplace.topology import (CPU, FunctionType, NetworkGraph, NodeSpec,
-                               PmSpec)
+from vnfplace.topology import (CPU, FunctionType, Link, NetworkGraph,
+                               NodeSpec, PmSpec)
 
 
 FN_A = FunctionType("A", {CPU: 4}, 200.0, 10.0)
@@ -274,6 +277,41 @@ def test_validate_spots_corruption():
     assert state.validate() == []
 
 
+def test_validate_names_each_corrupt_field():
+    # one field of a committed state corrupted at a time, then restored
+    state = NetworkState(_line_graph())
+    demand = make_demand(0, 0, 2, (FN_A,), 10.0, 100.0)
+    committed = state.apply_allocation(_chain_allocation(state, demand, [1]),
+                                       demand)
+    inst = state.instances[committed.assignments[0].instance_id]
+
+    state.residual_kbps[(0, 1)] = 100001
+    assert "link 0->1 residual 100001 outside [0, 100000]" in state.validate()
+    state.residual_kbps[(0, 1)] = 90000
+    inst.residual_kbps, inst.served[0] = -1, 200001
+    assert "instance 0 oversubscribed" in state.validate()
+    inst.residual_kbps, inst.served[0] = 190000, 10000
+    inst.served[7] = 0
+    assert state.validate() == [
+        "instance 0 serves demand 7 with 0 kbps, allocations say None"]
+    del inst.served[7]
+    ghost = FunctionAssignment(FN_A, 1, 99)
+    state.allocations[0] = dataclasses.replace(committed, assignments=(ghost,))
+    assert "allocation 0 references missing instance 99" in state.validate()
+    state.allocations[0] = committed
+    inst.function = FunctionType("A", {CPU: 32}, 200.0, 10.0)
+    assert "PM 1 over capacity (32 > 16 cores)" in state.validate()
+    inst.function = FN_A
+    state.allocations[5] = state.allocations.pop(0)
+    assert state.validate() == ["allocation keyed 5 carries id 0"]
+    state.allocations[0] = state.allocations.pop(5)
+    state.allocations[0] = dataclasses.replace(committed, total_delay_ms=11.0)
+    assert state.validate() == ["allocation 0 delay 11.0, recomputed %r"
+                                % committed.total_delay_ms]
+    state.allocations[0] = committed
+    assert state.validate() == []
+
+
 def test_overlay_mirrors_and_debits():
     state = NetworkState(_line_graph())
     demand = make_demand(0, 0, 2, (FN_A,), 10.0, 100.0)
@@ -434,3 +472,160 @@ def test_indices_equal_their_derivation(seed, steps):
                     assert overlay.find_reusable(node, fn, need) == \
                         _reusable(overlay, node, fn, need)
     assert state.validate() == []
+
+
+# -- the commit and release against their reference -----------------------
+
+# 10 Mb/s instances, so reuse and double traversals run out of room; a
+# positive processing delay, so every route takes some time
+ORACLE_FNS = (FunctionType("S", {CPU: 2}, 10.0, 0.5),
+              FunctionType("M", {CPU: 4}, 10.0, 1.0))
+
+# every message apply_allocation raises
+COMMIT_MESSAGES = (
+    r"demand \d+ already allocated",
+    r"allocation/demand id mismatch",
+    r"assignments do not match the demand chain",
+    r"allocation carries \d+ kbps, demand asks \d+",
+    r"route must have one segment per chain hop",
+    r"discontinuous route at node \d+",
+    r"route uses unknown link \d+->\d+",
+    r"segment \d+ ends at \d+, expected \d+",
+    r"reported delay \S+ ms, route and chain take \S+ ms",
+    r"delay \S+ ms exceeds budget \S+ ms",
+    r"link \d+->\d+ lacks \d+ kbps",
+    r"placeholder -\d+ reused inconsistently",
+    r"unknown instance \d+",
+    r"instance \d+ lacks \d+ kbps",
+    r"new [SM] instance cannot carry \d+ kbps",
+    r"instance \d+ does not match assignment",
+    r"PM \d+ lacks cpu for new instances",
+)
+
+
+def _oracle_allocation(state, rng, demand_id, live):
+    """A walk of 0-3 hops with one or two chain positions on it, each on a
+    new or a reused instance, then one or two draws that may each corrupt
+    one field; two faults in one case pin the order of the checks."""
+    graph = state.graph
+    path = [rng.randrange(graph.num_nodes)]
+    for _ in range(rng.randrange(4)):
+        path.append(rng.choice(graph.neighbors(path[-1])))
+    chain = tuple(rng.choice(ORACLE_FNS) for _ in range(rng.randint(1, 2)))
+    kbps = rng.choice([1000, 2500, 5000, 7500])
+    cuts = sorted(rng.randrange(len(path)) for _ in chain)
+    links = [graph.link(a, b) for a, b in zip(path, path[1:])]
+    bounds = [0] + cuts + [len(links)]
+    segments = [links[i:j] for i, j in zip(bounds, bounds[1:])]
+    assigns = []
+    for k, (fn, cut) in enumerate(zip(chain, cuts)):
+        mine = [inst.id for inst in state.node_instances.get(path[cut], {})
+                .values() if inst.function == fn]
+        inst_id = rng.choice(mine) if mine and rng.random() < 0.6 else -1 - k
+        assigns.append(FunctionAssignment(fn, path[cut], inst_id))
+    alloc_id, alloc_kbps, budget, late = demand_id, kbps, 1e9, 0.0
+    for kind in rng.sample(range(20), rng.randint(1, 2)):
+        k = rng.randrange(len(assigns))
+        a = assigns[k]
+        j = rng.randrange(len(segments))
+        start = path[bounds[j]]
+        if kind == 0 and live:
+            alloc_id = demand_id = rng.choice(live)
+        elif kind == 1:
+            alloc_id = demand_id + 1
+        elif kind == 2:
+            other = ORACLE_FNS[a.function is ORACLE_FNS[0]]
+            assigns[k] = FunctionAssignment(other, a.node, a.instance_id)
+        elif kind == 3:
+            alloc_kbps = kbps + 1
+        elif kind == 4:
+            segments.pop()
+        elif kind == 5:
+            segments[j].insert(0, rng.choice(
+                [l for l in graph.links if l.src != start]))
+        elif kind == 6:
+            segments[j].insert(0, Link(start, graph.num_nodes, 100.0, 0.1))
+        elif kind == 7:
+            node = (a.node + 1) % graph.num_nodes
+            assigns[k] = FunctionAssignment(a.function, node, a.instance_id)
+        elif kind == 8:
+            late = 1.0
+        elif kind == 9:
+            budget = None
+        elif kind == 10:
+            kbps = alloc_kbps = 50000
+        elif kind == 11:
+            assigns = [FunctionAssignment(b.function, b.node, -1) for b in assigns]
+        elif kind == 12:
+            assigns[k] = FunctionAssignment(a.function, a.node, 10 ** 6)
+        elif kind == 13 and state.instances:
+            assigns[k] = FunctionAssignment(a.function, a.node,
+                                            rng.choice(list(state.instances)))
+    route = Route(tuple(tuple(seg) for seg in segments))
+    delay = route.propagation_ms + sum(f.processing_delay for f in chain)
+    demand = make_demand(demand_id, path[0], path[-1], chain, kbps / 1000.0,
+                         delay / 2 if budget is None else budget)
+    return Allocation(alloc_id, tuple(assigns), route, delay + late,
+                      alloc_kbps), demand
+
+
+def _outcome(change, *args):
+    """What a commit or release returns, or the message it raises."""
+    try:
+        return change(*args)
+    except AllocationError as err:
+        return str(err)
+
+
+def _assert_same_state(lib, ref):
+    assert lib.snapshot() == ref.snapshot()
+    assert lib.lit_cables == ref.lit_cables
+    assert lib.cores_used == ref.cores_used
+    assert lib._next_instance == ref._next_instance
+
+
+def _oracle_run(seed, steps):
+    """Feed the same seeded allocations, random and corrupted, to the
+    library and to the reference, then release everything in a random
+    order; returns the messages the commits raised."""
+    rng = random.Random(seed)
+    base = random_connected_graph(rng, max_nodes=6, cap_range=(5, 40))
+    graph = NetworkGraph(
+        [NodeSpec(i, PmSpec({CPU: 8})) for i in range(base.num_nodes)],
+        [(a, b, base.link(a, b).capacity, 0.1) for a, b in base.cables()])
+    lib, ref = NetworkState(graph), NetworkState(graph)
+    live, messages = [], set()
+    for step in range(steps):
+        allocation, demand = _oracle_allocation(lib, rng, step, live)
+        got = _outcome(lib.apply_allocation, allocation, demand)
+        assert got == _outcome(reference_apply_allocation, ref, allocation,
+                               demand)
+        if isinstance(got, str):
+            messages.add(got)
+        else:
+            live.append(demand.id)
+        _assert_same_state(lib, ref)
+    assert lib.validate() == []
+    rng.shuffle(live)
+    for demand_id in live + [steps]:
+        assert _outcome(lib.release_allocation, demand_id) == \
+            _outcome(reference_release_allocation, ref, demand_id)
+        _assert_same_state(lib, ref)
+    assert lib.snapshot() == NetworkState(graph).snapshot()
+    return messages
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), steps=st.integers(1, 40))
+def test_commit_and_release_equal_their_reference(seed, steps):
+    _oracle_run(seed, steps)
+
+
+def test_commit_oracle_reaches_every_commit_message():
+    messages = set()
+    for seed in range(20):
+        messages |= _oracle_run(seed, 40)
+    for message in messages:
+        assert any(re.fullmatch(p, message) for p in COMMIT_MESSAGES), message
+    for pattern in COMMIT_MESSAGES:
+        assert any(re.fullmatch(pattern, m) for m in messages), pattern

@@ -911,6 +911,21 @@ def test_rejection_reasons_and_clean_state():
     assert sol.outcomes[0].reason == "no-path"
 
 
+def test_demand_across_components_is_rejected_by_both_placers():
+    # no path joins the two cables: the centrality search finds no route
+    # and no island ever holds both endpoints
+    graph = make_graph(4, [(0, 1, 1000.0, 1.0), (2, 3, 1000.0, 1.0)],
+                       cores=16)
+    assert _bfs_path(graph, 0, 3) is None
+    assert _pair_route(graph, betweenness(graph), 0, 3) is None
+    demand = make_demand(0, 0, 3, (FN["NAT"],), 1.0, 500.0)
+    for sol, reason in ((bc_place_all(graph, [demand]), "no-path"),
+                        (place_all(graph, [demand], BETAS), "no-island")):
+        assert sol.outcomes[0].reason == reason
+        assert sol.state.snapshot() == NetworkState(graph).snapshot()
+        assert placement.check_solution(sol) == []
+
+
 def test_island_choice_separates_modes():
     # thin direct cable vs a fat detour: the high threshold hides the
     # direct cable, the low threshold keeps it

@@ -40,6 +40,8 @@ def test_pm_spec_requires_cpu():
 def test_function_type_validation():
     with pytest.raises(TopologyError):
         FunctionType("X", {"mem": 2}, 100.0, 1.0)
+    with pytest.raises(TopologyError, match="non-positive cpu demand"):
+        FunctionType("X", {CPU: 0}, 100.0, 1.0)
     with pytest.raises(TopologyError):
         FunctionType("X", {CPU: 4}, 0.0, 1.0)
     with pytest.raises(TopologyError):
