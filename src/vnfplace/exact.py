@@ -30,6 +30,7 @@ from .netstate import (Allocation, FunctionAssignment, NetworkState, Route,
                        to_kbps)
 from .power import pm_load_slope, pm_power, total_power
 from .topology import FunctionType, NetworkGraph, PowerParams
+from .workload import read_demands
 
 _TOL = 1e-6
 
@@ -75,13 +76,9 @@ def _z(i: int, fname: str) -> str:
 def build_model(graph: NetworkGraph, demands: Sequence) -> MilpModel:
     """Materialize every variable and constraint row for the instance from
     name tables X, Y, L, Z and, per demand, U[k][i] and W[e][(src, dst)]."""
-    m = MilpModel(graph, demands)
-    ids = [d.id for d in m.demands]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate demand ids: %r" % ids)
+    m = MilpModel(graph, read_demands(graph, demands))
     types = m.types
     for d in m.demands:
-        graph.check_endpoints(d)
         for fn in d.chain:
             known = types.setdefault(fn.name, fn)
             if known is not fn and known != fn:

@@ -2,7 +2,9 @@
 
 Bandwidth is tracked internally as integer kb/s so that applying and
 releasing an allocation are exact inverses (no float drift). Public
-inputs in Mb/s are quantized to a 1 kb/s grid.
+inputs in Mb/s are quantized to a 1 kb/s grid. The commit checks a route
+in one walk that also sums each link's need, then books the route
+through _book_route, the one routine that release shares.
 
 NetworkState and the planning view StateOverlay share one read API over
 link residuals, link use and the instances hosted on a node. The
@@ -185,25 +187,6 @@ class NetworkState(_StateView):
 
     # -- mutation --------------------------------------------------------
 
-    def _check_route(self, allocation: Allocation, demand: "Demand") -> None:
-        route = allocation.route
-        if len(route.segments) != len(allocation.assignments) + 1:
-            raise AllocationError("route must have one segment per chain hop")
-        at = demand.src
-        for k, seg in enumerate(route.segments):
-            for link in seg:
-                if link.src != at:
-                    raise AllocationError("discontinuous route at node %d" % at)
-                if not self.graph.has_link(link.src, link.dst):
-                    raise AllocationError("route uses unknown link %d->%d"
-                                          % (link.src, link.dst))
-                at = link.dst
-            want = (allocation.assignments[k].node
-                    if k < len(allocation.assignments) else demand.dst)
-            if at != want:
-                raise AllocationError("segment %d ends at %d, expected %d"
-                                      % (k, at, want))
-
     def apply_allocation(self, allocation: Allocation, demand: "Demand") -> Allocation:
         """Atomically commit an allocation. Placeholder instance ids are
         resolved to fresh instances; the committed allocation is returned.
@@ -212,14 +195,30 @@ class NetworkState(_StateView):
             raise AllocationError("demand %d already allocated" % demand.id)
         if allocation.demand_id != demand.id:
             raise AllocationError("allocation/demand id mismatch")
-        chain_names = [f.name for f in demand.chain]
-        if [a.function.name for a in allocation.assignments] != chain_names:
+        assignments = allocation.assignments
+        if [a.function.name for a in assignments] != [f.name for f in demand.chain]:
             raise AllocationError("assignments do not match the demand chain")
-        if allocation.bandwidth_kbps != demand.bandwidth_kbps:
+        kbps = allocation.bandwidth_kbps
+        if kbps != demand.bandwidth_kbps:
             raise AllocationError("allocation carries %d kbps, demand asks %d"
-                                  % (allocation.bandwidth_kbps,
-                                     demand.bandwidth_kbps))
-        self._check_route(allocation, demand)
+                                  % (kbps, demand.bandwidth_kbps))
+        if len(allocation.route.segments) != len(assignments) + 1:
+            raise AllocationError("route must have one segment per chain hop")
+        link_need: Dict[Tuple[int, int], int] = {}
+        at = demand.src
+        for k, seg in enumerate(allocation.route.segments):
+            for link in seg:
+                if link.src != at:
+                    raise AllocationError("discontinuous route at node %d" % at)
+                pair = (at, link.dst)
+                if pair not in self.residual_kbps:
+                    raise AllocationError("route uses unknown link %d->%d" % pair)
+                link_need[pair] = link_need.get(pair, 0) + kbps
+                at = link.dst
+            want = assignments[k].node if k < len(assignments) else demand.dst
+            if at != want:
+                raise AllocationError("segment %d ends at %d, expected %d"
+                                      % (k, at, want))
         delay = _route_delay(allocation)
         if abs(delay - allocation.total_delay_ms) > 1e-9:
             raise AllocationError("reported delay %r ms, route and chain take "
@@ -227,26 +226,20 @@ class NetworkState(_StateView):
         if delay > demand.delay_budget + 1e-9:
             raise AllocationError("delay %r ms exceeds budget %r ms"
                                   % (delay, demand.delay_budget))
-        kbps = allocation.bandwidth_kbps
-
-        link_need = Counter()
-        for link in allocation.route.links():
-            link_need[(link.src, link.dst)] += kbps
         for pair, need in link_need.items():
             if self.residual_kbps[pair] < need:
                 raise AllocationError("link %d->%d lacks %d kbps" % (*pair, need))
 
-        inst_need: Dict[int, int] = Counter()
-        placeholder_fn: Dict[int, Tuple[FunctionType, int]] = {}
-        for a in allocation.assignments:
-            inst_need[a.instance_id] += kbps
-            if a.instance_id < 0:
-                prior = placeholder_fn.get(a.instance_id)
-                if prior is not None and prior != (a.function, a.node):
-                    raise AllocationError("placeholder %d reused inconsistently"
-                                          % a.instance_id)
-                placeholder_fn[a.instance_id] = (a.function, a.node)
-        new_cores: Dict[int, int] = Counter()
+        # placeholder -> (function, node), in the order new instances are made
+        inst_need: Dict[int, int] = {}
+        placeholders: Dict[int, Tuple[FunctionType, int]] = {}
+        for a in assignments:
+            inst_need[a.instance_id] = inst_need.get(a.instance_id, 0) + kbps
+            if (a.instance_id < 0 and placeholders.setdefault(
+                    a.instance_id, (a.function, a.node)) != (a.function, a.node)):
+                raise AllocationError("placeholder %d reused inconsistently"
+                                      % a.instance_id)
+        new_cores: Dict[int, int] = {}
         for inst_id, need in inst_need.items():
             if inst_id >= 0:
                 inst = self.instances.get(inst_id)
@@ -255,12 +248,12 @@ class NetworkState(_StateView):
                 if inst.residual_kbps < need:
                     raise AllocationError("instance %d lacks %d kbps" % (inst_id, need))
             else:
-                function, node = placeholder_fn[inst_id]
+                function, node = placeholders[inst_id]
                 if to_kbps(function.processing_capacity) < need:
                     raise AllocationError("new %s instance cannot carry %d kbps"
                                           % (function.name, need))
-                new_cores[node] += function.cores
-        for a in allocation.assignments:
+                new_cores[node] = new_cores.get(node, 0) + function.cores
+        for a in assignments:
             if a.instance_id >= 0:
                 inst = self.instances[a.instance_id]
                 if inst.node != a.node or inst.function.name != a.function.name:
@@ -271,31 +264,24 @@ class NetworkState(_StateView):
                 raise AllocationError("PM %d lacks cpu for new instances" % node)
 
         # all checks passed, now mutate
-        for pair, need in link_need.items():
-            self.residual_kbps[pair] -= need
-        for link in allocation.route.links():
-            self._use_link(link, 1)
+        self._book_route(allocation.route, kbps, 1)
         id_map: Dict[int, int] = {}
-        for a in allocation.assignments:
-            if a.instance_id < 0 and a.instance_id not in id_map:
-                function, node = placeholder_fn[a.instance_id]
-                new_id = self._next_instance
-                self._next_instance += 1
-                inst = VnfInstance(new_id, node, function,
-                                   to_kbps(function.processing_capacity), {})
-                self.instances[new_id] = inst
-                self.node_instances.setdefault(node, {})[new_id] = inst
-                self.cores_used[node] += function.cores
-                id_map[a.instance_id] = new_id
-        resolved = []
-        for a in allocation.assignments:
-            inst_id = id_map.get(a.instance_id, a.instance_id)
-            resolved.append(FunctionAssignment(a.function, a.node, inst_id))
+        for placeholder, (function, node) in placeholders.items():
+            new_id = id_map[placeholder] = self._next_instance
+            self._next_instance += 1
+            inst = VnfInstance(new_id, node, function,
+                               to_kbps(function.processing_capacity), {})
+            self.instances[new_id] = inst
+            self.node_instances.setdefault(node, {})[new_id] = inst
+            self.cores_used[node] += function.cores
         for inst_id, need in inst_need.items():
             inst = self.instances[id_map.get(inst_id, inst_id)]
             inst.residual_kbps -= need
             inst.served[demand.id] = inst.served.get(demand.id, 0) + need
-        committed = Allocation(allocation.demand_id, tuple(resolved),
+        resolved = tuple(FunctionAssignment(a.function, a.node,
+                                            id_map.get(a.instance_id, a.instance_id))
+                         for a in assignments)
+        committed = Allocation(allocation.demand_id, resolved,
                                allocation.route, allocation.total_delay_ms, kbps)
         self.allocations[demand.id] = committed
         return committed
@@ -306,10 +292,7 @@ class NetworkState(_StateView):
         alloc = self.allocations.pop(demand_id, None)
         if alloc is None:
             raise AllocationError("demand %d has no allocation" % demand_id)
-        kbps = alloc.bandwidth_kbps
-        for link in alloc.route.links():
-            self.residual_kbps[(link.src, link.dst)] += kbps
-            self._use_link(link, -1)
+        self._book_route(alloc.route, alloc.bandwidth_kbps, -1)
         for inst_id in {a.instance_id for a in alloc.assignments}:
             inst = self.instances[inst_id]
             inst.residual_kbps += inst.served.pop(demand_id)
@@ -318,15 +301,20 @@ class NetworkState(_StateView):
                 del self.node_instances[inst.node][inst_id]
                 self.cores_used[inst.node] -= inst.function.cores
 
-    def _use_link(self, link: Link, step: int) -> None:
-        """Count a route more (+1) or less (-1) over the link, lighting or
-        darkening its cable when the cable's use leaves or reaches 0."""
-        pair = (link.src, link.dst)
-        before = self.link_use[pair] + self.link_use[(link.dst, link.src)]
-        self.link_use[pair] += step
-        if not before or not before + step:
-            self.lit_cables[link.src] += step
-            self.lit_cables[link.dst] += step
+    def _book_route(self, route: Route, kbps: int, step: int) -> None:
+        """Book kbps on (step 1) or off (step -1) every link of the route:
+        its residual, its use count, and the lit cables of both switches
+        when its cable's use leaves or reaches 0."""
+        residual, use, lit = self.residual_kbps, self.link_use, self.lit_cables
+        for seg in route.segments:
+            for link in seg:
+                pair = (link.src, link.dst)
+                residual[pair] -= step * kbps
+                before = use[pair] + use[(link.dst, link.src)]
+                use[pair] += step
+                if not before or not before + step:
+                    lit[link.src] += step
+                    lit[link.dst] += step
 
     # -- integrity -------------------------------------------------------
 

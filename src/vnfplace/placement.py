@@ -33,7 +33,7 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .bih import BlockingIsland, build_bih
 from .netstate import (Allocation, FunctionAssignment, NetworkState, Route,
@@ -41,6 +41,7 @@ from .netstate import (Allocation, FunctionAssignment, NetworkState, Route,
 from .power import (incremental_cost, incremental_pm_cost, network_power,
                     pm_load_slope, pm_power_total, total_power)
 from .topology import FunctionType, Link, NetworkGraph
+from .workload import read_demands
 
 _EPS = 1e-9
 
@@ -570,17 +571,6 @@ def _plan_in_island(state: NetworkState, island: BlockingIsland, demand,
     return alloc, None
 
 
-def _read_demands(graph: NetworkGraph, demands: Iterable) -> Iterator:
-    """Each demand in turn, once its endpoints and new id are checked."""
-    seen = set()
-    for demand in demands:
-        graph.check_endpoints(demand)
-        if demand.id in seen:
-            raise ValueError("demand id %d repeats" % demand.id)
-        seen.add(demand.id)
-        yield demand
-
-
 def place_all(graph: NetworkGraph, demands: Iterable, betas_mbps: List[float],
               mode: str = "lbi", weight_step: float = 0.25,
               stats: Optional[dict] = None) -> SolutionSet:
@@ -599,7 +589,7 @@ def place_all(graph: NetworkGraph, demands: Iterable, betas_mbps: List[float],
     outcomes: List[DemandOutcome] = []
     hierarchy = build_bih(state, betas_mbps)
     cache = _RouteCache(graph)
-    for demand in _read_demands(graph, demands):
+    for demand in read_demands(graph, demands):
         island = hierarchy.select(demand.src, demand.dst,
                                   demand.bandwidth_kbps, mode)
         if island is None:
@@ -846,7 +836,7 @@ def bc_place_all(graph: NetworkGraph, demands: Iterable) -> SolutionSet:
     outcomes: List[DemandOutcome] = []
     scores = betweenness(graph)
     routes: Dict[Tuple[int, int], Optional[tuple]] = {}
-    for demand in _read_demands(graph, demands):
+    for demand in read_demands(graph, demands):
         key = (demand.src, demand.dst)
         if key not in routes:
             routes[key] = _pair_route(graph, scores, *key)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, Iterable, Iterator, List
 
 from .netstate import to_kbps
 from .topology import NetworkGraph, ServiceType
@@ -80,3 +80,15 @@ def generate_demands(graph: NetworkGraph, count: int,
                 break
         demands.append(Demand(i, src, dst, service))
     return demands
+
+
+def read_demands(graph: NetworkGraph, demands: Iterable[Demand]) -> Iterator[Demand]:
+    """Each demand in turn, once its endpoints and new id are checked: the
+    one reading of a demand stream, shared by the placers and the model."""
+    seen = set()
+    for demand in demands:
+        graph.check_endpoints(demand)
+        if demand.id in seen:
+            raise ValueError("demand id %d repeats" % demand.id)
+        seen.add(demand.id)
+        yield demand

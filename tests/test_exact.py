@@ -77,7 +77,7 @@ def test_model_shape_on_a_triangle():
 def test_model_rejects_bad_demands():
     graph = triangle_graph()
     one = _triangle_demand()
-    with pytest.raises(ValueError, match="duplicate demand ids"):
+    with pytest.raises(ValueError, match="demand id 0 repeats"):
         build_model(graph, [one, one])
     with pytest.raises(ValueError, match="outside the graph"):
         build_model(graph, [make_demand(0, 0, 7, (FN_A,), 1.0, 50.0)])
