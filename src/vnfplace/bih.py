@@ -175,8 +175,7 @@ class BIHierarchy:
 
 def _route_cables(state: NetworkState, route: Route) -> List[Tuple[Cable, int]]:
     """The cables a route crosses, sorted, each with its sym residual."""
-    cables = sorted({(l.src, l.dst) if l.src < l.dst else (l.dst, l.src)
-                     for l in route.links()})
+    cables = sorted({l.cable for l in route.links()})
     return [(c, state.sym_residual(*c)) for c in cables]
 
 

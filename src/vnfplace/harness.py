@@ -119,6 +119,11 @@ def run_experiment(config: ExperimentConfig) -> MetricsReport:
         if algorithm not in ALGORITHMS:
             raise ValueError("unknown algorithm %r, expected one of %s"
                              % (algorithm, ", ".join(ALGORITHMS)))
+    for what, values in (("algorithm", config.algorithms),
+                         ("demand count", config.demand_counts)):
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ValueError("%s %s repeats" % (what, value))
     if config.seeds < 1:
         raise ValueError("need at least one seed")
     if any(c < 1 for c in config.demand_counts):

@@ -6,12 +6,14 @@ inputs in Mb/s are quantized to a 1 kb/s grid. The commit checks a route
 in one walk that also sums each link's need, then books the route
 through _book_route, the one routine that release shares.
 
-NetworkState and the planning view StateOverlay share one read API over
-link residuals, link use and the instances hosted on a node. The
-committed state also keeps two indices, changed only when an allocation
-is applied or released and checked against a rebuild by validate(): the
-lit cables of each switch and the CPU cores in use on each node, which
-the state's queries read. Only tests and perfbench read the overlay.
+NetworkState keeps link residuals and use counts, each node's instances,
+and two indices, changed only when an allocation is applied or released
+and checked against a rebuild by validate(): the lit cables of each
+switch and the CPU cores in use on each node. The commit and both
+placers' per-demand tables read these directly. The read API (_StateView)
+serves power pricing, the hierarchy, extract_assignment and the tests;
+the planning view StateOverlay shares it, and only tests and perfbench
+read the overlay.
 
 PMs and functions are sized in CPU cores alone. fits() is the one
 PM-capacity rule, used by the commit and both placers' per-demand tables;
@@ -156,7 +158,8 @@ class NetworkState(_StateView):
             (l.src, l.dst): 0 for l in graph.links}
         self.instances: Dict[int, VnfInstance] = {}
         # node -> {instance id: instance}; the same objects as instances
-        self.node_instances: Dict[int, Dict[int, VnfInstance]] = {}
+        self.node_instances: Dict[int, Dict[int, VnfInstance]] = {
+            n.id: {} for n in graph.nodes}
         # switch -> lit cables; node -> CPU cores in use
         self.lit_cables: Dict[int, int] = {n.id: 0 for n in graph.nodes}
         self.cores_used: Dict[int, int] = {n.id: 0 for n in graph.nodes}
@@ -173,14 +176,14 @@ class NetworkState(_StateView):
         return self.link_use[(src, dst)] > 0
 
     def hosted(self, node: int) -> Iterator[Tuple[VnfInstance, int]]:
-        for inst in self.node_instances.get(node, {}).values():
+        for inst in self.node_instances[node].values():
             yield inst, inst.residual_kbps
 
     def switch_active(self, node: int) -> bool:
         return self.lit_cables[node] > 0
 
     def pm_active(self, node: int) -> bool:
-        return bool(self.node_instances.get(node))
+        return bool(self.node_instances[node])
 
     def used_cores(self, node: int) -> int:
         return self.cores_used[node]
@@ -260,7 +263,7 @@ class NetworkState(_StateView):
                     raise AllocationError("instance %d does not match assignment"
                                           % a.instance_id)
         for node, need in new_cores.items():
-            if not fits(self.cores_used[node], need, self.graph.node(node).pm.cores):
+            if not fits(self.cores_used[node], need, self.graph.nodes[node].pm.cores):
                 raise AllocationError("PM %d lacks cpu for new instances" % node)
 
         # all checks passed, now mutate
@@ -272,15 +275,14 @@ class NetworkState(_StateView):
             inst = VnfInstance(new_id, node, function,
                                to_kbps(function.processing_capacity), {})
             self.instances[new_id] = inst
-            self.node_instances.setdefault(node, {})[new_id] = inst
+            self.node_instances[node][new_id] = inst
             self.cores_used[node] += function.cores
         for inst_id, need in inst_need.items():
             inst = self.instances[id_map.get(inst_id, inst_id)]
             inst.residual_kbps -= need
             inst.served[demand.id] = inst.served.get(demand.id, 0) + need
-        resolved = tuple(FunctionAssignment(a.function, a.node,
-                                            id_map.get(a.instance_id, a.instance_id))
-                         for a in assignments)
+        resolved = tuple(a if a.instance_id >= 0 else FunctionAssignment(
+            a.function, a.node, id_map[a.instance_id]) for a in assignments)
         committed = Allocation(allocation.demand_id, resolved,
                                allocation.route, allocation.total_delay_ms, kbps)
         self.allocations[demand.id] = committed
@@ -504,7 +506,7 @@ class StateOverlay(_StateView):
         """Best-fit instance of the given function type on the node with at
         least need_kbps spare, as (instance id, residual); None if none fits."""
         name, debit, best = function.name, self.inst_debit, None
-        for inst in self.state.node_instances.get(node, {}).values():
+        for inst in self.state.node_instances[node].values():
             if inst.function.name == name:
                 free = inst.residual_kbps - debit.get(inst.id, 0)
                 if free >= need_kbps and (best is None or (free, inst.id) < best):

@@ -218,22 +218,22 @@ class _ChainView:
     used the CPU cores in use, as in _PathTable; max_cores is the
     island's largest PM core count.
 
-    The committed state does not change while a demand is planned, so
-    each table is read once from state (anything with the state's read
-    API) and then patched: a planned segment debits its links, lights its
-    cables and switches and refills the adjacency of the nodes whose links
-    changed (its link sources, and the ends and island neighbours of what
-    it newly lit); an assignment debits its instance's row, or appends a
-    placeholder row and adds its function's cores. Placeholder ids
-    are -1, -2, ... in creation order, as apply_allocation expects.
+    The committed state does not change while a demand is planned, so each
+    table is read once from the NetworkState's own indices and then
+    patched: a planned segment debits its links, lights its cables and
+    switches and refills the adjacency of the nodes whose links changed
+    (its link sources, and the ends and island neighbours of what it newly
+    lit); an assignment debits its instance's row, or appends a
+    placeholder row and adds its function's cores. Placeholder ids are
+    -1, -2, ... in creation order, as apply_allocation expects.
 
     What does not depend on the plan comes from the run's _RouteCache:
     the edge terms, the island's facts and hop counts, and the search
     trees, which earlier positions and views may already have grown over
     the same adjacency."""
 
-    def __init__(self, state, island: BlockingIsland, src: int, kbps: int,
-                 cache: _RouteCache):
+    def __init__(self, state: NetworkState, island: BlockingIsland, src: int,
+                 kbps: int, cache: _RouteCache):
         self.state = state
         self.graph = state.graph
         self.cache = cache
@@ -242,12 +242,15 @@ class _ChainView:
         self.max_cores = self.facts.max_cores
         self.kbps = kbps
         self.origin = src
-        self.lit = ({n: state.switch_active(n) for n in self.nodes},
-                    {c: state.cable_active(*c) for c in island.internal_links})
+        lit_cables, use = state.lit_cables, state.link_use
+        self.lit = ({n: lit_cables[n] > 0 for n in self.nodes},
+                    {(a, b): use[(a, b)] > 0 or use[(b, a)] > 0
+                     for a, b in island.internal_links})
+        hosted, cores_used = state.node_instances, state.cores_used
         self.rows: Dict[int, List[list]] = {
-            n: [[inst.id, inst.function.name, free]
-                for inst, free in state.hosted(n)] for n in self.nodes}
-        self.used = {n: state.used_cores(n) for n in self.nodes}
+            n: [[inst.id, inst.function.name, inst.residual_kbps]
+                for inst in hosted[n].values()] for n in self.nodes}
+        self.used = {n: cores_used[n] for n in self.nodes}
         self._debit: Dict[Tuple[int, int], int] = {}
         self._next_placeholder = -1
         # the island's links that can carry kbps, each with its normalized
@@ -259,7 +262,8 @@ class _ChainView:
         self.refill(self.nodes)
 
     def residual(self, src: int, dst: int) -> int:
-        return self.state.residual(src, dst) - self._debit.get((src, dst), 0)
+        pair = (src, dst)
+        return self.state.residual_kbps[pair] - self._debit.get(pair, 0)
 
     def pm_active(self, node: int) -> bool:
         return bool(self.rows[node])
@@ -274,7 +278,7 @@ class _ChainView:
         """Re-read the links out of nodes, with their codes, and intern the
         adjacency. Any edge order gives the same trees: heap ties are
         broken by node id."""
-        residual, debit, kbps = self.state.residual, self._debit, self.kbps
+        residual, debit, kbps = self.state.residual_kbps, self._debit, self.kbps
         terms = self.cache.terms
         lit_switch, lit_cable = self.lit
         facts, codes = self.facts, self._codes
@@ -284,7 +288,7 @@ class _ChainView:
             src_bit = lit_switch[u] << 2
             for v in facts.nbrs[u]:
                 code *= 9
-                if residual(u, v) - debit.get((u, v), 0) >= kbps:
+                if residual[(u, v)] - debit.get((u, v), 0) >= kbps:
                     bits = (src_bit | lit_switch[v] << 1
                             | lit_cable[(u, v) if u < v else (v, u)])
                     row.append(terms[(u, v)][bits])
@@ -394,17 +398,18 @@ def calculate_best_path(view: _ChainView, pm: int, dst: int, budget_ms: float,
     """Route the view's origin -> pm -> dst inside its island within the
     delay budget, at the view's kb/s.
 
-    Weight setting k weighs edges by gamma = 1 - k * weight_step on
-    power and omega = k * weight_step on delay: the search starts
-    power-only and shifts emphasis toward delay while the result misses
-    the budget. Gives up once the mix would leave no power emphasis at
-    all. Returns (entry segment, exit segment, entry delay, exit delay);
-    None if no setting meets the budget. Both segments are read from full
-    trees (_ChainView.route): the candidates of one position share the
-    origin's tree, and a tree out of a PM serves both that PM's exit and,
-    once the walk stands on it, the next position's entries, for every
-    view of the place_all call with the same adjacency (see _RouteCache).
-    place_all checks weight_step.
+    Weight setting k weighs edges by gamma = 1 - k * weight_step on power
+    and omega = k * weight_step on delay: the search starts power-only and
+    shifts emphasis toward delay while the result misses the budget. Gives
+    up once the mix would leave no power emphasis at all, or at the first
+    segment with no route: the adjacency, and so whether a route exists,
+    does not depend on the weights. Returns (entry segment, exit segment,
+    entry delay, exit delay); None if no setting meets the budget. Both
+    segments are read from full trees (_ChainView.route): the candidates
+    of one position share the origin's tree, and a tree out of a PM serves
+    both that PM's exit and, once the walk stands on it, the next
+    position's entries, for every view of the place_all call with the same
+    adjacency (see _RouteCache). place_all checks weight_step.
 
     Every link of the view's adjacency has the kb/s spare and a tree path
     repeats no link, so only a link on both segments can lack room: it
@@ -420,10 +425,10 @@ def calculate_best_path(view: _ChainView, pm: int, dst: int, budget_ms: float,
         settings += 1
         seg1 = view.route(view.origin, pm, gamma, omega)
         if seg1 is None:
-            continue
+            break
         seg2 = view.route(pm, dst, gamma, omega)
         if seg2 is None:
-            continue
+            break
         if seg1 and seg2:
             pairs = {(l.src, l.dst) for l in seg1}
             if any((l.src, l.dst) in pairs
@@ -676,7 +681,7 @@ def _bfs_path(graph: NetworkGraph, src: int, dst: int) -> Optional[List[int]]:
 
 class _PathTable:
     """What the centrality search reads of one demand's path, read once
-    through the state's read API and then patched in place by trial
+    from the NetworkState's own indices and then patched in place by trial
     assignments. Per path position: the node's instance rows
     [id, function name, free kb/s] (committed instances, then the plan's
     placeholders; the shape _ChainView keeps), the CPU cores in use on the
@@ -691,10 +696,11 @@ class _PathTable:
     def __init__(self, state: NetworkState, path: List[int]):
         self.state = state
         self.path = path
-        self.rows = [[[inst.id, inst.function.name, free]
-                      for inst, free in state.hosted(node)] for node in path]
-        self.used = [state.used_cores(node) for node in path]
-        self.caps = [state.graph.node(node).pm.cores for node in path]
+        hosted, nodes = state.node_instances, state.graph.nodes
+        self.rows = [[[inst.id, inst.function.name, inst.residual_kbps]
+                      for inst in hosted[node].values()] for node in path]
+        self.used = [state.cores_used[node] for node in path]
+        self.caps = [nodes[node].pm.cores for node in path]
         self.next_placeholder = -1
         self.backtracks = 0
         self.last: Optional[List[int]] = None
@@ -804,7 +810,7 @@ def _plan_on_path(state: NetworkState, route, demand
     path, links, link_delay, pref = route
     kbps = demand.bandwidth_kbps
     for link in links:
-        if state.residual(link.src, link.dst) < kbps:
+        if state.residual_kbps[(link.src, link.dst)] < kbps:
             return None, "bandwidth"
     processing = sum(f.processing_delay for f in demand.chain)
     total_delay = link_delay + processing

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import importlib.resources
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 CPU = "cpu"
@@ -50,18 +50,20 @@ class PowerParams:
                              % (self.pm_max_w, self.pm_idle_w))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Link:
-    """One direction of a cable. capacity in Mb/s, delay in ms."""
+    """One direction of a cable. capacity in Mb/s, delay in ms. cable is
+    the (low, high) node pair, set once: no part of eq, hash or repr."""
 
     src: int
     dst: int
     capacity: float
     delay: float
+    cable: Tuple[int, int] = field(init=False, repr=False, compare=False)
 
-    @property
-    def cable(self) -> Tuple[int, int]:
-        return (self.src, self.dst) if self.src < self.dst else (self.dst, self.src)
+    def __post_init__(self):
+        object.__setattr__(self, "cable", (self.src, self.dst)
+                           if self.src < self.dst else (self.dst, self.src))
 
 
 @dataclass(frozen=True)

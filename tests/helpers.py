@@ -10,6 +10,7 @@ from vnfplace.netstate import (Allocation, AllocationError,
                                FunctionAssignment, NetworkState, Route,
                                StateOverlay, VnfInstance, _route_delay, fits,
                                to_kbps)
+from vnfplace.placement import _ChainView
 from vnfplace.topology import (CPU, FunctionType, Link, NetworkGraph,
                                NodeSpec, PmSpec, ServiceType,
                                link_delay_from_length)
@@ -180,6 +181,60 @@ def oracle_best_path(statelike, island, src: int, pm: int, dst: int,
         d2 = sum(l.delay for l in seg2)
         if d1 + d2 <= budget_ms + 1e-9:
             return tuple(seg1), tuple(seg2), d1, d2
+
+
+# -- island view reference reader -----------------------------------------
+
+
+class ReferenceChainView(_ChainView):
+    """A _ChainView whose tables are read through the read API (residual,
+    switch_active, cable_active, hosted, used_cores) rather than a
+    NetworkState's own indices, so that it can stand over a StateOverlay
+    that holds a plan: the fresh read a patched view is compared with.
+    Planning on it (add_segment, add_assignment, route) is the library's."""
+
+    def __init__(self, reader, island, src: int, kbps: int, cache):
+        self.state = reader
+        self.graph = reader.graph
+        self.cache = cache
+        self.facts = cache.island(island)
+        self.nodes = self.facts.nodes
+        self.max_cores = self.facts.max_cores
+        self.kbps = kbps
+        self.origin = src
+        self.lit = ({n: reader.switch_active(n) for n in self.nodes},
+                    {c: reader.cable_active(*c)
+                     for c in island.internal_links})
+        self.rows = {n: [[inst.id, inst.function.name, free]
+                         for inst, free in reader.hosted(n)]
+                     for n in self.nodes}
+        self.used = {n: reader.used_cores(n) for n in self.nodes}
+        self._debit = {}
+        self._next_placeholder = -1
+        self.adj = {}
+        self._codes = [0] * len(self.nodes)
+        self._adj_id = -1
+        self.refill(self.nodes)
+
+    def residual(self, src: int, dst: int) -> int:
+        return self.state.residual(src, dst) - self._debit.get((src, dst), 0)
+
+    def refill(self, nodes) -> None:
+        lit_switch, lit_cable = self.lit
+        terms, facts = self.cache.terms, self.facts
+        for u in nodes:
+            row = []
+            code = 0
+            for v in facts.nbrs[u]:
+                code *= 9
+                if self.residual(u, v) >= self.kbps:
+                    bits = (lit_switch[u] << 2 | lit_switch[v] << 1
+                            | lit_cable[(u, v) if u < v else (v, u)])
+                    row.append(terms[(u, v)][bits])
+                    code += 1 + bits
+            self.adj[u] = row
+            self._codes[facts.index[u]] = code
+        self._adj_id = self.cache.adj_id(facts, self._codes)
 
 
 # -- centrality search oracle ----------------------------------------------

@@ -100,6 +100,25 @@ def test_config_validation():
         run_experiment(_small_config(demand_counts=[5, 0]))
 
 
+def test_repeated_cells_are_refused(tmp_path, capsys):
+    # a repeated algorithm or demand count would run its cell twice and
+    # report the same row twice
+    with pytest.raises(ValueError, match="^algorithm bi-lbi repeats$"):
+        run_experiment(_small_config(algorithms=["bi-lbi", "bc", "bi-lbi"]))
+    with pytest.raises(ValueError, match="^demand count 5 repeats$"):
+        run_experiment(_small_config(demand_counts=[5, 10, 5]))
+    out = tmp_path / "out.csv"
+    for argv, message in ((["--algo", "bc", "--demands", "5,5"],
+                           "demand count 5 repeats"),
+                          (["--algo", "bi-lbi,bi-lbi", "--demands", "5"],
+                           "algorithm bi-lbi repeats")):
+        assert cli.main(["run", *argv, "--seeds", "1", "--out",
+                         str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: %s\n" % message
+        assert captured.out == "" and not out.exists()
+
+
 def test_load_topology_sources(tmp_path):
     assert load_topology("nobel-germany").num_nodes == 17
     text = "node 0 16\nnode 1 16\nlink 0 1 100 2ms\n"

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (XL, _tight_instance, beta_bi_search, betweenness_oracle,
-                     layered_graph, make_demand, make_graph, oracle_best_path,
-                     oracle_dijkstra, random_connected_graph,
-                     reference_assign_on_path, route_allocation,
-                     skim_random_links)
+from helpers import (XL, ReferenceChainView, _tight_instance, beta_bi_search,
+                     betweenness_oracle, layered_graph, make_demand,
+                     make_graph, oracle_best_path, oracle_dijkstra,
+                     random_connected_graph, reference_assign_on_path,
+                     route_allocation, skim_random_links)
 from vnfplace import placement
 from vnfplace.bih import BlockingIsland, build_bih
 from vnfplace.exact import build_model
@@ -105,6 +105,29 @@ def test_path_search_tries_at_most_four_settings():
     assert stats["weight_settings_max"] == 1
 
 
+def test_path_search_stops_at_the_first_missing_route(monkeypatch):
+    # whether a route exists does not depend on the weights: a PM the
+    # origin cannot reach, or a destination the PM cannot reach, ends the
+    # search at the first setting, after one tree per source
+    settles = [0]
+    real_settle = placement._settle
+
+    def counted(*args):
+        settles[0] += 1
+        return real_settle(*args)
+
+    monkeypatch.setattr(placement, "_settle", counted)
+    graph = make_graph(4, [(0, 1, 1000.0, 1.0), (2, 3, 1000.0, 1.0)])
+    state = NetworkState(graph)
+    for pm, dst, trees in ((2, 2, 1), (1, 3, 2)):
+        stats = {}
+        settles[0] = 0
+        view = _view(state, _island_over(graph), 0, 1000)
+        assert calculate_best_path(view, pm, dst, 50.0, 0.25, stats) is None
+        assert stats == {"path_searches": 1, "weight_settings_max": 1}
+        assert settles[0] == trees
+
+
 def test_path_search_shifts_weight_toward_delay():
     # slow lit detour 0-2-3 vs fast dark path 0-1-3
     graph = make_graph(4, [(0, 1, 1000.0, 0.1), (1, 3, 1000.0, 0.1),
@@ -184,11 +207,18 @@ def _rows(view, nodes):
     return {n: [tuple(row) for row in view.rows[n]] for n in nodes}
 
 
+def _reference_view(overlay, island, src, kbps):
+    """A view read anew through the read API of an overlay, with a routing
+    cache of its own."""
+    return ReferenceChainView(overlay, island, src, kbps,
+                              placement._RouteCache(overlay.graph))
+
+
 def _assert_matches_overlay(view, overlay, island):
     """The view equals one built anew over an overlay that went through
     the same plan: residuals, search adjacency, lit maps, every node's
     rows as (id, function name, free) and its cores in use."""
-    fresh = _view(overlay, island, view.origin, view.kbps)
+    fresh = _reference_view(overlay, island, view.origin, view.kbps)
     for a, b in island.internal_links:
         for u, v in ((a, b), (b, a)):
             assert view.residual(u, v) == overlay.residual(u, v)
@@ -343,6 +373,7 @@ def test_chain_view_patches_equal_fresh_reads(seed, kbps, walk):
                       if (min(n, v), max(n, v)) in links) for n in nodes}
     overlay = StateOverlay(state)
     view = _view(state, island, src, kbps)
+    _assert_matches_overlay(view, overlay, island)
     functions = (XL, FN["NAT"])
     for is_segment, length, pick, f, fresh_instance in walk:
         target, before = ordered[pick % len(ordered)], view.origin
@@ -801,7 +832,7 @@ def test_candidate_listing_equals_the_query_composition(committed, planned,
         elif overlay.has_room(node, function):
             overlay.add_assignment(function, node, None, need)
     island = _island_over(graph)
-    view = _view(overlay, island, 0, kbps)
+    view = _reference_view(overlay, island, 0, kbps)
     assert get_candidate_pms(view, CAND_FNS[fn], True) + \
         get_candidate_pms(view, CAND_FNS[fn], False) == \
         _composed_candidates(overlay, CAND_FNS[fn], island, kbps)
@@ -1200,6 +1231,35 @@ def test_path_table_search_matches_the_forking_reference(seed):
         assert table.rows == fresh.rows
         assert table.used == fresh.used
         assert table.next_placeholder == -1
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_path_table_reads_equal_the_read_api(seed):
+    # random committed states, some of their allocations released again so
+    # that PMs go back off: a path table's rows, cores in use and PM cores
+    # equal what the state's read API and the graph give for each node
+    rng = random.Random(seed)
+    graph = random_connected_graph(rng, max_nodes=10,
+                                   cores=rng.choice([4, 8, 16]))
+    state = NetworkState(graph)
+    n = len(graph.nodes)
+    fns = list(FN.values())[:rng.randrange(1, 6)]
+    for i in range(rng.randrange(0, 4 * n)):
+        _host(state, i, rng.randrange(n), rng.choice(fns),
+              rng.choice([1.0, 64.0, 150.0]), rng.random() < 0.5)
+    for demand_id in list(state.allocations):
+        if rng.random() < 0.3:
+            state.release_allocation(demand_id)
+    path = _bfs_path(graph, rng.randrange(n), rng.randrange(n))
+    table = _PathTable(state, path)
+    assert table.rows == [[[inst.id, inst.function.name, free]
+                           for inst, free in state.hosted(node)]
+                          for node in path]
+    assert table.used == [state.used_cores(node) for node in path] == \
+        [sum(inst.function.cores for inst, _ in state.hosted(node))
+         for node in path]
+    assert table.caps == [graph.node(node).pm.cores for node in path]
 
 
 def test_suffix_bound_refuses_a_long_path_in_few_trials(monkeypatch):

@@ -1,5 +1,7 @@
 """Graph model, file format, bundled topology and catalogs."""
 
+import copy
+import dataclasses
 import math
 
 import pytest
@@ -25,6 +27,26 @@ def test_link_delay_from_length():
 def test_link_cable_is_normalized():
     assert Link(3, 1, 10.0, 0.1).cable == (1, 3)
     assert Link(1, 3, 10.0, 0.1).cable == (1, 3)
+
+
+def test_stored_cable_is_no_part_of_the_link_value():
+    # the cable is set once at construction: eq, hash and repr stay those
+    # of the four fields, and copies keep it, in both directions
+    for src, dst in ((3, 1), (1, 3)):
+        link = Link(src, dst, 10.0, 0.1)
+        assert link.cable == (1, 3)
+        assert link == Link(src, dst, 10.0, 0.1)
+        assert hash(link) == hash((src, dst, 10.0, 0.1))
+        assert repr(link) == ("Link(src=%d, dst=%d, capacity=10.0, delay=0.1)"
+                              % (src, dst))
+        assert link != Link(src, dst, 10.0, 0.2)
+        for dup in (copy.copy(link), copy.deepcopy(link)):
+            assert dup == link and dup.cable == (1, 3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            link.cable = (0, 0)
+    assert Link(3, 1, 10.0, 0.1) != Link(1, 3, 10.0, 0.1)
+    assert [f.name for f in dataclasses.fields(Link) if f.init] == \
+        ["src", "dst", "capacity", "delay"]
 
 
 def test_pm_spec_requires_cpu():
