@@ -157,10 +157,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
     _print_report(report)
     if config.out and report.rows:
-        emit_csv(report, config.out)
+        try:
+            emit_csv(report, config.out)
+        except OSError as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return 2
         print("wrote %s" % config.out)
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

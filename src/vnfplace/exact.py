@@ -41,8 +41,7 @@ class ExactLimitError(ValueError):
 
 class Variable(NamedTuple):
     name: str
-    kind: str                 # "binary" or "integer"
-    lb: float = 0.0
+    kind: str                 # "binary" or "integer"; bounded below by 0
     ub: Optional[float] = None
 
 
@@ -108,8 +107,7 @@ def build_model(graph: NetworkGraph, demands: Sequence) -> MilpModel:
         var[name] = Variable(name, "binary")
     for i in nodes:
         for f, fn in types.items():
-            var[Z[i][f]] = Variable(Z[i][f], "integer", 0.0,
-                                    cores[i] // fn.cores)
+            var[Z[i][f]] = Variable(Z[i][f], "integer", cores[i] // fn.cores)
     for Ud, Wd in zip(U, W):
         for name in itertools.chain(*Ud, *(We.values() for We in Wd)):
             var[name] = Variable(name, "binary")
@@ -257,16 +255,12 @@ def export_lp(model: MilpModel) -> str:
         out.append("Bounds")
         for v in bounds:
             out.append(" %s <= %s" % (v.name, _num(v.ub)))
-    binaries = [v.name for v in model.variables.values() if v.kind == "binary"]
-    if binaries:
-        out.append("Binaries")
-        for i in range(0, len(binaries), 8):
-            out.append(" " + " ".join(binaries[i:i + 8]))
-    generals = [v.name for v in model.variables.values() if v.kind == "integer"]
-    if generals:
-        out.append("Generals")
-        for i in range(0, len(generals), 8):
-            out.append(" " + " ".join(generals[i:i + 8]))
+    for kind, section in (("binary", "Binaries"), ("integer", "Generals")):
+        names = [v.name for v in model.variables.values() if v.kind == kind]
+        if names:
+            out.append(section)
+            for i in range(0, len(names), 8):
+                out.append(" " + " ".join(names[i:i + 8]))
     out.append("End")
     return "\n".join(out) + "\n"
 
@@ -293,7 +287,7 @@ def validate_solution(model: MilpModel, assignment: Mapping[str, float],
             continue
         if abs(v - round(v)) > _TOL:
             bad.append("%s = %r is not integral" % (var.name, v))
-        lo, hi = var.lb, 1.0 if var.kind == "binary" else var.ub
+        lo, hi = 0.0, 1.0 if var.kind == "binary" else var.ub
         if v < lo - _TOL or (hi is not None and v > hi + _TOL):
             bad.append("%s = %r outside [%s, %s]" % (var.name, v, lo, hi))
     for con in model.constraints:
@@ -349,6 +343,8 @@ def extract_assignment(model: MilpModel, state: NetworkState) -> Dict[str, float
 
 @dataclass(frozen=True)
 class ExactLimits:
+    """solve_exact_small's fixed size regime; beyond it, use export_lp."""
+
     max_nodes: int = 6
     max_cables: int = 9
     max_demands: int = 3
@@ -364,8 +360,9 @@ class ExactSolution:
     state: Optional[NetworkState]
 
 
-def _check_limits(model: MilpModel, limits: ExactLimits) -> None:
+def _check_limits(model: MilpModel) -> None:
     graph, demands = model.graph, model.demands
+    limits = ExactLimits()
     longest = max((len(d.chain) for d in demands), default=0)
     for what, count, limit in (
             ("%d nodes", graph.num_nodes, limits.max_nodes),
@@ -412,7 +409,7 @@ def _subset_distances(graph: NetworkGraph, mask: int,
         nxt[i][i] = i
     for idx, (a, b) in enumerate(cables):
         if mask >> idx & 1:
-            d = graph.cable_link(a, b).delay
+            d = graph.link(a, b).delay
             dist[a][b] = dist[b][a] = d
             nxt[a][b] = b
             nxt[b][a] = a
@@ -450,9 +447,9 @@ def _pm_power_of(params: PowerParams, used: FrozenSet[Tuple[int, str]],
     return power
 
 
-def solve_exact_small(model: MilpModel,
-                      limits: Optional[ExactLimits] = None) -> ExactSolution:
-    """Provably optimal solve by exhaustive enumeration.
+def solve_exact_small(model: MilpModel) -> ExactSolution:
+    """Provably optimal solve by exhaustive enumeration, inside the fixed
+    regime of ExactLimits (ExactLimitError beyond it).
 
     Iterates lit-cable subsets in ascending network power; per subset a
     dynamic program over instance-usage sets finds the cheapest PM-side
@@ -468,7 +465,7 @@ def solve_exact_small(model: MilpModel,
     cost. Usage sets are priced from per-solve tables of PM cores per
     node and cores per (node, type).
     """
-    _check_limits(model, limits or ExactLimits())
+    _check_limits(model)
     graph, demands = model.graph, model.demands
     params = graph.power
     state = NetworkState(graph)

@@ -137,6 +137,8 @@ def run_experiment(config: ExperimentConfig) -> MetricsReport:
     csv_dir = os.path.dirname(config.out or "")
     if csv_dir and not os.path.isdir(csv_dir) and tables:
         raise ValueError("output directory %s does not exist" % csv_dir)
+    if config.out and tables and os.path.isdir(config.out):
+        raise ValueError("output path %s is a directory" % config.out)
     graph = load_topology(config.topology, config.power)
     _, services = default_catalogs()
     report = MetricsReport([], [])

@@ -130,12 +130,11 @@ class _IslandFacts:
     routed in it: its nodes sorted, their index in that order, each node's
     island neighbours sorted (the canonical order adjacency codes follow),
     the largest PM core count, and BFS hop counts from each origin asked
-    for so far. id numbers the facts within their _RouteCache."""
+    for so far."""
 
-    __slots__ = ("id", "nodes", "index", "nbrs", "max_cores", "_hops")
+    __slots__ = ("nodes", "index", "nbrs", "max_cores", "_hops")
 
-    def __init__(self, fid: int, graph: NetworkGraph, island: BlockingIsland):
-        self.id = fid
+    def __init__(self, graph: NetworkGraph, island: BlockingIsland):
         self.nodes = sorted(island.nodes)
         self.index = {n: i for i, n in enumerate(self.nodes)}
         self.nbrs: Dict[int, List[int]] = {n: [] for n in self.nodes}
@@ -171,17 +170,17 @@ class _RouteCache:
     a directed link, indexed by src lit * 4 + dst lit * 2 + cable lit
     (_edge_terms gives the terms). island() gives an island's facts,
     keyed by its node and link sets, so an island rebuilt as a new object
-    with equal sets maps to the same facts. adj_id() interns an adjacency:
-    the island's facts id and one code per node in sorted order, which
-    holds, per neighbour in sorted order, a base-9 digit: 0 if the link
-    cannot carry the view's kb/s, else 1 + its lit bits. That pins every
-    entry of every row, so two views with one adjacency id search the very
-    same graph. trees maps (adjacency id, src, gamma, omega) to the
-    predecessor links of the full tree _settle grows for them, which are a
-    pure function of that key: a hit is exactly what a new search would
-    give."""
+    with equal sets maps to the same facts. An adjacency is keyed by the
+    island's facts and one code per node in sorted order, which holds, per
+    neighbour in sorted order, a base-9 digit: 0 if the link cannot carry
+    the view's kb/s, else 1 + its lit bits. That pins every entry of every
+    row, so two views with one key search the very same graph. trees maps
+    each adjacency key to that adjacency's own table, which maps (src,
+    gamma, omega) to the predecessor links of the full tree _settle grows
+    for them: a pure function of the adjacency and that triple, so a hit
+    is exactly what a new search would give."""
 
-    __slots__ = ("graph", "terms", "trees", "_islands", "_adjs")
+    __slots__ = ("graph", "terms", "trees", "_islands")
 
     def __init__(self, graph: NetworkGraph):
         self.graph = graph
@@ -191,21 +190,15 @@ class _RouteCache:
                                               bool(bits & 2), bool(bits & 1)))
                 for bits in range(8))
             for link in graph.links}
-        self.trees: Dict[tuple, Dict[int, Link]] = {}
+        self.trees: Dict[tuple, Dict[tuple, Dict[int, Link]]] = {}
         self._islands: Dict[tuple, _IslandFacts] = {}
-        self._adjs: Dict[tuple, int] = {}
 
     def island(self, island: BlockingIsland) -> _IslandFacts:
         key = (island.nodes, island.internal_links)
         facts = self._islands.get(key)
         if facts is None:
-            facts = _IslandFacts(len(self._islands), self.graph, island)
-            self._islands[key] = facts
+            facts = self._islands[key] = _IslandFacts(self.graph, island)
         return facts
-
-    def adj_id(self, facts: _IslandFacts, codes: List[int]) -> int:
-        return self._adjs.setdefault((facts.id, tuple(codes)),
-                                     len(self._adjs))
 
 
 class _ChainView:
@@ -215,8 +208,7 @@ class _ChainView:
     cable_active, hops from the origin, the search's adjacency and trees).
     Per island node, rows holds the instance rows [id, function name,
     free kb/s] (committed instances, then the plan's placeholders) and
-    used the CPU cores in use, as in _PathTable; max_cores is the
-    island's largest PM core count.
+    used the CPU cores in use, as in _PathTable.
 
     The committed state does not change while a demand is planned, so each
     table is read once from the NetworkState's own indices and then
@@ -239,7 +231,6 @@ class _ChainView:
         self.cache = cache
         self.facts = cache.island(island)
         self.nodes = self.facts.nodes
-        self.max_cores = self.facts.max_cores
         self.kbps = kbps
         self.origin = src
         lit_cables, use = state.lit_cables, state.link_use
@@ -254,11 +245,10 @@ class _ChainView:
         self._debit: Dict[Tuple[int, int], int] = {}
         self._next_placeholder = -1
         # the island's links that can carry kbps, each with its normalized
-        # power and delay terms; per node its adjacency code, and the id
-        # of the whole adjacency that the trees are keyed by
+        # power and delay terms, and per node its adjacency code; refill
+        # sets trees, the run cache's tree table of the whole adjacency
         self.adj: Dict[int, List[Tuple[int, Link, float, float]]] = {}
         self._codes = [0] * len(self.nodes)
-        self._adj_id = -1
         self.refill(self.nodes)
 
     def residual(self, src: int, dst: int) -> int:
@@ -275,9 +265,9 @@ class _ChainView:
         return self.lit[1][(a, b) if a < b else (b, a)]
 
     def refill(self, nodes: Iterable[int]) -> None:
-        """Re-read the links out of nodes, with their codes, and intern the
-        adjacency. Any edge order gives the same trees: heap ties are
-        broken by node id."""
+        """Re-read the links out of nodes, with their codes, and look up
+        the adjacency's tree table. Any edge order gives the same trees:
+        heap ties are broken by node id."""
         residual, debit, kbps = self.state.residual_kbps, self._debit, self.kbps
         terms = self.cache.terms
         lit_switch, lit_cable = self.lit
@@ -295,7 +285,7 @@ class _ChainView:
                     code += 1 + bits
             self.adj[u] = row
             codes[facts.index[u]] = code
-        self._adj_id = self.cache.adj_id(facts, codes)
+        self.trees = self.cache.trees.setdefault((facts, tuple(codes)), {})
 
     def route(self, src: int, dst: int, gamma: float,
               omega: float) -> Optional[List[Link]]:
@@ -304,11 +294,10 @@ class _ChainView:
         run's cache; [] if src is dst, None if dst is out of reach."""
         if src == dst:
             return []
-        key = (self._adj_id, src, gamma, omega)
-        trees = self.cache.trees
-        pred = trees.get(key)
+        key = (src, gamma, omega)
+        pred = self.trees.get(key)
         if pred is None:
-            pred = trees[key] = _settle(self.adj, src, gamma, omega)
+            pred = self.trees[key] = _settle(self.adj, src, gamma, omega)
         if dst not in pred:
             return None
         path = []
@@ -318,10 +307,6 @@ class _ChainView:
             dst = link.src
         path.reverse()
         return path
-
-    def hops(self) -> Dict[int, int]:
-        """BFS hop counts from the origin over the island's links."""
-        return self.facts.hops(self.origin)
 
     def add_segment(self, links: Tuple[Link, ...]) -> None:
         """Plan links from the origin on; they end at the new origin."""
@@ -506,7 +491,7 @@ def _best_candidate(view: _ChainView, function: FunctionType, dst: int,
     candidates are listed only when no reuse candidate was routed or the
     best cost is not below that floor. Candidates are tried category
     first either way, so the winner is that of a full scan."""
-    hops = view.hops()
+    hops = view.facts.hops(view.origin)
     inf = math.inf
     best = None
     best_key = None
@@ -514,7 +499,7 @@ def _best_candidate(view: _ChainView, function: FunctionType, dst: int,
     for reuse in (True, False):
         if not reuse and best_key is not None:
             floor = pm_load_slope(view.graph.power, function.cores,
-                                  view.max_cores)
+                                  view.facts.max_cores)
             if best_key[0] < floor:
                 break
         candidates = get_candidate_pms(view, function, reuse)

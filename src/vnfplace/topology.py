@@ -166,7 +166,9 @@ class NetworkGraph:
             nbrs.sort()
         self._cables.sort()
         self._max_delay = max((l.delay for l in self.links), default=0.0)
-        self.validate()
+        ids = [n.id for n in self.nodes]
+        if ids != list(range(len(ids))):
+            raise TopologyError("node ids must be dense 0..N-1, got %r" % (ids,))
 
     def _add_cable(self, a: int, b: int, capacity: float, delay: float) -> None:
         if a == b:
@@ -207,9 +209,6 @@ class NetworkGraph:
         if demand.src not in self._adj or demand.dst not in self._adj:
             raise ValueError("demand %d has endpoints outside the graph" % demand.id)
 
-    def has_link(self, src: int, dst: int) -> bool:
-        return (src, dst) in self._by_pair
-
     def link(self, src: int, dst: int) -> Link:
         try:
             return self._by_pair[(src, dst)]
@@ -223,19 +222,9 @@ class NetworkGraph:
         """Undirected cables as sorted (low, high) node pairs."""
         return self._cables
 
-    def cable_link(self, a: int, b: int) -> Link:
-        """The canonical (low->high) direction of a cable."""
-        lo, hi = (a, b) if a < b else (b, a)
-        return self.link(lo, hi)
-
     @property
     def max_link_delay(self) -> float:
         return self._max_delay
-
-    def validate(self) -> None:
-        ids = [n.id for n in self.nodes]
-        if ids != list(range(len(ids))):
-            raise TopologyError("node ids must be dense 0..N-1, got %r" % (ids,))
 
 
 # -- file format ---------------------------------------------------------

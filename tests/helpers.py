@@ -12,7 +12,7 @@ from vnfplace.netstate import (Allocation, AllocationError,
                                to_kbps)
 from vnfplace.placement import _ChainView
 from vnfplace.topology import (CPU, FunctionType, Link, NetworkGraph,
-                               NodeSpec, PmSpec, ServiceType,
+                               NodeSpec, PmSpec, ServiceType, TopologyError,
                                link_delay_from_length)
 from vnfplace.workload import Demand, generate_demands
 
@@ -199,7 +199,6 @@ class ReferenceChainView(_ChainView):
         self.cache = cache
         self.facts = cache.island(island)
         self.nodes = self.facts.nodes
-        self.max_cores = self.facts.max_cores
         self.kbps = kbps
         self.origin = src
         self.lit = ({n: reader.switch_active(n) for n in self.nodes},
@@ -213,7 +212,6 @@ class ReferenceChainView(_ChainView):
         self._next_placeholder = -1
         self.adj = {}
         self._codes = [0] * len(self.nodes)
-        self._adj_id = -1
         self.refill(self.nodes)
 
     def residual(self, src: int, dst: int) -> int:
@@ -234,7 +232,8 @@ class ReferenceChainView(_ChainView):
                     code += 1 + bits
             self.adj[u] = row
             self._codes[facts.index[u]] = code
-        self._adj_id = self.cache.adj_id(facts, self._codes)
+        self.trees = self.cache.trees.setdefault(
+            (facts, tuple(self._codes)), {})
 
 
 # -- centrality search oracle ----------------------------------------------
@@ -283,9 +282,11 @@ def _reference_check_route(state: NetworkState, allocation: Allocation,
         for link in seg:
             if link.src != at:
                 raise AllocationError("discontinuous route at node %d" % at)
-            if not state.graph.has_link(link.src, link.dst):
+            try:
+                state.graph.link(link.src, link.dst)
+            except TopologyError:
                 raise AllocationError("route uses unknown link %d->%d"
-                                      % (link.src, link.dst))
+                                      % (link.src, link.dst)) from None
             at = link.dst
         want = (allocation.assignments[k].node
                 if k < len(allocation.assignments) else demand.dst)

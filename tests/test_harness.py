@@ -300,6 +300,12 @@ def test_cli_bad_inputs_exit_two(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "error: output directory" in captured.err
     assert captured.out == "" and not missing.parent.exists()
+    # so does a CSV path that names a directory
+    assert cli.main(["run", "--algo", "bc", "--demands", "2", "--seeds", "1",
+                     "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: output path %s is a directory\n" % tmp_path
+    assert captured.out == ""
     # a bad ladder or weight step fails before any cell runs, bc cells
     # included
     for flag, value, message in (("--betas", "nan", "finite"),
@@ -385,6 +391,36 @@ def test_cli_maps_harness_error_to_one(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_experiment", explode)
     assert cli.main(["run", "--seeds", "1"]) == 1
     assert "run failed: synthetic" in capsys.readouterr().err
+
+
+def test_cli_maps_a_csv_write_failure_to_two(monkeypatch, tmp_path, capsys):
+    def refuse(report, path):
+        raise PermissionError("synthetic: %s" % path)
+
+    monkeypatch.setattr(cli, "emit_csv", refuse)
+    out = tmp_path / "report.csv"
+    assert cli.main(["run", "--algo", "bc", "--demands", "2", "--seeds", "1",
+                     "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: synthetic: %s\n" % out
+    assert "wrote" not in captured.out
+
+
+def test_python_m_vnfplace_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(vnfplace.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "vnfplace", "run", *args],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+
+    done = run("--algo", "bc", "--demands", "2", "--seeds", "1")
+    assert done.returncode == 0
+    assert done.stdout.split()[:3] == ["algorithm", "demands", "seeds"]
+    done = run("--seeds", "0")
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ") and done.stdout == ""
 
 
 def test_cli_power_flags_reach_the_model(tmp_path, capsys):

@@ -275,7 +275,8 @@ def test_shared_search_and_pruned_scan_match_per_candidate_oracle(seed):
             # the view the planner keeps equals one built anew over the
             # overlay, and its hop counts a fresh BFS
             _assert_matches_overlay(view, overlay, island)
-            assert view.hops() == _fresh_hops(graph, island, origin)
+            assert view.facts.hops(view.origin) == _fresh_hops(graph,
+                                                               island, origin)
             if colocated is not None:
                 entered[colocated] += 1
             candidates = _composed_candidates(overlay, function, island,
@@ -342,7 +343,7 @@ def test_chain_view_lights_what_the_plan_routes_over():
                         {(0, 1): True, (1, 2): True, (2, 3): False,
                          (0, 3): False})
     _assert_matches_overlay(view, overlay, island)
-    assert view.hops() == {2: 0, 1: 1, 3: 1, 0: 2}
+    assert view.facts.hops(view.origin) == {2: 0, 1: 1, 3: 1, 0: 2}
 
 
 # one step of a chain walk: (planned segment or assignment, segment
@@ -544,7 +545,8 @@ def test_route_cache_hits_equal_fresh_searches(seed, monkeypatch):
         overlay = StateOverlay(state)
         for _ in range(3):
             at = view.origin
-            assert view.hops() == _fresh_hops(graph, island, at)
+            assert view.facts.hops(view.origin) == _fresh_hops(graph,
+                                                               island, at)
             for gamma, omega in ladder:
                 for node in ordered:
                     want_in = oracle_dijkstra(overlay, island, at, node, kbps,
@@ -606,10 +608,10 @@ def test_tree_out_of_a_pm_serves_the_walk_standing_on_it(monkeypatch):
     seg1 = found[0]
     assert [l.dst for l in seg1] == [1, 2]
     assert settles[0] == 2                  # the trees of 0 and of 2
-    adjacency = view._adj_id
+    trees = view.trees
     view.add_segment(seg1)
     overlay.add_links(seg1, 1000)
-    assert view.origin == 2 and view._adj_id == adjacency
+    assert view.origin == 2 and view.trees is trees
     for node in sorted(island.nodes):
         assert view.route(2, node, 1.0, 0.0) == \
             oracle_dijkstra(overlay, island, 2, node, 1000, 1.0, 0.0)
