@@ -9,13 +9,14 @@ from collections import Counter
 
 import pytest
 
-from helpers import make_demand, make_graph, tiny_instance, triangle_graph
+from helpers import (_tight_instance, make_demand, make_graph, tiny_instance,
+                     triangle_graph)
 from vnfplace import exact
 from vnfplace.exact import (ExactLimitError, build_model,
                             export_lp, extract_assignment, solve_exact_small,
                             validate_solution)
 from vnfplace.power import total_power
-from vnfplace.placement import place_all
+from vnfplace.placement import bc_place_all, place_all
 from vnfplace.topology import (CPU, FunctionType, default_catalogs,
                                nobel_germany)
 from vnfplace.workload import generate_demands
@@ -325,6 +326,35 @@ def test_solve_exact_small_fingerprint_is_pinned(monkeypatch):
             detours += _detours(graph, demands, sol)
     assert statuses["infeasible"] > 0 and detours > 0 and unhostable[True] > 0
     assert digest.hexdigest() == "34e675f4591097786774ee1235c47eb919b0fa00"
+
+
+def test_model_assignments_are_pinned():
+    """sha1 over the sorted model assignment of every solution the 300
+    tiny instances of the fingerprint pin reach, then over
+    extract_assignment of lbi, hbi and bc runs of 30 tight instances,
+    each against a model of that run's accepted demands, which the
+    assignment must satisfy."""
+    rng = random.Random(18)
+    instances = [tiny_instance(rng) for _ in range(200)]
+    instances += [tiny_instance(rng, cores=rng.choice([4, 8]),
+                                budgets=(21.0, 25.0, 30.0))
+                  for _ in range(100)]
+    digest = hashlib.sha1()
+    for graph, demands in instances:
+        sol = solve_exact_small(build_model(graph, demands))
+        digest.update(("%r\n" % sorted(sol.assignment.items())).encode())
+    for seed in range(30):
+        graph, demands, betas = _tight_instance(seed)
+        for sol in (place_all(graph, demands, betas, mode="lbi"),
+                    place_all(graph, demands, betas, mode="hbi"),
+                    bc_place_all(graph, demands)):
+            accepted = [o.demand for o in sol.outcomes if o.accepted]
+            model = build_model(graph, accepted)
+            assignment = extract_assignment(model, sol.state)
+            assert validate_solution(model, assignment,
+                                     sol.total_power_w) == []
+            digest.update(("%r\n" % sorted(assignment.items())).encode())
+    assert digest.hexdigest() == "cdc460287b3ac101ab09935d2ffffbafd319d89c"
 
 
 def test_exact_search_computes_distances_only_for_subsets_it_reaches(
