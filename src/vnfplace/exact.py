@@ -1,16 +1,18 @@
 """Reference integer model of chain placement and an exact tiny solver.
 
 build_model emits the complete binary/integer formulation, formatting
-each variable name once into per-model tables that every row reads;
-export_lp renders it as CPLEX LP text for external solvers. solve_exact_small
-finds a provably optimal solution for tiny instances by enumerating
-lit-cable subsets in ascending network power and, per subset, all ways
-of pinning chain positions to nodes (deduplicated through a dynamic
-program over instance-usage sets). A subset's shortest paths and the
-pinnings that fit its delays are worked out only when the search
-reaches it, so the subsets beyond the optimum's power cost nothing.
-validate_solution re-checks any assignment, through one table of
-values, against every variable domain and every row of the model.
+each variable name once into the model's tables X, Y, L, Z, U and W;
+every row reads them, and so does extract_assignment, which expresses a
+committed state as an assignment. export_lp renders the model as CPLEX
+LP text for external solvers. solve_exact_small finds a provably optimal
+solution for tiny instances by enumerating lit-cable subsets in
+ascending network power and, per subset, all ways of pinning chain
+positions to nodes (deduplicated through a dynamic program over
+instance-usage sets). A subset's shortest paths and the pinnings that
+fit its delays are worked out only when the search reaches it, so the
+subsets beyond the optimum's power cost nothing. validate_solution
+re-checks any assignment, through one table of values, against every
+variable domain and every row of the model.
 
 Virtual node indexing per demand with a K-function chain: 0 is the
 source endpoint, 1..K the chain positions, K+1 the destination; virtual
@@ -53,7 +55,9 @@ class Constraint(NamedTuple):
 
 
 class MilpModel:
-    """A fully materialized instance of the placement program."""
+    """A fully materialized instance of the placement program. X, Y, L, Z,
+    U and W are build_model's name tables, the one place that spells a
+    variable name; rows are written and states read back through them."""
 
     def __init__(self, graph: NetworkGraph, demands: Sequence):
         self.graph = graph
@@ -62,14 +66,6 @@ class MilpModel:
         self.constraints: List[Constraint] = []
         self.objective: Dict[str, float] = {}
         self.types: Dict[str, FunctionType] = {}
-
-
-def _u(i: int, k: int, g: int) -> str:
-    return "u_%d_%d_%d" % (i, k, g)
-
-
-def _z(i: int, fname: str) -> str:
-    return "z_%d_%s" % (i, fname)
 
 
 def build_model(graph: NetworkGraph, demands: Sequence) -> MilpModel:
@@ -94,13 +90,14 @@ def build_model(graph: NetworkGraph, demands: Sequence) -> MilpModel:
     X = ["x_%d" % i for i in nodes]
     Y = ["y_%d" % i for i in nodes]
     L = {c: "l_%d_%d" % c for c in cables}
-    Z = [{f: _z(i, f) for f in types} for i in nodes]
+    Z = [{f: "z_%d_%s" % (i, f) for f in types} for i in nodes]
     u_ = ["u_%d_" % i for i in nodes]
     w_ = {p: "w_%d_%d_" % p for p in pairs}
     U = [[[ui + "%d_%d" % (k, d.id) for ui in u_] for k in range(E + 1)]
          for d, _, E in chains]
     W = [[{p: wp + "%d_%d" % (e, d.id) for p, wp in w_.items()}
           for e in range(E)] for d, _, E in chains]
+    m.X, m.Y, m.L, m.Z, m.U, m.W = X, Y, L, Z, U, W
 
     var = m.variables
     for name in itertools.chain(X, Y, L.values()):
@@ -307,34 +304,34 @@ def validate_solution(model: MilpModel, assignment: Mapping[str, float],
 
 
 def extract_assignment(model: MilpModel, state: NetworkState) -> Dict[str, float]:
-    """Express a committed placement (all model demands allocated in the
-    state) as a model assignment, for cross-validation."""
+    """A committed placement as a model assignment, read through the
+    model's name tables; the state must hold exactly the model's demands."""
     assignment: Dict[str, float] = {}
-    for d in model.demands:
+    for d, Ud, Wd in zip(model.demands, model.U, model.W):
         alloc = state.allocations.get(d.id)
         if alloc is None:
             raise ValueError("demand %d not allocated in the state" % d.id)
-        assignment[_u(d.src, 0, d.id)] = 1.0
-        assignment[_u(d.dst, len(d.chain) + 1, d.id)] = 1.0
-        for k, fa in enumerate(alloc.assignments, start=1):
-            assignment[_u(fa.node, k, d.id)] = 1.0
-        for e, seg in enumerate(alloc.route.segments):
+        assignment[Ud[0][d.src]] = 1.0
+        assignment[Ud[-1][d.dst]] = 1.0
+        for Uk, fa in zip(Ud[1:], alloc.assignments):
+            assignment[Uk[fa.node]] = 1.0
+        for We, seg in zip(Wd, alloc.route.segments):
             for l in seg:
-                assignment["w_%d_%d_%d_%d" % (l.src, l.dst, e, d.id)] = 1.0
-    per_type: Dict[Tuple[int, str], int] = {}
+                assignment[We[l.src, l.dst]] = 1.0
+    if len(state.allocations) != len(model.demands):
+        raise ValueError("state holds %d allocations, the model %d demands"
+                         % (len(state.allocations), len(model.demands)))
     for inst in state.instances.values():
-        key = (inst.node, inst.function.name)
-        per_type[key] = per_type.get(key, 0) + 1
-    for (node, fname), count in per_type.items():
-        assignment[_z(node, fname)] = float(count)
-    for node in state.graph.nodes:
-        if state.pm_active(node.id):
-            assignment["x_%d" % node.id] = 1.0
-        if state.switch_active(node.id):
-            assignment["y_%d" % node.id] = 1.0
-    for a, b in state.graph.cables():
+        name = model.Z[inst.node][inst.function.name]
+        assignment[name] = assignment.get(name, 0.0) + 1.0
+    for i, (x, y) in enumerate(zip(model.X, model.Y)):
+        if state.pm_active(i):
+            assignment[x] = 1.0
+        if state.switch_active(i):
+            assignment[y] = 1.0
+    for (a, b), name in model.L.items():
         if state.cable_active(a, b):
-            assignment["l_%d_%d" % (a, b)] = 1.0
+            assignment[name] = 1.0
     return assignment
 
 
@@ -373,8 +370,6 @@ def _check_limits(model: MilpModel) -> None:
             raise ExactLimitError(
                 (what + " exceeds the exact solver limit of %d; use export_lp "
                  "with an external solver") % (count, limit))
-    if not demands:
-        return
     # the search ignores bandwidth, which is only sound when no routing or
     # instance-count choice can ever make a capacity constraint bind
     total = sum((len(d.chain) + 1) * d.bandwidth_kbps for d in demands)
@@ -469,8 +464,6 @@ def solve_exact_small(model: MilpModel) -> ExactSolution:
     graph, demands = model.graph, model.demands
     params = graph.power
     state = NetworkState(graph)
-    if not demands:
-        return ExactSolution("optimal", 0.0, {}, [], state)
 
     cables = graph.cables()
     ncab = len(cables)
@@ -506,14 +499,13 @@ def solve_exact_small(model: MilpModel) -> ExactSolution:
                         + 2.0 * params.port_w * bin(m).count("1"))
     order = sorted(net_power, key=lambda m: (net_power[m], m))
 
-    union_types = sorted({fn.name for d in demands for fn in d.chain})
     slope = params.pm_max_w - params.pm_idle_w
     pm_cores = {i: graph.node(i).pm.cores for i in nodes}
     need = {(i, f): fn.cores for i in nodes for f, fn in model.types.items()}
     lb_pm = 0.0
-    if union_types:
+    if model.types:
         lb_pm = params.pm_idle_w + slope * sum(
-            model.types[f].cores for f in union_types) / max(pm_cores.values())
+            fn.cores for fn in model.types.values()) / max(pm_cores.values())
 
     best_total = math.inf
     best_pick = None
@@ -563,44 +555,35 @@ def solve_exact_small(model: MilpModel) -> ExactSolution:
     if best_pick is None:
         return ExactSolution("infeasible", None, {}, [], None)
 
-    used_sorted, mask, picks = best_pick
-    _, nxt = dists[mask]
-
-    def walk(a: int, b: int) -> List[Tuple[int, int]]:
-        hops = []
-        while a != b:
-            step = nxt[a][b]
-            hops.append((a, step))
-            a = step
-        return hops
-
-    allocations: List[Allocation] = []
-    committed_inst: Dict[Tuple[int, str], int] = {}
+    _, mask, picks = best_pick
+    nxt = dists[mask][1]
     for d, combo in zip(demands, picks):
-        waypoints = [d.src, *combo, d.dst]
         segments = []
-        for a, b in zip(waypoints, waypoints[1:]):
-            segments.append(tuple(graph.link(i, j) for i, j in walk(a, b)))
+        for a, b in zip([d.src, *combo], [*combo, d.dst]):
+            hops = []
+            while a != b:
+                step = nxt[a][b]
+                hops.append(graph.link(a, step))
+                a = step
+            segments.append(tuple(hops))
+        # reuse the one running instance of (node, type), see _check_limits
         placeholders: Dict[Tuple[int, str], int] = {}
         assigns = []
         for node, fn in zip(combo, d.chain):
-            key = (node, fn.name)
-            inst = committed_inst.get(key)
+            inst = next((i.id for i in state.node_instances[node].values()
+                         if i.function.name == fn.name), None)
             if inst is None:
-                inst = placeholders.setdefault(key, -1 - len(placeholders))
+                inst = placeholders.setdefault((node, fn.name),
+                                               -1 - len(placeholders))
             assigns.append(FunctionAssignment(fn, node, inst))
         route = Route(tuple(segments))
         delay = route.propagation_ms + sum(f.processing_delay for f in d.chain)
-        planned = Allocation(d.id, tuple(assigns), route, delay,
-                             d.bandwidth_kbps)
-        committed = state.apply_allocation(planned, d)
-        for fa in committed.assignments:
-            committed_inst[(fa.node, fa.function.name)] = fa.instance_id
-        allocations.append(committed)
+        state.apply_allocation(Allocation(d.id, tuple(assigns), route, delay,
+                                          d.bandwidth_kbps), d)
 
     realized = total_power(state)
     if abs(realized - best_total) > _TOL:
         raise RuntimeError("exact search bound %r diverges from realized "
                            "power %r" % (best_total, realized))
-    assignment = extract_assignment(model, state)
-    return ExactSolution("optimal", realized, assignment, allocations, state)
+    return ExactSolution("optimal", realized, extract_assignment(model, state),
+                         [state.allocations[d.id] for d in demands], state)

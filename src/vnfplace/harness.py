@@ -24,6 +24,7 @@ from .topology import (NetworkGraph, PowerParams, default_catalogs,
 from .workload import generate_demands
 
 ALGORITHMS = ("bi-lbi", "bi-hbi", "bc", "lp-export")
+MAX_COUNT = 1_000_000   # limit on demands per sequence and on seeds
 
 CSV_HEADER = ("algorithm,demands,seeds,"
               "total_power_mean_w,total_power_std_w,"
@@ -129,6 +130,8 @@ def run_experiment(config: ExperimentConfig) -> MetricsReport:
     if any(c < 1 for c in config.demand_counts):
         raise ValueError("demand counts must be positive, got %r"
                          % (config.demand_counts,))
+    if max(config.seeds, *config.demand_counts) > MAX_COUNT:
+        raise ValueError("demands and seeds are limited to %d" % MAX_COUNT)
     ladder_kbps(config.betas_mbps)
     _check_step(config.weight_step)
     tables = set(config.algorithms) - {"lp-export"}

@@ -125,6 +125,9 @@ def test_empty_model_is_trivially_optimal():
     assert sol.objective == 0.0
     assert sol.allocations == []
     assert total_power(sol.state) == 0.0
+    assert sol.assignment == {}
+    assert sol.state.snapshot() == "\n"
+    assert repr(sol.objective) == "0.0"
 
 
 def test_exact_optimum_on_the_triangle():
@@ -251,6 +254,19 @@ def test_heuristic_state_satisfies_the_program():
         extract_assignment(build_model(graph, [make_demand(5, 0, 2, (FN_A,),
                                                            1.0, 50.0)]),
                            sol.state)
+
+
+def test_bridge_refuses_a_state_with_demands_outside_the_model():
+    # a model over one of two placed demands has no names for the other's
+    # resources; an assignment would count them against the wrong demand
+    graph = triangle_graph()
+    demands = [_triangle_demand(),
+               make_demand(1, 1, 2, (FN_B,), 5.0, 50.0)]
+    sol = place_all(graph, demands, BETAS)
+    assert sol.acceptance == 1.0
+    with pytest.raises(ValueError, match="^state holds 2 allocations, the "
+                                         "model 1 demands$"):
+        extract_assignment(build_model(graph, demands[:1]), sol.state)
 
 
 def test_heuristic_never_beats_the_optimum():

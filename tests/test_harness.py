@@ -12,9 +12,9 @@ import vnfplace
 from vnfplace import cli
 from vnfplace.netstate import Route
 from vnfplace.placement import check_solution
-from vnfplace.harness import (ALGORITHMS, CSV_HEADER, ExperimentConfig,
-                              HarnessError, emit_csv, load_topology,
-                              run_experiment)
+from vnfplace.harness import (ALGORITHMS, CSV_HEADER, MAX_COUNT,
+                              ExperimentConfig, HarnessError, emit_csv,
+                              load_topology, run_experiment)
 
 
 def _small_config(**kw):
@@ -325,6 +325,34 @@ def test_cli_bad_inputs_exit_two(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "lp-export" in captured.err
     assert captured.out == "" and not lpout.exists()
+
+
+def test_cli_refuses_counts_above_the_limit(tmp_path, capsys, monkeypatch):
+    # a count this large would grow a demand list until memory runs out,
+    # so a run that gets as far as generating demands fails at once
+    def started(*args):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(vnfplace.harness, "generate_demands", started)
+    huge = "99999999999999999999"
+    argvs = []
+    for key, other in (("demands", "seeds"), ("seeds", "demands")):
+        for flag, number in ((huge, 1e308), (str(MAX_COUNT + 1),
+                                             MAX_COUNT + 1)):
+            conf = tmp_path / ("%s_%d.json" % (key, len(argvs)))
+            conf.write_text(json.dumps({key: number, other: 1}))
+            argvs += [["--" + key, flag, "--" + other, "1"],
+                      ["--config", str(conf)]]
+    for argv in argvs:
+        assert cli.main(["run", "--algo", "bc,lp-export", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: demands and seeds are limited to "
+                                "%d\n" % MAX_COUNT)
+        assert captured.out == ""
+    # the limit itself passes validation and starts the run
+    config = _small_config(demand_counts=[MAX_COUNT], seeds=MAX_COUNT)
+    with pytest.raises(AssertionError, match="the run started"):
+        run_experiment(config)
 
 
 def test_cli_refuses_pm_peak_below_idle(capsys):
