@@ -17,8 +17,8 @@ from vnfplace.exact import (ExactLimitError, build_model,
                             validate_solution)
 from vnfplace.power import total_power
 from vnfplace.placement import bc_place_all, place_all
-from vnfplace.topology import (CPU, FunctionType, default_catalogs,
-                               nobel_germany)
+from vnfplace.topology import (CPU, FunctionType, NetworkGraph, PowerParams,
+                               default_catalogs, nobel_germany)
 from vnfplace.workload import generate_demands
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "triangle_model.lp")
@@ -371,6 +371,46 @@ def test_model_assignments_are_pinned():
                                      sol.total_power_w) == []
             digest.update(("%r\n" % sorted(assignment.items())).encode())
     assert digest.hexdigest() == "cdc460287b3ac101ab09935d2ffffbafd319d89c"
+
+
+# Power settings under which many placements cost the same: a flat PM
+# draw, free switches, and both at once; then the defaults.
+TIE_POWER = [PowerParams(pm_max_w=150.0),
+             PowerParams(switch_static_w=0.0, port_w=0.0),
+             PowerParams(switch_static_w=0.0, port_w=0.0, pm_idle_w=0.0),
+             PowerParams()]
+
+
+def _with_power(graph, params):
+    cables = [(a, b, graph.link(a, b).capacity, graph.link(a, b).delay)
+              for a, b in graph.cables()]
+    return NetworkGraph(graph.nodes, cables, params)
+
+
+def test_tied_optima_are_pinned():
+    """sha1 over status, objective, sorted assignment and state snapshot
+    of 150 seeded tiny instances on 4-, 8- and 16-core PMs with 21-100 ms
+    budgets, each solved under every TIE_POWER setting. Equal-power optima
+    abound there, so a search that drops or reorders a tied candidate
+    changes the winner."""
+    rng = random.Random(27)
+    draws = [tiny_instance(rng, cores=cores,
+                           budgets=(21.0, 25.0, 30.0, 100.0))
+             for cores in (4, 8, 16) for _ in range(50)]
+    digest = hashlib.sha1()
+    statuses = Counter()
+    for graph, demands in draws:
+        for params in TIE_POWER:
+            sol = solve_exact_small(build_model(_with_power(graph, params),
+                                                demands))
+            statuses[sol.status] += 1
+            digest.update(("%s %r %r\n" % (sol.status, sol.objective,
+                                           sorted(sol.assignment.items())))
+                          .encode())
+            digest.update((sol.state.snapshot() if sol.state is not None
+                           else "infeasible\n").encode())
+    assert statuses["optimal"] > 400 and statuses["infeasible"] > 0
+    assert digest.hexdigest() == "fe737e573c936ced935a10041fbf026026fbf5e0"
 
 
 def test_exact_search_computes_distances_only_for_subsets_it_reaches(
