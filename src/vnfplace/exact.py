@@ -9,10 +9,11 @@ solution for tiny instances by enumerating lit-cable subsets in
 ascending network power and, per subset, all ways of pinning chain
 positions to nodes (deduplicated through a dynamic program over
 instance-usage sets). A subset's shortest paths and the pinnings that
-fit its delays are worked out only when the search reaches it, so the
-subsets beyond the optimum's power cost nothing. validate_solution
-re-checks any assignment, through one table of values, against every
-variable domain and every row of the model.
+fit its delays are worked out only when the search reaches it and its
+cables join every demand's endpoints; the program drops partial usage
+sets that cannot fit or win. validate_solution re-checks any
+assignment, through one table of values, against every variable domain
+and every row of the model.
 
 Virtual node indexing per demand with a K-function chain: 0 is the
 source endpoint, 1..K the chain positions, K+1 the destination; virtual
@@ -311,6 +312,11 @@ def extract_assignment(model: MilpModel, state: NetworkState) -> Dict[str, float
         alloc = state.allocations.get(d.id)
         if alloc is None:
             raise ValueError("demand %d not allocated in the state" % d.id)
+        placed = [fa.function.name for fa in alloc.assignments]
+        chain = [fn.name for fn in d.chain]
+        if placed != chain:
+            raise ValueError("demand %d is placed with chain %s, the model's "
+                             "is %s" % (d.id, placed, chain))
         assignment[Ud[0][d.src]] = 1.0
         assignment[Ud[-1][d.dst]] = 1.0
         for Uk, fa in zip(Ud[1:], alloc.assignments):
@@ -456,9 +462,11 @@ def solve_exact_small(model: MilpModel) -> ExactSolution:
     their budget over every cable are dropped (no subset is faster), and
     if a demand keeps none the instance is infeasible. A subset's
     distances and the delay test of the remaining pinnings are computed
-    when the loop reaches it, so the loop's early stop also skips their
-    cost. Usage sets are priced from per-solve tables of PM cores per
-    node and cores per (node, type).
+    when the loop reaches it, if its cables join every demand's endpoints
+    (no pinning fits otherwise). The program drops a partial usage set
+    that no PM can host or that costs over _TOL more PM power than the
+    incumbent leaves or than the union of each demand's first signature;
+    merging only adds load. Usage sets are priced from per-solve tables.
     """
     _check_limits(model)
     graph, demands = model.graph, model.demands
@@ -492,12 +500,15 @@ def solve_exact_small(model: MilpModel) -> ExactSolution:
             return ExactSolution("infeasible", None, {}, [], None)
         per_demand.append((limit, locals_))
 
-    net_power = {}
-    for m in range(1 << ncab):
-        switches = {s for idx, c in enumerate(cables) if m >> idx & 1 for s in c}
-        net_power[m] = (params.switch_static_w * len(switches)
-                        + 2.0 * params.port_w * bin(m).count("1"))
-    order = sorted(net_power, key=lambda m: (net_power[m], m))
+    # a subset's switches as bits: its lowest cable's ends OR the rest's
+    ends = [1 << a | 1 << b for a, b in cables]
+    lit = [0]
+    for m in range(1, 1 << ncab):
+        lit.append(lit[m & (m - 1)] | ends[(m & -m).bit_length() - 1])
+    net_power = [params.switch_static_w * sw.bit_count()
+                 + 2.0 * params.port_w * m.bit_count()
+                 for m, sw in enumerate(lit)]
+    order = sorted(range(1 << ncab), key=lambda m: (net_power[m], m))
 
     slope = params.pm_max_w - params.pm_idle_w
     pm_cores = {i: graph.node(i).pm.cores for i in nodes}
@@ -514,6 +525,12 @@ def solve_exact_small(model: MilpModel) -> ExactSolution:
         if pnet + lb_pm >= best_total:
             break
         if mask not in dists:
+            label = list(nodes)
+            for idx, (a, b) in enumerate(cables):
+                if mask >> idx & 1:
+                    label = [label[b] if l == label[a] else l for l in label]
+            if any(label[d.src] != label[d.dst] for d in demands):
+                continue
             dists[mask] = _subset_distances(graph, mask, cables)
         dist = dists[mask][0]
         sigs_per_demand = []
@@ -532,10 +549,17 @@ def solve_exact_small(model: MilpModel) -> ExactSolution:
             sigs_per_demand.append(sigs)
         if len(sigs_per_demand) < len(per_demand):
             continue
+        first = _pm_power_of(params, frozenset().union(
+            *(next(iter(sigs)) for sigs in sigs_per_demand)), pm_cores, need)
+        bound = min(best_total - pnet,
+                    math.inf if first is None else first) + _TOL
         states: Dict[FrozenSet, Tuple] = {frozenset(): ()}
         for sigs in sigs_per_demand:
             new: Dict[FrozenSet, Tuple] = {}
             for used, picks in states.items():
+                pm = _pm_power_of(params, used, pm_cores, need)
+                if pm is None or pm > bound:
+                    continue
                 for sig, combo in sigs.items():
                     merged = used | sig
                     if merged not in new:

@@ -269,6 +269,20 @@ def test_bridge_refuses_a_state_with_demands_outside_the_model():
         extract_assignment(build_model(graph, demands[:1]), sol.state)
 
 
+def test_bridge_refuses_a_state_whose_demand_has_another_chain():
+    # the state's demand 0 runs A; the models' demand 0 asks for B, or
+    # for A twice, so no assignment can describe the placed chain
+    graph = triangle_graph()
+    sol = place_all(graph, [_triangle_demand()], BETAS)
+    assert sol.acceptance == 1.0
+    for chain, want in (((FN_B,), "['B']"), ((FN_A, FN_A), "['A', 'A']")):
+        model = build_model(graph, [_triangle_demand(chain=chain)])
+        with pytest.raises(ValueError, match=re.escape(
+                "demand 0 is placed with chain ['A'], the model's is "
+                + want)):
+            extract_assignment(model, sol.state)
+
+
 def test_heuristic_never_beats_the_optimum():
     rng = random.Random(777)
     solved = 0
@@ -455,6 +469,44 @@ def test_exact_search_computes_distances_only_for_subsets_it_reaches(
     assert sol.status == "optimal"
     assert validate_solution(model, sol.assignment, sol.objective) == []
     assert len(computed) < 2 ** 8
+
+
+def _joined(graph, mask, a, b):
+    """Whether the cables lit in `mask` connect nodes a and b."""
+    lit = [c for i, c in enumerate(graph.cables()) if mask >> i & 1]
+    reach = {a}
+    while True:
+        more = {v for c in lit if reach & set(c) for v in c} - reach
+        if not more:
+            return b in reach
+        reach |= more
+
+
+def test_exact_search_skips_subsets_that_split_a_demand(monkeypatch):
+    """A subset that leaves some demand's endpoints apart gives every
+    pinning of that demand infinite propagation, so the search computes
+    no distances for it; the full set is computed whatever it joins."""
+    computed = []
+    real = exact._subset_distances
+
+    def recording(graph, mask, cables):
+        computed.append(mask)
+        return real(graph, mask, cables)
+
+    monkeypatch.setattr(exact, "_subset_distances", recording)
+    rng = random.Random(43)
+    examined = 0
+    for _ in range(120):
+        graph, demands = tiny_instance(rng)
+        computed.clear()
+        solve_exact_small(build_model(graph, demands))
+        full = (1 << len(graph.cables())) - 1
+        assert computed[0] == full
+        for mask in computed[1:]:
+            for d in demands:
+                assert _joined(graph, mask, d.src, d.dst), (mask, d)
+            examined += 1
+    assert examined > 50
 
 
 def _pinned_models():
