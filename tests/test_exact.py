@@ -270,7 +270,7 @@ def test_bridge_refuses_a_state_with_demands_outside_the_model():
 
 
 def test_bridge_refuses_a_state_whose_demand_has_another_chain():
-    # the state's demand 0 runs A; the models' demand 0 asks for B, or
+    # the state's demand 0 runs A; each model's demand 0 asks for B, or
     # for A twice, so no assignment can describe the placed chain
     graph = triangle_graph()
     sol = place_all(graph, [_triangle_demand()], BETAS)
@@ -388,7 +388,8 @@ def test_model_assignments_are_pinned():
 
 
 # Power settings under which many placements cost the same: a flat PM
-# draw, free switches, and both at once; then the defaults.
+# draw, free switches, free switches with PMs that idle at 0 W; then
+# the defaults.
 TIE_POWER = [PowerParams(pm_max_w=150.0),
              PowerParams(switch_static_w=0.0, port_w=0.0),
              PowerParams(switch_static_w=0.0, port_w=0.0, pm_idle_w=0.0),
