@@ -7,8 +7,9 @@ smallest), then walks the chain function by function, picking the
 (PM, route) pair of least incremental power; one view per demand reads
 the island once, holds the plan and patches what it read as it grows.
 At each position the reuse candidates are routed first; new instances
-are listed and routed only when one could still cost no more than the
-best reuse found. The views of one call share a routing cache: the
+are listed only when one could still cost no more than the best reuse
+found, and no candidate is routed once its PM cost shows it cannot beat
+the winner so far. The views of one call share a routing cache: the
 edge terms of every link, each island's node order, neighbours and hop
 counts, and every search tree. Each route, into a PM or out of it, is
 read from the full tree of its source, keyed by the exact adjacency it
@@ -447,27 +448,30 @@ def _best_row(rows: List[list], name: str, kbps: int) -> Optional[list]:
 
 def get_candidate_pms(view: _ChainView, function: FunctionType,
                       reuse: bool) -> List[Candidate]:
-    """The view's island PMs able to host the function at its kb/s. With
-    reuse, the category-1 candidates in node order: each node with a row
-    of the function that has the kb/s spare, on its best-fit row. Without,
-    the nodes with no such row where a new instance can carry the kb/s and
-    the cores in use leave it room, category 2 (any row means the PM
-    is on) before 3, each in node order. The two lists together are every
-    candidate, cheapest category first."""
+    """The view's island PMs able to host the function at its kb/s, in
+    (category, node) order. With reuse, the category-1 candidates: each
+    node with a row of the function that has the kb/s spare, on its
+    best-fit row. Without, the nodes with no such row where a new instance
+    can carry the kb/s and the cores in use leave it room, category 2 (any
+    row means the PM is on) before 3. The two lists together are every
+    candidate, cheapest category first. A node with no rows runs no
+    instance, so its rows are not scanned."""
     name, kbps = function.name, view.kbps
     out = []
     if reuse:
         for node in view.nodes:
-            best = _best_row(view.rows[node], name, kbps)
-            if best is not None:
-                out.append(Candidate(node, best[0], 1))
+            rows = view.rows[node]
+            if rows:
+                best = _best_row(rows, name, kbps)
+                if best is not None:
+                    out.append(Candidate(node, best[0], 1))
         return out
     if to_kbps(function.processing_capacity) < kbps:
         return out
     graph = view.graph
     for node in view.nodes:
         rows = view.rows[node]
-        if (_best_row(rows, name, kbps) is None
+        if ((not rows or _best_row(rows, name, kbps) is None)
                 and fits(view.used[node], function.cores,
                          graph.node(node).pm.cores)):
             out.append(Candidate(node, None, 2 if rows else 3))
@@ -479,18 +483,26 @@ def _best_candidate(view: _ChainView, function: FunctionType, dst: int,
                     budget_ms: float, weight_step: float,
                     stats: Optional[dict] = None):
     """One chain position: ((candidate, seg1, seg2, d1, d2), None) for the
-    candidate of least incremental cost, ties broken by hop distance from
-    the view's origin, category and node id; (None, "no-pm") if no PM can
-    host the function, (None, "no-path") if no candidate can be routed.
+    candidate of least key (incremental cost, hop distance from the view's
+    origin, category, node id); (None, "no-pm") if no PM can host the
+    function, (None, "no-path") if no candidate can be routed.
 
-    Power ratings are non-negative and a PM's peak is not below its idle
-    wattage, so links never cost less than nothing and a candidate whose
-    PM cost alone exceeds the best cost so far cannot win; it is not
-    routed. A new instance costs at least the load slope of its function
-    on the island's largest PM (pm_load_slope), so the new-instance
-    candidates are listed only when no reuse candidate was routed or the
-    best cost is not below that floor. Candidates are tried category
-    first either way, so the winner is that of a full scan."""
+    Candidates are routed in listing order, (category, hops, node), which
+    is not the key's order: hops come before category in the key. A
+    candidate is not routed when it cannot beat the winner so far. Its
+    cost is its PM cost lb (incremental_pm_cost) plus the watts its links
+    light; power ratings are non-negative, so that sum is never below lb,
+    in floats too. So when (lb, hops, category, node) is above the
+    winner's key, the candidate's own key is too: either lb is above the
+    best cost, or it is equal and the candidate can at best tie on cost
+    and then lose the tie-break. Once a reuse candidate routes at 0 W, no
+    later reuse candidate is routed.
+    A new instance costs at least the load slope of its function on the
+    island's largest PM (pm_load_slope), so the new-instance candidates
+    are listed only when no reuse candidate was routed or the best cost is
+    not below that floor: at a floor of 0 W a category-2 candidate nearer
+    the origin is still routed against a 0 W reuse. The winner is that of
+    a full scan."""
     hops = view.facts.hops(view.origin)
     inf = math.inf
     best = None
@@ -507,9 +519,11 @@ def _best_candidate(view: _ChainView, function: FunctionType, dst: int,
         candidates.sort(key=lambda c: (c.category, hops.get(c.node, inf),
                                        c.node))
         for cand in candidates:
-            if best_key is not None and incremental_pm_cost(
-                    view, cand.node, cand.instance_id, function) > best_key[0]:
-                continue
+            tail = (hops.get(cand.node, inf), cand.category, cand.node)
+            if best_key is not None and (incremental_pm_cost(
+                    view, cand.node, cand.instance_id, function),
+                    *tail) > best_key:
+                continue            # its key can only be above best_key
             found = calculate_best_path(view, cand.node, dst, budget_ms,
                                         weight_step, stats)
             if found is None:
@@ -517,7 +531,7 @@ def _best_candidate(view: _ChainView, function: FunctionType, dst: int,
             seg1, seg2, d1, d2 = found
             cost = incremental_cost(view, cand.node, cand.instance_id,
                                     function, seg1 + seg2)
-            key = (cost, hops.get(cand.node, inf), cand.category, cand.node)
+            key = (cost, *tail)
             if best_key is None or key < best_key:
                 best_key = key
                 best = (cand, seg1, seg2, d1, d2)

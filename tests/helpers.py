@@ -1,6 +1,7 @@
 """Shared builders and oracles for the test suite."""
 
 import heapq
+import math
 import random
 from collections import Counter, deque
 from typing import Dict, FrozenSet, List, Optional, Tuple
@@ -10,7 +11,9 @@ from vnfplace.netstate import (Allocation, AllocationError,
                                FunctionAssignment, NetworkState, Route,
                                StateOverlay, VnfInstance, _route_delay, fits,
                                to_kbps)
-from vnfplace.placement import _ChainView
+from vnfplace.placement import (_ChainView, calculate_best_path,
+                                get_candidate_pms)
+from vnfplace.power import incremental_cost
 from vnfplace.topology import (CPU, FunctionType, Link, NetworkGraph,
                                NodeSpec, PmSpec, ServiceType, TopologyError,
                                link_delay_from_length)
@@ -234,6 +237,33 @@ class ReferenceChainView(_ChainView):
             self._codes[facts.index[u]] = code
         self.trees = self.cache.trees.setdefault(
             (facts, tuple(self._codes)), {})
+
+
+def reference_best_candidate(view, function, dst: int, budget_ms: float,
+                             weight_step: float, stats: Optional[dict] = None):
+    """_best_candidate by a full scan: both listings, every candidate
+    routed with calculate_best_path, no PM-cost bound and no listing
+    skipped; least (cost, hops, category, node) wins. Counts its routed
+    candidates in stats["routed"]."""
+    hops = view.facts.hops(view.origin)
+    candidates = (get_candidate_pms(view, function, True)
+                  + get_candidate_pms(view, function, False))
+    best = None
+    for cand in candidates:
+        found = calculate_best_path(view, cand.node, dst, budget_ms,
+                                    weight_step)
+        if stats is not None:
+            stats["routed"] = stats.get("routed", 0) + 1
+        if found is None:
+            continue
+        cost = incremental_cost(view, cand.node, cand.instance_id, function,
+                                found[0] + found[1])
+        key = (cost, hops.get(cand.node, math.inf), cand.category, cand.node)
+        if best is None or key < best[0]:
+            best = (key, (cand,) + found)
+    if best is None:
+        return None, "no-path" if candidates else "no-pm"
+    return best[1], None
 
 
 # -- centrality search oracle ----------------------------------------------

@@ -13,7 +13,8 @@ from helpers import (XL, ReferenceChainView, _tight_instance, beta_bi_search,
                      betweenness_oracle, layered_graph, make_demand,
                      make_graph, oracle_best_path, oracle_dijkstra,
                      random_connected_graph, reference_assign_on_path,
-                     route_allocation, skim_random_links)
+                     reference_best_candidate, route_allocation,
+                     skim_random_links)
 from vnfplace import placement
 from vnfplace.bih import BlockingIsland, build_bih
 from vnfplace.exact import build_model
@@ -734,6 +735,105 @@ def test_new_instances_are_listed_against_the_largest_pm(monkeypatch):
     assert incremental_cost(view, 0, None, FN["NAT"], ()) == 12.5
     # the reuse and PM 0 are routed; the dark 8-core PM 1 cannot win
     assert stats["path_searches"] == 2
+
+
+def _free_links_line(**pm):
+    """A 3-node line of 16-core PMs whose switches and ports draw 0 W."""
+    cables = [(0, 1, 1000.0, 1.0), (1, 2, 1000.0, 1.0)]
+    return NetworkGraph(make_graph(3, cables, cores=16).nodes, cables,
+                        PowerParams(switch_static_w=0.0, port_w=0.0, **pm))
+
+
+def test_a_reuse_that_can_only_tie_a_0_w_reuse_is_not_routed():
+    # NAT runs on PMs 1 and 2 and every route is free, so both reuses cost
+    # 0 W; the nearer one wins the tie and the farther is never routed
+    graph = _free_links_line()
+    view = _view(NetworkState(graph), _island_over(graph), 0, 1000)
+    view.add_assignment(FN["NAT"], 1, None)
+    far = view.add_assignment(FN["NAT"], 2, None)
+    stats = {}
+    best, reason = _best_candidate(view, FN["NAT"], 0, 100.0, 0.25, stats)
+    assert reason is None
+    assert (best[0].node, best[0].category) == (1, 1)
+    assert stats["path_searches"] == 1
+    seg1, seg2, _, _ = calculate_best_path(view, 2, 0, 100.0, 0.25)
+    assert incremental_cost(view, 2, far, FN["NAT"], seg1 + seg2) == 0.0
+
+
+def test_a_nearer_new_instance_beats_a_0_w_reuse_at_a_flat_pm_draw():
+    # with pm_max_w == pm_idle_w a new NAT on the powered PM 0 at the
+    # origin costs 0 W, as does reusing NAT on PM 2; the key puts hops
+    # before category, so PM 0 must still be listed, routed and win,
+    # while the dark PM 1 (150 W to power on) is not routed
+    graph = _free_links_line(pm_idle_w=150.0, pm_max_w=150.0)
+    view = _view(NetworkState(graph), _island_over(graph), 0, 1000)
+    view.add_assignment(FN["NAT"], 2, None)
+    view.add_assignment(FN["FW"], 0, None)
+    stats = {}
+    best, reason = _best_candidate(view, FN["NAT"], 0, 100.0, 0.25, stats)
+    assert reason is None
+    assert (best[0].node, best[0].category) == (0, 2)
+    assert best[1:3] == ((), ())
+    assert stats["path_searches"] == 2
+
+
+def test_listings_scan_rows_only_on_pms_that_run_an_instance(monkeypatch):
+    graph = _free_links_line()
+    view = _view(NetworkState(graph), _island_over(graph), 0, 1000)
+    view.add_assignment(FN["NAT"], 2, None)
+    scanned = []
+    best_row = placement._best_row
+
+    def recorded(rows, name, kbps):
+        scanned.append(len(rows))
+        return best_row(rows, name, kbps)
+
+    monkeypatch.setattr(placement, "_best_row", recorded)
+    assert [(c.node, c.category) for c in
+            get_candidate_pms(view, FN["NAT"], True)
+            + get_candidate_pms(view, FN["NAT"], False)] \
+        == [(2, 1), (0, 3), (1, 3)]
+    assert scanned == [1, 1]
+
+
+def _checked_positions(monkeypatch):
+    """Route placement's chain positions through _best_candidate and the
+    full-scan reference, which must agree at each; returns the counts of
+    positions, candidates the library routed (path_searches) and
+    candidates the reference routed (routed)."""
+    counts = {"positions": 0, "path_searches": 0, "routed": 0}
+    library = placement._best_candidate
+
+    def checked(view, function, dst, budget_ms, weight_step, stats=None):
+        got = library(view, function, dst, budget_ms, weight_step, counts)
+        assert got == reference_best_candidate(view, function, dst,
+                                               budget_ms, weight_step, counts)
+        counts["positions"] += 1
+        return got
+
+    monkeypatch.setattr(placement, "_best_candidate", checked)
+    return counts
+
+
+def test_pruned_positions_equal_the_full_scan_on_tight_instances(monkeypatch):
+    counts = _checked_positions(monkeypatch)
+    for seed in range(30):
+        graph, demands, betas = _tight_instance(seed)
+        for mode in ("lbi", "hbi"):
+            place_all(graph, demands, betas, mode=mode)
+    assert counts["positions"] > 3000
+    assert counts["path_searches"] < counts["routed"]
+
+
+def test_pruned_positions_equal_the_full_scan_on_nobel_germany(monkeypatch):
+    graph = nobel_germany()
+    _, services = default_catalogs()
+    demands = generate_demands(graph, 300, services, 0)
+    counts = _checked_positions(monkeypatch)
+    for mode in ("lbi", "hbi"):
+        place_all(graph, demands, BETAS, mode=mode)
+    assert counts["positions"] > 1000
+    assert counts["path_searches"] < counts["routed"]
 
 
 def test_place_all_fingerprint_is_pinned():
