@@ -463,10 +463,11 @@ def solve_exact_small(model: MilpModel) -> ExactSolution:
     if a demand keeps none the instance is infeasible. A subset's
     distances and the delay test of the remaining pinnings are computed
     when the loop reaches it, if its cables join every demand's endpoints
-    (no pinning fits otherwise). The program drops a partial usage set
-    that no PM can host or that costs over _TOL more PM power than the
-    incumbent leaves or than the union of each demand's first signature;
-    merging only adds load. Usage sets are priced from per-solve tables.
+    (no pinning fits otherwise); of these, only the incumbent's successor
+    matrix is kept. The program drops a partial usage set that no PM can
+    host or that costs over _TOL more PM power than the incumbent leaves
+    or than the union of each demand's first signature; merging only adds
+    load. Usage sets are priced from per-solve tables.
     """
     _check_limits(model)
     graph, demands = model.graph, model.demands
@@ -477,11 +478,11 @@ def solve_exact_small(model: MilpModel) -> ExactSolution:
     ncab = len(cables)
     nodes = [n.id for n in graph.nodes]
     full = (1 << ncab) - 1
-    dists = {full: _subset_distances(graph, full, cables)}
+    full_dists = _subset_distances(graph, full, cables)
 
     # pinnings within budget over every cable, in product order; no
     # subset is faster, so no other pinning fits any subset
-    dist = dists[full][0]
+    dist = full_dists[0]
     per_demand = []
     for d in demands:
         limit = (d.delay_budget - sum(f.processing_delay for f in d.chain)
@@ -524,15 +525,16 @@ def solve_exact_small(model: MilpModel) -> ExactSolution:
         pnet = net_power[mask]
         if pnet + lb_pm >= best_total:
             break
-        if mask not in dists:
+        if mask == full:
+            dist, nxt = full_dists
+        else:
             label = list(nodes)
             for idx, (a, b) in enumerate(cables):
                 if mask >> idx & 1:
                     label = [label[b] if l == label[a] else l for l in label]
             if any(label[d.src] != label[d.dst] for d in demands):
                 continue
-            dists[mask] = _subset_distances(graph, mask, cables)
-        dist = dists[mask][0]
+            dist, nxt = _subset_distances(graph, mask, cables)
         sigs_per_demand = []
         for limit, locals_ in per_demand:
             sigs: Dict[FrozenSet, Tuple] = {}
@@ -575,12 +577,11 @@ def solve_exact_small(model: MilpModel) -> ExactSolution:
             key = tuple(sorted(used))
             if total < best_total or key < best_pick[0]:
                 best_total = total
-                best_pick = (key, mask, picks)
+                best_pick = (key, picks, nxt)
     if best_pick is None:
         return ExactSolution("infeasible", None, {}, [], None)
 
-    _, mask, picks = best_pick
-    nxt = dists[mask][1]
+    _, picks, nxt = best_pick
     for d, combo in zip(demands, picks):
         segments = []
         for a, b in zip([d.src, *combo], [*combo, d.dst]):

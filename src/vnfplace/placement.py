@@ -17,10 +17,11 @@ was grown over, so a later position or demand that meets the same
 adjacency reads the tree a new search would grow.
 bc_place_all is a centrality baseline: every demand follows its
 hop-shortest path and functions are stacked on the most central path
-nodes with capacity. Each endpoint pair's route is found once per run;
-a demand then checks residuals and searches on a path table, its path
-nodes' instances and cores in use read once and patched in place, with
-trials undone on backtrack.
+nodes with capacity. A run searches each source's BFS tree once (the
+search that also gives centrality scores and island hop counts) and
+reads each pair's route from it once; a demand then checks residuals
+and searches on a path table, its path nodes' instances and cores in
+use read once and patched in place, undone on backtrack.
 
 Path search weighs edges by a convex mix of normalized power and
 normalized delay. Searches start power-only and shift weight toward
@@ -32,7 +33,6 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -126,6 +126,25 @@ def _edge_terms(graph: NetworkGraph, link: Link, src_lit: bool,
             link.delay / max_delay if max_delay > 0 else 0.0)
 
 
+def _bfs(neighbors, src: int) -> Tuple[List[int], Dict[int, int], dict]:
+    """Breadth-first search from src over sorted neighbour lists
+    (neighbors(u) gives u's): the reached nodes in visiting order, their
+    hop counts, and per node the neighbours one hop nearer src in visiting
+    order, so preds[v][0] is the node that first reached v."""
+    order, hops, preds = [src], {src: 0}, {src: []}
+    for u in order:
+        near = hops[u] + 1
+        for v in neighbors(u):
+            seen = hops.get(v)
+            if seen is None:
+                hops[v] = near
+                preds[v] = [u]
+                order.append(v)
+            elif seen == near:
+                preds[v].append(u)
+    return order, hops, preds
+
+
 class _IslandFacts:
     """What the walk reads of an island itself, the same for every demand
     routed in it: its nodes sorted, their index in that order, each node's
@@ -149,18 +168,9 @@ class _IslandFacts:
 
     def hops(self, origin: int) -> Dict[int, int]:
         """BFS hop counts from origin over the island's links."""
-        hops = self._hops.get(origin)
-        if hops is None:
-            hops = {origin: 0}
-            queue = deque([origin])
-            while queue:
-                u = queue.popleft()
-                for v in self.nbrs[u]:
-                    if v not in hops:
-                        hops[v] = hops[u] + 1
-                        queue.append(v)
-            self._hops[origin] = hops
-        return hops
+        if origin not in self._hops:
+            self._hops[origin] = _bfs(self.nbrs.__getitem__, origin)[1]
+        return self._hops[origin]
 
 
 class _RouteCache:
@@ -631,51 +641,17 @@ def betweenness(graph: NetworkGraph) -> Dict[int, float]:
     """Shortest-path betweenness, summed over ordered node pairs."""
     scores = {n.id: 0.0 for n in graph.nodes}
     for s in sorted(scores):
-        sigma = {v: 0 for v in scores}
-        dist = {v: -1 for v in scores}
-        preds: Dict[int, List[int]] = {v: [] for v in scores}
-        sigma[s] = 1
-        dist[s] = 0
-        order = []
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            order.append(u)
-            for v in graph.neighbors(u):
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-                if dist[v] == dist[u] + 1:
-                    sigma[v] += sigma[u]
-                    preds[v].append(u)
-        delta = {v: 0.0 for v in scores}
+        order, _, preds = _bfs(graph.neighbors, s)
+        sigma = {s: 1}
+        for w in order[1:]:
+            sigma[w] = sum(sigma[v] for v in preds[w])
+        delta = dict.fromkeys(order, 0.0)
         for w in reversed(order):
             for v in preds[w]:
                 delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
             if w != s:
                 scores[w] += delta[w]
     return scores
-
-
-def _bfs_path(graph: NetworkGraph, src: int, dst: int) -> Optional[List[int]]:
-    """Deterministic hop-shortest path as a node list."""
-    if src == dst:
-        return [src]
-    parent = {src: src}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for v in graph.neighbors(u):
-            if v not in parent:
-                parent[v] = u
-                if v == dst:
-                    path = [dst]
-                    while path[-1] != src:
-                        path.append(parent[path[-1]])
-                    path.reverse()
-                    return path
-                queue.append(v)
-    return None
 
 
 class _PathTable:
@@ -787,13 +763,20 @@ def _assign_on_path(table: _PathTable, chain, kbps: int, pref: List[int],
 
 
 def _pair_route(graph: NetworkGraph, scores: Dict[int, float], src: int,
-                dst: int) -> Optional[tuple]:
+                dst: int, trees: dict) -> Optional[tuple]:
     """The fixed route of an endpoint pair: its BFS node path, the path's
     links, the sum of their delays and the path positions most central
-    first; None if dst cannot be reached."""
-    path = _bfs_path(graph, src, dst)
-    if path is None:
+    first; None if dst cannot be reached. The path follows first
+    predecessors back from dst in trees[src], searched if missing."""
+    preds = trees.get(src)
+    if preds is None:
+        preds = trees[src] = _bfs(graph.neighbors, src)[2]
+    if dst not in preds:
         return None
+    path = [dst]
+    while path[-1] != src:
+        path.append(preds[path[-1]][0])
+    path.reverse()
     links = tuple(graph.link(path[i], path[i + 1])
                   for i in range(len(path) - 1))
     pref = sorted(range(len(path)), key=lambda i: (-scores[path[i]], path[i]))
@@ -832,19 +815,21 @@ def _plan_on_path(state: NetworkState, route, demand
 
 def bc_place_all(graph: NetworkGraph, demands: Iterable) -> SolutionSet:
     """Centrality baseline: hop-shortest routes, chain stacked on the
-    most central path nodes with room. No detours are attempted. Each
-    endpoint pair's route is found once per run and kept in a run-local
-    table; a demand then only checks residuals and plans on a path table
-    (_PathTable) read for it alone. runtime_s covers the whole call."""
+    most central path nodes with room. No detours are attempted. A run
+    searches each source's BFS tree once, each pair's route once, and
+    keeps both in run-local tables; a demand then only checks residuals
+    and plans on a path table (_PathTable) read for it alone. runtime_s
+    covers the whole call."""
     start = time.perf_counter()
     state = NetworkState(graph)
     outcomes: List[DemandOutcome] = []
     scores = betweenness(graph)
+    trees: Dict[int, Dict[int, List[int]]] = {}
     routes: Dict[Tuple[int, int], Optional[tuple]] = {}
     for demand in read_demands(graph, demands):
         key = (demand.src, demand.dst)
         if key not in routes:
-            routes[key] = _pair_route(graph, scores, *key)
+            routes[key] = _pair_route(graph, scores, *key, trees)
         route = routes[key]
         if route is None:
             outcomes.append(DemandOutcome(demand, False, None, "no-path"))

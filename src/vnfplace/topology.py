@@ -77,6 +77,8 @@ class PmSpec:
         if set(self.capacity) != {CPU}:
             raise TopologyError("a PM is sized in %r cores only, got %r"
                                 % (CPU, list(self.capacity)))
+        if type(self.cores) is not int:
+            raise TopologyError("cpu capacity %r is not an int" % (self.cores,))
         if self.cores <= 0:
             raise TopologyError("non-positive cpu capacity: %r" % self.cores)
 
@@ -109,12 +111,19 @@ class FunctionType:
         if set(self.requirements) != {CPU}:
             raise TopologyError("function %s is sized in %r cores only, got %r"
                                 % (self.name, CPU, list(self.requirements)))
+        if type(self.cores) is not int:
+            raise TopologyError("function %s: cpu demand %r is not an int"
+                                % (self.name, self.cores))
         if self.cores <= 0:
             raise TopologyError("function %s: non-positive cpu demand" % self.name)
-        if self.processing_capacity <= 0:
-            raise TopologyError("function %s: non-positive processing capacity" % self.name)
-        if self.processing_delay < 0:
-            raise TopologyError("function %s: negative processing delay" % self.name)
+        if not 0 < self.processing_capacity < math.inf:
+            raise TopologyError("function %s: processing capacity %r is not "
+                                "finite and positive"
+                                % (self.name, self.processing_capacity))
+        if not 0 <= self.processing_delay < math.inf:
+            raise TopologyError("function %s: processing delay %r is not "
+                                "finite and non-negative"
+                                % (self.name, self.processing_delay))
 
     @property
     def cores(self) -> int:
@@ -140,8 +149,9 @@ class ServiceType:
             raise TopologyError("service %s: bandwidth %r Mb/s is not a "
                                 "finite amount of at least 1 kb/s"
                                 % (self.name, self.bandwidth))
-        if self.delay_budget <= 0:
-            raise TopologyError("service %s: non-positive delay budget" % self.name)
+        if not 0 < self.delay_budget < math.inf:
+            raise TopologyError("service %s: delay budget %r ms is not finite "
+                                "and positive" % (self.name, self.delay_budget))
         if not 0.0 <= self.traffic_share <= 1.0:
             raise TopologyError("service %s: traffic share outside [0, 1]" % self.name)
 

@@ -581,6 +581,30 @@ def _tight_instance(seed):
     return graph, demands, [60.0, 30.0, 10.0]
 
 
+def reference_bfs_path(graph: NetworkGraph, src: int,
+                       dst: int) -> Optional[List[int]]:
+    """Deterministic hop-shortest path as a node list: each node's parent
+    is the first node to reach it, searching sorted neighbour lists and
+    stopping at dst; None if dst cannot be reached."""
+    if src == dst:
+        return [src]
+    parent = {src: src}
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        for v in graph.neighbors(u):
+            if v not in parent:
+                parent[v] = u
+                if v == dst:
+                    path = [dst]
+                    while path[-1] != src:
+                        path.append(parent[path[-1]])
+                    path.reverse()
+                    return path
+                queue.append(v)
+    return None
+
+
 def betweenness_oracle(graph: NetworkGraph) -> Dict[int, float]:
     """Literal enumeration of every shortest path between ordered pairs."""
     scores = {n.id: 0.0 for n in graph.nodes}

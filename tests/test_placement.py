@@ -13,15 +13,15 @@ from helpers import (XL, ReferenceChainView, _tight_instance, beta_bi_search,
                      betweenness_oracle, layered_graph, make_demand,
                      make_graph, oracle_best_path, oracle_dijkstra,
                      random_connected_graph, reference_assign_on_path,
-                     reference_best_candidate, route_allocation,
-                     skim_random_links)
+                     reference_best_candidate, reference_bfs_path,
+                     route_allocation, skim_random_links)
 from vnfplace import placement
 from vnfplace.bih import BlockingIsland, build_bih
 from vnfplace.exact import build_model
 from vnfplace.netstate import (Allocation, FunctionAssignment, NetworkState,
                                Route, StateOverlay)
 from vnfplace.placement import (Candidate, _assign_on_path, _best_candidate,
-                                _bfs_path, _ChainView, _edge_terms,
+                                _bfs, _ChainView, _edge_terms,
                                 _pair_route, _PathTable, _plan_on_path,
                                 _settle, bc_place_all, betweenness,
                                 calculate_best_path, get_candidate_pms,
@@ -1049,8 +1049,8 @@ def test_demand_across_components_is_rejected_by_both_placers():
     # and no island ever holds both endpoints
     graph = make_graph(4, [(0, 1, 1000.0, 1.0), (2, 3, 1000.0, 1.0)],
                        cores=16)
-    assert _bfs_path(graph, 0, 3) is None
-    assert _pair_route(graph, betweenness(graph), 0, 3) is None
+    assert reference_bfs_path(graph, 0, 3) is None
+    assert _pair_route(graph, betweenness(graph), 0, 3, {}) is None
     demand = make_demand(0, 0, 3, (FN["NAT"],), 1.0, 500.0)
     for sol, reason in ((bc_place_all(graph, [demand]), "no-path"),
                         (place_all(graph, [demand], BETAS), "no-island")):
@@ -1316,7 +1316,7 @@ def test_path_table_search_matches_the_forking_reference(seed):
         _host(state, i, rng.randrange(n), rng.choice(fns),
               rng.choice([1.0, 64.0, 100.0, 150.0]), rng.random() < 0.5)
     src, dst = rng.randrange(n), rng.randrange(n)
-    path = _bfs_path(graph, src, dst)
+    path = reference_bfs_path(graph, src, dst)
     if rng.random() < 0.3:
         chain = VOIP
     else:
@@ -1353,7 +1353,7 @@ def test_path_table_reads_equal_the_read_api(seed):
     for demand_id in list(state.allocations):
         if rng.random() < 0.3:
             state.release_allocation(demand_id)
-    path = _bfs_path(graph, rng.randrange(n), rng.randrange(n))
+    path = reference_bfs_path(graph, rng.randrange(n), rng.randrange(n))
     table = _PathTable(state, path)
     assert table.rows == [[[inst.id, inst.function.name, free]
                            for inst, free in state.hosted(node)]
@@ -1388,7 +1388,7 @@ def test_suffix_bound_refuses_a_long_path_in_few_trials(monkeypatch):
             return search(*args)
 
         monkeypatch.setattr(placement, "_assign_on_path", counted)
-        route = _pair_route(graph, betweenness(graph), 0, size - 1)
+        route = _pair_route(graph, betweenness(graph), 0, size - 1, {})
         demand = make_demand(demand_id, 0, size - 1, WEB[:4] + (last,),
                              1.0, 1e9)
         assert _plan_on_path(state, route, demand) == (None, "no-pm")
@@ -1400,17 +1400,60 @@ def test_baseline_finds_each_pair_route_once(monkeypatch):
     graph = layered_graph(cores=64)
     rng = random.Random(3)
     pairs = [tuple(rng.sample(range(9), 2)) for _ in range(5)]
-    demands = [make_demand(i, *pairs[i % 5], chain=(FN["NAT"],),
+    # the first pair's source also sends to every other node, so one
+    # source's tree serves several pairs
+    src = pairs[0][0]
+    pairs += [(src, dst) for dst in range(9)
+              if dst != src and (src, dst) not in pairs]
+    demands = [make_demand(i, *pairs[i % len(pairs)], chain=(FN["NAT"],),
                            bandwidth_mbps=1.0, budget_ms=500.0)
-               for i in range(20)]
-    calls = []
-    search = placement._bfs_path
+               for i in range(2 * len(pairs))]
+    calls, searches = [], []
+    route, search = placement._pair_route, placement._bfs
 
-    def counted(graph, src, dst):
+    def counted_route(graph, scores, src, dst, trees):
         calls.append((src, dst))
-        return search(graph, src, dst)
+        return route(graph, scores, src, dst, trees)
 
-    monkeypatch.setattr(placement, "_bfs_path", counted)
+    def counted_search(neighbors, src):
+        searches.append(src)
+        return search(neighbors, src)
+
+    monkeypatch.setattr(placement, "_pair_route", counted_route)
+    monkeypatch.setattr(placement, "_bfs", counted_search)
     sol = bc_place_all(graph, demands)
     assert sorted(calls) == sorted(set(pairs))
+    # betweenness searches from every node in turn; each route search
+    # after it starts from a new source
+    nodes = len(graph.nodes)
+    assert searches[:nodes] == list(range(nodes))
+    assert sorted(searches[nodes:]) == sorted({src for src, _ in pairs})
     assert sol.acceptance == 1.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), split=st.booleans())
+def test_pair_routes_and_hops_equal_the_reference_searches(seed, split):
+    # random connected graphs, and with split a second copy of the cables
+    # on new nodes so that half of the pairs cannot be reached: every
+    # ordered pair's route is the reference BFS path (None when
+    # unreachable) and each source's hop counts a fresh BFS
+    rng = random.Random(seed)
+    graph = random_connected_graph(rng, max_nodes=12)
+    n = len(graph.nodes)
+    if split:
+        cables = [(a, b, graph.link(a, b).capacity, graph.link(a, b).delay)
+                  for a, b in graph.cables()]
+        graph = make_graph(2 * n, cables + [(a + n, b + n, cap, delay)
+                                            for a, b, cap, delay in cables])
+    nodes = range(len(graph.nodes))
+    whole = BlockingIsland(0, frozenset(nodes), frozenset(graph.cables()))
+    scores = betweenness(graph)
+    trees = {}
+    for src in nodes:
+        assert _bfs(graph.neighbors, src)[1] == _fresh_hops(graph, whole, src)
+        for dst in nodes:
+            route = _pair_route(graph, scores, src, dst, trees)
+            want = reference_bfs_path(graph, src, dst)
+            assert (route and route[0]) == want
+    assert sorted(trees) == list(nodes)

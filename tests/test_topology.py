@@ -184,6 +184,33 @@ def test_graph_rejects_non_finite_cable_values(field, value):
         NetworkGraph(nodes, [(0, 1, cable["capacity"], cable["delay"])])
 
 
+@pytest.mark.parametrize("field", ["processing_capacity", "processing_delay"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_function_type_rejects_non_finite_values(field, value):
+    # an infinite capacity overflows to_kbps inside place_all, and a nan
+    # delay fails every budget test of place_all yet none of bc_place_all's
+    values = {"processing_capacity": 100.0, "processing_delay": 1.0}
+    values[field] = value
+    with pytest.raises(TopologyError, match=field.replace("_", " ")):
+        FunctionType("X", {CPU: 4}, values["processing_capacity"],
+                     values["processing_delay"])
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_service_type_rejects_a_non_finite_delay_budget(value):
+    fn = FunctionType("X", {CPU: 4}, 100.0, 1.0)
+    with pytest.raises(TopologyError, match="delay budget"):
+        ServiceType("s", (fn,), 1.0, value, 0.5)
+
+
+@pytest.mark.parametrize("cores", [2.5, 4.0, True, "4", None])
+def test_core_counts_must_be_plain_ints(cores):
+    with pytest.raises(TopologyError, match="cpu capacity .* is not an int"):
+        PmSpec({CPU: cores})
+    with pytest.raises(TopologyError, match="cpu demand .* is not an int"):
+        FunctionType("X", {CPU: cores}, 100.0, 1.0)
+
+
 @pytest.mark.parametrize("value", [-1.0, math.inf, math.nan])
 def test_power_params_reject_negative_or_non_finite_ratings(value):
     for name in ("switch_static_w", "port_w", "pm_idle_w", "pm_max_w"):
