@@ -1,23 +1,27 @@
 """Shared builders and oracles for the test suite."""
 
 import heapq
+import itertools
 import math
 import random
 from collections import Counter, deque
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from operator import mul
+from typing import (Dict, FrozenSet, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from vnfplace.bih import _flood
+from vnfplace.exact import _TOL, Constraint, MilpModel
 from vnfplace.netstate import (Allocation, AllocationError,
                                FunctionAssignment, NetworkState, Route,
                                StateOverlay, VnfInstance, _route_delay, fits,
                                to_kbps)
 from vnfplace.placement import (_ChainView, calculate_best_path,
                                 get_candidate_pms)
-from vnfplace.power import incremental_cost
+from vnfplace.power import incremental_cost, pm_load_slope
 from vnfplace.topology import (CPU, FunctionType, Link, NetworkGraph,
                                NodeSpec, PmSpec, ServiceType, TopologyError,
                                link_delay_from_length)
-from vnfplace.workload import Demand, generate_demands
+from vnfplace.workload import Demand, generate_demands, read_demands
 
 def to_mbps(kbps: int) -> float:
     """The inverse of netstate.to_kbps on the values tests feed it."""
@@ -638,3 +642,191 @@ def betweenness_oracle(graph: NetworkGraph) -> Dict[int, float]:
                 for v in path[1:-1]:
                     scores[v] += share
     return scores
+
+
+# -- the exact model as first written, kept as the oracle -------------------
+
+
+class ReferenceVariable(NamedTuple):
+    name: str
+    kind: str
+    ub: Optional[float] = None
+
+
+def reference_build_model(graph: NetworkGraph, demands: Sequence) -> MilpModel:
+    """exact.build_model as it was before its names and domains were
+    shared: every variable its own ReferenceVariable, every name and row
+    formatted where it is used. Same variables, objective, rows and name
+    tables, in the same order."""
+    m = MilpModel(graph, read_demands(graph, demands))
+    types = m.types
+    for d in m.demands:
+        for fn in d.chain:
+            known = types.setdefault(fn.name, fn)
+            if known is not fn and known != fn:
+                raise ValueError("conflicting definitions of type %s" % fn.name)
+    params = graph.power
+    nodes = range(graph.num_nodes)
+    cores = [n.pm.cores for n in graph.nodes]
+    nbrs = [graph.neighbors(i) for i in nodes]
+    cables = graph.cables()
+    pairs = [(link.src, link.dst) for link in graph.links]
+    chains = [(d, d.chain, len(d.chain) + 1) for d in m.demands]
+
+    X = ["x_%d" % i for i in nodes]
+    Y = ["y_%d" % i for i in nodes]
+    L = {c: "l_%d_%d" % c for c in cables}
+    Z = [{f: "z_%d_%s" % (i, f) for f in types} for i in nodes]
+    u_ = ["u_%d_" % i for i in nodes]
+    w_ = {p: "w_%d_%d_" % p for p in pairs}
+    U = [[[ui + "%d_%d" % (k, d.id) for ui in u_] for k in range(E + 1)]
+         for d, _, E in chains]
+    W = [[{p: wp + "%d_%d" % (e, d.id) for p, wp in w_.items()}
+          for e in range(E)] for d, _, E in chains]
+    m.X, m.Y, m.L, m.Z, m.U, m.W = X, Y, L, Z, U, W
+
+    var = m.variables
+    for name in itertools.chain(X, Y, L.values()):
+        var[name] = ReferenceVariable(name, "binary")
+    for i in nodes:
+        for f, fn in types.items():
+            var[Z[i][f]] = ReferenceVariable(Z[i][f], "integer",
+                                             cores[i] // fn.cores)
+    for Ud, Wd in zip(U, W):
+        for name in itertools.chain(*Ud, *(We.values() for We in Wd)):
+            var[name] = ReferenceVariable(name, "binary")
+
+    obj = m.objective
+    for i in nodes:
+        obj[X[i]] = params.pm_idle_w
+        for f, fn in types.items():
+            obj[Z[i][f]] = pm_load_slope(params, fn.cores, cores[i])
+    for i in nodes:
+        obj[Y[i]] = params.switch_static_w
+    for name in L.values():
+        obj[name] = 2.0 * params.port_w
+
+    add = m.constraints.append
+    if types:
+        for i in nodes:
+            add(Constraint("resource_n%d_cpu" % i,
+                           {Z[i][f]: fn.cores for f, fn in types.items()},
+                           "<=", cores[i]))
+
+    served: Dict[str, List[Tuple[List[str], float]]] = {f: [] for f in types}
+    for (d, chain, _), Ud in zip(chains, U):
+        for k, fn in enumerate(chain, start=1):
+            served[fn.name].append((Ud[k], float(d.bandwidth)))
+    for i in nodes:
+        for f, fn in types.items():
+            coeffs = {Uk[i]: bw for Uk, bw in served[f]}
+            coeffs[Z[i][f]] = -fn.processing_capacity
+            add(Constraint("processing_n%d_%s" % (i, f), coeffs, "<=", 0.0))
+
+    for link, p in zip(graph.links, pairs):
+        coeffs = {}
+        for (d, _, _), Wd in zip(chains, W):
+            for We in Wd:
+                coeffs[We[p]] = d.bandwidth
+        add(Constraint("linkcap_%d_%d" % p, coeffs, "<=", link.capacity))
+
+    for (d, chain, _), Ud in zip(chains, U):
+        for k, fn in enumerate(chain, start=1):
+            for i in nodes:
+                add(Constraint("mapping_n%d_k%d_d%d" % (i, k, d.id),
+                               {Ud[k][i]: 1.0, Z[i][fn.name]: -1.0},
+                               "<=", 0.0))
+
+    for (d, chain, _), Ud, Wd in zip(chains, U, W):
+        coeffs = {}
+        for k, fn in enumerate(chain, start=1):
+            coeffs.update(dict.fromkeys(Ud[k], fn.processing_delay))
+        for We in Wd:
+            coeffs.update(zip(We.values(), (l.delay for l in graph.links)))
+        add(Constraint("delay_d%d" % d.id, coeffs, "<=", d.delay_budget))
+
+    for (d, _, E), Ud, Wd in zip(chains, U, W):
+        for e in range(E):
+            We = Wd[e]
+            for i in nodes:
+                coeffs = {}
+                for j in nbrs[i]:
+                    coeffs[We[i, j]] = 1.0
+                    coeffs[We[j, i]] = -1.0
+                coeffs[Ud[e][i]] = -1.0
+                coeffs[Ud[e + 1][i]] = 1.0
+                add(Constraint("flow_d%d_e%d_n%d" % (d.id, e, i), coeffs,
+                               "=", 0.0))
+
+    for (d, _, E), Ud in zip(chains, U):
+        for i in nodes:
+            add(Constraint("endpoint_src_d%d_n%d" % (d.id, i),
+                           {Ud[0][i]: 1.0}, "=", 1.0 if i == d.src else 0.0))
+            add(Constraint("endpoint_dst_d%d_n%d" % (d.id, i),
+                           {Ud[E][i]: 1.0}, "=", 1.0 if i == d.dst else 0.0))
+        for k in range(1, E):
+            add(Constraint("place_once_k%d_d%d" % (k, d.id),
+                           dict.fromkeys(Ud[k], 1.0), "=", 1.0))
+
+    psi_w = sum(E for _, _, E in chains)
+    for a, b in cables:
+        coeffs = {}
+        for Wd in W:
+            for We in Wd:
+                coeffs[We[a, b]] = 1.0
+                coeffs[We[b, a]] = 1.0
+        coeffs[L[a, b]] = -float(psi_w)
+        add(Constraint("cable_on_%d_%d" % (a, b), coeffs, "<=", 0.0))
+    psi_y = 2 * graph.num_nodes
+    for i in nodes:
+        coeffs = dict.fromkeys((L[(i, j) if i < j else (j, i)]
+                                for j in nbrs[i]), 1.0)
+        coeffs[Y[i]] = -float(psi_y)
+        add(Constraint("switch_on_%d" % i, coeffs, "<=", 0.0))
+    for i in nodes:
+        psi_x = sum(cores[i] // fn.cores for fn in types.values())
+        coeffs = dict.fromkeys(Z[i].values(), 1.0)
+        coeffs[X[i]] = -float(max(psi_x, 1))
+        add(Constraint("pm_on_%d" % i, coeffs, "<=", 0.0))
+    return m
+
+
+def reference_validate_solution(model: MilpModel,
+                                assignment: Mapping[str, float],
+                                objective: Optional[float] = None) -> List[str]:
+    """exact.validate_solution as it was before it skipped the domain test
+    of zeros: every variable's value goes through every domain test. It
+    reads each variable's name from the model's keys and its domain from
+    .kind and .ub, so it runs on models from either builder."""
+    bad: List[str] = []
+    values = dict.fromkeys(model.variables, 0.0)
+    for name, value in assignment.items():
+        if name in values:
+            values[name] = float(value)
+        else:
+            bad.append("unknown variable %s" % name)
+    value = values.__getitem__
+    for name, var in model.variables.items():
+        v = values[name]
+        if not math.isfinite(v):
+            bad.append("%s = %r is not finite" % (name, v))
+            continue
+        if abs(v - round(v)) > _TOL:
+            bad.append("%s = %r is not integral" % (name, v))
+        lo, hi = 0.0, 1.0 if var.kind == "binary" else var.ub
+        if v < lo - _TOL or (hi is not None and v > hi + _TOL):
+            bad.append("%s = %r outside [%s, %s]" % (name, v, lo, hi))
+    for con in model.constraints:
+        lhs = sum(map(mul, con.coeffs.values(), map(value, con.coeffs)))
+        ok = (lhs <= con.rhs + _TOL if con.sense == "<=" else
+              lhs >= con.rhs - _TOL if con.sense == ">=" else
+              abs(lhs - con.rhs) <= _TOL)
+        if not ok:
+            bad.append("constraint %s violated: lhs %r %s rhs %r"
+                       % (con.name, lhs, con.sense, con.rhs))
+    if objective is not None:
+        got = sum(map(mul, model.objective.values(),
+                      map(value, model.objective)))
+        if not abs(got - objective) <= _TOL:
+            bad.append("objective mismatch: %r vs %r" % (got, objective))
+    return bad

@@ -9,8 +9,8 @@ from collections import Counter
 
 import pytest
 
-from helpers import (_tight_instance, make_demand, make_graph, tiny_instance,
-                     triangle_graph)
+from helpers import (_tight_instance, make_demand, make_graph,
+                     reference_build_model, tiny_instance, triangle_graph)
 from vnfplace import exact
 from vnfplace.exact import (ExactLimitError, build_model,
                             export_lp, extract_assignment, solve_exact_small,
@@ -510,22 +510,27 @@ def test_exact_search_skips_subsets_that_split_a_demand(monkeypatch):
     assert examined > 50
 
 
-def _pinned_models():
+def _pinned_inputs():
     """200 seeded tiny instances (50 with small PMs and tight budgets), a
-    two-demand nobel-germany model and a model without demands, as
-    (model, solvable) pairs."""
+    two-demand nobel-germany instance and a triangle without demands, as
+    (graph, demands, solvable) triples."""
     rng = random.Random(20)
     instances = [tiny_instance(rng) for _ in range(150)]
     instances += [tiny_instance(rng, cores=rng.choice([4, 8]),
                                 budgets=(21.0, 25.0, 30.0))
                   for _ in range(50)]
-    models = [(build_model(*inst), True) for inst in instances]
+    inputs = [(graph, demands, True) for graph, demands in instances]
     graph = nobel_germany()
     _, services = default_catalogs()
-    models.append((build_model(graph, generate_demands(graph, 2, services, 0)),
-                   False))
-    models.append((build_model(triangle_graph(), []), True))
-    return models
+    inputs.append((graph, generate_demands(graph, 2, services, 0), False))
+    inputs.append((triangle_graph(), [], True))
+    return inputs
+
+
+def _pinned_models():
+    """The models of _pinned_inputs, as (model, solvable) pairs."""
+    return [(build_model(graph, demands), solvable)
+            for graph, demands, solvable in _pinned_inputs()]
 
 
 def test_lp_text_and_validation_messages_are_pinned():
@@ -563,3 +568,39 @@ def test_model_rows_name_only_declared_variables():
             assert set(con.coeffs) <= model.variables.keys(), con.name
         assert set(model.objective) <= model.variables.keys()
         assert _lp_row_names(export_lp(model)) <= model.variables.keys()
+
+
+def _model_parts(model):
+    """Everything build_model outputs, in order, as comparable text:
+    variables with their domains, objective, rows and name tables."""
+    return ([(name, repr((var.kind, var.ub)))
+             for name, var in model.variables.items()],
+            repr(list(model.objective.items())),
+            [(con.name, repr(list(con.coeffs.items())), con.sense,
+              repr(con.rhs)) for con in model.constraints],
+            repr((model.X, model.Y, model.L, model.Z, model.U, model.W)))
+
+
+def _reference_inputs():
+    """The pinned models' inputs, 300 tiny draws, 30 tight instances and
+    nobel-germany with 50 demands."""
+    inputs = [(graph, demands) for graph, demands, _ in _pinned_inputs()]
+    rng = random.Random(30)
+    inputs += [tiny_instance(rng) for _ in range(300)]
+    inputs += [_tight_instance(seed)[:2] for seed in range(30)]
+    graph = nobel_germany()
+    _, services = default_catalogs()
+    inputs.append((graph, generate_demands(graph, 50, services, 0)))
+    return inputs
+
+
+def test_build_model_equals_the_reference():
+    """build_model outputs what the first builder did: the same variable
+    names and domains, objective, rows (names, coefficients with their
+    types, senses, right-hand sides) and name tables, in the same order."""
+    for graph, demands in _reference_inputs():
+        got = _model_parts(build_model(graph, demands))
+        want = _model_parts(reference_build_model(graph, demands))
+        for part, g, w in zip(("variables", "objective", "rows", "tables"),
+                              got, want):
+            assert g == w, part
