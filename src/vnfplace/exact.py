@@ -1,11 +1,14 @@
 """Reference integer model of chain placement and an exact tiny solver.
 
 build_model emits the complete binary/integer formulation, formatting
-each variable name once into the model's tables X, Y, L, Z, U and W;
+each variable name once into the model's tables X, Y, L, Z, U and W
+(a per-demand name joins a prefix and a suffix, each formatted once);
 every row reads them, and so does extract_assignment, which expresses a
-committed state as an assignment. export_lp renders the model as CPLEX
-LP text for external solvers. solve_exact_small finds a provably optimal
-solution for tiny instances by enumerating lit-cable subsets in
+committed state as an assignment. model.variables maps each name to
+its domain, and equal domains are one shared Variable. export_lp
+renders the model as CPLEX LP text for external solvers.
+solve_exact_small finds a provably optimal solution for tiny instances
+by enumerating lit-cable subsets in
 ascending network power and, per subset, all ways of pinning chain
 positions to nodes (deduplicated through a dynamic program over
 instance-usage sets). A subset's shortest paths and the pinnings that
@@ -13,7 +16,9 @@ fit its delays are worked out only when the search reaches it and its
 cables join every demand's endpoints; the program drops partial usage
 sets that cannot fit or win. validate_solution re-checks any
 assignment, through one table of values, against every variable domain
-and every row of the model.
+and every row of the model; a zero needs no test in a domain that holds
+0, and a value float() cannot take is reported, not raised. Only
+validate_solution and export_lp read the rows and the objective.
 
 Virtual node indexing per demand with a K-function chain: 0 is the
 source endpoint, 1..K the chain positions, K+1 the destination; virtual
@@ -43,9 +48,16 @@ class ExactLimitError(ValueError):
 
 
 class Variable(NamedTuple):
-    name: str
-    kind: str                 # "binary" or "integer"; bounded below by 0
+    """A variable's domain: "binary", or "integer" up to ub (None for no
+    bound); both are bounded below by 0. MilpModel.variables maps each
+    name to its domain, and equal domains are one shared instance: every
+    binary is BINARY."""
+
+    kind: str
     ub: Optional[float] = None
+
+
+BINARY = Variable("binary")
 
 
 class Constraint(NamedTuple):
@@ -58,7 +70,8 @@ class Constraint(NamedTuple):
 class MilpModel:
     """A fully materialized instance of the placement program. X, Y, L, Z,
     U and W are build_model's name tables, the one place that spells a
-    variable name; rows are written and states read back through them."""
+    variable name; rows are written and states read back through them,
+    and variables maps each name to its (shared) domain."""
 
     def __init__(self, graph: NetworkGraph, demands: Sequence):
         self.graph = graph
@@ -71,7 +84,9 @@ class MilpModel:
 
 def build_model(graph: NetworkGraph, demands: Sequence) -> MilpModel:
     """Materialize every variable and constraint row for the instance from
-    name tables X, Y, L, Z and, per demand, U[k][i] and W[e][(src, dst)]."""
+    name tables X, Y, L, Z and, per demand, U[k][i] and W[e][(src, dst)].
+    A per-demand variable or row name joins a prefix and a suffix that
+    are each formatted once."""
     m = MilpModel(graph, read_demands(graph, demands))
     types = m.types
     for d in m.demands:
@@ -81,56 +96,63 @@ def build_model(graph: NetworkGraph, demands: Sequence) -> MilpModel:
                 raise ValueError("conflicting definitions of type %s" % fn.name)
     params = graph.power
     nodes = range(graph.num_nodes)
+    ns = ["%d" % i for i in nodes]
     cores = [n.pm.cores for n in graph.nodes]
     nbrs = [graph.neighbors(i) for i in nodes]
     cables = graph.cables()
-    pairs = [(link.src, link.dst) for link in graph.links]
-    # per demand: its chain and its E = K + 1 virtual edges
-    chains = [(d, d.chain, len(d.chain) + 1) for d in m.demands]
+    links = graph.links
+    pairs = [(link.src, link.dst) for link in links]
+    pos = {p: j for j, p in enumerate(pairs)}
+    # per PM size and type: the Z domain (instances that fit) and the
+    # load slope; per PM size, the big-M of pm_on
+    fcores = [fn.cores for fn in types.values()]
+    sizes = set(cores)
+    zdom = {c: [Variable("integer", c // fc) for fc in fcores] for c in sizes}
+    slope = {c: [pm_load_slope(params, fc, c) for fc in fcores] for c in sizes}
+    psi_x = {c: float(max(sum(c // fc for fc in fcores), 1)) for c in sizes}
+    # per demand: its chain, its E = K + 1 virtual edges and its id text
+    chains = [(d, d.chain, len(d.chain) + 1, "%d" % d.id) for d in m.demands]
 
-    X = ["x_%d" % i for i in nodes]
-    Y = ["y_%d" % i for i in nodes]
+    X = ["x_" + i for i in ns]
+    Y = ["y_" + i for i in ns]
     L = {c: "l_%d_%d" % c for c in cables}
-    Z = [{f: "z_%d_%s" % (i, f) for f in types} for i in nodes]
-    u_ = ["u_%d_" % i for i in nodes]
-    w_ = {p: "w_%d_%d_" % p for p in pairs}
-    U = [[[ui + "%d_%d" % (k, d.id) for ui in u_] for k in range(E + 1)]
-         for d, _, E in chains]
-    W = [[{p: wp + "%d_%d" % (e, d.id) for p, wp in w_.items()}
-          for e in range(E)] for d, _, E in chains]
+    Z = [{f: "z_%s_%s" % (i, f) for f in types} for i in ns]
+    u_ = ["u_%s_" % i for i in ns]
+    w_ = ["w_%d_%d_" % p for p in pairs]
+    # per demand, U[k] and each virtual edge's W names in link order
+    U = [[[ui + s for ui in u_] for s in ["%d_%s" % (k, did)
+                                          for k in range(E + 1)]]
+         for _, _, E, did in chains]
+    Wn = [[[wp + s for wp in w_] for s in ["%d_%s" % (e, did)
+                                           for e in range(E)]]
+          for _, _, E, did in chains]
+    W = [[dict(zip(pairs, We)) for We in Wd] for Wd in Wn]
     m.X, m.Y, m.L, m.Z, m.U, m.W = X, Y, L, Z, U, W
 
     var = m.variables
-    for name in itertools.chain(X, Y, L.values()):
-        var[name] = Variable(name, "binary")
-    for i in nodes:
-        for f, fn in types.items():
-            var[Z[i][f]] = Variable(Z[i][f], "integer", cores[i] // fn.cores)
-    for Ud, Wd in zip(U, W):
-        for name in itertools.chain(*Ud, *(We.values() for We in Wd)):
-            var[name] = Variable(name, "binary")
+    var.update(dict.fromkeys(itertools.chain(X, Y, L.values()), BINARY))
+    for Zi, c in zip(Z, cores):
+        var.update(zip(Zi.values(), zdom[c]))
+    var.update(dict.fromkeys(itertools.chain.from_iterable(
+        itertools.chain(*Ud, *Wd) for Ud, Wd in zip(U, Wn)), BINARY))
 
     obj = m.objective
-    for i in nodes:
-        obj[X[i]] = params.pm_idle_w
-        for f, fn in types.items():
-            obj[Z[i][f]] = pm_load_slope(params, fn.cores, cores[i])
-    for i in nodes:
-        obj[Y[i]] = params.switch_static_w
-    for name in L.values():
-        obj[name] = 2.0 * params.port_w
+    for x, Zi, c in zip(X, Z, cores):
+        obj[x] = params.pm_idle_w
+        obj.update(zip(Zi.values(), slope[c]))
+    obj.update(dict.fromkeys(Y, params.switch_static_w))
+    obj.update(dict.fromkeys(L.values(), 2.0 * params.port_w))
 
     add = m.constraints.append
     # per-PM core capacity
     if types:
-        for i in nodes:
+        for i, Zi in enumerate(Z):
             add(Constraint("resource_n%d_cpu" % i,
-                           {Z[i][f]: fn.cores for f, fn in types.items()},
-                           "<=", cores[i]))
+                           dict(zip(Zi.values(), fcores)), "<=", cores[i]))
 
     # per-type processing capacity; every traversal of a position counts
     served: Dict[str, List[Tuple[List[str], float]]] = {f: [] for f in types}
-    for (d, chain, _), Ud in zip(chains, U):
+    for (d, chain, _, _), Ud in zip(chains, U):
         for k, fn in enumerate(chain, start=1):
             served[fn.name].append((Ud[k], float(d.bandwidth)))
     for i in nodes:
@@ -139,76 +161,82 @@ def build_model(graph: NetworkGraph, demands: Sequence) -> MilpModel:
             coeffs[Z[i][f]] = -fn.processing_capacity
             add(Constraint("processing_n%d_%s" % (i, f), coeffs, "<=", 0.0))
 
-    # directed link capacity
-    for link, p in zip(graph.links, pairs):
+    # directed link capacity, over one flat list of every W table
+    Wall = [We for Wd in Wn for We in Wd]
+    bws = [d.bandwidth for d, _, E, _ in chains for _ in range(E)]
+    for j, (link, p) in enumerate(zip(links, pairs)):
         coeffs = {}
-        for (d, _, _), Wd in zip(chains, W):
-            for We in Wd:
-                coeffs[We[p]] = d.bandwidth
+        for We, bw in zip(Wall, bws):
+            coeffs[We[j]] = bw
         add(Constraint("linkcap_%d_%d" % p, coeffs, "<=", link.capacity))
 
     # a position may only sit where an instance of its type runs
-    for (d, chain, _), Ud in zip(chains, U):
+    mapping = ["mapping_n%s_" % i for i in ns]
+    Zf = {f: [Zi[f] for Zi in Z] for f in types}
+    for (d, chain, _, did), Ud in zip(chains, U):
         for k, fn in enumerate(chain, start=1):
-            for i in nodes:
-                add(Constraint("mapping_n%d_k%d_d%d" % (i, k, d.id),
-                               {Ud[k][i]: 1.0, Z[i][fn.name]: -1.0},
-                               "<=", 0.0))
+            s = "k%d_d%s" % (k, did)
+            for row, u, z in zip(mapping, Ud[k], Zf[fn.name]):
+                add(Constraint(row + s, {u: 1.0, z: -1.0}, "<=", 0.0))
 
     # end-to-end delay: processing once per traversal plus propagation
-    for (d, chain, _), Ud, Wd in zip(chains, U, W):
+    delays = [link.delay for link in links]
+    for (d, chain, _, did), Ud, Wd in zip(chains, U, Wn):
         coeffs = {}
         for k, fn in enumerate(chain, start=1):
             coeffs.update(dict.fromkeys(Ud[k], fn.processing_delay))
         for We in Wd:
-            coeffs.update(zip(We.values(), (l.delay for l in graph.links)))
-        add(Constraint("delay_d%d" % d.id, coeffs, "<=", d.delay_budget))
+            coeffs.update(zip(We, delays))
+        add(Constraint("delay_d" + did, coeffs, "<=", d.delay_budget))
 
-    # flow conservation per virtual edge
-    for (d, _, E), Ud, Wd in zip(chains, U, W):
-        for e in range(E):
-            We = Wd[e]
-            for i in nodes:
+    # flow conservation per virtual edge; per node, the link positions of
+    # each neighbour's pair out and back
+    ports = [[(pos[i, j], pos[j, i]) for j in nbrs[i]] for i in nodes]
+    for (_, _, _, did), Ud, Wd in zip(chains, U, Wn):
+        for e, We in enumerate(Wd):
+            row = "flow_d%s_e%d_n" % (did, e)
+            for n, out, back, pairs_i in zip(ns, Ud[e], Ud[e + 1], ports):
                 coeffs = {}
-                for j in nbrs[i]:
-                    coeffs[We[i, j]] = 1.0
-                    coeffs[We[j, i]] = -1.0
-                coeffs[Ud[e][i]] = -1.0
-                coeffs[Ud[e + 1][i]] = 1.0
-                add(Constraint("flow_d%d_e%d_n%d" % (d.id, e, i), coeffs,
-                               "=", 0.0))
+                for ab, ba in pairs_i:
+                    coeffs[We[ab]] = 1.0
+                    coeffs[We[ba]] = -1.0
+                coeffs[out] = -1.0
+                coeffs[back] = 1.0
+                add(Constraint(row + n, coeffs, "=", 0.0))
 
     # endpoints are pinned, chain positions hosted exactly once
-    for (d, _, E), Ud in zip(chains, U):
-        for i in nodes:
-            add(Constraint("endpoint_src_d%d_n%d" % (d.id, i),
-                           {Ud[0][i]: 1.0}, "=", 1.0 if i == d.src else 0.0))
-            add(Constraint("endpoint_dst_d%d_n%d" % (d.id, i),
-                           {Ud[E][i]: 1.0}, "=", 1.0 if i == d.dst else 0.0))
+    for (d, _, E, did), Ud in zip(chains, U):
+        src_row = "endpoint_src_d%s_n" % did
+        dst_row = "endpoint_dst_d%s_n" % did
+        src, dst = d.src, d.dst
+        for i, n, first, last in zip(nodes, ns, Ud[0], Ud[E]):
+            add(Constraint(src_row + n, {first: 1.0}, "=",
+                           1.0 if i == src else 0.0))
+            add(Constraint(dst_row + n, {last: 1.0}, "=",
+                           1.0 if i == dst else 0.0))
         for k in range(1, E):
-            add(Constraint("place_once_k%d_d%d" % (k, d.id),
+            add(Constraint("place_once_k%d_d%s" % (k, did),
                            dict.fromkeys(Ud[k], 1.0), "=", 1.0))
 
     # indicator couplings with documented big-M values
-    psi_w = sum(E for _, _, E in chains)
-    for a, b in cables:
+    psi_w = float(sum(E for _, _, E, _ in chains))
+    for (a, b), name in L.items():
+        ab, ba = pos[a, b], pos[b, a]
         coeffs = {}
-        for Wd in W:
-            for We in Wd:
-                coeffs[We[a, b]] = 1.0
-                coeffs[We[b, a]] = 1.0
-        coeffs[L[a, b]] = -float(psi_w)
+        for We in Wall:
+            coeffs[We[ab]] = 1.0
+            coeffs[We[ba]] = 1.0
+        coeffs[name] = -psi_w
         add(Constraint("cable_on_%d_%d" % (a, b), coeffs, "<=", 0.0))
-    psi_y = 2 * graph.num_nodes
-    for i in nodes:
+    psi_y = float(2 * graph.num_nodes)
+    for i, y in enumerate(Y):
         coeffs = dict.fromkeys((L[(i, j) if i < j else (j, i)]
                                 for j in nbrs[i]), 1.0)
-        coeffs[Y[i]] = -float(psi_y)
+        coeffs[y] = -psi_y
         add(Constraint("switch_on_%d" % i, coeffs, "<=", 0.0))
-    for i in nodes:
-        psi_x = sum(cores[i] // fn.cores for fn in types.values())
-        coeffs = dict.fromkeys(Z[i].values(), 1.0)
-        coeffs[X[i]] = -float(max(psi_x, 1))
+    for i, (x, Zi, c) in enumerate(zip(X, Z, cores)):
+        coeffs = dict.fromkeys(Zi.values(), 1.0)
+        coeffs[x] = -psi_x[c]
         add(Constraint("pm_on_%d" % i, coeffs, "<=", 0.0))
     return m
 
@@ -247,14 +275,15 @@ def export_lp(model: MilpModel) -> str:
     for con in model.constraints:
         out.append(" %s: %s %s %s" % (con.name, _terms(con.coeffs, blank),
                                       con.sense, _num(con.rhs)))
-    bounds = [v for v in model.variables.values()
+    bounds = [(name, v.ub) for name, v in model.variables.items()
               if v.kind == "integer" and v.ub is not None]
     if bounds:
         out.append("Bounds")
-        for v in bounds:
-            out.append(" %s <= %s" % (v.name, _num(v.ub)))
+        for name, ub in bounds:
+            out.append(" %s <= %s" % (name, _num(ub)))
     for kind, section in (("binary", "Binaries"), ("integer", "Generals")):
-        names = [v.name for v in model.variables.values() if v.kind == kind]
+        names = [name for name, v in model.variables.items()
+                 if v.kind == kind]
         if names:
             out.append(section)
             for i in range(0, len(names), 8):
@@ -269,38 +298,50 @@ def export_lp(model: MilpModel) -> str:
 def validate_solution(model: MilpModel, assignment: Mapping[str, float],
                       objective: Optional[float] = None) -> List[str]:
     """Check an assignment against every variable domain and every row.
-    Missing variables count as zero. Returns human-readable violations."""
+    Missing variables, and values float() cannot take, count as zero; a
+    zero passes the domain test of every domain that holds 0. Returns
+    human-readable violations."""
     bad: List[str] = []
     values = dict.fromkeys(model.variables, 0.0)
     for name, value in assignment.items():
-        if name in values:
-            values[name] = float(value)
-        else:
+        if name not in values:
             bad.append("unknown variable %s" % name)
+            continue
+        try:
+            values[name] = float(value)
+        except (TypeError, ValueError, OverflowError):
+            bad.append("%s = %r is not a number" % (name, value))
     value = values.__getitem__
-    for var in model.variables.values():
-        v = values[var.name]
+    for (name, var), v in zip(model.variables.items(), values.values()):
+        ub = var.ub
+        if not v and (ub is None or ub >= 0):
+            continue
         if not math.isfinite(v):
-            bad.append("%s = %r is not finite" % (var.name, v))
+            bad.append("%s = %r is not finite" % (name, v))
             continue
         if abs(v - round(v)) > _TOL:
-            bad.append("%s = %r is not integral" % (var.name, v))
-        lo, hi = 0.0, 1.0 if var.kind == "binary" else var.ub
+            bad.append("%s = %r is not integral" % (name, v))
+        lo, hi = 0.0, 1.0 if var.kind == "binary" else ub
         if v < lo - _TOL or (hi is not None and v > hi + _TOL):
-            bad.append("%s = %r outside [%s, %s]" % (var.name, v, lo, hi))
-    for con in model.constraints:
-        lhs = sum(map(mul, con.coeffs.values(), map(value, con.coeffs)))
-        ok = (lhs <= con.rhs + _TOL if con.sense == "<=" else
-              lhs >= con.rhs - _TOL if con.sense == ">=" else
-              abs(lhs - con.rhs) <= _TOL)
+            bad.append("%s = %r outside [%s, %s]" % (name, v, lo, hi))
+    for row, coeffs, sense, rhs in model.constraints:
+        lhs = sum(map(mul, coeffs.values(), map(value, coeffs)))
+        ok = (lhs <= rhs + _TOL if sense == "<=" else
+              lhs >= rhs - _TOL if sense == ">=" else
+              abs(lhs - rhs) <= _TOL)
         if not ok:
             bad.append("constraint %s violated: lhs %r %s rhs %r"
-                       % (con.name, lhs, con.sense, con.rhs))
+                       % (row, lhs, sense, rhs))
     if objective is not None:
         got = sum(map(mul, model.objective.values(),
                       map(value, model.objective)))
-        if not abs(got - objective) <= _TOL:
-            bad.append("objective mismatch: %r vs %r" % (got, objective))
+        try:
+            target = float(objective)
+        except (TypeError, ValueError, OverflowError):
+            bad.append("objective = %r is not a number" % (objective,))
+        else:
+            if not abs(got - target) <= _TOL:
+                bad.append("objective mismatch: %r vs %r" % (got, objective))
     return bad
 
 
@@ -488,15 +529,15 @@ def solve_exact_small(model: MilpModel) -> ExactSolution:
         limit = (d.delay_budget - sum(f.processing_delay for f in d.chain)
                  + 1e-9)
         locals_ = []
-        for combo in itertools.product(nodes, repeat=len(d.chain)):
-            legs = list(zip([d.src, *combo], [*combo, d.dst]))
+        src, dst = d.src, d.dst
+        names = [fn.name for fn in d.chain]
+        for combo in itertools.product(nodes, repeat=len(names)):
+            legs = tuple(zip((src, *combo), (*combo, dst)))
             prop = 0.0
             for a, b in legs:
                 prop += dist[a][b]
             if prop <= limit:
-                sig = frozenset((node, fn.name)
-                                for node, fn in zip(combo, d.chain))
-                locals_.append((combo, sig, legs))
+                locals_.append((combo, frozenset(zip(combo, names)), legs))
         if not locals_:
             return ExactSolution("infeasible", None, {}, [], None)
         per_demand.append((limit, locals_))

@@ -8,12 +8,16 @@ import re
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (_tight_instance, make_demand, make_graph,
-                     reference_build_model, tiny_instance, triangle_graph)
+                     reference_build_model, reference_validate_solution,
+                     tiny_instance, triangle_graph)
 from vnfplace import exact
-from vnfplace.exact import (ExactLimitError, build_model,
-                            export_lp, extract_assignment, solve_exact_small,
+from vnfplace.exact import (BINARY, Constraint, ExactLimitError, MilpModel,
+                            Variable, build_model, export_lp,
+                            extract_assignment, solve_exact_small,
                             validate_solution)
 from vnfplace.power import total_power
 from vnfplace.placement import bc_place_all, place_all
@@ -240,6 +244,131 @@ def test_validator_reports_values_that_are_not_finite():
     assert any("pm_on_0 violated: lhs nan" in line for line in bad)
     assert validate_solution(model, sol.assignment, math.nan) == [
         "objective mismatch: %r vs nan" % sol.objective]
+
+
+def test_validator_reports_values_that_are_not_numbers():
+    model = build_model(triangle_graph(), [_triangle_demand()])
+    sol = solve_exact_small(model)
+    for value in ("abc", None, 1 + 0j, 10 ** 400):
+        broken = dict(sol.assignment)
+        broken["x_0"] = value
+        broken["u_0_1_0"] = 0.5
+        bad = validate_solution(model, broken, sol.objective)
+        # the value counts as zero, and the rest is still checked
+        assert bad[0] == "x_0 = %r is not a number" % (value,)
+        assert "u_0_1_0 = 0.5 is not integral" in bad
+        assert any("pm_on_0 violated" in line for line in bad)
+        assert bad[1:] == validate_solution(
+            model, dict(broken, x_0=0.0), sol.objective)
+    for objective in ("abc", None, 1 + 0j, 10 ** 400, [437.0]):
+        bad = validate_solution(model, sol.assignment, objective)
+        assert bad == ([] if objective is None else
+                       ["objective = %r is not a number" % (objective,)])
+    bad = validate_solution(model, {"x_0": "abc", "phantom": "abc"}, "abc")
+    assert bad[:2] == ["x_0 = 'abc' is not a number",
+                       "unknown variable phantom"]
+    assert bad[-1] == "objective = 'abc' is not a number"
+
+
+def _hand_model():
+    """Rows over integer variables without an upper bound, with negative
+    ones (inside and beyond the tolerance), and a row without terms."""
+    m = MilpModel(triangle_graph(), [])
+    m.variables = {"b": BINARY, "free": Variable("integer"),
+                   "neg": Variable("integer", -1), "tiny": Variable(
+                       "integer", -1e-7), "flat": Variable("integer", 0),
+                   "two": Variable("integer", 2)}
+    m.constraints = [
+        Constraint("cap", {"b": 1.0, "free": 2.0}, "<=", 3.0),
+        Constraint("floor", {"neg": 1.0, "tiny": -1.0}, ">=", -1.0),
+        Constraint("tie", {"two": 1.0, "b": -1.0}, "=", 1.0),
+        Constraint("none", {}, "<=", 0.0)]
+    m.objective = {"b": 3.0, "two": 1.5, "neg": -2.0}
+    return m
+
+
+def _validator_models():
+    """(model, optimal assignment or {}) pairs for the validator property."""
+    rng = random.Random(31)
+    models = [build_model(triangle_graph(), [_triangle_demand()]),
+              build_model(triangle_graph(), [])]
+    models += [build_model(*tiny_instance(rng)) for _ in range(4)]
+    pairs = [(model, solve_exact_small(model).assignment) for model in models]
+    return pairs + [(_hand_model(), {"b": 1.0, "two": 2.0})]
+
+
+VALIDATOR_MODELS = _validator_models()
+VALUES = [0.0, -0.0, 0.5, 1e-7, 1.0, -1.0, 9.0, math.nan, math.inf,
+          -math.inf]
+
+
+@settings(max_examples=300, deadline=None)
+@given(pick=st.integers(0, len(VALIDATOR_MODELS) - 1),
+       from_solution=st.booleans(),
+       names=st.lists(st.integers(0, 10 ** 6), max_size=12),
+       values=st.lists(st.sampled_from(VALUES), min_size=12, max_size=12),
+       unknown=st.lists(st.sampled_from(["phantom", "x_99", "z_0_Q"]),
+                        max_size=2),
+       objective=st.one_of(st.none(), st.sampled_from(
+           [math.nan, math.inf, 0.0, 1e-7, -1e-5, 10.0])))
+def test_validator_equals_the_reference(pick, from_solution, names, values,
+                                        unknown, objective):
+    """validate_solution reports exactly what the first validator did, in
+    the same order, for values on and off every domain, unknown names,
+    and objectives that match, miss or are NaN (an objective other than
+    None or NaN is drawn as a shift from the assignment's own)."""
+    model, solution = VALIDATOR_MODELS[pick]
+    declared = list(model.variables)
+    assignment = dict(solution) if from_solution else {}
+    for index, value in zip(names, values):
+        assignment[declared[index % len(declared)]] = value
+    for name in unknown:
+        assignment[name] = 1.0
+    if objective is not None and not math.isnan(objective):
+        objective += sum(coeff * float(assignment.get(name, 0.0))
+                         for name, coeff in model.objective.items())
+    assert (validate_solution(model, assignment, objective)
+            == reference_validate_solution(model, assignment, objective))
+
+
+class _Untouchable:
+    """Stands for a model attribute that must not be read at all."""
+
+    def __init__(self, what):
+        self.what = what
+
+    def __getattr__(self, attr):
+        raise AssertionError("%s.%s was read" % (self.what, attr))
+
+    def _refuse(self, *args):
+        raise AssertionError("%s was read" % self.what)
+
+    __iter__ = __len__ = __getitem__ = __contains__ = __bool__ = _refuse
+
+
+def test_solver_and_bridge_never_read_rows_or_objective():
+    """solve_exact_small and extract_assignment work from the graph, the
+    demands and the name tables alone; the rows and the objective are for
+    validate_solution and export_lp."""
+    rng = random.Random(33)
+    solved = 0
+    for _ in range(30):
+        graph, demands = tiny_instance(rng)
+        model = build_model(graph, demands)
+        model.constraints = _Untouchable("model.constraints")
+        model.objective = _Untouchable("model.objective")
+        sol = solve_exact_small(model)
+        if sol.status != "optimal":
+            continue
+        assert extract_assignment(model, sol.state) == sol.assignment
+        solved += 1
+    assert solved >= 20
+    graph = triangle_graph()
+    model = build_model(graph, [_triangle_demand()])
+    heur = place_all(graph, [_triangle_demand()], BETAS)
+    model.constraints = _Untouchable("model.constraints")
+    model.objective = _Untouchable("model.objective")
+    assert extract_assignment(model, heur.state)
 
 
 def test_heuristic_state_satisfies_the_program():

@@ -203,6 +203,18 @@ def test_import_loads_no_third_party_module():
     assert out.strip() == "[]"
 
 
+def test_pyproject_declares_the_test_dependencies():
+    """The library needs nothing beyond the standard library; the suite
+    needs pytest and hypothesis, declared as the `test` extra."""
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["dependencies"] == []
+    assert project["optional-dependencies"]["test"] == ["pytest",
+                                                        "hypothesis"]
+
+
 # -- command line ---------------------------------------------------------
 
 
