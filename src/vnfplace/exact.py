@@ -312,6 +312,7 @@ def validate_solution(model: MilpModel, assignment: Mapping[str, float],
         except (TypeError, ValueError, OverflowError):
             bad.append("%s = %r is not a number" % (name, value))
     value = values.__getitem__
+    # values keeps the variables' order: only declared names were set
     for (name, var), v in zip(model.variables.items(), values.values()):
         ub = var.ub
         if not v and (ub is None or ub >= 0):

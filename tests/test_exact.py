@@ -274,10 +274,9 @@ def _hand_model():
     """Rows over integer variables without an upper bound, with negative
     ones (inside and beyond the tolerance), and a row without terms."""
     m = MilpModel(triangle_graph(), [])
-    m.variables = {"b": BINARY, "free": Variable("integer"),
-                   "neg": Variable("integer", -1), "tiny": Variable(
-                       "integer", -1e-7), "flat": Variable("integer", 0),
-                   "two": Variable("integer", 2)}
+    m.variables = {"b": BINARY, "free": Variable("integer")}
+    for name, ub in (("neg", -1), ("tiny", -1e-7), ("flat", 0), ("two", 2)):
+        m.variables[name] = Variable("integer", ub)
     m.constraints = [
         Constraint("cap", {"b": 1.0, "free": 2.0}, "<=", 3.0),
         Constraint("floor", {"neg": 1.0, "tiny": -1.0}, ">=", -1.0),
@@ -305,22 +304,22 @@ VALUES = [0.0, -0.0, 0.5, 1e-7, 1.0, -1.0, 9.0, math.nan, math.inf,
 @settings(max_examples=300, deadline=None)
 @given(pick=st.integers(0, len(VALIDATOR_MODELS) - 1),
        from_solution=st.booleans(),
-       names=st.lists(st.integers(0, 10 ** 6), max_size=12),
-       values=st.lists(st.sampled_from(VALUES), min_size=12, max_size=12),
+       entries=st.lists(st.tuples(st.integers(0, 10 ** 6),
+                                  st.sampled_from(VALUES)), max_size=12),
        unknown=st.lists(st.sampled_from(["phantom", "x_99", "z_0_Q"]),
                         max_size=2),
        objective=st.one_of(st.none(), st.sampled_from(
            [math.nan, math.inf, 0.0, 1e-7, -1e-5, 10.0])))
-def test_validator_equals_the_reference(pick, from_solution, names, values,
+def test_validator_equals_the_reference(pick, from_solution, entries,
                                         unknown, objective):
-    """validate_solution reports exactly what the first validator did, in
-    the same order, for values on and off every domain, unknown names,
+    """validate_solution reports exactly what reference_validate_solution
+    does, in order, for values on and off every domain, unknown names,
     and objectives that match, miss or are NaN (an objective other than
     None or NaN is drawn as a shift from the assignment's own)."""
     model, solution = VALIDATOR_MODELS[pick]
     declared = list(model.variables)
     assignment = dict(solution) if from_solution else {}
-    for index, value in zip(names, values):
+    for index, value in entries:
         assignment[declared[index % len(declared)]] = value
     for name in unknown:
         assignment[name] = 1.0
@@ -724,9 +723,9 @@ def _reference_inputs():
 
 
 def test_build_model_equals_the_reference():
-    """build_model outputs what the first builder did: the same variable
-    names and domains, objective, rows (names, coefficients with their
-    types, senses, right-hand sides) and name tables, in the same order."""
+    """build_model outputs what reference_build_model does: the same
+    variable names and domains, objective, rows (names, coefficients with
+    their types, senses, right-hand sides) and name tables, in order."""
     for graph, demands in _reference_inputs():
         got = _model_parts(build_model(graph, demands))
         want = _model_parts(reference_build_model(graph, demands))
