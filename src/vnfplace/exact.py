@@ -35,12 +35,13 @@ from typing import (Dict, FrozenSet, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple)
 
 from .netstate import (Allocation, FunctionAssignment, NetworkState, Route,
-                       to_kbps)
+                       over_budget, to_kbps)
 from .power import pm_load_slope, pm_power, total_power
 from .topology import FunctionType, NetworkGraph, PowerParams
 from .workload import read_demands
 
 _TOL = 1e-6
+_ROUNDING = 1.0 - 1e-12     # scales a few-delay sum below any reordering
 
 
 class ExactLimitError(ValueError):
@@ -510,6 +511,11 @@ def solve_exact_small(model: MilpModel) -> ExactSolution:
     host or that costs over _TOL more PM power than the incumbent leaves
     or than the union of each demand's first signature; merging only adds
     load. Usage sets are priced from per-solve tables.
+
+    A pinning is kept while its summed distances pass over_budget within
+    rounding (_ROUNDING), so none the commit would accept is dropped; a
+    realized route over_budget raises ExactLimitError, an edge of the
+    regime like the capacity edge of _check_limits.
     """
     _check_limits(model)
     graph, demands = model.graph, model.demands
@@ -522,13 +528,13 @@ def solve_exact_small(model: MilpModel) -> ExactSolution:
     full = (1 << ncab) - 1
     full_dists = _subset_distances(graph, full, cables)
 
-    # pinnings within budget over every cable, in product order; no
-    # subset is faster, so no other pinning fits any subset
+    # pinnings within budget, to rounding, over every cable, in product
+    # order; no subset is faster, so no other pinning fits any subset
     dist = full_dists[0]
     per_demand = []
     for d in demands:
-        limit = (d.delay_budget - sum(f.processing_delay for f in d.chain)
-                 + 1e-9)
+        processing = sum(f.processing_delay for f in d.chain)
+        budget = d.delay_budget
         locals_ = []
         src, dst = d.src, d.dst
         names = [fn.name for fn in d.chain]
@@ -537,11 +543,11 @@ def solve_exact_small(model: MilpModel) -> ExactSolution:
             prop = 0.0
             for a, b in legs:
                 prop += dist[a][b]
-            if prop <= limit:
+            if not over_budget((prop + processing) * _ROUNDING, budget):
                 locals_.append((combo, frozenset(zip(combo, names)), legs))
         if not locals_:
             return ExactSolution("infeasible", None, {}, [], None)
-        per_demand.append((limit, locals_))
+        per_demand.append((processing, budget, locals_))
 
     # a subset's switches as bits: its lowest cable's ends OR the rest's
     ends = [1 << a | 1 << b for a, b in cables]
@@ -578,7 +584,7 @@ def solve_exact_small(model: MilpModel) -> ExactSolution:
                 continue
             dist, nxt = _subset_distances(graph, mask, cables)
         sigs_per_demand = []
-        for limit, locals_ in per_demand:
+        for processing, budget, locals_ in per_demand:
             sigs: Dict[FrozenSet, Tuple] = {}
             for combo, sig, legs in locals_:
                 if sig in sigs:
@@ -586,7 +592,7 @@ def solve_exact_small(model: MilpModel) -> ExactSolution:
                 prop = 0.0
                 for a, b in legs:
                     prop += dist[a][b]
-                if prop <= limit:
+                if not over_budget((prop + processing) * _ROUNDING, budget):
                     sigs[sig] = combo
             if not sigs:
                 break
@@ -645,6 +651,10 @@ def solve_exact_small(model: MilpModel) -> ExactSolution:
             assigns.append(FunctionAssignment(fn, node, inst))
         route = Route(tuple(segments))
         delay = route.propagation_ms + sum(f.processing_delay for f in d.chain)
+        if over_budget(delay, d.delay_budget):
+            raise ExactLimitError("demand %d: route of %r ms is within "
+                                  "rounding of its %r ms budget but over it"
+                                  % (d.id, delay, d.delay_budget))
         state.apply_allocation(Allocation(d.id, tuple(assigns), route, delay,
                                           d.bandwidth_kbps), d)
 

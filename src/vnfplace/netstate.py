@@ -33,6 +33,9 @@ if TYPE_CHECKING:
     from .workload import Demand
 
 
+_DELAY_TOL_MS = 1e-9        # delays (ms) this close are one delay
+
+
 class AllocationError(ValueError):
     """A requested state change would violate capacity or consistency."""
 
@@ -76,9 +79,9 @@ class Route:
 
     @property
     def propagation_ms(self) -> float:
-        """Link delays summed in route order. A plain loop, as every commit
-        pays for this: it takes half the time of a generator sum and adds
-        in the same order."""
+        """Link delays added one by one in route order, in a plain loop: it
+        takes half the time of a generator sum, and sum() compensates from
+        Python 3.12; a placer that sums a route's links calls this."""
         total = 0.0
         for seg in self.segments:
             for link in seg:
@@ -108,11 +111,15 @@ class Allocation:
 
 def _route_delay(allocation: Allocation) -> float:
     """Propagation over the route plus processing at every chain position,
-    in a plain loop as Route.propagation_ms."""
-    processing = 0.0
-    for a in allocation.assignments:
-        processing += a.function.processing_delay
-    return allocation.route.propagation_ms + processing
+    added by sum() as the placers add a chain's (compensated from 3.12)."""
+    return allocation.route.propagation_ms + sum(
+        a.function.processing_delay for a in allocation.assignments)
+
+
+def over_budget(delay_ms: float, budget_ms: float) -> bool:
+    """The one delay-budget rule, by which the commit judges _route_delay
+    and every placer plans: a delay over budget by over _DELAY_TOL_MS."""
+    return delay_ms > budget_ms + _DELAY_TOL_MS
 
 
 def fits(used: int, need: int, cores: int) -> bool:
@@ -201,7 +208,7 @@ class NetworkState(_StateView):
         if allocation.demand_id != demand.id:
             raise AllocationError("allocation/demand id mismatch")
         assignments = allocation.assignments
-        if [a.function.name for a in assignments] != [f.name for f in demand.chain]:
+        if [a.function for a in assignments] != list(demand.chain):
             raise AllocationError("assignments do not match the demand chain")
         kbps = allocation.bandwidth_kbps
         if kbps != demand.bandwidth_kbps:
@@ -225,10 +232,10 @@ class NetworkState(_StateView):
                 raise AllocationError("segment %d ends at %d, expected %d"
                                       % (k, at, want))
         delay = _route_delay(allocation)
-        if abs(delay - allocation.total_delay_ms) > 1e-9:
+        if abs(delay - allocation.total_delay_ms) > _DELAY_TOL_MS:
             raise AllocationError("reported delay %r ms, route and chain take "
                                   "%r ms" % (allocation.total_delay_ms, delay))
-        if delay > demand.delay_budget + 1e-9:
+        if over_budget(delay, demand.delay_budget):
             raise AllocationError("delay %r ms exceeds budget %r ms"
                                   % (delay, demand.delay_budget))
         for pair, need in link_need.items():
@@ -261,7 +268,7 @@ class NetworkState(_StateView):
         for a in assignments:
             if a.instance_id >= 0:
                 inst = self.instances[a.instance_id]
-                if inst.node != a.node or inst.function.name != a.function.name:
+                if (inst.node, inst.function) != (a.node, a.function):
                     raise AllocationError("instance %d does not match assignment"
                                           % a.instance_id)
         for node, need in new_cores.items():
@@ -393,7 +400,7 @@ class NetworkState(_StateView):
             if alloc.demand_id != dem:
                 bad.append("allocation keyed %d carries id %d" % (dem, alloc.demand_id))
             total = _route_delay(alloc)
-            if abs(total - alloc.total_delay_ms) > 1e-9:
+            if abs(total - alloc.total_delay_ms) > _DELAY_TOL_MS:
                 bad.append("allocation %d delay %r, recomputed %r"
                            % (dem, alloc.total_delay_ms, total))
         return bad

@@ -38,13 +38,13 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from .bih import BlockingIsland, build_bih
 from .netstate import (Allocation, FunctionAssignment, NetworkState, Route,
-                       fits, to_kbps)
+                       _route_delay, fits, over_budget, to_kbps)
 from .power import (incremental_cost, incremental_pm_cost, network_power,
                     pm_load_slope, pm_power_total, total_power)
 from .topology import FunctionType, Link, NetworkGraph
 from .workload import read_demands
 
-_EPS = 1e-9
+_EPS = 1e-9     # float slack of the path search's weight schedule
 
 
 def _check_step(weight_step: float) -> None:
@@ -433,7 +433,7 @@ def calculate_best_path(view: _ChainView, pm: int, dst: int, budget_ms: float,
                 continue
         d1 = sum(l.delay for l in seg1)
         d2 = sum(l.delay for l in seg2)
-        if d1 + d2 <= budget_ms + _EPS:
+        if not over_budget(d1 + d2, budget_ms):
             found = tuple(seg1), tuple(seg2), d1, d2
             break
     if stats is not None:
@@ -556,18 +556,18 @@ def _plan_in_island(state: NetworkState, island: BlockingIsland, demand,
                     ) -> Tuple[Optional[Allocation], Optional[str]]:
     """Greedy chain walk inside one island on one _ChainView, which holds
     the plan so far and shares the run's cache. Returns a planned
-    allocation with placeholder instance ids, or (None, reason)."""
+    allocation with placeholder instance ids, or (None, reason), "delay"
+    also when the plan's _route_delay (the commit's sum) is over_budget."""
     kbps = demand.bandwidth_kbps
-    chain = demand.chain
-    processing = sum(f.processing_delay for f in chain)
-    budget = demand.delay_budget - processing
-    if budget < -_EPS:
+    processing = sum(f.processing_delay for f in demand.chain)
+    if over_budget(processing, demand.delay_budget):
         return None, "delay"
+    budget = demand.delay_budget - processing
     view = _ChainView(state, island, demand.src, kbps, cache)
     spent = 0.0
     segments: List[Tuple[Link, ...]] = []
     assignments: List[FunctionAssignment] = []
-    for function in chain:
+    for function in demand.chain:
         best, reason = _best_candidate(view, function, demand.dst,
                                        budget - spent, weight_step, stats)
         if best is None:
@@ -582,6 +582,8 @@ def _plan_in_island(state: NetworkState, island: BlockingIsland, demand,
     spent += d2
     alloc = Allocation(demand.id, tuple(assignments), Route(tuple(segments)),
                        spent + processing, kbps)
+    if over_budget(_route_delay(alloc), demand.delay_budget):
+        return None, "delay"
     return alloc, None
 
 
@@ -780,7 +782,7 @@ def _pair_route(graph: NetworkGraph, scores: Dict[int, float], src: int,
     links = tuple(graph.link(path[i], path[i + 1])
                   for i in range(len(path) - 1))
     pref = sorted(range(len(path)), key=lambda i: (-scores[path[i]], path[i]))
-    return path, links, sum(l.delay for l in links), pref
+    return path, links, Route((links,)).propagation_ms, pref
 
 
 def _plan_on_path(state: NetworkState, route, demand
@@ -796,7 +798,7 @@ def _plan_on_path(state: NetworkState, route, demand
             return None, "bandwidth"
     processing = sum(f.processing_delay for f in demand.chain)
     total_delay = link_delay + processing
-    if total_delay > demand.delay_budget + _EPS:
+    if over_budget(total_delay, demand.delay_budget):
         return None, "delay"
     found = _assign_on_path(_PathTable(state, path), demand.chain, kbps, pref)
     if found is None:

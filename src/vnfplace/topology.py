@@ -163,6 +163,8 @@ class NetworkGraph:
                  cables: Iterable[Tuple[int, int, float, float]],
                  power: Optional[PowerParams] = None):
         self.nodes: List[NodeSpec] = sorted(nodes, key=lambda n: n.id)
+        if not self.nodes:
+            raise TopologyError("topology defines no nodes")
         self.power = power if power is not None else PowerParams()
         self.links: List[Link] = []
         self._by_pair: Dict[Tuple[int, int], Link] = {}
@@ -282,8 +284,6 @@ def parse_topology(text: str, power: Optional[PowerParams] = None) -> NetworkGra
                 raise ValueError("unknown record %r" % parts[0])
         except (ValueError, TopologyError) as exc:
             raise TopologyError("line %d: %s" % (lineno, exc)) from None
-    if not nodes:
-        raise TopologyError("topology defines no nodes")
     at: List[int] = []      # the line of the cable the graph is adding
 
     def numbered():

@@ -465,6 +465,25 @@ LAYERED_CABLES = [
 ]
 
 
+# a path on which the island walk's plan for seed 87's one default-catalog
+# demand (voip, 0 -> 5, 100 ms budget) sums to 100.00000000099999 ms per
+# segment, within the budget's 1e-9 ms, but to 100.00000000100002 ms in
+# the commit's order, over it
+EDGE_TOPOLOGY = """\
+node 0 1
+node 1 8
+node 2 12
+node 3 8
+node 4 8
+node 5 1
+link 0 1 100000 13.231322117042367ms
+link 1 2 100000 9.587825553417025ms
+link 2 3 100000 13.848764460315298ms
+link 3 4 100000 2.547041263613547ms
+link 4 5 100000 10.785046606611763ms
+"""
+
+
 def layered_graph(cores=64) -> NetworkGraph:
     cables = [(a, b, cap, 0.05) for a, b, cap in LAYERED_CABLES]
     return make_graph(9, cables, cores=cores)

@@ -22,7 +22,7 @@ from vnfplace.exact import (BINARY, Constraint, ExactLimitError, MilpModel,
 from vnfplace.power import total_power
 from vnfplace.placement import bc_place_all, place_all
 from vnfplace.topology import (CPU, FunctionType, NetworkGraph, PowerParams,
-                               default_catalogs, nobel_germany)
+                               TopologyError, default_catalogs, nobel_germany)
 from vnfplace.workload import generate_demands
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "triangle_model.lp")
@@ -121,6 +121,12 @@ def test_lp_rows_without_terms_name_a_declared_variable():
     assert " linkcap_0_1: 0 x_0 <= 1000\n" in text
     assert text.count(": ") == 1 + len(model.constraints)
     assert _lp_row_names(text) <= set(model.variables)
+
+
+def test_lp_export_of_a_graph_without_nodes_is_refused():
+    # the graph refuses it, before the model or its LP text is built
+    with pytest.raises(TopologyError, match="^topology defines no nodes$"):
+        export_lp(build_model(NetworkGraph([], []), []))
 
 
 def test_empty_model_is_trivially_optimal():

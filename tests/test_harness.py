@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from helpers import EDGE_TOPOLOGY
 import vnfplace
 from vnfplace import cli
 from vnfplace.netstate import Route
@@ -216,6 +217,27 @@ def test_pyproject_declares_the_test_dependencies():
 
 
 # -- command line ---------------------------------------------------------
+
+
+def test_csv_header_is_pinned():
+    # the existing columns stay byte-stable when a column is added
+    assert CSV_HEADER == (
+        "algorithm,demands,seeds,total_power_mean_w,total_power_std_w,"
+        "network_power_mean_w,network_power_std_w,pm_power_mean_w,"
+        "pm_power_std_w,mean_delay_mean_ms,mean_delay_std_ms,"
+        "acceptance_mean_pct,acceptance_std_pct,runtime_mean_s,"
+        "runtime_std_s")
+
+
+def test_cli_rejects_a_plan_over_the_budget_in_commit_order(tmp_path,
+                                                            capsys):
+    # the island walk's plan for seed 87 passes the budget by its own sum
+    # and misses it by the commit's: a "delay" rejection, not bad input
+    path = tmp_path / "edge.txt"
+    path.write_text(EDGE_TOPOLOGY)
+    assert cli.main(["run", "--topology", str(path), "--algo", "bi-lbi",
+                     "--demands", "1", "--seeds", "88", "--betas", "1"]) == 0
+    assert "delay:1" in capsys.readouterr().out.split()
 
 
 def test_cli_run_writes_csv(tmp_path, capsys):

@@ -226,6 +226,33 @@ def test_reused_instance_must_match_node_and_type():
         state.apply_allocation(_chain_allocation(state, d2, [2], [inst_id]), d2)
 
 
+def test_commit_compares_chain_functions_by_value():
+    """A plan that names the chain's A but carries a 1-core, 0 ms
+    impostor would put a 1-core instance past a 5 ms budget that A's
+    10 ms misses; a reused instance must run the very function too."""
+    impostor = FunctionType("A", {CPU: 1}, 1e6, 0.0)
+    state = NetworkState(_line_graph())
+    demand = make_demand(0, 0, 2, (FN_A,), 10.0, 5.0)
+    forged = make_demand(0, 0, 2, (impostor,), 10.0, 5.0)
+    with pytest.raises(AllocationError,
+                       match="^assignments do not match the demand chain$"):
+        state.apply_allocation(_chain_allocation(state, forged, [1]), demand)
+    assert state.snapshot() == NetworkState(state.graph).snapshot()
+    d1 = make_demand(1, 0, 2, (FN_A,), 10.0, 100.0)
+    inst_id = state.apply_allocation(_chain_allocation(state, d1, [1]),
+                                     d1).assignments[0].instance_id
+    d2 = make_demand(2, 0, 2, (impostor,), 10.0, 5.0)
+    with pytest.raises(AllocationError,
+                       match="^instance %d does not match assignment$" % inst_id):
+        state.apply_allocation(
+            _chain_allocation(state, d2, [1], [inst_id]), d2)
+    # an equal definition in another object is the same function
+    twin = dataclasses.replace(FN_A, requirements={CPU: 4})
+    d3 = make_demand(3, 0, 2, (twin,), 10.0, 100.0)
+    state.apply_allocation(_chain_allocation(state, d3, [1], [inst_id]), d3)
+    assert state.validate() == []
+
+
 def test_find_reusable_picks_best_fit():
     state = NetworkState(_line_graph(cap=1000.0))
     for i, mbps in enumerate((50.0, 20.0, 80.0)):

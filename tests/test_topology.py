@@ -230,6 +230,13 @@ def test_parse_rejects_structural_problems():
         parse_topology("node 0 4\nnode 2 4\nlink 0 2 10 1\n")   # sparse ids
 
 
+def test_graph_refuses_an_empty_node_list():
+    for build in (lambda: NetworkGraph([], []), lambda: parse_topology(""),
+                  lambda: parse_topology("link 0 1 10 1\n")):
+        with pytest.raises(TopologyError, match="^topology defines no nodes$"):
+            build()
+
+
 def test_graph_lookup_errors():
     g = parse_topology(_graph_text())
     for bad in (7, -1):
