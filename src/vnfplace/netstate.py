@@ -10,10 +10,11 @@ NetworkState keeps link residuals and use counts, each node's instances,
 and two indices, changed only when an allocation is applied or released
 and checked against a rebuild by validate(): the lit cables of each
 switch and the CPU cores in use on each node. The commit and both
-placers' per-demand tables read these directly. The read API (_StateView)
-serves power pricing, the hierarchy, extract_assignment and the tests;
-the planning view StateOverlay shares it, and only tests and perfbench
-read the overlay.
+placers' per-demand tables read these directly. lit_epoch counts cables
+lit or gone dark, so while it holds every lit bit does: the island walk
+reuses its reads by it. The read API (_StateView) serves power pricing,
+the hierarchy, extract_assignment and the tests; the planning view
+StateOverlay shares it, and only tests and perfbench read the overlay.
 
 PMs and functions are sized in CPU cores alone. fits() is the one
 PM-capacity rule, used by the commit and both placers' per-demand tables;
@@ -172,6 +173,7 @@ class NetworkState(_StateView):
         # switch -> lit cables; node -> CPU cores in use
         self.lit_cables: Dict[int, int] = {n.id: 0 for n in graph.nodes}
         self.cores_used: Dict[int, int] = {n.id: 0 for n in graph.nodes}
+        self.lit_epoch = 0
         self.allocations: Dict[int, Allocation] = {}
         self._next_instance = 0
 
@@ -315,7 +317,7 @@ class NetworkState(_StateView):
     def _book_route(self, route: Route, kbps: int, step: int) -> None:
         """Book kbps on (step 1) or off (step -1) every link of the route:
         its residual, its use count, and the lit cables of both switches
-        when its cable's use leaves or reaches 0."""
+        when its cable's use leaves or reaches 0, which bumps lit_epoch."""
         residual, use, lit = self.residual_kbps, self.link_use, self.lit_cables
         for seg in route.segments:
             for link in seg:
@@ -326,6 +328,7 @@ class NetworkState(_StateView):
                 if not before or not before + step:
                     lit[link.src] += step
                     lit[link.dst] += step
+                    self.lit_epoch += 1
 
     # -- integrity -------------------------------------------------------
 

@@ -11,10 +11,13 @@ are listed only when one could still cost no more than the best reuse
 found, and no candidate is routed once its PM cost shows it cannot beat
 the winner so far. The views of one call share a routing cache: the
 edge terms of every link, each island's node order, neighbours and hop
-counts, and every search tree. Each route, into a PM or out of it, is
-read from the full tree of its source, keyed by the exact adjacency it
-was grown over, so a later position or demand that meets the same
-adjacency reads the tree a new search would grow.
+counts, every search tree, and each island's adjacency as last read in
+full: a later view copies it while no cable has lit or gone dark and
+every island link carries its kb/s, and reads anew otherwise. Each
+route, into a PM or out of it, is read from the full tree of its source,
+keyed by the exact adjacency it was grown over, so a later position or
+demand that meets the same adjacency reads the tree a new search would
+grow.
 bc_place_all is a centrality baseline: every demand follows its
 hop-shortest path and functions are stacked on the most central path
 nodes with capacity. A run searches each source's BFS tree once (the
@@ -149,10 +152,10 @@ class _IslandFacts:
     """What the walk reads of an island itself, the same for every demand
     routed in it: its nodes sorted, their index in that order, each node's
     island neighbours sorted (the canonical order adjacency codes follow),
-    the largest PM core count, and BFS hop counts from each origin asked
-    for so far."""
+    the largest PM core count, its directed links (pairs), and BFS hop
+    counts from each origin asked for so far."""
 
-    __slots__ = ("nodes", "index", "nbrs", "max_cores", "_hops")
+    __slots__ = ("nodes", "index", "nbrs", "pairs", "max_cores", "_hops")
 
     def __init__(self, graph: NetworkGraph, island: BlockingIsland):
         self.nodes = sorted(island.nodes)
@@ -163,6 +166,7 @@ class _IslandFacts:
             self.nbrs[b].append(a)
         for row in self.nbrs.values():
             row.sort()
+        self.pairs = [(a, b) for a in self.nodes for b in self.nbrs[a]]
         self.max_cores = max(graph.node(n).pm.cores for n in self.nodes)
         self._hops: Dict[int, Dict[int, int]] = {}
 
@@ -175,7 +179,7 @@ class _IslandFacts:
 
 class _RouteCache:
     """What the views of one place_all call share; it lives as long as the
-    call, so nothing in it is ever stale or evicted.
+    call, so nothing in it is evicted, and only a template can be stale.
 
     terms[(u, v)] holds the 8 adjacency entries (v, link, power, delay) of
     a directed link, indexed by src lit * 4 + dst lit * 2 + cable lit
@@ -189,9 +193,13 @@ class _RouteCache:
     each adjacency key to that adjacency's own table, which maps (src,
     gamma, omega) to the predecessor links of the full tree _settle grows
     for them: a pure function of the adjacency and that triple, so a hit
-    is exactly what a new search would give."""
+    is exactly what a new search would give. templates maps island facts
+    to (state, lit_epoch, lit maps, adj, codes, trees) of the last full
+    read at which every island link carried the view's kb/s: while the
+    epoch holds and the links carry a view's kb/s, a full read gives it
+    these very tables, whatever its kb/s."""
 
-    __slots__ = ("graph", "terms", "trees", "_islands")
+    __slots__ = ("graph", "terms", "trees", "templates", "_islands")
 
     def __init__(self, graph: NetworkGraph):
         self.graph = graph
@@ -202,6 +210,7 @@ class _RouteCache:
                 for bits in range(8))
             for link in graph.links}
         self.trees: Dict[tuple, Dict[tuple, Dict[int, Link]]] = {}
+        self.templates: Dict[_IslandFacts, tuple] = {}
         self._islands: Dict[tuple, _IslandFacts] = {}
 
     def island(self, island: BlockingIsland) -> _IslandFacts:
@@ -222,18 +231,23 @@ class _ChainView:
     used the CPU cores in use, as in _PathTable.
 
     The committed state does not change while a demand is planned, so each
-    table is read once from the NetworkState's own indices and then
-    patched: a planned segment debits its links, lights its cables and
-    switches and refills the adjacency of the nodes whose links changed
-    (its link sources, and the ends and island neighbours of what it newly
-    lit); an assignment debits its instance's row, or appends a
-    placeholder row and adds its function's cores. Placeholder ids are
-    -1, -2, ... in creation order, as apply_allocation expects.
+    table is read once and then patched. rows and used are read from the
+    NetworkState's own indices; the lit maps, adj, codes and trees are
+    copied from the island's template (see _RouteCache) when it is valid,
+    else read in full through refill. Views share the template's adjacency
+    rows, as refill replaces adj[u] and never mutates it, but copy its lit
+    maps, which add_segment mutates. A planned segment debits its links,
+    lights its cables and switches and refills the adjacency of the nodes
+    whose links changed (its link sources, and the ends and island
+    neighbours of what it newly lit); an assignment debits its instance's
+    row, or appends a placeholder row and adds its function's cores.
+    Placeholder ids are -1, -2, ... in creation order, as apply_allocation
+    expects.
 
     What does not depend on the plan comes from the run's _RouteCache:
-    the edge terms, the island's facts and hop counts, and the search
-    trees, which earlier positions and views may already have grown over
-    the same adjacency."""
+    the edge terms, the island's facts and hop counts, the template, and
+    the search trees, which earlier positions and views may already have
+    grown over the same adjacency."""
 
     def __init__(self, state: NetworkState, island: BlockingIsland, src: int,
                  kbps: int, cache: _RouteCache):
@@ -244,10 +258,6 @@ class _ChainView:
         self.nodes = self.facts.nodes
         self.kbps = kbps
         self.origin = src
-        lit_cables, use = state.lit_cables, state.link_use
-        self.lit = ({n: lit_cables[n] > 0 for n in self.nodes},
-                    {(a, b): use[(a, b)] > 0 or use[(b, a)] > 0
-                     for a, b in island.internal_links})
         hosted, cores_used = state.node_instances, state.cores_used
         self.rows: Dict[int, List[list]] = {
             n: [[inst.id, inst.function.name, inst.residual_kbps]
@@ -258,9 +268,25 @@ class _ChainView:
         # the island's links that can carry kbps, each with its normalized
         # power and delay terms, and per node its adjacency code; refill
         # sets trees, the run cache's tree table of the whole adjacency
+        full = min(map(state.residual_kbps.__getitem__, self.facts.pairs),
+                   default=kbps) >= kbps
+        kept = cache.templates.get(self.facts)
+        if full and kept and kept[0] is state and kept[1] == state.lit_epoch:
+            lit_switch, lit_cable, adj, codes, self.trees = kept[2:]
+            self.lit = (dict(lit_switch), dict(lit_cable))
+            self.adj, self._codes = dict(adj), list(codes)
+            return
+        lit_cables, use = state.lit_cables, state.link_use
+        self.lit = ({n: lit_cables[n] > 0 for n in self.nodes},
+                    {(a, b): use[(a, b)] > 0 or use[(b, a)] > 0
+                     for a, b in island.internal_links})
         self.adj: Dict[int, List[Tuple[int, Link, float, float]]] = {}
         self._codes = [0] * len(self.nodes)
         self.refill(self.nodes)
+        if full:
+            cache.templates[self.facts] = (
+                state, state.lit_epoch, dict(self.lit[0]), dict(self.lit[1]),
+                dict(self.adj), list(self._codes), self.trees)
 
     def residual(self, src: int, dst: int) -> int:
         pair = (src, dst)

@@ -654,6 +654,113 @@ def test_shared_cache_run_equals_fresh_cache_run(monkeypatch):
     assert fresh == normal
 
 
+def _read_tables(view):
+    """What a view reads of its island before any plan: (adjacency,
+    codes, lit switches, lit cables)."""
+    return view.adj, view._codes, view.lit[0], view.lit[1]
+
+
+def test_carried_adjacency_equals_a_full_read(monkeypatch):
+    # at every view place_all builds, the tables it carried from the
+    # island's template or read in full equal those of a view over a
+    # fresh cache, and its tree table is the run cache's one for that
+    # adjacency; both ways of reading run, and a carried view never holds
+    # the template's own lit maps
+    real_init, real_refill = _ChainView.__init__, _ChainView.refill
+    full_reads = [0]
+    served = {"carried": 0, "full": 0}
+
+    def counted_refill(self, nodes):
+        full_reads[0] += nodes is self.nodes
+        real_refill(self, nodes)
+
+    def checked_init(self, state, island, src, kbps, cache):
+        before = full_reads[0]
+        real_init(self, state, island, src, kbps, cache)
+        served["full" if full_reads[0] > before else "carried"] += 1
+        fresh = _ChainView.__new__(_ChainView)
+        real_init(fresh, state, island, src, kbps,
+                  placement._RouteCache(state.graph))
+        assert _read_tables(self) == _read_tables(fresh)
+        assert self.trees is cache.trees[(self.facts, tuple(fresh._codes))]
+        kept = cache.templates.get(self.facts)
+        if kept is not None:
+            assert self.lit[0] is not kept[2] and self.lit[1] is not kept[3]
+
+    monkeypatch.setattr(_ChainView, "refill", counted_refill)
+    monkeypatch.setattr(_ChainView, "__init__", checked_init)
+    _, services = default_catalogs()
+    germany = nobel_germany()
+    instances = [_tight_instance(seed) for seed in range(30)]
+    instances.append((germany, generate_demands(germany, 300, services, 0),
+                      BETAS))
+    for graph, demands, betas in instances:
+        for mode in ("lbi", "hbi"):
+            place_all(graph, demands, betas, mode=mode)
+    assert served["carried"] > 0 and served["full"] > 0
+
+
+def test_lit_epoch_moves_exactly_when_a_cable_lights_or_goes_dark():
+    graph = make_graph(4, [(0, 1, 1000.0, 1.0), (1, 2, 1000.0, 1.0),
+                           (2, 3, 1000.0, 1.0)])
+    state = NetworkState(graph)
+    epoch = state.lit_epoch
+    first, _ = route_allocation(state, [0, 1, 2], 1.0, 0)
+    assert state.lit_epoch != epoch                 # 0-1 and 1-2 lit
+    epoch = state.lit_epoch
+    route_allocation(state, [2, 1], 1.0, 1)         # over a lit cable
+    assert state.lit_epoch == epoch
+    state.release_allocation(1)                     # 1-2 stays lit
+    assert state.lit_epoch == epoch
+    route_allocation(state, [1, 2, 3], 1.0, 2)      # 2-3 lit
+    assert state.lit_epoch != epoch
+    epoch = state.lit_epoch
+    state.release_allocation(first.demand_id)       # 0-1 goes dark
+    assert state.lit_epoch != epoch
+
+
+def test_view_after_a_darkening_release_reads_the_dark_bits():
+    # a template taken while 0-1 was lit is not served once a release
+    # darkens it: the next view reads the dark bits and refreshes it
+    graph = make_graph(3, [(0, 1, 1000.0, 1.0), (1, 2, 1000.0, 1.0)])
+    state = NetworkState(graph)
+    island = _island_over(graph)
+    cache = placement._RouteCache(graph)
+    lit, _ = route_allocation(state, [0, 1], 1.0, 0)
+    facts = cache.island(island)
+    assert _ChainView(state, island, 0, 1000, cache).lit[1][(0, 1)]
+    taken = cache.templates[facts]
+    state.release_allocation(lit.demand_id)
+    view = _ChainView(state, island, 0, 1000, cache)
+    assert not view.lit[1][(0, 1)] and not view.lit[0][0]
+    assert _read_tables(view) == _read_tables(_view(state, island, 0, 1000))
+    assert cache.templates[facts] is not taken
+    assert cache.templates[facts][1] == state.lit_epoch
+
+
+def test_template_is_not_served_to_a_kbps_a_link_cannot_carry():
+    # 0-1 is lit before the template is taken at 1 Mb/s; a further commit
+    # on 0 -> 1 leaves every lit bit (and the epoch) as it was but 0 -> 1
+    # short of 500 Mb/s, so a view at 500 Mb/s reads in full and drops
+    # that link, as a view over a fresh cache does, and keeps 1 -> 0
+    graph = make_graph(3, [(0, 1, 1000.0, 1.0), (1, 2, 1000.0, 1.0),
+                           (0, 2, 1000.0, 1.0)])
+    state = NetworkState(graph)
+    island = _island_over(graph)
+    cache = placement._RouteCache(graph)
+    route_allocation(state, [0, 1], 1.0, 0)
+    _ChainView(state, island, 0, 1000, cache)
+    taken = cache.templates[cache.island(island)]
+    epoch = state.lit_epoch
+    route_allocation(state, [0, 1], 600.0, 1)
+    assert state.lit_epoch == epoch
+    view = _ChainView(state, island, 0, 500000, cache)
+    assert _read_tables(view) == _read_tables(_view(state, island, 0, 500000))
+    assert 1 not in [entry[0] for entry in view.adj[0]]
+    assert 0 in [entry[0] for entry in view.adj[1]]
+    assert cache.templates[cache.island(island)] is taken
+
+
 def test_place_all_fingerprint_is_pinned_on_tight_instances():
     # sha1 over the snapshots of lbi then hbi runs of each of 30 tight
     # instances; unlike nobel-germany, these reject demands for every
