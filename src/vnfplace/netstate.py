@@ -11,8 +11,8 @@ and two indices, changed only when an allocation is applied or released
 and checked against a rebuild by validate(): the lit cables of each
 switch and the CPU cores in use on each node. The commit and both
 placers' per-demand tables read these directly. lit_epoch counts cables
-lit or gone dark, so while it holds every lit bit does: the island walk
-reuses its reads by it. The read API (_StateView) serves power pricing,
+lit or gone dark; while it holds, so does every lit bit, and the island
+walk reuses its reads. The read API (_StateView) serves power pricing,
 the hierarchy, extract_assignment and the tests; the planning view
 StateOverlay shares it, and only tests and perfbench read the overlay.
 
