@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 from collections import Counter, deque
+from dataclasses import dataclass
 from operator import mul
 from typing import (Dict, FrozenSet, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple)
@@ -14,8 +15,9 @@ from vnfplace.exact import _TOL, Constraint, MilpModel
 from vnfplace.netstate import (Allocation, AllocationError,
                                FunctionAssignment, NetworkState, Route,
                                StateOverlay, VnfInstance, _route_delay, fits,
-                               to_kbps)
-from vnfplace.placement import (_ChainView, calculate_best_path,
+                               over_budget, to_kbps)
+from vnfplace.placement import (_assign_on_path, _ChainView, _pair_route,
+                                _PathTable, betweenness, calculate_best_path,
                                 get_candidate_pms)
 from vnfplace.power import incremental_cost, pm_load_slope
 from vnfplace.topology import (CPU, FunctionType, Link, NetworkGraph,
@@ -301,6 +303,66 @@ def reference_assign_on_path(overlay: StateOverlay, path: List[int], chain,
             return ([pos] + positions,
                     [FunctionAssignment(function, node, inst_id)] + assigns)
     return None
+
+
+@dataclass(frozen=True)
+class SizedDemand(Demand):
+    """A demand whose kb/s is its own rather than its service's, so one
+    (pair, service) can come back at a higher or a lower rate."""
+
+    kbps: int
+
+    @property
+    def bandwidth_kbps(self) -> int:
+        return self.kbps
+
+
+def reference_plan_on_path(state: NetworkState, route, demand
+                           ) -> Tuple[Optional[Allocation], Optional[str]]:
+    """The centrality plan with nothing carried between demands: the
+    links' residuals, then the delay budget, then a search on a fresh
+    _PathTable, all read anew for every demand."""
+    path, links, link_delay, pref = route[:4]
+    kbps = demand.bandwidth_kbps
+    for link in links:
+        if state.residual_kbps[(link.src, link.dst)] < kbps:
+            return None, "bandwidth"
+    processing = sum(f.processing_delay for f in demand.chain)
+    total_delay = link_delay + processing
+    if over_budget(total_delay, demand.delay_budget):
+        return None, "delay"
+    found = _assign_on_path(_PathTable(state, path), demand.chain, kbps, pref)
+    if found is None:
+        return None, "no-pm"
+    positions, assignments = found
+    segments = []
+    prev = 0
+    for pos in positions:
+        segments.append(links[prev:pos])
+        prev = pos
+    segments.append(links[prev:])
+    return Allocation(demand.id, tuple(assignments), Route(tuple(segments)),
+                      total_delay, kbps), None
+
+
+def reference_bc_place_all(graph: NetworkGraph, demands: Sequence
+                           ) -> Tuple[List[Optional[str]], NetworkState]:
+    """The centrality baseline planning every demand afresh through
+    reference_plan_on_path, each route searched anew: the reason per
+    demand (None when accepted) and the final state."""
+    state = NetworkState(graph)
+    scores = betweenness(graph)
+    reasons: List[Optional[str]] = []
+    for demand in demands:
+        route = _pair_route(graph, scores, demand.src, demand.dst, {})
+        if route is None:
+            reasons.append("no-path")
+            continue
+        planned, reason = reference_plan_on_path(state, route, demand)
+        if planned is not None:
+            state.apply_allocation(planned, demand)
+        reasons.append(reason)
+    return reasons, state
 
 
 # -- commit and release oracle ---------------------------------------------

@@ -3,16 +3,17 @@
 import hashlib
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (XL, ReferenceChainView, _tight_instance, beta_bi_search,
-                     betweenness_oracle, layered_graph, make_demand,
-                     make_graph, oracle_best_path, oracle_dijkstra,
-                     random_connected_graph, reference_assign_on_path,
+from helpers import (XL, ReferenceChainView, SizedDemand, _tight_instance,
+                     beta_bi_search, betweenness_oracle, layered_graph,
+                     make_demand, make_graph, oracle_best_path,
+                     oracle_dijkstra, random_connected_graph,
+                     reference_assign_on_path, reference_bc_place_all,
                      reference_best_candidate, reference_bfs_path,
                      route_allocation, skim_random_links)
 from vnfplace import placement
@@ -28,8 +29,8 @@ from vnfplace.placement import (Candidate, _assign_on_path, _best_candidate,
                                 place_all)
 from vnfplace.power import incremental_cost
 from vnfplace.topology import (CPU, FunctionType, NetworkGraph, NodeSpec,
-                               PmSpec, PowerParams, default_catalogs,
-                               nobel_germany)
+                               PmSpec, PowerParams, ServiceType,
+                               default_catalogs, nobel_germany)
 from vnfplace.workload import generate_demands
 
 BETAS = [900.0, 700.0, 500.0, 300.0]
@@ -982,6 +983,83 @@ def test_bc_place_all_fingerprint_is_pinned():
         digest.update(bc_place_all(graph, demands).state.snapshot().encode())
     assert digest.hexdigest() == "582bbb71321106f5d71474075170c8fdd5aeb44e"
 
+
+
+def test_bc_place_all_outcomes_are_pinned():
+    # sha1 over (demand id, accepted, reason) of the runs the snapshot pin
+    # above covers: a refusal given for the wrong reason leaves the state
+    # as it was, so only this pin sees it
+    graph = nobel_germany()
+    _, services = default_catalogs()
+    digest = hashlib.sha1()
+    for seed in range(3):
+        demands = generate_demands(graph, 1000, services, seed)
+        for o in bc_place_all(graph, demands).outcomes:
+            digest.update(repr((o.demand.id, o.accepted, o.reason)).encode())
+    assert digest.hexdigest() == "2c04e8bf574dae7d5feb08c357a1df70d90fc9db"
+
+
+def _repeat_draw(seed):
+    """A random graph with 4-16-core PMs and mixed link delays, 2-4
+    services over small instances, two of them on one chain tuple under
+    different budgets, and 80 demands over a few pairs, each with its own
+    kb/s, so that pairs and services come back at other rates."""
+    rng = random.Random(seed)
+    plain = random_connected_graph(rng, max_nodes=10, cap_range=(30, 300))
+    graph = NetworkGraph(
+        [NodeSpec(n.id, PmSpec({CPU: rng.randrange(4, 17)}))
+         for n in plain.nodes],
+        [(a, b, plain.link(a, b).capacity, rng.choice([0.5, 2.0, 6.0]))
+         for a, b in plain.cables()])
+    fns = [FunctionType("F%d" % i, {CPU: rng.choice([1, 2, 4])},
+                        rng.choice([10.0, 20.0, 40.0]),
+                        rng.choice([0.5, 2.0])) for i in range(3)]
+
+    def chain():
+        return tuple(rng.choice(fns) for _ in range(rng.randrange(1, 4)))
+
+    shared = chain()
+    tight = rng.choice([4.0, 8.0, 12.0])
+    services = [ServiceType("s0", shared, 1.0, tight, 0.5),
+                ServiceType("s1", shared, 1.0, tight + 10.0, 0.5)]
+    services += [ServiceType("s%d" % i, chain(), 1.0,
+                             rng.choice([5.0, 15.0, 40.0]), 0.0)
+                 for i in range(2, rng.randrange(2, 5))]
+    n = len(graph.nodes)
+    pairs = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(2, 6))]
+    demands = [SizedDemand(i, *rng.choice(pairs), rng.choice(services),
+                           rng.choice([1000, 4000, 9000, 15000, 25000]))
+               for i in range(80)]
+    return graph, demands
+
+
+def test_refusals_and_delay_verdicts_equal_fresh_plans():
+    # bc_place_all against a reference that plans every demand on a fresh
+    # path table: the same reason per demand and the same final state.
+    # Over the draws a (pair, service) comes back after a no-pm refusal at
+    # the same or a higher kb/s and at a lower one, and after a delay
+    # refusal
+    repeats = Counter()
+    for seed in range(40):
+        graph, demands = _repeat_draw(seed)
+        sol = bc_place_all(graph, demands)
+        reasons, state = reference_bc_place_all(graph, demands)
+        assert [o.reason for o in sol.outcomes] == reasons
+        assert sol.state.snapshot() == state.snapshot()
+        assert placement.check_solution(sol) == []
+        least, delayed = {}, set()
+        for demand, reason in zip(demands, reasons):
+            key = (demand.src, demand.dst, id(demand.service))
+            if key in least and reason not in ("bandwidth", "delay"):
+                repeats["no-pm at or above" if demand.kbps >= least[key]
+                        else "searched below"] += 1
+            if reason == "no-pm":
+                least[key] = min(least.get(key, demand.kbps), demand.kbps)
+            elif reason == "delay":
+                repeats["delay"] += key in delayed
+                delayed.add(key)
+    assert min(repeats[k] for k in ("no-pm at or above", "searched below",
+                                    "delay")) > 0, repeats
 
 # functions of two sizes
 CAND_FNS = (FunctionType("S", {CPU: 2}, 10.0, 0.0),
