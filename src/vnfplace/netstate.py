@@ -4,7 +4,8 @@ Bandwidth is tracked internally as integer kb/s so that applying and
 releasing an allocation are exact inverses (no float drift). Public
 inputs in Mb/s are quantized to a 1 kb/s grid. The commit checks a route
 in one walk that also sums each link's need, then books the route
-through _book_route, the one routine that release shares.
+through _book_route, the one routine that release shares, and stores a
+plan that opens no instance as given, resolving only placeholder ids.
 
 NetworkState keeps link residuals and use counts, each node's instances,
 and two indices, changed only when an allocation is applied or released
@@ -203,7 +204,8 @@ class NetworkState(_StateView):
 
     def apply_allocation(self, allocation: Allocation, demand: "Demand") -> Allocation:
         """Atomically commit an allocation. Placeholder instance ids are
-        resolved to fresh instances; the committed allocation is returned.
+        resolved to fresh instances in a new record, returned; a plan with
+        no placeholder is itself stored and returned (Allocation is frozen).
         Raises AllocationError leaving the state untouched on any violation."""
         if demand.id in self.allocations:
             raise AllocationError("demand %d already allocated" % demand.id)
@@ -292,12 +294,14 @@ class NetworkState(_StateView):
             inst = self.instances[id_map.get(inst_id, inst_id)]
             inst.residual_kbps -= need
             inst.served[demand.id] = inst.served.get(demand.id, 0) + need
-        resolved = tuple(a if a.instance_id >= 0 else FunctionAssignment(
-            a.function, a.node, id_map[a.instance_id]) for a in assignments)
-        committed = Allocation(allocation.demand_id, resolved,
-                               allocation.route, allocation.total_delay_ms, kbps)
-        self.allocations[demand.id] = committed
-        return committed
+        if id_map:
+            resolved = tuple(a if a.instance_id >= 0 else FunctionAssignment(
+                a.function, a.node, id_map[a.instance_id]) for a in assignments)
+            allocation = Allocation(allocation.demand_id, resolved,
+                                    allocation.route, allocation.total_delay_ms,
+                                    kbps)
+        self.allocations[demand.id] = allocation
+        return allocation
 
     def release_allocation(self, demand_id: int) -> None:
         """Exact inverse of apply_allocation. Instances left with full

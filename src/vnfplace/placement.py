@@ -22,9 +22,11 @@ bc_place_all is a centrality baseline: every demand follows its
 hop-shortest path and functions are stacked on the most central path
 nodes with capacity. A run searches each source's BFS tree once (the
 search that also gives centrality scores and island hop counts) and
-reads each pair's route from it once; a demand then checks residuals
-and searches on a path table, its path nodes' instances and cores in
-use read once and patched in place, undone on backtrack.
+reads each pair's route from it once, with per-service records of the
+delay verdict and of the least kb/s the search refused, which stands for
+the rest of the run, as the run never releases. A demand then checks
+residuals and those records, and only then searches on a path table, its
+path nodes' instances and cores in use read once and patched in place.
 
 Path search weighs edges by a convex mix of normalized power and
 normalized delay. Searches start power-only and shift weight toward
@@ -793,9 +795,10 @@ def _assign_on_path(table: _PathTable, chain, kbps: int, pref: List[int],
 def _pair_route(graph: NetworkGraph, scores: Dict[int, float], src: int,
                 dst: int, trees: dict) -> Optional[tuple]:
     """The fixed route of an endpoint pair: its BFS node path, the path's
-    links, the sum of their delays and the path positions most central
-    first; None if dst cannot be reached. The path follows first
-    predecessors back from dst in trees[src], searched if missing."""
+    links, the sum of their delays, the path positions most central first
+    and an empty verdict table for one run (see _plan_on_path); None if dst
+    cannot be reached. The path follows first predecessors back from dst
+    in trees[src], searched if missing."""
     preds = trees.get(src)
     if preds is None:
         preds = trees[src] = _bfs(graph.neighbors, src)[2]
@@ -808,26 +811,39 @@ def _pair_route(graph: NetworkGraph, scores: Dict[int, float], src: int,
     links = tuple(graph.link(path[i], path[i + 1])
                   for i in range(len(path) - 1))
     pref = sorted(range(len(path)), key=lambda i: (-scores[path[i]], path[i]))
-    return path, links, Route((links,)).propagation_ms, pref
+    return path, links, Route((links,)).propagation_ms, pref, {}
 
 
 def _plan_on_path(state: NetworkState, route, demand
                   ) -> Tuple[Optional[Allocation], Optional[str]]:
     """Stack the chain onto the pair's fixed route (see _pair_route), most
     central nodes first, never moving backwards, so the traffic crosses
-    each path link once. Per demand only the links' residuals, the delay
-    budget and a fresh _PathTable of the path's nodes are read."""
-    path, links, link_delay, pref = route
+    each path link once. In order: the links' residuals, the service's
+    delay verdict, its refusal, then a search on a fresh _PathTable.
+    The route's table maps id(service) to [service (which keeps the id
+    taken), total delay, over budget, least kb/s refused or None]. With
+    no release, a refusal at k stands at any k' >= k: the state only loses
+    room, the search misses no placement, and one at k', its instances
+    opened since swapped for new ones on cores then free, was open at k."""
+    path, links, link_delay, pref, verdicts = route
     kbps = demand.bandwidth_kbps
     for link in links:
         if state.residual_kbps[(link.src, link.dst)] < kbps:
             return None, "bandwidth"
-    processing = sum(f.processing_delay for f in demand.chain)
-    total_delay = link_delay + processing
-    if over_budget(total_delay, demand.delay_budget):
+    service = demand.service
+    verdict = verdicts.get(id(service))
+    if verdict is None:
+        delay = link_delay + sum(f.processing_delay for f in service.chain)
+        verdict = verdicts[id(service)] = [
+            service, delay, over_budget(delay, service.delay_budget), None]
+    _, total_delay, over, refused = verdict
+    if over:
         return None, "delay"
-    found = _assign_on_path(_PathTable(state, path), demand.chain, kbps, pref)
+    if refused is not None and kbps >= refused:
+        return None, "no-pm"
+    found = _assign_on_path(_PathTable(state, path), service.chain, kbps, pref)
     if found is None:
+        verdict[3] = kbps
         return None, "no-pm"
     positions, assignments = found
     segments = []
@@ -845,8 +861,9 @@ def bc_place_all(graph: NetworkGraph, demands: Iterable) -> SolutionSet:
     """Centrality baseline: hop-shortest routes, chain stacked on the
     most central path nodes with room. No detours are attempted. A run
     searches each source's BFS tree once, each pair's route once, and
-    keeps both in run-local tables; a demand then only checks residuals
-    and plans on a path table (_PathTable) read for it alone. runtime_s
+    keeps both in run-local tables; a demand then checks residuals and
+    the route's verdicts for its service, kept for this run alone, and
+    plans on a path table (_PathTable) read for it alone. runtime_s
     covers the whole call."""
     start = time.perf_counter()
     state = NetworkState(graph)

@@ -124,6 +124,36 @@ def test_distinct_placeholders_make_distinct_instances():
     assert len(ids) == 2
 
 
+def test_reuse_only_plan_is_stored_as_it_is():
+    # a plan that opens no instance is stored and returned as the same
+    # object, equal to the reference commit's record; a plan with a
+    # placeholder still gets a new record with resolved ids
+    graph = _line_graph(n=4)
+    state, ref = NetworkState(graph), NetworkState(graph)
+    first = make_demand(0, 0, 3, (FN_A,), 10.0, 100.0)
+    opening = _chain_allocation(state, first, [1])
+    committed = state.apply_allocation(opening, first)
+    assert committed is not opening
+    assert committed == reference_apply_allocation(ref, opening, first)
+    assert [a.instance_id for a in committed.assignments] == [0]
+    second = make_demand(1, 0, 3, (FN_A,), 10.0, 100.0)
+    reuse = _chain_allocation(state, second, [1], [0])
+    assert state.apply_allocation(reuse, second) is reuse
+    assert state.allocations[1] is reuse
+    assert reuse == reference_apply_allocation(ref, reuse, second)
+    # reuse and a placeholder in one plan: only the placeholder resolves
+    third = make_demand(2, 0, 3, (FN_A, FN_B), 10.0, 100.0)
+    mixed = _chain_allocation(state, third, [1, 2], [0, -1])
+    committed = state.apply_allocation(mixed, third)
+    assert committed is not mixed
+    assert [a.instance_id for a in committed.assignments] == [0, 1]
+    assert committed == reference_apply_allocation(ref, mixed, third)
+    assert state.snapshot() == ref.snapshot()
+    for demand_id in (1, 2, 0):
+        state.release_allocation(demand_id)
+        assert state.validate() == []
+    assert state.snapshot() == NetworkState(graph).snapshot()
+
 def test_apply_rejections_leave_state_untouched():
     state = NetworkState(_line_graph(cap=100.0, cores=4))
     pristine = state.snapshot()
