@@ -26,7 +26,8 @@ reads each pair's route from it once, with per-service records of the
 delay verdict and of the least kb/s the search refused, which stands for
 the rest of the run, as the run never releases. A demand then checks
 residuals and those records, and only then searches on a path table, its
-path nodes' instances and cores in use read once and patched in place.
+path nodes' instances and cores in use read once and patched in place,
+undone on backtrack.
 
 Path search weighs edges by a convex mix of normalized power and
 normalized delay. Searches start power-only and shift weight toward
@@ -820,11 +821,12 @@ def _plan_on_path(state: NetworkState, route, demand
     central nodes first, never moving backwards, so the traffic crosses
     each path link once. In order: the links' residuals, the service's
     delay verdict, its refusal, then a search on a fresh _PathTable.
-    The route's table maps id(service) to [service (which keeps the id
-    taken), total delay, over budget, least kb/s refused or None]. With
-    no release, a refusal at k stands at any k' >= k: the state only loses
-    room, the search misses no placement, and one at k', its instances
-    opened since swapped for new ones on cores then free, was open at k."""
+    The route's table maps id(service) to [service (held so that its id
+    is not reused), total delay, over budget, least kb/s refused or None].
+    With no release, a refusal at k stands at any k' >= k: the state only
+    loses room, the search misses no placement, and one at k', its
+    instances opened since swapped for new ones on cores then free, was
+    open at k."""
     path, links, link_delay, pref, verdicts = route
     kbps = demand.bandwidth_kbps
     for link in links:
