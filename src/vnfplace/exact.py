@@ -35,7 +35,7 @@ from typing import (Dict, FrozenSet, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple)
 
 from .netstate import (Allocation, FunctionAssignment, NetworkState, Route,
-                       over_budget, to_kbps)
+                       add_delays, over_budget, to_kbps)
 from .power import pm_load_slope, pm_power, total_power
 from .topology import FunctionType, NetworkGraph, PowerParams
 from .workload import read_demands
@@ -533,7 +533,7 @@ def solve_exact_small(model: MilpModel) -> ExactSolution:
     dist = full_dists[0]
     per_demand = []
     for d in demands:
-        processing = sum(f.processing_delay for f in d.chain)
+        processing = add_delays(f.processing_delay for f in d.chain)
         budget = d.delay_budget
         locals_ = []
         src, dst = d.src, d.dst
@@ -630,7 +630,7 @@ def solve_exact_small(model: MilpModel) -> ExactSolution:
         return ExactSolution("infeasible", None, {}, [], None)
 
     _, picks, nxt = best_pick
-    for d, combo in zip(demands, picks):
+    for d, combo, (processing, _, _) in zip(demands, picks, per_demand):
         segments = []
         for a, b in zip([d.src, *combo], [*combo, d.dst]):
             hops = []
@@ -650,7 +650,7 @@ def solve_exact_small(model: MilpModel) -> ExactSolution:
                                                -1 - len(placeholders))
             assigns.append(FunctionAssignment(fn, node, inst))
         route = Route(tuple(segments))
-        delay = route.propagation_ms + sum(f.processing_delay for f in d.chain)
+        delay = route.propagation_ms + processing
         if over_budget(delay, d.delay_budget):
             raise ExactLimitError("demand %d: route of %r ms is within "
                                   "rounding of its %r ms budget but over it"

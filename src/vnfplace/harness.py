@@ -19,8 +19,8 @@ from typing import Dict, List, Optional
 from .bih import ladder_kbps
 from .exact import build_model, export_lp
 from .placement import _check_step, bc_place_all, check_solution, place_all
-from .topology import (NetworkGraph, PowerParams, default_catalogs,
-                       nobel_germany, parse_topology)
+from .topology import (NetworkGraph, PowerParams, TopologyError,
+                       default_catalogs, nobel_germany, parse_topology)
 from .workload import generate_demands
 
 ALGORITHMS = ("bi-lbi", "bi-hbi", "bc", "lp-export")
@@ -85,8 +85,13 @@ class MetricsReport:
 def load_topology(spec: str, power: Optional[PowerParams] = None) -> NetworkGraph:
     if spec == "nobel-germany":
         return nobel_germany(power)
-    with open(spec, "r", encoding="utf-8") as fh:
-        return parse_topology(fh.read(), power)
+    with open(spec, "rb") as fh:
+        raw = fh.read()
+    try:
+        return parse_topology(raw.decode("utf-8"), power)
+    except UnicodeDecodeError as exc:
+        raise TopologyError("line %d: not UTF-8 text" % (
+            raw.count(b"\n", 0, exc.start) + 1)) from None
 
 
 def _run_once(graph: NetworkGraph, algorithm: str, demands,

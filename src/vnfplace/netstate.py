@@ -17,6 +17,9 @@ walk reuses its reads. The read API (_StateView) serves power pricing,
 the hierarchy, extract_assignment and the tests; the planning view
 StateOverlay shares it, and only tests and perfbench read the overlay.
 
+netstate owns delay arithmetic and the delay rule: add_delays and path_delay
+add left to right, as sum() did before 3.12, and over_budget judges the sums.
+
 PMs and functions are sized in CPU cores alone. fits() is the one
 PM-capacity rule, used by the commit and both placers' per-demand tables;
 the overlay's has_room and validate()'s check stay apart, as oracles.
@@ -24,6 +27,7 @@ the overlay's has_room and validate()'s check stay apart, as oracles.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from typing import (Dict, Iterable, Iterator, List, Optional, Tuple,
@@ -81,14 +85,8 @@ class Route:
 
     @property
     def propagation_ms(self) -> float:
-        """Link delays added one by one in route order, in a plain loop: it
-        takes half the time of a generator sum, and sum() compensates from
-        Python 3.12; a placer that sums a route's links calls this."""
-        total = 0.0
-        for seg in self.segments:
-            for link in seg:
-                total += link.delay
-        return total
+        """The route's link delays by path_delay, in route order."""
+        return path_delay(itertools.chain.from_iterable(self.segments))
 
 
 @dataclass(frozen=True)
@@ -111,10 +109,25 @@ class Allocation:
     bandwidth_kbps: int
 
 
+def add_delays(delays: Iterable[float]) -> float:
+    """Delays (ms) added left to right from 0.0, on any Python version."""
+    total = 0.0
+    for delay in delays:
+        total += delay
+    return total
+
+
+def path_delay(links: Iterable[Link]) -> float:
+    """add_delays over the links' delays, in half the time of a generator."""
+    total = 0.0
+    for link in links:
+        total += link.delay
+    return total
+
+
 def _route_delay(allocation: Allocation) -> float:
-    """Propagation over the route plus processing at every chain position,
-    added by sum() as the placers add a chain's (compensated from 3.12)."""
-    return allocation.route.propagation_ms + sum(
+    """Propagation over the route plus processing at every chain position."""
+    return allocation.route.propagation_ms + add_delays(
         a.function.processing_delay for a in allocation.assignments)
 
 

@@ -44,7 +44,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from .bih import BlockingIsland, build_bih
 from .netstate import (Allocation, FunctionAssignment, NetworkState, Route,
-                       _route_delay, fits, over_budget, to_kbps)
+                       _route_delay, add_delays, fits, over_budget,
+                       path_delay, to_kbps)
 from .power import (incremental_cost, incremental_pm_cost, network_power,
                     pm_load_slope, pm_power_total, total_power)
 from .topology import FunctionType, Link, NetworkGraph
@@ -460,8 +461,8 @@ def calculate_best_path(view: _ChainView, pm: int, dst: int, budget_ms: float,
                    and view.residual(l.src, l.dst) < 2 * view.kbps
                    for l in seg2):
                 continue
-        d1 = sum(l.delay for l in seg1)
-        d2 = sum(l.delay for l in seg2)
+        d1 = path_delay(seg1)
+        d2 = path_delay(seg2)
         if not over_budget(d1 + d2, budget_ms):
             found = tuple(seg1), tuple(seg2), d1, d2
             break
@@ -588,7 +589,7 @@ def _plan_in_island(state: NetworkState, island: BlockingIsland, demand,
     allocation with placeholder instance ids, or (None, reason), "delay"
     also when the plan's _route_delay (the commit's sum) is over_budget."""
     kbps = demand.bandwidth_kbps
-    processing = sum(f.processing_delay for f in demand.chain)
+    processing = add_delays(f.processing_delay for f in demand.chain)
     if over_budget(processing, demand.delay_budget):
         return None, "delay"
     budget = demand.delay_budget - processing
@@ -656,8 +657,8 @@ def _finish(outcomes: List[DemandOutcome], state: NetworkState,
     """Price the final state; the runtime runs from start to the end of
     the pricing."""
     accepted = [o for o in outcomes if o.accepted]
-    delays = [o.allocation.total_delay_ms for o in accepted]
-    mean_delay = sum(delays) / len(delays) if delays else math.nan
+    mean_delay = (add_delays(o.allocation.total_delay_ms for o in accepted)
+                  / len(accepted) if accepted else math.nan)
     net = network_power(state)
     pm = pm_power_total(state)
     rate = len(accepted) / len(outcomes) if outcomes else 0.0
@@ -812,7 +813,7 @@ def _pair_route(graph: NetworkGraph, scores: Dict[int, float], src: int,
     links = tuple(graph.link(path[i], path[i + 1])
                   for i in range(len(path) - 1))
     pref = sorted(range(len(path)), key=lambda i: (-scores[path[i]], path[i]))
-    return path, links, Route((links,)).propagation_ms, pref, {}
+    return path, links, path_delay(links), pref, {}
 
 
 def _plan_on_path(state: NetworkState, route, demand
@@ -835,7 +836,8 @@ def _plan_on_path(state: NetworkState, route, demand
     service = demand.service
     verdict = verdicts.get(id(service))
     if verdict is None:
-        delay = link_delay + sum(f.processing_delay for f in service.chain)
+        delay = link_delay + add_delays(
+            f.processing_delay for f in service.chain)
         verdict = verdicts[id(service)] = [
             service, delay, over_budget(delay, service.delay_budget), None]
     _, total_delay, over, refused = verdict

@@ -186,8 +186,11 @@ def oracle_best_path(statelike, island, src: int, pm: int, dst: int,
             need[pair] = need.get(pair, 0) + kbps
         if any(statelike.residual(*pair) < total for pair, total in need.items()):
             continue
-        d1 = sum(l.delay for l in seg1)
-        d2 = sum(l.delay for l in seg2)
+        d1 = d2 = 0.0           # left to right, not sum(), on any Python
+        for link in seg1:
+            d1 += link.delay
+        for link in seg2:
+            d2 += link.delay
         if d1 + d2 <= budget_ms + 1e-9:
             return tuple(seg1), tuple(seg2), d1, d2
 
@@ -327,7 +330,9 @@ def reference_plan_on_path(state: NetworkState, route, demand
     for link in links:
         if state.residual_kbps[(link.src, link.dst)] < kbps:
             return None, "bandwidth"
-    processing = sum(f.processing_delay for f in demand.chain)
+    processing = 0.0            # left to right, not sum(), on any Python
+    for f in demand.chain:
+        processing += f.processing_delay
     total_delay = link_delay + processing
     if over_budget(total_delay, demand.delay_budget):
         return None, "delay"

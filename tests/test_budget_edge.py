@@ -1,6 +1,7 @@
 """The one delay-budget rule (netstate.over_budget) at a budget's edge:
 each placer's answer agrees with the commit's, over the last bits of
-three budgets where the planners' own delay sums once disagreed with it."""
+three budgets where the planners' own delay sums once disagreed with it;
+and the one delay arithmetic: every delay is added left to right."""
 
 import dataclasses
 import math
@@ -8,10 +9,14 @@ import math
 import pytest
 
 from helpers import EDGE_TOPOLOGY
+from vnfplace.bih import BlockingIsland
 from vnfplace.exact import (ExactLimitError, build_model, solve_exact_small,
                             validate_solution)
-from vnfplace.netstate import _route_delay, over_budget
-from vnfplace.placement import bc_place_all, check_solution, place_all
+from vnfplace.netstate import (NetworkState, _route_delay, add_delays,
+                               over_budget, path_delay)
+from vnfplace.placement import (_ChainView, _RouteCache, bc_place_all,
+                                calculate_best_path, check_solution,
+                                place_all)
 from vnfplace.topology import (CPU, FunctionType, NetworkGraph, NodeSpec,
                                PmSpec, ServiceType, default_catalogs,
                                nobel_germany, parse_topology)
@@ -139,3 +144,64 @@ def test_centrality_judges_the_commits_own_sum():
             if outcome.accepted:
                 alloc = outcome.allocation
                 assert alloc.total_delay_ms == _route_delay(alloc)
+
+
+def _left_to_right(values):
+    """Floats added one by one from 0.0. sum() adds so up to Python 3.11
+    and compensates from 3.12, where 0.1 + 0.2 + 0.3 gives 0.6."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def _tenths_instance(chain_len):
+    """A path 0-1-2-3 of 1000 Mb/s cables of 0.1, 0.2 and 0.3 ms, a 6-core
+    PM at node 0 and 1-core PMs elsewhere, and 1 Mb/s demands from node 0
+    to nodes 3, 2 and 1 through the first chain_len of three 2-core
+    functions of 0.1, 0.2 and 0.3 ms; only node 0 can host them."""
+    nodes = [NodeSpec(i, PmSpec({CPU: 6 if i == 0 else 1})) for i in range(4)]
+    graph = NetworkGraph(nodes, [(0, 1, 1000.0, 0.1), (1, 2, 1000.0, 0.2),
+                                 (2, 3, 1000.0, 0.3)])
+    chain = tuple(FunctionType(name, {CPU: 2}, 100.0, delay)
+                  for name, delay in (("A", 0.1), ("B", 0.2), ("C", 0.3)))
+    service = ServiceType("s", chain[:chain_len], 1.0, 10.0, 1.0)
+    return graph, [Demand(i, 0, dst, service)
+                   for i, dst in enumerate((3, 2, 1))]
+
+
+def test_every_delay_adds_left_to_right():
+    assert _left_to_right([0.1, 0.2, 0.3]) == 0.6000000000000001
+    graph, demands = _tenths_instance(3)
+    links = [graph.link(0, 1), graph.link(1, 2), graph.link(2, 3)]
+    chain = demands[0].chain
+    assert path_delay(links) == _left_to_right(l.delay for l in links)
+    assert add_delays(f.processing_delay for f in chain) == \
+        _left_to_right([0.1, 0.2, 0.3])
+
+    island = BlockingIsland(10 ** 9, frozenset(range(4)),
+                            frozenset(graph.cables()))
+    view = _ChainView(NetworkState(graph), island, 0, 1000,
+                      _RouteCache(graph))
+    for pm in (0, 3):               # the whole path in one segment
+        seg1, seg2, d1, d2 = calculate_best_path(view, pm, 3, 10.0, 0.25)
+        assert list(seg1 + seg2) == links
+        assert (d1, d2) == (_left_to_right(l.delay for l in seg1),
+                            _left_to_right(l.delay for l in seg2))
+
+    exact = solve_exact_small(build_model(*_tenths_instance(2)))
+    solutions = [place_all(graph, demands, [1.0], mode)
+                 for mode in ("lbi", "hbi")] + [bc_place_all(graph, demands)]
+    for allocs in [exact.allocations] + [
+            [o.allocation for o in sol.outcomes] for sol in solutions]:
+        assert len(allocs) == 3 and None not in allocs
+        for alloc in allocs:
+            propagation = _left_to_right(
+                l.delay for l in alloc.route.links())
+            assert alloc.route.propagation_ms == propagation
+            assert alloc.total_delay_ms == _route_delay(alloc) == \
+                propagation + _left_to_right(
+                    a.function.processing_delay for a in alloc.assignments)
+    for sol in solutions:
+        totals = [o.allocation.total_delay_ms for o in sol.outcomes]
+        assert sol.mean_delay_ms == _left_to_right(totals) / 3

@@ -294,6 +294,13 @@ def test_cli_bad_inputs_exit_two(tmp_path, capsys):
     assert cli.main(["run", "--algo", "magic", "--seeds", "1"]) == 2
     assert cli.main(["run", "--topology", str(tmp_path / "nope.txt"),
                      "--seeds", "1"]) == 2
+    # a topology file that is not UTF-8 text: the line of the bad byte
+    latin = tmp_path / "latin.txt"
+    latin.write_bytes(b"node 0 16\nnode 1 16\nlink 0 1 100 2ms # \xff\n")
+    capsys.readouterr()
+    assert cli.main(["run", "--topology", str(latin), "--seeds", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "line 3" in captured.err and captured.out == ""
     assert cli.main(["run", "--demands", "abc", "--seeds", "1"]) == 2
     capsys.readouterr()
     # an empty algorithm or demand-count list would run nothing
