@@ -18,7 +18,7 @@ the hierarchy, extract_assignment and the tests; the planning view
 StateOverlay shares it, and only tests and perfbench read the overlay.
 
 netstate owns delay arithmetic and the delay rule: add_delays and path_delay
-add left to right, as sum() did before 3.12, and over_budget judges the sums.
+add left to right, as sum() did before Python 3.12; over_budget judges them.
 
 PMs and functions are sized in CPU cores alone. fits() is the one
 PM-capacity rule, used by the commit and both placers' per-demand tables;
