@@ -971,6 +971,34 @@ def test_place_all_fingerprint_is_pinned_at_benchmark_length():
     assert digest.hexdigest() == "b0501be4cd53526f86127ae9e6aa608cba731269"
 
 
+def test_place_all_decisions_are_pinned():
+    # sha1 over every outcome's (demand id, accepted, reason, (node,
+    # instance id) per position, (src, dst) per link per segment) of lbi
+    # then hbi runs: the runs both snapshot pins above cover and the 30
+    # tight instances. Unlike the snapshots it holds no delay, so it pins
+    # what the walk decides apart from the delays it reports
+    graph = nobel_germany()
+    _, services = default_catalogs()
+    instances = [(graph, generate_demands(graph, 100, services, seed), BETAS)
+                 for seed in range(3)]
+    instances.append((graph, generate_demands(graph, 300, services, 0), BETAS))
+    instances += [_tight_instance(seed) for seed in range(30)]
+    digest = hashlib.sha1()
+    for graph, demands, betas in instances:
+        for mode in ("lbi", "hbi"):
+            for o in place_all(graph, demands, betas, mode=mode).outcomes:
+                alloc = o.allocation
+                assignments = route = ()
+                if alloc is not None:
+                    assignments = tuple((a.node, a.instance_id)
+                                        for a in alloc.assignments)
+                    route = tuple(tuple((l.src, l.dst) for l in seg)
+                                  for seg in alloc.route.segments)
+                digest.update(repr((o.demand.id, o.accepted, o.reason,
+                                    assignments, route)).encode())
+    assert digest.hexdigest() == "6de09dae84d5dcef61acb90781119dec95ff4fb6"
+
+
 def test_bc_place_all_fingerprint_is_pinned():
     # sha1 over the snapshots of bc runs, seeds 0-2, 1000 demands on
     # nobel-germany, the benchmark's sequence length; pins the centrality
