@@ -8,7 +8,7 @@ import sys
 from typing import List, Optional
 
 from .harness import (ALGORITHMS, ExperimentConfig, HarnessError,
-                      MetricsReport, emit_csv, run_experiment)
+                      MetricsReport, emit_csv, read_text, run_experiment)
 from .topology import PowerParams, TopologyError
 from .workload import WorkloadError
 
@@ -109,9 +109,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.config:
         try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+            data = json.loads(read_text(args.config))
+        except (OSError, ValueError) as exc:    # JSONDecodeError included
             print("bad config file: %s" % exc, file=sys.stderr)
             return 2
         if not isinstance(data, dict):

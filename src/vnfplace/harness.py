@@ -82,16 +82,21 @@ class MetricsReport:
     lp_files: List[str] = field(default_factory=list)
 
 
+def read_text(path: str, error: type = ValueError) -> str:
+    """A file's UTF-8 text, else error("line N: not UTF-8 text")."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error("line %d: not UTF-8 text" % (
+            raw.count(b"\n", 0, exc.start) + 1)) from None
+
+
 def load_topology(spec: str, power: Optional[PowerParams] = None) -> NetworkGraph:
     if spec == "nobel-germany":
         return nobel_germany(power)
-    with open(spec, "rb") as fh:
-        raw = fh.read()
-    try:
-        return parse_topology(raw.decode("utf-8"), power)
-    except UnicodeDecodeError as exc:
-        raise TopologyError("line %d: not UTF-8 text" % (
-            raw.count(b"\n", 0, exc.start) + 1)) from None
+    return parse_topology(read_text(spec, TopologyError), power)
 
 
 def _run_once(graph: NetworkGraph, algorithm: str, demands,

@@ -117,9 +117,9 @@ def add_delays(delays: Iterable[float]) -> float:
     return total
 
 
-def path_delay(links: Iterable[Link]) -> float:
-    """add_delays over the links' delays, in half the time of a generator."""
-    total = 0.0
+def path_delay(links: Iterable[Link], start: float = 0.0) -> float:
+    """add_delays over the links' delays, from start (as in sum())."""
+    total = start
     for link in links:
         total += link.delay
     return total

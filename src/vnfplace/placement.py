@@ -44,8 +44,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from .bih import BlockingIsland, build_bih
 from .netstate import (Allocation, FunctionAssignment, NetworkState, Route,
-                       _route_delay, add_delays, fits, over_budget,
-                       path_delay, to_kbps)
+                       add_delays, fits, over_budget, path_delay, to_kbps)
 from .power import (incremental_cost, incremental_pm_cost, network_power,
                     pm_load_slope, pm_power_total, total_power)
 from .topology import FunctionType, Link, NetworkGraph
@@ -228,8 +227,9 @@ class _RouteCache:
 class _ChainView:
     """The island as one demand's chain walk sees it: the committed state
     with the partial plan on top, the origin of the next chain position,
-    and the walk's reads (residual, pm_active, switch_active,
-    cable_active, hops from the origin, the search's adjacency and trees).
+    delay, its links' delays added as _route_delay adds them (path_delay),
+    and the walk's reads (residual, pm_active, switch_active, cable_active,
+    hops from the origin, the search's adjacency and trees).
     Per island node, rows holds the instance rows [id, function name,
     free kb/s] (committed instances, then the plan's placeholders) and
     used the CPU cores in use, as in _PathTable.
@@ -262,6 +262,7 @@ class _ChainView:
         self.nodes = self.facts.nodes
         self.kbps = kbps
         self.origin = src
+        self.delay = 0.0
         hosted, cores_used = state.node_instances, state.cores_used
         self.rows: Dict[int, List[list]] = {
             n: [[inst.id, inst.function.name, inst.residual_kbps]
@@ -353,6 +354,7 @@ class _ChainView:
         """Plan links from the origin on; they end at the new origin."""
         if not links:
             return
+        self.delay = path_delay(links, self.delay)
         lit_switch, lit_cable = self.lit
         touched = set()
         for link in links:
@@ -418,9 +420,10 @@ def _settle(adj: dict, src: int, gamma: float,
     return pred
 
 
-def calculate_best_path(view: _ChainView, pm: int, dst: int, budget_ms: float,
-                        weight_step: float, stats: Optional[dict] = None
-                        ) -> Optional[Tuple[Tuple[Link, ...], Tuple[Link, ...], float, float]]:
+def calculate_best_path(view: _ChainView, pm: int, dst: int, processing: float,
+                        budget_ms: float, weight_step: float,
+                        stats: Optional[dict] = None
+                        ) -> Optional[Tuple[Tuple[Link, ...], Tuple[Link, ...], float]]:
     """Route the view's origin -> pm -> dst inside its island within the
     delay budget, at the view's kb/s.
 
@@ -430,12 +433,14 @@ def calculate_best_path(view: _ChainView, pm: int, dst: int, budget_ms: float,
     up once the mix would leave no power emphasis at all, or at the first
     segment with no route: the adjacency, and so whether a route exists,
     does not depend on the weights. Returns (entry segment, exit segment,
-    entry delay, exit delay); None if no setting meets the budget. Both
-    segments are read from full trees (_ChainView.route): the candidates
-    of one position share the origin's tree, and a tree out of a PM serves
-    both that PM's exit and, once the walk stands on it, the next
-    position's entries, for every view of the place_all call with the same
-    adjacency (see _RouteCache). place_all checks weight_step.
+    delay), delay the view's carried on over both by path_delay, for the
+    first setting where delay + processing is not over_budget (at the last
+    position, the commit's _route_delay), else None. Both segments are read
+    from full trees (_ChainView.route): the candidates of one position
+    share the origin's tree, and a tree out of a PM serves both that PM's
+    exit and, once the walk stands on it, the next position's entries, for
+    every view of the place_all call with the same adjacency (see
+    _RouteCache). place_all checks weight_step.
 
     Every link of the view's adjacency has the kb/s spare and a tree path
     repeats no link, so only a link on both segments can lack room: it
@@ -461,10 +466,9 @@ def calculate_best_path(view: _ChainView, pm: int, dst: int, budget_ms: float,
                    and view.residual(l.src, l.dst) < 2 * view.kbps
                    for l in seg2):
                 continue
-        d1 = path_delay(seg1)
-        d2 = path_delay(seg2)
-        if not over_budget(d1 + d2, budget_ms):
-            found = tuple(seg1), tuple(seg2), d1, d2
+        delay = path_delay(seg2, path_delay(seg1, view.delay))
+        if not over_budget(delay + processing, budget_ms):
+            found = tuple(seg1), tuple(seg2), delay
             break
     if stats is not None:
         stats["path_searches"] = stats.get("path_searches", 0) + 1
@@ -520,9 +524,9 @@ def get_candidate_pms(view: _ChainView, function: FunctionType,
 
 
 def _best_candidate(view: _ChainView, function: FunctionType, dst: int,
-                    budget_ms: float, weight_step: float,
+                    processing: float, budget_ms: float, weight_step: float,
                     stats: Optional[dict] = None):
-    """One chain position: ((candidate, seg1, seg2, d1, d2), None) for the
+    """One chain position: ((candidate, seg1, seg2, delay), None) for the
     candidate of least key (incremental cost, hop distance from the view's
     origin, category, node id); (None, "no-pm") if no PM can host the
     function, (None, "no-path") if no candidate can be routed.
@@ -564,17 +568,16 @@ def _best_candidate(view: _ChainView, function: FunctionType, dst: int,
                     view, cand.node, cand.instance_id, function),
                     *tail) > best_key:
                 continue            # its key can only be above best_key
-            found = calculate_best_path(view, cand.node, dst, budget_ms,
-                                        weight_step, stats)
+            found = calculate_best_path(view, cand.node, dst, processing,
+                                        budget_ms, weight_step, stats)
             if found is None:
                 continue
-            seg1, seg2, d1, d2 = found
             cost = incremental_cost(view, cand.node, cand.instance_id,
-                                    function, seg1 + seg2)
+                                    function, found[0] + found[1])
             key = (cost, *tail)
             if best_key is None or key < best_key:
                 best_key = key
-                best = (cand, seg1, seg2, d1, d2)
+                best = (cand, *found)
     if best is None:
         return None, "no-path" if listed else "no-pm"
     return best, None
@@ -586,35 +589,27 @@ def _plan_in_island(state: NetworkState, island: BlockingIsland, demand,
                     ) -> Tuple[Optional[Allocation], Optional[str]]:
     """Greedy chain walk inside one island on one _ChainView, which holds
     the plan so far and shares the run's cache. Returns a planned
-    allocation with placeholder instance ids, or (None, reason), "delay"
-    also when the plan's _route_delay (the commit's sum) is over_budget."""
-    kbps = demand.bandwidth_kbps
+    allocation with placeholder instance ids and the commit's
+    _route_delay, or (None, reason)."""
     processing = add_delays(f.processing_delay for f in demand.chain)
     if over_budget(processing, demand.delay_budget):
         return None, "delay"
-    budget = demand.delay_budget - processing
-    view = _ChainView(state, island, demand.src, kbps, cache)
-    spent = 0.0
+    view = _ChainView(state, island, demand.src, demand.bandwidth_kbps, cache)
     segments: List[Tuple[Link, ...]] = []
     assignments: List[FunctionAssignment] = []
     for function in demand.chain:
-        best, reason = _best_candidate(view, function, demand.dst,
-                                       budget - spent, weight_step, stats)
+        best, reason = _best_candidate(view, function, demand.dst, processing,
+                                       demand.delay_budget, weight_step, stats)
         if best is None:
             return None, reason
-        cand, seg1, seg2, d1, d2 = best
+        cand, seg1, seg2, delay = best
         view.add_segment(seg1)
         inst_id = view.add_assignment(function, cand.node, cand.instance_id)
         assignments.append(FunctionAssignment(function, cand.node, inst_id))
         segments.append(seg1)
-        spent += d1
     segments.append(seg2)
-    spent += d2
-    alloc = Allocation(demand.id, tuple(assignments), Route(tuple(segments)),
-                       spent + processing, kbps)
-    if over_budget(_route_delay(alloc), demand.delay_budget):
-        return None, "delay"
-    return alloc, None
+    return Allocation(demand.id, tuple(assignments), Route(tuple(segments)),
+                      delay + processing, view.kbps), None
 
 
 def place_all(graph: NetworkGraph, demands: Iterable, betas_mbps: List[float],

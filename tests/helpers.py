@@ -165,8 +165,10 @@ def oracle_dijkstra(statelike, island, src: int, dst: int, kbps: int,
 
 
 def oracle_best_path(statelike, island, src: int, pm: int, dst: int,
-                     kbps: int, budget_ms: float, weight_step: float):
-    """calculate_best_path with two fresh searches per weight setting."""
+                     kbps: int, planned_ms: float, processing: float,
+                     budget_ms: float, weight_step: float):
+    """calculate_best_path with two fresh searches per weight setting, for
+    a plan whose links so far add up to planned_ms."""
     step = 0
     while True:
         gamma = 1.0 - step * weight_step
@@ -186,13 +188,11 @@ def oracle_best_path(statelike, island, src: int, pm: int, dst: int,
             need[pair] = need.get(pair, 0) + kbps
         if any(statelike.residual(*pair) < total for pair, total in need.items()):
             continue
-        d1 = d2 = 0.0           # left to right, not sum(), on any Python
-        for link in seg1:
-            d1 += link.delay
-        for link in seg2:
-            d2 += link.delay
-        if d1 + d2 <= budget_ms + 1e-9:
-            return tuple(seg1), tuple(seg2), d1, d2
+        delay = planned_ms      # left to right, not sum(), on any Python
+        for link in seg1 + seg2:
+            delay += link.delay
+        if delay + processing <= budget_ms + 1e-9:
+            return tuple(seg1), tuple(seg2), delay
 
 
 # -- island view reference reader -----------------------------------------
@@ -213,6 +213,7 @@ class ReferenceChainView(_ChainView):
         self.nodes = self.facts.nodes
         self.kbps = kbps
         self.origin = src
+        self.delay = 0.0
         self.lit = ({n: reader.switch_active(n) for n in self.nodes},
                     {c: reader.cable_active(*c)
                      for c in island.internal_links})
@@ -248,8 +249,9 @@ class ReferenceChainView(_ChainView):
             (facts, tuple(self._codes)), {})
 
 
-def reference_best_candidate(view, function, dst: int, budget_ms: float,
-                             weight_step: float, stats: Optional[dict] = None):
+def reference_best_candidate(view, function, dst: int, processing: float,
+                             budget_ms: float, weight_step: float,
+                             stats: Optional[dict] = None):
     """_best_candidate by a full scan: both listings, every candidate
     routed with calculate_best_path, no PM-cost bound and no listing
     skipped; least (cost, hops, category, node) wins. Counts its routed
@@ -259,8 +261,8 @@ def reference_best_candidate(view, function, dst: int, budget_ms: float,
                   + get_candidate_pms(view, function, False))
     best = None
     for cand in candidates:
-        found = calculate_best_path(view, cand.node, dst, budget_ms,
-                                    weight_step)
+        found = calculate_best_path(view, cand.node, dst, processing,
+                                    budget_ms, weight_step)
         if stats is not None:
             stats["routed"] = stats.get("routed", 0) + 1
         if found is None:

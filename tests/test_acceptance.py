@@ -292,7 +292,7 @@ def test_11_path_search_setting_budget():
     stats = {}
     view = _ChainView(NetworkState(GRAPH), island, 0, 1000,
                       _RouteCache(GRAPH))
-    found = calculate_best_path(view, 8, 16, 0.0, 0.25, stats)
+    found = calculate_best_path(view, 8, 16, 0.0, 0.0, 0.25, stats)
     exhausted = found is None and stats["weight_settings_max"] == 4
     stats = {}
     demands = generate_demands(GRAPH, 100, SERVICES, 0)

@@ -231,13 +231,14 @@ def test_csv_header_is_pinned():
 
 def test_cli_rejects_a_plan_over_the_budget_in_commit_order(tmp_path,
                                                             capsys):
-    # the island walk's plan for seed 87 passes the budget by its own sum
-    # and misses it by the commit's: a "delay" rejection, not bad input
+    # seed 87's route passes the budget with its segments added apart and
+    # misses it by the commit's sum, by which the walk judges each route:
+    # no route meets the budget, so "no-path", not bad input
     path = tmp_path / "edge.txt"
     path.write_text(EDGE_TOPOLOGY)
     assert cli.main(["run", "--topology", str(path), "--algo", "bi-lbi",
                      "--demands", "1", "--seeds", "88", "--betas", "1"]) == 0
-    assert "delay:1" in capsys.readouterr().out.split()
+    assert "no-path:1" in capsys.readouterr().out.split()
 
 
 def test_cli_run_writes_csv(tmp_path, capsys):
@@ -301,6 +302,12 @@ def test_cli_bad_inputs_exit_two(tmp_path, capsys):
     assert cli.main(["run", "--topology", str(latin), "--seeds", "1"]) == 2
     captured = capsys.readouterr()
     assert "line 3" in captured.err and captured.out == ""
+    # so is a config file, with the bad byte on line 2
+    latin_conf = tmp_path / "latin.json"
+    latin_conf.write_bytes(b'{"seeds": 1,\n "algo": "\xff"}\n')
+    assert cli.main(["run", "--config", str(latin_conf)]) == 2
+    captured = capsys.readouterr()
+    assert "line 2" in captured.err and captured.out == ""
     assert cli.main(["run", "--demands", "abc", "--seeds", "1"]) == 2
     capsys.readouterr()
     # an empty algorithm or demand-count list would run nothing

@@ -61,7 +61,7 @@ def test_path_search_config_validation():
         assert place_all(graph, [demand], BETAS,
                          weight_step=step).acceptance == 1.0
         assert calculate_best_path(_view(state, island, 0, 1000), 1, 1,
-                                   50.0, step) is not None
+                                   0.0, 50.0, step) is not None
     for step in (0.0, -0.25, 1.5, math.nan):
         with pytest.raises(ValueError, match="weight step"):
             place_all(graph, [demand], BETAS, weight_step=step)
@@ -89,20 +89,20 @@ def test_path_search_tries_at_most_four_settings():
     view = _view(state, _island_over(graph), 0, 1000)
     stats = {}
     # budget below the only path's delay: every setting fails
-    found = calculate_best_path(view, 1, 1, 5.0, 0.25, stats)
+    found = calculate_best_path(view, 1, 1, 0.0, 5.0, 0.25, stats)
     assert found is None
     assert stats["weight_settings_max"] == 4
     assert stats["path_searches"] == 1
     # a coarser step leaves fewer settings before the mix degenerates
     stats = {}
-    calculate_best_path(view, 1, 1, 5.0, 0.5, stats)
+    calculate_best_path(view, 1, 1, 0.0, 5.0, 0.5, stats)
     assert stats["weight_settings_max"] == 2
     stats = {}
-    calculate_best_path(view, 1, 1, 5.0, 1.0, stats)
+    calculate_best_path(view, 1, 1, 0.0, 5.0, 1.0, stats)
     assert stats["weight_settings_max"] == 1
     # a feasible budget returns on the first setting
     stats = {}
-    found = calculate_best_path(view, 1, 1, 50.0, 0.25, stats)
+    found = calculate_best_path(view, 1, 1, 0.0, 50.0, 0.25, stats)
     assert found is not None
     assert stats["weight_settings_max"] == 1
 
@@ -125,7 +125,8 @@ def test_path_search_stops_at_the_first_missing_route(monkeypatch):
         stats = {}
         settles[0] = 0
         view = _view(state, _island_over(graph), 0, 1000)
-        assert calculate_best_path(view, pm, dst, 50.0, 0.25, stats) is None
+        assert calculate_best_path(view, pm, dst, 0.0, 50.0, 0.25,
+                                   stats) is None
         assert stats == {"path_searches": 1, "weight_settings_max": 1}
         assert settles[0] == trees
 
@@ -140,16 +141,16 @@ def test_path_search_shifts_weight_toward_delay():
 
     # plenty of budget: power-only weighting stays on the lit detour
     stats = {}
-    seg1, seg2, d1, d2 = calculate_best_path(view, 3, 3, 5.0, 0.25, stats)
+    seg1, seg2, delay = calculate_best_path(view, 3, 3, 0.0, 5.0, 0.25, stats)
     assert [l.dst for l in seg1] == [2, 3]
     assert seg2 == ()
     assert stats["weight_settings_max"] == 1
 
     # tight budget: the mix keeps shifting until delay dominates enough
     stats = {}
-    seg1, seg2, d1, d2 = calculate_best_path(view, 3, 3, 1.0, 0.25, stats)
+    seg1, seg2, delay = calculate_best_path(view, 3, 3, 0.0, 1.0, 0.25, stats)
     assert [l.dst for l in seg1] == [1, 3]
-    assert d1 == pytest.approx(0.2)
+    assert delay == pytest.approx(0.2)
     assert stats["weight_settings_max"] == 3
 
 
@@ -165,19 +166,19 @@ def test_path_search_checks_combined_segment_load():
     island = _island_over(graph)
 
     found = calculate_best_path(_view(state, island, 0, 70000), 3, 4,
-                                10.0, 0.25)
+                                0.0, 10.0, 0.25)
     assert found is not None
-    seg1, seg2, _, _ = found
+    seg1, seg2, _ = found
     shared = [(l.src, l.dst) for l in seg1 + seg2]
     assert shared.count((1, 2)) == 2          # the corridor is crossed twice
     # 100 Mb/s per segment would need 200 of the remaining 150
     assert calculate_best_path(_view(state, island, 0, 100000), 3, 4,
-                               10.0, 0.25) is None
+                               0.0, 10.0, 0.25) is None
     # 75 Mb/s per segment fills the remaining 150 exactly
     found = calculate_best_path(_view(state, island, 0, 75000), 3, 4,
-                                10.0, 0.25)
+                                0.0, 10.0, 0.25)
     assert found is not None
-    seg1, seg2, _, _ = found
+    seg1, seg2, _ = found
     assert [(l.src, l.dst) for l in seg1 + seg2].count((1, 2)) == 2
 
 
@@ -231,14 +232,15 @@ def _assert_matches_overlay(view, overlay, island):
 
 
 def _full_scan(overlay, island, function, candidates, origin, dst, kbps,
-               budget_ms):
+               planned_ms, processing, budget_ms):
     """Every candidate routed by the oracle; least (cost, hops, category,
     node) wins."""
     hops = _fresh_hops(overlay.graph, island, origin)
     best = None
     for cand in candidates:
         found = oracle_best_path(overlay, island, origin, cand.node, dst,
-                                 kbps, budget_ms, 0.25)
+                                 kbps, planned_ms, processing, budget_ms,
+                                 0.25)
         if found is None:
             continue
         cost = incremental_cost(overlay, cand.node, cand.instance_id,
@@ -269,8 +271,9 @@ def test_shared_search_and_pruned_scan_match_per_candidate_oracle(seed):
             continue
         overlay = StateOverlay(state)
         view = _view(state, island, demand.src, kbps)
-        budget = demand.delay_budget - sum(f.processing_delay
-                                           for f in demand.chain)
+        processing = sum(f.processing_delay for f in demand.chain)
+        budget = demand.delay_budget
+        planned = 0.0
         colocated = None
         for function in demand.chain:
             origin = view.origin
@@ -292,13 +295,15 @@ def test_shared_search_and_pruned_scan_match_per_candidate_oracle(seed):
                         == oracle_dijkstra(overlay, island, cand.node,
                                            demand.dst, kbps, gamma, omega)
                 assert calculate_best_path(
-                    view, cand.node, demand.dst, budget, 0.25) == \
+                    view, cand.node, demand.dst, processing, budget,
+                    0.25) == \
                     oracle_best_path(overlay, island, origin, cand.node,
-                                     demand.dst, kbps, budget, 0.25)
+                                     demand.dst, kbps, planned, processing,
+                                     budget, 0.25)
             want = _full_scan(overlay, island, function, candidates, origin,
-                              demand.dst, kbps, budget)
-            got, reason = _best_candidate(view, function, demand.dst, budget,
-                                          0.25, stats)
+                              demand.dst, kbps, planned, processing, budget)
+            got, reason = _best_candidate(view, function, demand.dst,
+                                          processing, budget, 0.25, stats)
             assert got == want
             assert reason == (None if got else
                               "no-path" if candidates else "no-pm")
@@ -306,7 +311,7 @@ def test_shared_search_and_pruned_scan_match_per_candidate_oracle(seed):
             candidates_seen += len(candidates)
             if got is None:
                 break
-            cand, seg1, _, d1, _ = got
+            cand, seg1, _, _ = got
             view.add_segment(seg1)
             overlay.add_links(seg1, kbps)
             assert view.add_assignment(function, cand.node,
@@ -315,7 +320,8 @@ def test_shared_search_and_pruned_scan_match_per_candidate_oracle(seed):
                                        kbps)
             assert view.origin == cand.node
             colocated = not seg1
-            budget -= d1
+            for link in seg1:
+                planned += link.delay
     assert positions >= 50
     # both kinds of position were checked: trees and hops kept after a
     # co-location, adjacency patched and hops rebuilt after a non-empty one
@@ -432,7 +438,8 @@ def test_settle_trees_match_networkx_on_patched_searches():
         view = _view(state, island, demand.src, kbps)
         segments = 0
         for function in demand.chain[:3]:
-            best, _ = _best_candidate(view, function, demand.dst, 1e9, 0.25)
+            best, _ = _best_candidate(view, function, demand.dst, 0.0, 1e9,
+                                      0.25)
             if best is None:
                 break
             cand, seg1 = best[:2]
@@ -604,9 +611,9 @@ def test_tree_out_of_a_pm_serves_the_walk_standing_on_it(monkeypatch):
     island = _island_over(graph)
     overlay = StateOverlay(state)
     view = _view(state, island, 0, 1000)
-    found = calculate_best_path(view, 2, 4, 100.0, 0.25)
-    assert found == oracle_best_path(overlay, island, 0, 2, 4, 1000, 100.0,
-                                     0.25)
+    found = calculate_best_path(view, 2, 4, 0.0, 100.0, 0.25)
+    assert found == oracle_best_path(overlay, island, 0, 2, 4, 1000, 0.0,
+                                     0.0, 100.0, 0.25)
     seg1 = found[0]
     assert [l.dst for l in seg1] == [1, 2]
     assert settles[0] == 2                  # the trees of 0 and of 2
@@ -617,8 +624,9 @@ def test_tree_out_of_a_pm_serves_the_walk_standing_on_it(monkeypatch):
     for node in sorted(island.nodes):
         assert view.route(2, node, 1.0, 0.0) == \
             oracle_dijkstra(overlay, island, 2, node, 1000, 1.0, 0.0)
-    assert calculate_best_path(view, 4, 4, 100.0, 0.25) == \
-        oracle_best_path(overlay, island, 2, 4, 4, 1000, 100.0, 0.25)
+    assert calculate_best_path(view, 4, 4, 0.0, 100.0, 0.25) == \
+        oracle_best_path(overlay, island, 2, 4, 4, 1000, 2.0, 0.0, 100.0,
+                         0.25)          # 2.0 ms planned over 0 -> 1 -> 2
     assert settles[0] == 2
 
 
@@ -811,7 +819,8 @@ def test_pm_cost_bound_skips_only_candidates_that_cannot_tie(
     assert [(c.node, c.category) for c in candidates] == [(2, 1), (0, 2), (1, 3)]
     calls = _counted_listings(monkeypatch)
     stats = {}
-    best, reason = _best_candidate(view, FN["NAT"], 0, 100.0, 0.25, stats)
+    best, reason = _best_candidate(view, FN["NAT"], 0, 0.0, 100.0, 0.25,
+                                   stats)
     # at 394 W each, PM 0 ties with the reuse and wins on hop distance, so
     # it must be listed and routed; one watt more and only the reuse is
     # listed and routed
@@ -835,7 +844,8 @@ def test_new_instances_are_listed_against_the_largest_pm(monkeypatch):
     view.add_assignment(FN["FW"], 0, None)
     calls = _counted_listings(monkeypatch)
     stats = {}
-    best, reason = _best_candidate(view, FN["NAT"], 0, 100.0, 0.25, stats)
+    best, reason = _best_candidate(view, FN["NAT"], 0, 0.0, 100.0, 0.25,
+                                   stats)
     assert calls == [True, False]
     assert reason is None
     assert (best[0].node, best[0].category) == (0, 2)
@@ -860,11 +870,12 @@ def test_a_reuse_that_can_only_tie_a_0_w_reuse_is_not_routed():
     view.add_assignment(FN["NAT"], 1, None)
     far = view.add_assignment(FN["NAT"], 2, None)
     stats = {}
-    best, reason = _best_candidate(view, FN["NAT"], 0, 100.0, 0.25, stats)
+    best, reason = _best_candidate(view, FN["NAT"], 0, 0.0, 100.0, 0.25,
+                                   stats)
     assert reason is None
     assert (best[0].node, best[0].category) == (1, 1)
     assert stats["path_searches"] == 1
-    seg1, seg2, _, _ = calculate_best_path(view, 2, 0, 100.0, 0.25)
+    seg1, seg2, _ = calculate_best_path(view, 2, 0, 0.0, 100.0, 0.25)
     assert incremental_cost(view, 2, far, FN["NAT"], seg1 + seg2) == 0.0
 
 
@@ -878,7 +889,8 @@ def test_a_nearer_new_instance_beats_a_0_w_reuse_at_a_flat_pm_draw():
     view.add_assignment(FN["NAT"], 2, None)
     view.add_assignment(FN["FW"], 0, None)
     stats = {}
-    best, reason = _best_candidate(view, FN["NAT"], 0, 100.0, 0.25, stats)
+    best, reason = _best_candidate(view, FN["NAT"], 0, 0.0, 100.0, 0.25,
+                                   stats)
     assert reason is None
     assert (best[0].node, best[0].category) == (0, 2)
     assert best[1:3] == ((), ())
@@ -912,10 +924,13 @@ def _checked_positions(monkeypatch):
     counts = {"positions": 0, "path_searches": 0, "routed": 0}
     library = placement._best_candidate
 
-    def checked(view, function, dst, budget_ms, weight_step, stats=None):
-        got = library(view, function, dst, budget_ms, weight_step, counts)
+    def checked(view, function, dst, processing, budget_ms, weight_step,
+                stats=None):
+        got = library(view, function, dst, processing, budget_ms,
+                      weight_step, counts)
         assert got == reference_best_candidate(view, function, dst,
-                                               budget_ms, weight_step, counts)
+                                               processing, budget_ms,
+                                               weight_step, counts)
         counts["positions"] += 1
         return got
 
@@ -955,7 +970,7 @@ def test_place_all_fingerprint_is_pinned():
             demands = generate_demands(graph, 100, services, seed)
             sol = place_all(graph, demands, BETAS, mode=mode)
             digest.update(sol.state.snapshot().encode())
-    assert digest.hexdigest() == "6617ffd7044b620fbfa0848706733137a04b61c9"
+    assert digest.hexdigest() == "e59e25a657a0583d29b01a41fb05bd26f47cd055"
 
 
 def test_place_all_fingerprint_is_pinned_at_benchmark_length():
@@ -968,7 +983,7 @@ def test_place_all_fingerprint_is_pinned_at_benchmark_length():
     for mode in ("lbi", "hbi"):
         sol = place_all(graph, demands, BETAS, mode=mode)
         digest.update(sol.state.snapshot().encode())
-    assert digest.hexdigest() == "b0501be4cd53526f86127ae9e6aa608cba731269"
+    assert digest.hexdigest() == "1cd03f62cecac02371c5240e4c5e05ea86a89ecf"
 
 
 def test_place_all_decisions_are_pinned():
