@@ -16,11 +16,11 @@ cables between its nodes whose sym residual is at least its beta.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from .netstate import NetworkState, Route, to_kbps
+from .netstate import NetworkState, Route
+from .topology import check_kbps
 
 Cable = Tuple[int, int]
 
@@ -76,14 +76,10 @@ def _flood(state, start: int, beta_kbps: int,
 
 def ladder_kbps(betas_mbps: List[float]) -> List[int]:
     """The threshold ladder in kb/s. ValueError unless it is non-empty,
-    finite, at least 1 kb/s and strictly descending in kb/s."""
+    each threshold passes check_kbps and it strictly descends in kb/s."""
     if not betas_mbps:
         raise ValueError("empty threshold ladder")
-    if not all(math.isfinite(b) for b in betas_mbps):
-        raise ValueError("thresholds must be finite: %r" % betas_mbps)
-    kbps = [to_kbps(b) for b in betas_mbps]
-    if any(k <= 0 for k in kbps):
-        raise ValueError("thresholds must be at least 1 kb/s: %r" % betas_mbps)
+    kbps = [check_kbps(b, "threshold") for b in betas_mbps]
     if any(a <= b for a, b in zip(kbps, kbps[1:])):
         raise ValueError("thresholds must be strictly descending in kb/s: "
                          "%r gives %r" % (betas_mbps, kbps))

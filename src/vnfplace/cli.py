@@ -143,7 +143,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                               _real(args.pm_idle_power),
                               _real(args.pm_max_power)),
             out=args.out)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:   # float(10**400)
         print("bad option value: %s" % exc, file=sys.stderr)
         return 2
     try:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import (Dict, Iterable, Iterator, List, Optional, Tuple,
                     TYPE_CHECKING)
 
-from .topology import FunctionType, Link, NetworkGraph
+from .topology import FunctionType, Link, NetworkGraph, to_kbps
 
 if TYPE_CHECKING:
     from .workload import Demand
@@ -44,10 +44,6 @@ _DELAY_TOL_MS = 1e-9        # delays (ms) this close are one delay
 
 class AllocationError(ValueError):
     """A requested state change would violate capacity or consistency."""
-
-
-def to_kbps(mbps: float) -> int:
-    return int(round(mbps * 1000.0))
 
 
 @dataclass

@@ -22,6 +22,20 @@ class TopologyError(ValueError):
     """Malformed topology input or inconsistent graph data."""
 
 
+def to_kbps(mbps: float) -> int:
+    return int(round(mbps * 1000.0))
+
+
+def check_kbps(mbps: float, what: str) -> int:
+    """The kb/s of a value in Mb/s. TopologyError, naming what, unless that
+    kb/s, rounded half to even as netstate books it, is finite and at least
+    1: traffic of 0 kb/s would reserve nothing, and a capacity fit none."""
+    if not 0.5 < mbps * 1000.0 < math.inf:
+        raise TopologyError("%s %r Mb/s is not a finite amount of at least "
+                            "1 kb/s" % (what, mbps))
+    return to_kbps(mbps)
+
+
 def link_delay_from_length(length_km: float) -> float:
     """Propagation delay (ms) of a fiber span of the given length (km)."""
     if length_km < 0:
@@ -79,8 +93,8 @@ class PmSpec:
                                 % (CPU, list(self.capacity)))
         if type(self.cores) is not int:
             raise TopologyError("cpu capacity %r is not an int" % (self.cores,))
-        if self.cores <= 0:
-            raise TopologyError("non-positive cpu capacity: %r" % self.cores)
+        if not 0 < self.cores <= 2 ** 53:   # build_model takes cores as floats
+            raise TopologyError("cpu capacity %r is not in 1..2**53" % self.cores)
 
     @property
     def cores(self) -> int:
@@ -116,10 +130,8 @@ class FunctionType:
                                 % (self.name, self.cores))
         if self.cores <= 0:
             raise TopologyError("function %s: non-positive cpu demand" % self.name)
-        if not 0 < self.processing_capacity < math.inf:
-            raise TopologyError("function %s: processing capacity %r is not "
-                                "finite and positive"
-                                % (self.name, self.processing_capacity))
+        check_kbps(self.processing_capacity,
+                   "function %s: processing capacity" % self.name)
         if not 0 <= self.processing_delay < math.inf:
             raise TopologyError("function %s: processing delay %r is not "
                                 "finite and non-negative"
@@ -143,12 +155,7 @@ class ServiceType:
     def __post_init__(self):
         if not self.chain:
             raise TopologyError("service %s has an empty chain" % self.name)
-        # netstate books bandwidth in whole kb/s, rounding half to even:
-        # up to 0.5 kb/s would be routed while reserving nothing
-        if not 0.5 < self.bandwidth * 1000.0 < math.inf:
-            raise TopologyError("service %s: bandwidth %r Mb/s is not a "
-                                "finite amount of at least 1 kb/s"
-                                % (self.name, self.bandwidth))
+        check_kbps(self.bandwidth, "service %s: bandwidth" % self.name)
         if not 0 < self.delay_budget < math.inf:
             raise TopologyError("service %s: delay budget %r ms is not finite "
                                 "and positive" % (self.name, self.delay_budget))
@@ -190,11 +197,9 @@ class NetworkGraph:
         key = (min(a, b), max(a, b))
         if key in self._by_pair:
             raise TopologyError("duplicate cable %d-%d" % key)
-        for name, value in (("capacity", capacity), ("delay", delay)):
-            if not math.isfinite(value):
-                raise TopologyError("cable %d-%d: non-finite %s" % (key + (name,)))
-        if capacity <= 0:
-            raise TopologyError("cable %d-%d: non-positive capacity" % key)
+        check_kbps(capacity, "cable %d-%d: capacity" % key)
+        if not math.isfinite(delay):
+            raise TopologyError("cable %d-%d: non-finite delay" % key)
         if delay < 0:
             raise TopologyError("cable %d-%d: negative delay" % key)
         for src, dst in ((a, b), (b, a)):

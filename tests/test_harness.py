@@ -1,12 +1,18 @@
 """Experiment driver and command line front end."""
 
+import contextlib
 import dataclasses
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import EDGE_TOPOLOGY
 import vnfplace
@@ -335,12 +341,48 @@ def test_cli_bad_inputs_exit_two(tmp_path, capsys):
     assert captured.out == ""
     # threshold ladders: non-finite, 0 kb/s, or not descending in kb/s
     for betas, message in (("inf", "finite"), ("nan", "finite"),
+                           ("1e308", "threshold 1e+308 Mb/s"),
                            ("0.0004", "at least 1 kb/s"),
                            ("900.0004,900.0001,300", "descending in kb/s")):
         assert cli.main(["run", "--betas", betas, "--demands", "1",
                          "--seeds", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and message in captured.err
+    # a cable capacity past the float range in kb/s, or one that books
+    # 0 kb/s, is refused on its line, not run
+    for capacity in ("1e308", "1e-320"):
+        cable = tmp_path / "cable.txt"
+        cable.write_text("node 0 16\nnode 1 16\nlink 0 1 %s 1\n" % capacity)
+        assert cli.main(["run", "--topology", str(cable), "--demands", "1",
+                         "--seeds", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "line 3: cable 0-1: capacity" in captured.err
+        assert captured.out == ""
+    # power ratings whose worst case over the graph and the seeds is not a
+    # finite number of watts fail before any cell runs
+    for argv in (["--port-power", "1e308"],
+                 ["--switch-power", "1e307", "--seeds", "3"],
+                 ["--pm-max-power", "1e307", "--seeds", "30"]):
+        assert cli.main(["run", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: power ratings too large")
+        assert captured.out == ""
+    # found by the fuzz property below: an integer float() cannot take, as
+    # a flag or a config value, and a PM of more cores than a float holds
+    digits = "9" * 400
+    conf = tmp_path / "digits.json"
+    conf.write_text('{"seeds": 1, "demands": 1, "switch_power": %s}' % digits)
+    cores = tmp_path / "cores.txt"
+    cores.write_text("node 0 %s\nnode 1 16\nlink 0 1 100 1\n" % digits)
+    for argv, message in (
+            (["--seeds", digits, "--demands", "1"], "bad option value: "),
+            (["--config", str(conf)], "bad option value: "),
+            (["--algo", "lp-export", "--topology", str(cores), "--out",
+              str(tmp_path / "lp"), "--demands", "1", "--seeds", "1"],
+             "error: line 1: cpu capacity")):
+        assert cli.main(["run", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message) and captured.out == ""
     # a CSV path in a missing directory fails before any cell runs
     missing = tmp_path / "nope" / "out.csv"
     assert cli.main(["run", "--demands", "1", "--seeds", "1",
@@ -514,3 +556,106 @@ def test_cli_power_flags_reach_the_model(tmp_path, capsys):
     switches = (float(doubled[5]) - float(base[5])) / 130.0
     assert switches == pytest.approx(round(switches))
     assert switches > 0
+
+
+_FUZZ_TOPOLOGY = ["node 0 16", "node 1 16", "node 2 8", "link 0 1 1000 200",
+                  "link 1 2 500 0.5ms", "link 0 2 1000 3km"]
+# "\udcff" encodes, by surrogateescape, to the byte 0xff: not UTF-8 text
+_FUZZ_TOKENS = ["0", "-1", "1e308", "1e-320", "inf", "nan", "9" * 400,
+                "\u0661\u0662", "5ms", "5km", "-5ms", "1e308ms", "\udcff"]
+# the fields whose fault is their line's alone: an id or an endpoint can
+# clash with another line or leave the ids sparse
+_LOCAL_FIELDS = {"node": {0, 2}, "link": {0, 3, 4}}
+_FUZZ_FLAGS = ["--seeds", "--demands", "--betas", "--delta-w",
+               "--switch-power", "--port-power", "--pm-idle-power",
+               "--pm-max-power"]
+_FUZZ_NUMBERS = ["0", "-1", "1", "2", "2.5", "1e307", "1e308", "1e-320",
+                 "inf", "-inf", "nan", "9" * 400, "abc", ""]
+_FUZZ_JSON = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=4)
+    | st.sampled_from([-1, 0, 3, 10 ** 400]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4)
+# demand counts and seeds stay small: MAX_COUNT of each is a long run,
+# not malformed input
+_FUZZ_COUNT = st.one_of(
+    st.integers(-1, 2), st.lists(st.integers(-1, 5), max_size=3),
+    st.sampled_from([2.5, 1e308, math.inf, math.nan, True, None, "1,2", "x",
+                     {}, "9" * 400, 10 ** 400]))
+
+
+def _fuzz_argv(data, folder):
+    """One drawn command line over files written to folder, and the line
+    of the topology file that alone is at fault if the run is refused."""
+    algo = ",".join(data.draw(st.lists(st.sampled_from(ALGORITHMS),
+                                       min_size=1, max_size=2, unique=True)))
+    topology = os.path.join(folder, "topology.txt")
+    lines = list(_FUZZ_TOPOLOGY)
+    kind = data.draw(st.sampled_from(["topology", "config", "flags"]))
+    argv = ["run", "--algo", algo, "--topology", topology]
+    at_fault = None
+    if kind == "topology":
+        i = data.draw(st.integers(0, len(lines) - 1))
+        fields = lines[i].split()
+        spots = data.draw(st.lists(st.integers(0, len(fields) - 1),
+                                   min_size=1, max_size=3, unique=True))
+        for spot in spots:
+            fields[spot] = data.draw(st.sampled_from(_FUZZ_TOKENS))
+        if set(spots) <= _LOCAL_FIELDS[lines[i].split()[0]]:
+            at_fault = i + 1
+        lines[i] = " ".join(fields)
+        argv += ["--demands", "2", "--seeds", "1"]
+    elif kind == "config":
+        keys = ["topology", "algo", "betas", "delta_w", "out", "switch_power",
+                "port_power", "pm_idle_power", "pm_max_power", "bogus"]
+        config = data.draw(st.dictionaries(st.sampled_from(keys), _FUZZ_JSON,
+                                           max_size=3))
+        if "out" in config:     # a drawn string could name a path anywhere
+            config["out"] = data.draw(st.sampled_from(
+                [None, "out.csv", "missing/out.csv", ".", "lp", 5, []]))
+        config["demands"] = data.draw(_FUZZ_COUNT)
+        config["seeds"] = data.draw(_FUZZ_COUNT)
+        path = os.path.join(folder, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        argv = ["run", "--config", path]
+    else:
+        argv += ["--demands", "2", "--seeds", "1"]
+        for flag in data.draw(st.lists(st.sampled_from(_FUZZ_FLAGS),
+                                       min_size=1, max_size=3, unique=True)):
+            values = data.draw(st.lists(st.sampled_from(_FUZZ_NUMBERS),
+                                        min_size=1, max_size=2))
+            argv.append("%s=%s" % (flag, ",".join(values)))
+    with open(topology, "wb") as fh:
+        fh.write("\n".join(lines).encode("utf-8", "surrogateescape") + b"\n")
+    return argv, at_fault
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_cli_never_ends_malformed_input_in_a_traceback(data):
+    # mutated topology lines, config files of any JSON values, and extreme
+    # values of each numeric flag: each run exits 0, or 2 with a message
+    # that names the faulty line of a topology file
+    with tempfile.TemporaryDirectory() as folder:
+        argv, at_fault = _fuzz_argv(data, folder)
+        out, err = io.StringIO(), io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(folder)        # where lp-export writes without --out
+        try:
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                try:
+                    rc = cli.main(argv)
+                except SystemExit as exc:       # argparse refusing a flag
+                    rc = exc.code
+        finally:
+            os.chdir(cwd)
+    stderr = err.getvalue()
+    assert rc in (0, 2), (argv, stderr)
+    assert "Traceback" not in stderr
+    if rc == 2:
+        assert stderr.strip(), argv
+        if at_fault is not None:
+            assert "line %d" % at_fault in stderr, (argv, stderr)

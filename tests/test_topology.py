@@ -3,11 +3,13 @@
 import copy
 import dataclasses
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vnfplace.bih import ladder_kbps
 from vnfplace.netstate import to_kbps
 from vnfplace.topology import (CPU, FunctionType, Link, NetworkGraph,
                                NodeSpec, PmSpec, PowerParams, ServiceType,
@@ -157,7 +159,7 @@ def test_parse_errors_carry_line_numbers():
         ("node 0 4\nnode 1 4\nlink 0 1 10 1\nlink 1 0 10 1\n",
          "line 4: duplicate cable 0-1"),
         ("node 0 4\nnode 1 4\nlink 0 1 0 1ms\n",
-         "line 3: cable 0-1: non-positive"),
+         "line 3: cable 0-1: capacity 0.0 Mb/s"),
         ("node 0 4\nnode 1 4\nlink 0 1 10 -5ms\n",
          "line 3: cable 0-1: negative delay"),
     ]
@@ -170,7 +172,8 @@ def test_parse_errors_carry_line_numbers():
 @pytest.mark.parametrize("link", ["link 0 1 inf 10km", "link 0 1 nan 10km",
                                   "link 0 1 1000 nanms", "link 0 1 1000 inf"])
 def test_parse_rejects_non_finite_values(link):
-    with pytest.raises(TopologyError, match="line 3: cable 0-1: non-finite"):
+    bad = "capacity" if link.split()[3] in ("inf", "nan") else "non-finite delay"
+    with pytest.raises(TopologyError, match="line 3: cable 0-1: " + bad):
         parse_topology("node 0 4\nnode 1 4\n%s\n" % link)
 
 
@@ -180,7 +183,8 @@ def test_graph_rejects_non_finite_cable_values(field, value):
     cable = {"capacity": 100.0, "delay": 1.0}
     cable[field] = value
     nodes = [NodeSpec(i, PmSpec({CPU: 4})) for i in range(2)]
-    with pytest.raises(TopologyError, match="cable 0-1: non-finite %s" % field):
+    needle = "capacity" if field == "capacity" else "non-finite delay"
+    with pytest.raises(TopologyError, match="cable 0-1: " + needle):
         NetworkGraph(nodes, [(0, 1, cable["capacity"], cable["delay"])])
 
 
@@ -194,6 +198,35 @@ def test_function_type_rejects_non_finite_values(field, value):
     with pytest.raises(TopologyError, match=field.replace("_", " ")):
         FunctionType("X", {CPU: 4}, values["processing_capacity"],
                      values["processing_delay"])
+
+
+_FN = FunctionType("X", {CPU: 4}, 100.0, 1.0)
+_MBPS_ENTRIES = {
+    "function X: processing capacity":
+        lambda mbps: FunctionType("X", {CPU: 4}, mbps, 1.0),
+    "service s: bandwidth": lambda mbps: ServiceType("s", (_FN,), mbps,
+                                                     10.0, 0.5),
+    "cable 0-1: capacity": lambda mbps: NetworkGraph(
+        [NodeSpec(i, PmSpec({CPU: 4})) for i in range(2)],
+        [(0, 1, mbps, 1.0)]),
+    "threshold": lambda mbps: ladder_kbps([mbps]),
+}
+
+
+@pytest.mark.parametrize("mbps", [1e308, 1e-320, 0.0004, math.inf, math.nan,
+                                  -1.0])
+@pytest.mark.parametrize("entry", sorted(_MBPS_ENTRIES))
+def test_every_mbps_entry_refuses_what_books_no_finite_kbps(entry, mbps):
+    # a value in Mb/s enters the library at four points, and each books
+    # it in whole kb/s: 1e308 overflows to inf kb/s, and 1e-320 and 0.0004
+    # round to 0 kb/s, which would reserve nothing or fit nothing
+    with pytest.raises(TopologyError, match=re.escape(
+            "%s %r Mb/s is not a finite amount of at least 1 kb/s"
+            % (entry, mbps))):
+        _MBPS_ENTRIES[entry](mbps)
+    # the smallest and a large value the rule admits
+    for ok in (0.00051, 1e305):
+        _MBPS_ENTRIES[entry](ok)
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
