@@ -3,10 +3,9 @@
 from .topology import (CPU, FunctionType, Link, NetworkGraph, NodeSpec,
                        PmSpec, PowerParams, ServiceType, TopologyError,
                        default_catalogs, link_delay_from_length,
-                       nobel_germany, parse_topology)
+                       nobel_germany, parse_topology, to_kbps)
 from .netstate import (Allocation, AllocationError, FunctionAssignment,
-                       NetworkState, Route, StateOverlay, VnfInstance,
-                       to_kbps)
+                       NetworkState, Route, StateOverlay, VnfInstance)
 from .bih import BIGraph, BIHierarchy, BlockingIsland, build_bih
 from .power import (incremental_cost, network_power, pm_power,
                     pm_power_total, switch_power, total_power)

@@ -35,7 +35,7 @@ from typing import (Dict, FrozenSet, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple)
 
 from .netstate import (Allocation, FunctionAssignment, NetworkState, Route,
-                       add_delays, over_budget, to_kbps)
+                       add_delays, over_budget)
 from .power import pm_load_slope, pm_power, total_power
 from .topology import FunctionType, NetworkGraph, PowerParams
 from .workload import read_demands
@@ -423,7 +423,7 @@ def _check_limits(model: MilpModel) -> None:
     # instance-count choice can ever make a capacity constraint bind
     total = sum((len(d.chain) + 1) * d.bandwidth_kbps for d in demands)
     if graph.links:
-        thinnest = min(to_kbps(l.capacity) for l in graph.links)
+        thinnest = min(l.capacity_kbps for l in graph.links)
         if total > thinnest:
             raise ExactLimitError(
                 "aggregate demand %d kbps may congest a %d kbps link; "
@@ -434,7 +434,7 @@ def _check_limits(model: MilpModel) -> None:
         for fn in d.chain:
             load[fn.name] = load.get(fn.name, 0) + d.bandwidth_kbps
     for fname, served in load.items():
-        cap = to_kbps(model.types[fname].processing_capacity)
+        cap = model.types[fname].capacity_kbps
         if served > cap:
             raise ExactLimitError(
                 "type %s carries %d kbps over one instance's %d kbps; "

@@ -153,14 +153,16 @@ def run_experiment(config: ExperimentConfig) -> MetricsReport:
     if config.out and tables and os.path.isdir(config.out):
         raise ValueError("output path %s is a directory" % config.out)
     graph = load_topology(config.topology, config.power)
-    # every switch, port and PM at full rating in every seed bounds a cell's
-    # power sums, which statistics cannot take past the float range
+    # all hardware at full rating bounds one run's power, W; statistics
+    # takes a cell only if W * seeds (its sums' bound) and W * W (its
+    # variance's; W ** 2 would raise) are finite
     p = config.power
-    if not math.isfinite(((p.switch_static_w + p.pm_max_w) * graph.num_nodes
-                          + 2 * p.port_w * len(graph.cables())) * config.seeds):
+    worst = ((p.switch_static_w + p.pm_max_w) * graph.num_nodes
+             + 2 * p.port_w * len(graph.cables()))
+    if not math.isfinite(worst * config.seeds) or not math.isfinite(worst * worst):
         raise ValueError("power ratings too large: all hardware at full "
-                         "rating over %d seeds is not a finite number of "
-                         "watts" % config.seeds)
+                         "rating, %r W, times %d seeds or times itself is "
+                         "not a finite number of watts" % (worst, config.seeds))
     _, services = default_catalogs()
     report = MetricsReport([], [])
     for algorithm in config.algorithms:

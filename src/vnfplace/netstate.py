@@ -1,11 +1,11 @@
 """Mutable substrate state: link residuals, function instances, allocations.
 
 Bandwidth is tracked internally as integer kb/s so that applying and
-releasing an allocation are exact inverses (no float drift). Public
-inputs in Mb/s are quantized to a 1 kb/s grid. The commit checks a route
-in one walk that also sums each link's need, then books the route
-through _book_route, the one routine that release shares, and stores a
-plan that opens no instance as given, resolving only placeholder ids.
+releasing an allocation are exact inverses (no float drift); topology
+finds the kb/s of each Mb/s input. The commit checks a route in one walk
+that also sums each link's need, then books the route through
+_book_route, the one routine that release shares, and stores a plan that
+opens no instance as given, resolving only placeholder ids.
 
 NetworkState keeps link residuals and use counts, each node's instances,
 and two indices, changed only when an allocation is applied or released
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import (Dict, Iterable, Iterator, List, Optional, Tuple,
                     TYPE_CHECKING)
 
-from .topology import FunctionType, Link, NetworkGraph, to_kbps
+from .topology import FunctionType, Link, NetworkGraph
 
 if TYPE_CHECKING:
     from .workload import Demand
@@ -59,10 +59,6 @@ class VnfInstance:
     function: FunctionType
     residual_kbps: int
     served: Dict[int, int]
-
-    @property
-    def capacity_kbps(self) -> int:
-        return to_kbps(self.function.processing_capacity)
 
 
 @dataclass(frozen=True)
@@ -173,7 +169,7 @@ class NetworkState(_StateView):
     def __init__(self, graph: NetworkGraph):
         self.graph = graph
         self.residual_kbps: Dict[Tuple[int, int], int] = {
-            (l.src, l.dst): to_kbps(l.capacity) for l in graph.links}
+            (l.src, l.dst): l.capacity_kbps for l in graph.links}
         self.link_use: Dict[Tuple[int, int], int] = {
             (l.src, l.dst): 0 for l in graph.links}
         self.instances: Dict[int, VnfInstance] = {}
@@ -274,7 +270,7 @@ class NetworkState(_StateView):
                     raise AllocationError("instance %d lacks %d kbps" % (inst_id, need))
             else:
                 function, node = placeholders[inst_id]
-                if to_kbps(function.processing_capacity) < need:
+                if function.capacity_kbps < need:
                     raise AllocationError("new %s instance cannot carry %d kbps"
                                           % (function.name, need))
                 new_cores[node] = new_cores.get(node, 0) + function.cores
@@ -294,8 +290,7 @@ class NetworkState(_StateView):
         for placeholder, (function, node) in placeholders.items():
             new_id = id_map[placeholder] = self._next_instance
             self._next_instance += 1
-            inst = VnfInstance(new_id, node, function,
-                               to_kbps(function.processing_capacity), {})
+            inst = VnfInstance(new_id, node, function, function.capacity_kbps, {})
             self.instances[new_id] = inst
             self.node_instances[node][new_id] = inst
             self.cores_used[node] += function.cores
@@ -322,7 +317,7 @@ class NetworkState(_StateView):
         for inst_id in {a.instance_id for a in alloc.assignments}:
             inst = self.instances[inst_id]
             inst.residual_kbps += inst.served.pop(demand_id)
-            if inst.residual_kbps == inst.capacity_kbps:
+            if inst.residual_kbps == inst.function.capacity_kbps:
                 del self.instances[inst_id]
                 del self.node_instances[inst.node][inst_id]
                 self.cores_used[inst.node] -= inst.function.cores
@@ -356,7 +351,7 @@ class NetworkState(_StateView):
                 want_use[(link.src, link.dst)] += 1
         for link in self.graph.links:
             pair = (link.src, link.dst)
-            cap = to_kbps(link.capacity)
+            cap = link.capacity_kbps
             res = self.residual_kbps[pair]
             if not 0 <= res <= cap:
                 bad.append("link %d->%d residual %d outside [0, %d]"
@@ -373,9 +368,10 @@ class NetworkState(_StateView):
                 want_served[(a.instance_id, alloc.demand_id)] += alloc.bandwidth_kbps
         for inst in self.instances.values():
             take = sum(inst.served.values())
-            if inst.residual_kbps + take != inst.capacity_kbps:
+            cap = inst.function.capacity_kbps
+            if inst.residual_kbps + take != cap:
                 bad.append("instance %d residual %d + served %d != capacity %d"
-                           % (inst.id, inst.residual_kbps, take, inst.capacity_kbps))
+                           % (inst.id, inst.residual_kbps, take, cap))
             if inst.residual_kbps < 0:
                 bad.append("instance %d oversubscribed" % inst.id)
             for dem, amount in inst.served.items():
@@ -426,7 +422,7 @@ class NetworkState(_StateView):
         out = []
         for link in sorted(self.link_use, key=lambda p: p):
             res = self.residual_kbps[link]
-            cap = to_kbps(self.graph.link(*link).capacity)
+            cap = self.graph.link(*link).capacity_kbps
             if res != cap or self.link_use[link]:
                 out.append("link %d %d residual %d use %d"
                            % (link[0], link[1], res, self.link_use[link]))
@@ -493,8 +489,7 @@ class StateOverlay(_StateView):
             inst_id = self._next_placeholder
             self._next_placeholder -= 1
             self.pending[inst_id] = VnfInstance(
-                inst_id, node, function,
-                to_kbps(function.processing_capacity) - kbps, {})
+                inst_id, node, function, function.capacity_kbps - kbps, {})
             return inst_id
         if instance_id in self.pending:
             self.pending[instance_id].residual_kbps -= kbps

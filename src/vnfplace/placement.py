@@ -44,7 +44,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from .bih import BlockingIsland, build_bih
 from .netstate import (Allocation, FunctionAssignment, NetworkState, Route,
-                       add_delays, fits, over_budget, path_delay, to_kbps)
+                       add_delays, fits, over_budget, path_delay)
 from .power import (incremental_cost, incremental_pm_cost, network_power,
                     pm_load_slope, pm_power_total, total_power)
 from .topology import FunctionType, Link, NetworkGraph
@@ -94,7 +94,7 @@ def check_solution(solution: SolutionSet) -> List[str]:
     rebuilds the state's indices from its allocations), the reported total
     power against total_power(state) within 1e-9 W (on a valid state), and
     the outcome records: a rejection has a reason and no allocation, an
-    acceptance one route segment per hop between its waypoints."""
+    acceptance an allocation with one route segment per hop."""
     bad = solution.state.validate()
     if not bad:
         recomputed = total_power(solution.state)
@@ -107,6 +107,8 @@ def check_solution(solution: SolutionSet) -> List[str]:
             if alloc is not None or not outcome.reason:
                 bad.append("demand %d: bad rejection record"
                            % outcome.demand.id)
+        elif alloc is None:
+            bad.append("demand %d: accepted with no allocation" % outcome.demand.id)
         elif len(alloc.route.segments) != len(alloc.assignments) + 1:
             bad.append("demand %d: segment count" % outcome.demand.id)
     return bad
@@ -379,8 +381,7 @@ class _ChainView:
         if instance_id is None:
             instance_id = self._next_placeholder
             self._next_placeholder -= 1
-            self.rows[node].append([instance_id, function.name,
-                                    to_kbps(function.processing_capacity)])
+            self.rows[node].append([instance_id, function.name, function.capacity_kbps])
             self.used[node] += function.cores
         for row in self.rows[node]:
             if row[0] == instance_id:
@@ -510,7 +511,7 @@ def get_candidate_pms(view: _ChainView, function: FunctionType,
                 if best is not None:
                     out.append(Candidate(node, best[0], 1))
         return out
-    if to_kbps(function.processing_capacity) < kbps:
+    if function.capacity_kbps < kbps:
         return out
     graph = view.graph
     for node in view.nodes:
@@ -719,7 +720,7 @@ def _suffix_bound(table: _PathTable, chain, kbps: int) -> List[int]:
     last = []
     top = len(table.path) - 1
     for function in reversed(chain):
-        new_fits = to_kbps(function.processing_capacity) >= kbps
+        new_fits = function.capacity_kbps >= kbps
         while top >= 0 and not (
                 new_fits and fits(fresh.used[top], function.cores,
                                   fresh.caps[top])
@@ -764,7 +765,7 @@ def _assign_on_path(table: _PathTable, chain, kbps: int, pref: List[int],
         if started:
             if not fits(table.used[pos], function.cores, table.caps[pos]):
                 continue
-            free = to_kbps(function.processing_capacity)
+            free = function.capacity_kbps
             if free < kbps:
                 continue
             best = [table.next_placeholder, name, free]

@@ -3,6 +3,8 @@
 The substrate is an undirected multigraph-free network of switches, each
 co-located with one physical machine (PM). Internally every undirected
 cable is represented as two directed links with equal capacity and delay.
+Public inputs in Mb/s are quantized to a 1 kb/s grid here, once, where
+they are checked; the link, function or service keeps the kb/s.
 """
 
 from __future__ import annotations
@@ -66,18 +68,20 @@ class PowerParams:
 
 @dataclass(frozen=True, slots=True)
 class Link:
-    """One direction of a cable. capacity in Mb/s, delay in ms. cable is
-    the (low, high) node pair, set once: no part of eq, hash or repr."""
+    """One direction of a cable: capacity in Mb/s, delay in ms. Its cable
+    (low, high) and capacity_kbps are set once, no part of eq, hash or repr."""
 
     src: int
     dst: int
     capacity: float
     delay: float
     cable: Tuple[int, int] = field(init=False, repr=False, compare=False)
+    capacity_kbps: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "cable", (self.src, self.dst)
                            if self.src < self.dst else (self.dst, self.src))
+        object.__setattr__(self, "capacity_kbps", to_kbps(self.capacity))
 
 
 @dataclass(frozen=True)
@@ -120,6 +124,7 @@ class FunctionType:
     requirements: Mapping[str, int]
     processing_capacity: float
     processing_delay: float
+    capacity_kbps: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if set(self.requirements) != {CPU}:
@@ -130,8 +135,8 @@ class FunctionType:
                                 % (self.name, self.cores))
         if self.cores <= 0:
             raise TopologyError("function %s: non-positive cpu demand" % self.name)
-        check_kbps(self.processing_capacity,
-                   "function %s: processing capacity" % self.name)
+        object.__setattr__(self, "capacity_kbps", check_kbps(
+            self.processing_capacity, "function %s: processing capacity" % self.name))
         if not 0 <= self.processing_delay < math.inf:
             raise TopologyError("function %s: processing delay %r is not "
                                 "finite and non-negative"
@@ -151,11 +156,13 @@ class ServiceType:
     bandwidth: float        # Mb/s per demand
     delay_budget: float     # ms end to end
     traffic_share: float    # fraction of generated demands
+    bandwidth_kbps: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.chain:
             raise TopologyError("service %s has an empty chain" % self.name)
-        check_kbps(self.bandwidth, "service %s: bandwidth" % self.name)
+        object.__setattr__(self, "bandwidth_kbps", check_kbps(
+            self.bandwidth, "service %s: bandwidth" % self.name))
         if not 0 < self.delay_budget < math.inf:
             raise TopologyError("service %s: delay budget %r ms is not finite "
                                 "and positive" % (self.name, self.delay_budget))

@@ -6,7 +6,6 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List
 
-from .netstate import to_kbps
 from .topology import NetworkGraph, ServiceType
 
 
@@ -33,7 +32,7 @@ class Demand:
 
     @property
     def bandwidth_kbps(self) -> int:
-        return to_kbps(self.service.bandwidth)
+        return self.service.bandwidth_kbps
 
     @property
     def delay_budget(self) -> float:

@@ -15,18 +15,18 @@ from vnfplace.exact import _TOL, Constraint, MilpModel
 from vnfplace.netstate import (Allocation, AllocationError,
                                FunctionAssignment, NetworkState, Route,
                                StateOverlay, VnfInstance, _route_delay, fits,
-                               over_budget, to_kbps)
+                               over_budget)
 from vnfplace.placement import (_assign_on_path, _ChainView, _pair_route,
                                 _PathTable, betweenness, calculate_best_path,
                                 get_candidate_pms)
 from vnfplace.power import incremental_cost, pm_load_slope
 from vnfplace.topology import (CPU, FunctionType, Link, NetworkGraph,
                                NodeSpec, PmSpec, ServiceType, TopologyError,
-                               link_delay_from_length)
+                               link_delay_from_length, to_kbps)
 from vnfplace.workload import Demand, generate_demands, read_demands
 
 def to_mbps(kbps: int) -> float:
-    """The inverse of netstate.to_kbps on the values tests feed it."""
+    """The inverse of topology.to_kbps on the values tests feed it."""
     return kbps / 1000.0
 
 
@@ -516,7 +516,7 @@ def reference_release_allocation(state: NetworkState, demand_id: int) -> None:
     for inst_id in {a.instance_id for a in alloc.assignments}:
         inst = state.instances[inst_id]
         inst.residual_kbps += inst.served.pop(demand_id)
-        if inst.residual_kbps == inst.capacity_kbps:
+        if inst.residual_kbps == to_kbps(inst.function.processing_capacity):
             del state.instances[inst_id]
             del state.node_instances[inst.node][inst_id]
             state.cores_used[inst.node] -= inst.function.cores
@@ -532,6 +532,18 @@ LAYERED_CABLES = [
     (6, 7, 40.0), (0, 2, 40.0), (3, 4, 30.0), (2, 4, 30.0),
     (3, 5, 30.0), (1, 8, 30.0),
 ]
+
+
+# power ratings the CLI refuses before any cell runs: one run's power with
+# all hardware at full rating, times the seeds or times itself (a bound on
+# a cell's variance, past which Python 3.10's pstdev raised), is not finite
+BAD_POWER_RATINGS = (
+    ("port-power", ["--port-power", "1e308"]),
+    ("switch-power-times-seeds", ["--switch-power", "1e307", "--seeds", "3"]),
+    ("pm-max-power-times-seeds", ["--pm-max-power", "1e307", "--seeds", "30"]),
+    ("switch-power-squared", ["--algo", "bi-lbi,bc", "--demands", "3",
+                              "--seeds", "2", "--switch-power", "1e306"]),
+)
 
 
 # a path on which the island walk's plan for seed 87's one default-catalog

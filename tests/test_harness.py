@@ -14,11 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import EDGE_TOPOLOGY
+from helpers import BAD_POWER_RATINGS, EDGE_TOPOLOGY
 import vnfplace
 from vnfplace import cli
-from vnfplace.netstate import Route
-from vnfplace.placement import check_solution
+from vnfplace.netstate import NetworkState, Route
+from vnfplace.placement import DemandOutcome, SolutionSet, check_solution
 from vnfplace.harness import (ALGORITHMS, CSV_HEADER, MAX_COUNT,
                               ExperimentConfig, HarnessError, emit_csv,
                               load_topology, run_experiment)
@@ -157,6 +157,15 @@ def test_gate_rejects_tampered_results(monkeypatch):
     assert check_solution(sol) == []
     sol.total_power_w = 1e-7
     assert check_solution(sol) == ["reported power 1e-07, recomputed 0.0"]
+
+
+def test_check_solution_reports_an_acceptance_without_allocation():
+    graph = load_topology("nobel-germany")
+    _, services = vnfplace.default_catalogs()
+    demand = vnfplace.generate_demands(graph, 1, services, 0)[0]
+    sol = SolutionSet([DemandOutcome(demand, True, None, None)],
+                      NetworkState(graph), 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
+    assert check_solution(sol) == ["demand 0: accepted with no allocation"]
 
 
 def test_run_rejects_a_corrupt_state(monkeypatch):
@@ -358,11 +367,9 @@ def test_cli_bad_inputs_exit_two(tmp_path, capsys):
         captured = capsys.readouterr()
         assert "line 3: cable 0-1: capacity" in captured.err
         assert captured.out == ""
-    # power ratings whose worst case over the graph and the seeds is not a
-    # finite number of watts fail before any cell runs
-    for argv in (["--port-power", "1e308"],
-                 ["--switch-power", "1e307", "--seeds", "3"],
-                 ["--pm-max-power", "1e307", "--seeds", "30"]):
+    # power ratings whose worst case over the graph and the seeds, or whose
+    # square, is not a finite number of watts fail before any cell runs
+    for _, argv in BAD_POWER_RATINGS:
         assert cli.main(["run", *argv]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: power ratings too large")

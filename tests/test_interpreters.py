@@ -2,8 +2,11 @@
 
 Every other CPython of 3.10 or later under pyenv recomputes the digests of
 four pins with tests/pin_digests.py, which needs no pytest, and must get
-the values those pins hold. A rule over the library's source keeps delay
-sums off the builtin sum(), whose float addition changed in Python 3.12.
+the values those pins hold; it also drives the CLI over the power ratings
+it refuses (tests/cli_exits.py), each of which must exit 2 with no
+traceback. Rules over the library's source keep delay sums off the builtin
+sum(), whose float addition changed in Python 3.12, and every Mb/s to kb/s
+rounding inside topology, which stores the kb/s of each checked value.
 """
 
 import ast
@@ -14,6 +17,8 @@ import subprocess
 import sys
 
 import pytest
+
+from helpers import BAD_POWER_RATINGS
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(TESTS), "src")
@@ -58,6 +63,18 @@ def test_pins_hold_on_every_other_interpreter(python):
     assert done.returncode == 0, done.stderr
     got = dict(line.split() for line in done.stdout.splitlines())
     assert got == {name: _pinned(name) for name in PINS}
+
+
+@pytest.mark.parametrize("python", _other_interpreters())
+def test_bad_power_ratings_exit_two_on_every_other_interpreter(python):
+    # statistics differs across versions: Python 3.10's pstdev raised on a
+    # variance 3.11 takes, so each interpreter drives the CLI itself
+    done = subprocess.run([python, os.path.join(TESTS, "cli_exits.py")],
+                          env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    got = dict(line.split(" ", 1) for line in done.stdout.splitlines())
+    assert got == {name: "2 False" for name, _ in BAD_POWER_RATINGS}
 
 
 _DELAY_READS = {"delay", "processing_delay", "total_delay_ms"}
@@ -116,3 +133,30 @@ def test_no_delay_is_added_by_sum():
         "            + math.fsum(l.delay for l in ls) + sum(total_delay_ms)\n"
         "            + sum(ds, start=o.delay) + sum(x.bandwidth for x in r))\n"),
         "placement") == [(2, "f"), (3, "f"), (3, "f"), (4, "f")]
+
+
+def kbps_conversions(tree):
+    """Lines of each call to to_kbps in a module's tree, however named."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Name) and node.func.id == "to_kbps"
+                or isinstance(node.func, ast.Attribute)
+                and node.func.attr == "to_kbps")]
+
+
+def test_only_topology_converts_mbps_to_kbps():
+    # one module owns the rounding rule: topology rounds each Mb/s value
+    # once, where it checks it, and keeps the kb/s on the link, function
+    # or service for every other module to read
+    found = {}
+    for path in sorted(glob.glob(os.path.join(SRC, "vnfplace", "*.py"))):
+        module = os.path.splitext(os.path.basename(path))[0]
+        with open(path, encoding="utf-8") as fh:
+            calls = kbps_conversions(ast.parse(fh.read()))
+        if calls and module != "topology":
+            found[module] = calls
+    assert found == {}
+    # the rule sees the forms it is for
+    assert kbps_conversions(ast.parse(
+        "a = to_kbps(x)\nb = [topology.to_kbps(f.capacity) for f in fs]\n"
+        "c = f.capacity_kbps\n")) == [1, 2]

@@ -13,9 +13,9 @@ from helpers import XL, make_demand, make_graph, random_connected_graph, \
     route_allocation, to_mbps
 from vnfplace.netstate import (Allocation, AllocationError,
                                FunctionAssignment, NetworkState, Route,
-                               StateOverlay, _StateView, to_kbps)
+                               StateOverlay, _StateView)
 from vnfplace.topology import (CPU, FunctionType, Link, NetworkGraph,
-                               NodeSpec, PmSpec)
+                               NodeSpec, PmSpec, to_kbps)
 
 
 FN_A = FunctionType("A", {CPU: 4}, 200.0, 10.0)

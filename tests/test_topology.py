@@ -10,12 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vnfplace.bih import ladder_kbps
-from vnfplace.netstate import to_kbps
 from vnfplace.topology import (CPU, FunctionType, Link, NetworkGraph,
                                NodeSpec, PmSpec, PowerParams, ServiceType,
                                TopologyError, default_catalogs,
                                link_delay_from_length, nobel_germany,
-                               parse_topology)
+                               parse_topology, to_kbps)
 
 
 def test_link_delay_from_length():
@@ -93,11 +92,11 @@ def test_service_type_validation():
             ServiceType("s", (fn,), mbps, 10.0, 0.5)
     for mbps in (0.0004, 0.0005, 0.00050001, 0.0006, 0.0015, 0.064):
         try:
-            kbps = to_kbps(ServiceType("s", (fn,), mbps, 10.0, 0.5).bandwidth)
+            kbps = ServiceType("s", (fn,), mbps, 10.0, 0.5).bandwidth_kbps
         except TopologyError:
             assert to_kbps(mbps) == 0
         else:
-            assert kbps >= 1
+            assert kbps == to_kbps(mbps) >= 1
 
 
 def _fields(graph):
@@ -227,6 +226,34 @@ def test_every_mbps_entry_refuses_what_books_no_finite_kbps(entry, mbps):
     # the smallest and a large value the rule admits
     for ok in (0.00051, 1e305):
         _MBPS_ENTRIES[entry](ok)
+
+
+class _HashableCores(dict):
+    """A core count that hashes, so that a function and its services do."""
+
+    def __hash__(self):
+        return hash(tuple(sorted(self.items())))
+
+
+@settings(max_examples=100, deadline=None)
+@given(mbps=st.floats(min_value=0.00051, max_value=1e305))
+def test_each_mbps_value_keeps_the_kbps_of_its_check(mbps):
+    # the kb/s is found once, by check_kbps, and kept; no part of eq, hash
+    # or repr, so a value that differs in it alone is the same value
+    fn = FunctionType("X", _HashableCores({CPU: 4}), mbps, 1.0)
+    svc = ServiceType("s", (fn,), mbps, 10.0, 0.5)
+    graph = _MBPS_ENTRIES["cable 0-1: capacity"](mbps)
+    kept = [fn.capacity_kbps, svc.bandwidth_kbps] + [
+        link.capacity_kbps for link in graph.links]
+    assert kept == [to_kbps(mbps)] * 4
+    for value, name in ((fn, "capacity_kbps"), (svc, "bandwidth_kbps"),
+                        (graph.links[0], "capacity_kbps")):
+        twin = copy.copy(value)
+        object.__setattr__(twin, name, getattr(value, name) + 1)
+        assert twin == value and hash(twin) == hash(value)
+        assert repr(twin) == repr(value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, 0)
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
