@@ -557,7 +557,8 @@ def solve_exact_small(model: MilpModel) -> ExactSolution:
     net_power = [params.switch_static_w * sw.bit_count()
                  + 2.0 * params.port_w * m.bit_count()
                  for m, sw in enumerate(lit)]
-    order = sorted(range(1 << ncab), key=lambda m: (net_power[m], m))
+    # stable over ascending masks: (net_power[m], m) order
+    order = sorted(range(1 << ncab), key=net_power.__getitem__)
 
     slope = params.pm_max_w - params.pm_idle_w
     pm_cores = {i: graph.node(i).pm.cores for i in nodes}
@@ -576,11 +577,21 @@ def solve_exact_small(model: MilpModel) -> ExactSolution:
         if mask == full:
             dist, nxt = full_dists
         else:
-            label = list(nodes)
-            for idx, (a, b) in enumerate(cables):
-                if mask >> idx & 1:
-                    label = [label[b] if l == label[a] else l for l in label]
-            if any(label[d.src] != label[d.dst] for d in demands):
+            # grow each demand's source, as node bits, over the subset's
+            # cable ends until it holds the destination or stops growing
+            held = [e for idx, e in enumerate(ends) if mask >> idx & 1]
+            split = False
+            for d in demands:
+                reach, last, goal = 1 << d.src, 0, 1 << d.dst
+                while not reach & goal and reach != last:
+                    last = reach
+                    for e in held:
+                        if reach & e:
+                            reach |= e
+                if not reach & goal:
+                    split = True
+                    break
+            if split:
                 continue
             dist, nxt = _subset_distances(graph, mask, cables)
         sigs_per_demand = []

@@ -3,9 +3,11 @@
 Bandwidth is tracked internally as integer kb/s so that applying and
 releasing an allocation are exact inverses (no float drift); topology
 finds the kb/s of each Mb/s input. The commit checks a route in one walk
-that also sums each link's need, then books the route through
-_book_route, the one routine that release shares, and stores a plan that
-opens no instance as given, resolving only placeholder ids.
+that also counts each directed link's crossings and adds the delay as
+_route_delay does, then books those counts through _book, the one booking
+routine, which release shares once it has tallied its route. A plan that
+opens no instance is stored as given; otherwise only placeholder ids are
+resolved.
 
 NetworkState keeps link residuals and use counts, each node's instances,
 and two indices, changed only when an allocation is applied or released
@@ -211,7 +213,13 @@ class NetworkState(_StateView):
         """Atomically commit an allocation. Placeholder instance ids are
         resolved to fresh instances in a new record, returned; a plan with
         no placeholder is itself stored and returned (Allocation is frozen).
-        Raises AllocationError leaving the state untouched on any violation."""
+        Raises AllocationError leaving the state untouched on any violation.
+
+        One walk over the route checks its continuity, its links and its
+        segment ends, counts the crossings of each directed link and adds
+        the links' delays in route order, from 0.0, as path_delay does;
+        the chain's processing follows as in _route_delay, so the delay
+        checks see _route_delay to the bit. _book then books the counts."""
         if demand.id in self.allocations:
             raise AllocationError("demand %d already allocated" % demand.id)
         if allocation.demand_id != demand.id:
@@ -225,31 +233,35 @@ class NetworkState(_StateView):
                                   % (kbps, demand.bandwidth_kbps))
         if len(allocation.route.segments) != len(assignments) + 1:
             raise AllocationError("route must have one segment per chain hop")
-        link_need: Dict[Tuple[int, int], int] = {}
+        crossings: Dict[Tuple[int, int], int] = {}
+        residual = self.residual_kbps
+        delay = 0.0
         at = demand.src
         for k, seg in enumerate(allocation.route.segments):
             for link in seg:
                 if link.src != at:
                     raise AllocationError("discontinuous route at node %d" % at)
                 pair = (at, link.dst)
-                if pair not in self.residual_kbps:
+                if pair not in residual:
                     raise AllocationError("route uses unknown link %d->%d" % pair)
-                link_need[pair] = link_need.get(pair, 0) + kbps
+                crossings[pair] = crossings.get(pair, 0) + 1
+                delay += link.delay
                 at = link.dst
             want = assignments[k].node if k < len(assignments) else demand.dst
             if at != want:
                 raise AllocationError("segment %d ends at %d, expected %d"
                                       % (k, at, want))
-        delay = _route_delay(allocation)
+        delay += add_delays(a.function.processing_delay for a in assignments)
         if abs(delay - allocation.total_delay_ms) > _DELAY_TOL_MS:
             raise AllocationError("reported delay %r ms, route and chain take "
                                   "%r ms" % (allocation.total_delay_ms, delay))
         if over_budget(delay, demand.delay_budget):
             raise AllocationError("delay %r ms exceeds budget %r ms"
                                   % (delay, demand.delay_budget))
-        for pair, need in link_need.items():
-            if self.residual_kbps[pair] < need:
-                raise AllocationError("link %d->%d lacks %d kbps" % (*pair, need))
+        for pair, count in crossings.items():
+            if residual[pair] < count * kbps:
+                raise AllocationError("link %d->%d lacks %d kbps"
+                                      % (*pair, count * kbps))
 
         # placeholder -> (function, node), in the order new instances are made
         inst_need: Dict[int, int] = {}
@@ -285,7 +297,7 @@ class NetworkState(_StateView):
                 raise AllocationError("PM %d lacks cpu for new instances" % node)
 
         # all checks passed, now mutate
-        self._book_route(allocation.route, kbps, 1)
+        self._book(crossings, kbps, 1)
         id_map: Dict[int, int] = {}
         for placeholder, (function, node) in placeholders.items():
             new_id = id_map[placeholder] = self._next_instance
@@ -313,7 +325,8 @@ class NetworkState(_StateView):
         alloc = self.allocations.pop(demand_id, None)
         if alloc is None:
             raise AllocationError("demand %d has no allocation" % demand_id)
-        self._book_route(alloc.route, alloc.bandwidth_kbps, -1)
+        self._book(Counter((l.src, l.dst) for l in alloc.route.links()),
+                   alloc.bandwidth_kbps, -1)
         for inst_id in {a.instance_id for a in alloc.assignments}:
             inst = self.instances[inst_id]
             inst.residual_kbps += inst.served.pop(demand_id)
@@ -322,21 +335,22 @@ class NetworkState(_StateView):
                 del self.node_instances[inst.node][inst_id]
                 self.cores_used[inst.node] -= inst.function.cores
 
-    def _book_route(self, route: Route, kbps: int, step: int) -> None:
-        """Book kbps on (step 1) or off (step -1) every link of the route:
-        its residual, its use count, and the lit cables of both switches
-        when its cable's use leaves or reaches 0, which bumps lit_epoch."""
+    def _book(self, crossings: Dict[Tuple[int, int], int], kbps: int,
+              step: int) -> None:
+        """Book kbps on (step 1) or off (step -1) each directed link once
+        per crossing: its residual, its use count, and the lit cables of
+        both switches when its cable's use leaves or reaches 0, which bumps
+        lit_epoch once per such cable."""
         residual, use, lit = self.residual_kbps, self.link_use, self.lit_cables
-        for seg in route.segments:
-            for link in seg:
-                pair = (link.src, link.dst)
-                residual[pair] -= step * kbps
-                before = use[pair] + use[(link.dst, link.src)]
-                use[pair] += step
-                if not before or not before + step:
-                    lit[link.src] += step
-                    lit[link.dst] += step
-                    self.lit_epoch += 1
+        for pair, count in crossings.items():
+            src, dst = pair
+            residual[pair] -= step * count * kbps
+            before = use[pair] + use[(dst, src)]
+            use[pair] += step * count
+            if not before or not before + step * count:
+                lit[src] += step
+                lit[dst] += step
+                self.lit_epoch += 1
 
     # -- integrity -------------------------------------------------------
 

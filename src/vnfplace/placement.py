@@ -6,15 +6,16 @@ bandwidth (mode 'lbi' prefers the largest qualifying island, 'hbi' the
 smallest), then walks the chain function by function, picking the
 (PM, route) pair of least incremental power; one view per demand reads
 the island once, holds the plan and patches what it read as it grows.
-At each position the reuse candidates are routed first; new instances
-are listed only when one could still cost no more than the best reuse
-found, and no candidate is routed once its PM cost shows it cannot beat
-the winner so far. The views of one call share a routing cache: the
-edge terms of every link, each island's node order, neighbours and hop
-counts, every search tree, and each island's adjacency as last read in
-full: a later view copies it while no cable has lit or gone dark and
-every island link carries its kb/s, and reads anew otherwise. Each
-route, into a PM or out of it, is read from the full tree of its source,
+At each position the reuse candidates are routed first, nearest the
+origin first, and their scan stops at the first that cannot beat the
+winner so far; new instances are listed only when one could still cost
+no more than the best reuse found, and none is routed once its PM cost
+shows it cannot beat the winner so far. The views of one call share a
+routing cache: the edge terms of every link, each island's node order,
+neighbours, hop counts and nodes nearest each origin, every search
+tree, and each island's adjacency as last read in full: a later view
+copies it while no cable has lit or gone dark and every island link
+carries its kb/s, and reads anew otherwise. Each route, into a PM or out of it, is read from the full tree of its source,
 keyed by the exact adjacency it was grown over, so a later position or
 demand that meets the same adjacency reads the tree a new search would
 grow.
@@ -157,10 +158,11 @@ class _IslandFacts:
     """What the walk reads of an island itself, the same for every demand
     routed in it: its nodes sorted, their index in that order, each node's
     island neighbours sorted (the canonical order adjacency codes follow),
-    the largest PM core count, its directed links (pairs), and BFS hop
-    counts from each origin asked for so far."""
+    the largest PM core count, its directed links (pairs), and, from each
+    origin asked for so far, BFS hop counts and the nodes nearest first."""
 
-    __slots__ = ("nodes", "index", "nbrs", "pairs", "max_cores", "_hops")
+    __slots__ = ("nodes", "index", "nbrs", "pairs", "max_cores", "_hops",
+                 "_nearest")
 
     def __init__(self, graph: NetworkGraph, island: BlockingIsland):
         self.nodes = sorted(island.nodes)
@@ -174,12 +176,23 @@ class _IslandFacts:
         self.pairs = [(a, b) for a in self.nodes for b in self.nbrs[a]]
         self.max_cores = max(graph.node(n).pm.cores for n in self.nodes)
         self._hops: Dict[int, Dict[int, int]] = {}
+        self._nearest: Dict[int, List[int]] = {}
 
     def hops(self, origin: int) -> Dict[int, int]:
         """BFS hop counts from origin over the island's links."""
         if origin not in self._hops:
             self._hops[origin] = _bfs(self.nbrs.__getitem__, origin)[1]
         return self._hops[origin]
+
+    def nearest(self, origin: int) -> List[int]:
+        """The island's nodes in (hops from origin, node) order, any node
+        out of reach last."""
+        order = self._nearest.get(origin)
+        if order is None:
+            hops = self.hops(origin)
+            order = self._nearest[origin] = sorted(
+                self.nodes, key=lambda n: (hops.get(n, math.inf), n))
+        return order
 
 
 class _RouteCache:
@@ -491,26 +504,38 @@ def _best_row(rows: List[list], name: str, kbps: int) -> Optional[list]:
     return best
 
 
+def _reuse_scan(view: _ChainView, function: FunctionType, until=None):
+    """The category-1 candidates, nearest the view's origin first: each
+    island node, in (hops, node) order, with a row of the function that
+    has the view's kb/s spare, on its best-fit row. A node's rows are read
+    only when the scan reaches it, and a node with no rows runs no
+    instance, so its rows are not scanned. With until, the scan ends at
+    the first node with rows for which until(node) is true, before they
+    are read."""
+    name, kbps, rows = function.name, view.kbps, view.rows
+    for node in view.facts.nearest(view.origin):
+        if rows[node]:
+            if until is not None and until(node):
+                return
+            best = _best_row(rows[node], name, kbps)
+            if best is not None:
+                yield Candidate(node, best[0], 1)
+
+
 def get_candidate_pms(view: _ChainView, function: FunctionType,
                       reuse: bool) -> List[Candidate]:
-    """The view's island PMs able to host the function at its kb/s, in
-    (category, node) order. With reuse, the category-1 candidates: each
-    node with a row of the function that has the kb/s spare, on its
-    best-fit row. Without, the nodes with no such row where a new instance
-    can carry the kb/s and the cores in use leave it room, category 2 (any
-    row means the PM is on) before 3. The two lists together are every
-    candidate, cheapest category first. A node with no rows runs no
-    instance, so its rows are not scanned."""
+    """The view's island PMs able to host the function at its kb/s. With
+    reuse, the category-1 candidates of _reuse_scan, in its (hops from the
+    view's origin, node) order. Without, in (category, node) order, the
+    nodes with no such row where a new instance can carry the kb/s and the
+    cores in use leave it room, category 2 (any row means the PM is on)
+    before 3; a node with no rows runs no instance, so its rows are not
+    scanned. The two lists together are every candidate, cheapest
+    category first."""
+    if reuse:
+        return list(_reuse_scan(view, function))
     name, kbps = function.name, view.kbps
     out = []
-    if reuse:
-        for node in view.nodes:
-            rows = view.rows[node]
-            if rows:
-                best = _best_row(rows, name, kbps)
-                if best is not None:
-                    out.append(Candidate(node, best[0], 1))
-        return out
     if function.capacity_kbps < kbps:
         return out
     graph = view.graph
@@ -532,16 +557,20 @@ def _best_candidate(view: _ChainView, function: FunctionType, dst: int,
     origin, category, node id); (None, "no-pm") if no PM can host the
     function, (None, "no-path") if no candidate can be routed.
 
-    Candidates are routed in listing order, (category, hops, node), which
-    is not the key's order: hops come before category in the key. A
+    The reuse candidates are routed in _reuse_scan's order, (hops, node),
+    then the new-instance ones in (category, hops, node) order, which is
+    not the key's order: hops come before category in the key. A
     candidate is not routed when it cannot beat the winner so far. Its
     cost is its PM cost lb (incremental_pm_cost) plus the watts its links
     light; power ratings are non-negative, so that sum is never below lb,
     in floats too. So when (lb, hops, category, node) is above the
     winner's key, the candidate's own key is too: either lb is above the
     best cost, or it is equal and the candidate can at best tie on cost
-    and then lose the tie-break. Once a reuse candidate routes at 0 W, no
-    later reuse candidate is routed.
+    and then lose the tie-break. A reuse costs 0 W on its PM, so its bound
+    (0.0, hops, 1, node) rises along the scan, which stops at the first
+    node whose bound is above the winner's key: once a reuse candidate
+    routes at 0 W, no farther node's rows are read. The first reuse
+    candidate is always routed.
     A new instance costs at least the load slope of its function on the
     island's largest PM (pm_load_slope), so the new-instance candidates
     are listed only when no reuse candidate was routed or the best cost is
@@ -553,19 +582,25 @@ def _best_candidate(view: _ChainView, function: FunctionType, dst: int,
     best = None
     best_key = None
     listed = False
+
+    def beyond(node):               # a reuse's bound: 0 W on its PM
+        return best_key is not None and (0.0, hops.get(node, inf), 1,
+                                         node) > best_key
+
     for reuse in (True, False):
-        if not reuse and best_key is not None:
-            floor = pm_load_slope(view.graph.power, function.cores,
-                                  view.facts.max_cores)
-            if best_key[0] < floor:
+        if reuse:
+            candidates = _reuse_scan(view, function, beyond)
+        else:
+            if best_key is not None and best_key[0] < pm_load_slope(
+                    view.graph.power, function.cores, view.facts.max_cores):
                 break
-        candidates = get_candidate_pms(view, function, reuse)
-        listed = listed or bool(candidates)
-        candidates.sort(key=lambda c: (c.category, hops.get(c.node, inf),
-                                       c.node))
+            candidates = get_candidate_pms(view, function, False)
+            candidates.sort(key=lambda c: (c.category, hops.get(c.node, inf),
+                                           c.node))
         for cand in candidates:
+            listed = True
             tail = (hops.get(cand.node, inf), cand.category, cand.node)
-            if best_key is not None and (incremental_pm_cost(
+            if not reuse and best_key is not None and (incremental_pm_cost(
                     view, cand.node, cand.instance_id, function),
                     *tail) > best_key:
                 continue            # its key can only be above best_key

@@ -20,7 +20,8 @@ from vnfplace.bih import BlockingIsland, build_bih
 from vnfplace.exact import (build_model, export_lp, solve_exact_small,
                             validate_solution)
 from vnfplace.netstate import NetworkState, StateOverlay
-from vnfplace.placement import (_ChainView, _RouteCache, bc_place_all,
+from vnfplace.placement import (DemandOutcome, SolutionSet, _ChainView,
+                                _RouteCache, bc_place_all,
                                 calculate_best_path, betweenness,
                                 check_solution, place_all)
 from vnfplace.power import pm_power, switch_power
@@ -142,6 +143,8 @@ def _check_solution(sol, demands):
             continue
         demand = by_id[outcome.demand.id]
         alloc = outcome.allocation
+        if alloc is None:
+            continue                     # check_solution reports it
         if alloc.bandwidth_kbps != demand.bandwidth_kbps:
             bad.append("demand %d: bandwidth" % demand.id)
         if [a.function.name for a in alloc.assignments] != \
@@ -181,6 +184,14 @@ def test_04_all_algorithms_produce_feasible_states():
                        for b in _check_solution(sol, demands))
     _verdict("04 solution feasibility", not bad,
              bad[0] if bad else "3 algorithms x 30 seeds x 100 demands clean")
+
+
+def test_gate_check_reports_an_acceptance_without_allocation():
+    demands = generate_demands(GRAPH, 1, SERVICES, 0)
+    sol = SolutionSet([DemandOutcome(demands[0], True, None, None)],
+                      NetworkState(GRAPH), 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
+    assert _check_solution(sol, demands) == \
+        ["demand 0: accepted with no allocation"]
 
 
 def _tiny_sweep():

@@ -641,10 +641,24 @@ def _assert_same_state(lib, ref):
     assert lib._next_instance == ref._next_instance
 
 
+def _lit(state):
+    """The cables some allocation crosses, read from link_use."""
+    use = state.link_use
+    return {(a, b) for a, b in use if a < b and (use[(a, b)] or use[(b, a)])}
+
+
+def _epoch_counts_flips(state, before, epoch):
+    """lit_epoch rose once per cable lit or gone dark since before, the
+    lit cables when it read epoch."""
+    assert state.lit_epoch - epoch == len(before ^ _lit(state))
+
+
 def _oracle_run(seed, steps):
     """Feed the same seeded allocations, random and corrupted, to the
     library and to the reference, then release everything in a random
-    order; returns the messages the commits raised."""
+    order; returns the messages the commits raised. After every commit
+    and release, lit_epoch has risen once per cable whose lit state
+    flipped."""
     rng = random.Random(seed)
     base = random_connected_graph(rng, max_nodes=6, cap_range=(5, 40))
     graph = NetworkGraph(
@@ -654,7 +668,9 @@ def _oracle_run(seed, steps):
     live, messages = [], set()
     for step in range(steps):
         allocation, demand = _oracle_allocation(lib, rng, step, live)
+        lit, epoch = _lit(lib), lib.lit_epoch
         got = _outcome(lib.apply_allocation, allocation, demand)
+        _epoch_counts_flips(lib, lit, epoch)
         assert got == _outcome(reference_apply_allocation, ref, allocation,
                                demand)
         if isinstance(got, str):
@@ -665,8 +681,10 @@ def _oracle_run(seed, steps):
     assert lib.validate() == []
     rng.shuffle(live)
     for demand_id in live + [steps]:
+        lit, epoch = _lit(lib), lib.lit_epoch
         assert _outcome(lib.release_allocation, demand_id) == \
             _outcome(reference_release_allocation, ref, demand_id)
+        _epoch_counts_flips(lib, lit, epoch)
         _assert_same_state(lib, ref)
     assert lib.snapshot() == NetworkState(graph).snapshot()
     return messages

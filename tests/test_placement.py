@@ -827,7 +827,8 @@ def test_pm_cost_bound_skips_only_candidates_that_cannot_tie(
     assert reason is None
     assert best[0].node == winner
     assert stats["path_searches"] == searches
-    assert calls == ([True, False] if winner == 0 else [True])
+    # the new-instance listing runs only where PM 0 can still tie
+    assert (False in calls) == (winner == 0)
 
 
 def test_new_instances_are_listed_against_the_largest_pm(monkeypatch):
@@ -846,7 +847,7 @@ def test_new_instances_are_listed_against_the_largest_pm(monkeypatch):
     stats = {}
     best, reason = _best_candidate(view, FN["NAT"], 0, 0.0, 100.0, 0.25,
                                    stats)
-    assert calls == [True, False]
+    assert False in calls           # the new-instance listing ran
     assert reason is None
     assert (best[0].node, best[0].category) == (0, 2)
     assert best[1:3] == ((), ())
@@ -914,6 +915,33 @@ def test_listings_scan_rows_only_on_pms_that_run_an_instance(monkeypatch):
             + get_candidate_pms(view, FN["NAT"], False)] \
         == [(2, 1), (0, 3), (1, 3)]
     assert scanned == [1, 1]
+
+
+def test_reuse_scan_stops_at_the_first_candidate_that_cannot_win(
+        monkeypatch):
+    # NAT runs on PMs 1 and 3 of a free-links line 0-1-2-3: the 0 W reuse
+    # on PM 1 wins, and the scan stops before it reads PM 3's rows
+    cables = [(0, 1, 1000.0, 1.0), (1, 2, 1000.0, 1.0), (2, 3, 1000.0, 1.0)]
+    graph = NetworkGraph(make_graph(4, cables, cores=16).nodes, cables,
+                         PowerParams(switch_static_w=0.0, port_w=0.0))
+    view = _view(NetworkState(graph), _island_over(graph), 0, 1000)
+    near = view.add_assignment(FN["NAT"], 1, None)
+    view.add_assignment(FN["NAT"], 3, None)
+    scanned = []
+    best_row = placement._best_row
+
+    def recorded(rows, name, kbps):
+        scanned.append([row[0] for row in rows])
+        return best_row(rows, name, kbps)
+
+    monkeypatch.setattr(placement, "_best_row", recorded)
+    stats = {}
+    best, reason = _best_candidate(view, FN["NAT"], 0, 0.0, 100.0, 0.25,
+                                   stats)
+    assert reason is None
+    assert (best[0].node, best[0].instance_id) == (1, near)
+    assert stats["path_searches"] == 1
+    assert scanned == [[near]]
 
 
 def _checked_positions(monkeypatch):
